@@ -469,11 +469,16 @@ def spectrum(
     else:
         w = 2.0 * np.pi / gen.grid.period
         targets = [0.25, 0.25 + 1j * w, 0.25 - 1j * w, *sigma_targets]
+        g_complex = g_mat.astype(complex)
+        # a fixed pseudo-random Arnoldi start vector: without one ARPACK seeds
+        # it from OS entropy, and a structured one (such as constants, which the
+        # generator annihilates) can miss eigenvectors it is orthogonal to
+        start = np.random.default_rng(7).standard_normal(n) + 0j
         found = []
         for sigma in targets:
             try:
                 vals = spla.eigs(
-                    g_mat.astype(complex), k=min(k, n - 2), sigma=sigma,
+                    g_complex, k=min(k, n - 2), sigma=sigma, v0=start,
                     return_eigenvectors=False,
                 )
             except Exception as exc:

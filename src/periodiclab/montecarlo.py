@@ -5,7 +5,10 @@ sigma sigma^T = 2 Q (the operator carries Q, not Q/2, on second derivatives).
 Noise is drawn from counter-based Philox streams keyed by
 (seed, stream, block), so ensembles are bit-reproducible for a fixed
 schedule regardless of how particle blocks are traversed; reductions are
-plain fixed-order sums.
+plain fixed-order sums.  Each block's generator draws the normals of several
+steps in one call; a Philox stream is a pure function of its key and
+counter, so this yields exactly the numbers of one call per step.  The state
+is updated in place, one step at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from .hypotheses import LyapunovResult, lyapunov_check
 from . import fields as _fields
 
 OVERFLOW_GUARD = 1e8
+_DRAW_STEPS = 8  # steps of normals each block generator draws per call ...
+_DRAW_FLOATS = 1 << 19  # ... unless that buffers more than 4 MiB of normals
 
 
 @dataclass(frozen=True)
@@ -108,30 +113,57 @@ class TangentEnsemble(ParticleEnsemble):
 
 
 def _block_normals(seed: int, stream: int, n: int, dim: int, block_size: int, antithetic: bool):
-    """Per-step factory of (n, dim) normals from per-block Philox streams."""
+    """Endless iterator of per-step (n, dim) normals from per-block Philox streams.
+
+    Each block's generator fills up to ``_DRAW_STEPS`` steps in one call,
+    fewer for large ensembles (where the per-call overhead is negligible), so
+    the buffer holds at most ``_DRAW_FLOATS`` numbers or one step.  A Philox
+    stream is a pure function of its key and counter, so the numbers equal
+    those of one call per step.  Each yielded array is a view into a reused
+    buffer: it may be overwritten in place and is valid until the next step.
+    """
     n_blocks = (n + block_size - 1) // block_size
     gens = [
         np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF,
                                                   ((stream & 0xFFFFFFFF) << 32) | blk]))
         for blk in range(n_blocks)
     ]
-
-    def draw() -> np.ndarray:
-        out = np.empty((n, dim))
+    steps = min(_DRAW_STEPS, max(1, _DRAW_FLOATS // (n * dim)))
+    buf = np.empty((steps, n, dim))
+    while True:
         for blk, gen in enumerate(gens):
             lo = blk * block_size
             hi = min(lo + block_size, n)
             m = hi - lo
             if antithetic:
                 half = (m + 1) // 2
-                z = gen.standard_normal((half, dim))
-                out[lo : lo + half] = z
-                out[lo + half : hi] = -z[: m - half]
+                z = gen.standard_normal((steps, half, dim))
+                buf[:, lo : lo + half] = z
+                np.negative(z[:, : m - half], out=buf[:, lo + half : hi])
             else:
-                out[lo:hi] = gen.standard_normal((m, dim))
-        return out
+                buf[:, lo:hi] = gen.standard_normal((steps, m, dim))
+        yield from buf
 
-    return draw
+
+def _sqrt_spd_2x2(m: np.ndarray) -> np.ndarray:
+    """Symmetric square roots of 2x2 SPD matrices, in place.
+
+    ``m`` is a (4, n) array whose rows are the entries m00, m01, m10, m11;
+    it is overwritten by the entries of the roots and returned.
+    """
+    m00, m01, m10, m11 = m
+    s = m00 * m11
+    s -= m01 * m10
+    np.maximum(s, 0.0, out=s)
+    np.sqrt(s, out=s)
+    denom = m00 + m11
+    denom += 2.0 * s
+    np.maximum(denom, 1e-300, out=denom)
+    np.sqrt(denom, out=denom)
+    m00 += s
+    m11 += s
+    m /= denom
+    return m
 
 
 def _sqrt_spd_batch(mats: np.ndarray) -> np.ndarray:
@@ -140,26 +172,31 @@ def _sqrt_spd_batch(mats: np.ndarray) -> np.ndarray:
     if d == 1:
         return np.sqrt(mats)
     if d == 2:
-        det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-        s = np.sqrt(np.maximum(det, 0.0))
-        tr = mats[:, 0, 0] + mats[:, 1, 1]
-        denom = np.sqrt(np.maximum(tr + 2.0 * s, 1e-300))
-        out = mats.copy()
-        out[:, 0, 0] += s
-        out[:, 1, 1] += s
-        return out / denom[:, None, None]
+        entries = np.array(mats.reshape(-1, 4).T, order="C")
+        return _sqrt_spd_2x2(entries).T.reshape(-1, 2, 2)
     w, v = np.linalg.eigh(mats)
     return (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.swapaxes(v, -1, -2)
 
 
 def _noise_increment(field, r, positions, normals, sqrt_dt):
+    """sqrt(dt) sigma(r, x) xi with sigma sigma^T = 2 Q; ``normals`` may be overwritten."""
+    d = field.dim
     if field.q_independent_of_x:
-        q = np.asarray(field.q(r, np.zeros((1, field.dim))))[0]
-        sig = _sqrt_spd_batch((2.0 * q)[None])[0]
-        return sqrt_dt * normals @ sig.T
+        q = np.asarray(field.q(r, np.zeros((1, d))))[0]
+        normals *= sqrt_dt
+        if d == 1:
+            normals *= np.sqrt(2.0 * q[0, 0])
+            return normals
+        return normals @ _sqrt_spd_batch((2.0 * q)[None])[0].T
     q = np.asarray(field.q(r, positions))
-    sig = _sqrt_spd_batch(2.0 * q)
-    return sqrt_dt * np.einsum("nij,nj->ni", sig, normals)
+    if d == 2:
+        # sig[i, j] * z_j summed over j, all on (n,) rows
+        sig = _sqrt_spd_2x2(np.multiply(q.reshape(-1, 4).T, 2.0, order="C")).reshape(2, 2, -1)
+        sig *= normals.T
+        np.add(sig[:, 0], sig[:, 1], out=normals.T)
+        normals *= sqrt_dt
+        return normals
+    return sqrt_dt * np.einsum("nij,nj->ni", _sqrt_spd_batch(2.0 * q), normals)
 
 
 def _check_spd(field, r, positions):
@@ -175,14 +212,16 @@ def _march(field, positions, jacobians, s, capture_times, config, stream):
 
     Full steps use config.dt; a shorter partial step lands on every capture
     time exactly.  Returns [(t, positions, jacobians), ...] in time order.
+    The state is updated in place; arrays returned by the field callables
+    are only read.
     """
     captures = sorted(set(float(t) for t in capture_times))
     if captures and captures[0] < s:
         raise ValueError("capture times must be >= start time")
-    draw = _block_normals(config.seed, stream, len(positions), field.dim, config.block_size,
-                          config.antithetic)
-    x = positions.copy()
-    jac = None if jacobians is None else jacobians.copy()
+    normals = _block_normals(config.seed, stream, len(positions), field.dim, config.block_size,
+                             config.antithetic)
+    x = np.array(positions, dtype=float)
+    jac = None if jacobians is None else np.array(jacobians, dtype=float)
     out = []
     r = s
     step_count = 0
@@ -196,13 +235,17 @@ def _march(field, positions, jacobians, s, capture_times, config, stream):
             step_count += 1
             if step_count % 64 == 0:
                 _check_spd(field, r, x)
-            z = draw()
+            z = next(normals)
             if jac is not None:
                 gb = field.grad_b_at(r, x)
-                jac = jac + dt * np.einsum("nij,njk->nik", gb, jac)
-            x = x + dt * np.asarray(field.b(r, x)) + _noise_increment(field, r, x, z, math.sqrt(dt))
+                jac += dt * (gb * jac if field.dim == 1 else np.einsum("nij,njk->nik", gb, jac))
+            # the noise is read at the old positions before x moves; no drift
+            # array outlives the step
+            noise = _noise_increment(field, r, x, z, math.sqrt(dt))
+            x += dt * np.asarray(field.b(r, x))
+            x += noise
             r = r + dt
-            peak = np.abs(x).max()
+            peak = max(x.max(), -x.min())
             if not np.isfinite(peak) or peak > OVERFLOW_GUARD:
                 raise Blowup(r, float(peak))
         r = target

@@ -548,15 +548,17 @@ def _run_spectrum(ctx: RunContext, params: dict) -> ExperimentResult:
         checks.append(_check("spectrum-gap", report.gap_estimate <= gap_cap,
                              f"gap {report.gap_estimate:.4f} <= {gap_cap}"))
     payload = {"spectrum": report.to_jsonable(), "rho_residual": gen.rho_residual}
-    if params.get("refine", False):
-        fine = gridmod.build_generator(ctx.field, gen.grid.refined(2), gen.time_scheme)
+    refine, carre = params.get("refine", False), params.get("carre", False)
+    fine = (gridmod.build_generator(ctx.field, gen.grid.refined(2), gen.time_scheme)
+            if refine or carre else None)
+    if refine:
         fine_rep = gridmod.spectrum(fine, k=12, cluster_tol=cluster_tol,
                                     dense_cutoff=0)
         drift = abs(fine_rep.gap_estimate - report.gap_estimate)
         payload["refined_gap"] = fine_rep.gap_estimate
         checks.append(_check("spectrum-stability", drift <= 0.05,
                              f"gap drift {drift:.4f} under refinement"))
-    if params.get("carre", False):
+    if carre:
         bump = dg.BumpWindow(-0.5 * gen.grid.half_width, 0.5 * gen.grid.half_width)
         w = 2.0 * math.pi / ctx.field.period
 
@@ -568,7 +570,6 @@ def _run_spectrum(ctx: RunContext, params: dict) -> ExperimentResult:
 
         u_grid = gridmod.GridFunction.sample(gen.grid, u_fn)
         res = gridmod.carre_du_champ_residual(gen, ctx.field, u_grid)
-        fine = gridmod.build_generator(ctx.field, gen.grid.refined(2), gen.time_scheme)
         u_fine = gridmod.GridFunction.sample(fine.grid, u_fn)
         res_fine = gridmod.carre_du_champ_residual(fine, ctx.field, u_fine)
         ratio = res / res_fine if res_fine > 0 else math.inf

@@ -17,6 +17,83 @@ def brownian_field():
     return fl.polynomial_field(1, 1.0, q_const=0.5, name="bm")
 
 
+def reference_march(field, positions, jacobians, s, capture_times, config, stream):
+    """Plain Euler-Maruyama loop with the arithmetic ``mc._march`` must reproduce.
+
+    One Philox call per block and step, out-of-place ``x + dt*b + noise``,
+    the 2x2 square root as a copied and divided (n, 2, 2) stack, einsum noise
+    and an einsum Jacobian update.  The SPD sampling check is left out: it
+    changes no number.
+    """
+    n, d = positions.shape
+    bs = config.block_size
+    gens = [np.random.Generator(np.random.Philox(key=[config.seed, (stream << 32) | blk]))
+            for blk in range((n + bs - 1) // bs)]
+
+    def draw():
+        out = np.empty((n, d))
+        for blk, gen in enumerate(gens):
+            lo, hi = blk * bs, min(blk * bs + bs, n)
+            m = hi - lo
+            if config.antithetic:
+                half = (m + 1) // 2
+                z = gen.standard_normal((half, d))
+                out[lo : lo + half] = z
+                out[lo + half : hi] = -z[: m - half]
+            else:
+                out[lo:hi] = gen.standard_normal((m, d))
+        return out
+
+    def sqrt_spd(mats):
+        if d == 1:
+            return np.sqrt(mats)
+        if d == 2:
+            det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+            root = np.sqrt(np.maximum(det, 0.0))
+            denom = np.sqrt(np.maximum(mats[:, 0, 0] + mats[:, 1, 1] + 2.0 * root, 1e-300))
+            out = mats.copy()
+            out[:, 0, 0] += root
+            out[:, 1, 1] += root
+            return out / denom[:, None, None]
+        w, v = np.linalg.eigh(mats)
+        return (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.swapaxes(v, -1, -2)
+
+    def noise(r, x, z, sqrt_dt):
+        if field.q_independent_of_x:
+            sig = sqrt_spd((2.0 * field.q(r, np.zeros((1, d)))[0])[None])[0]
+            return sqrt_dt * z @ sig.T
+        return sqrt_dt * np.einsum("nij,nj->ni", sqrt_spd(2.0 * field.q(r, x)), z)
+
+    x = positions.copy()
+    jac = None if jacobians is None else jacobians.copy()
+    out = []
+    r = s
+    for target in sorted(set(capture_times)):
+        while r < target - 1e-15:
+            dt = min(config.dt, target - r)
+            z = draw()
+            if jac is not None:
+                jac = jac + dt * np.einsum("nij,njk->nik", field.grad_b_at(r, x), jac)
+            x = x + dt * field.b(r, x) + noise(r, x, z, math.sqrt(dt))
+            r = r + dt
+            peak = np.abs(x).max()
+            if not np.isfinite(peak) or peak > mc.OVERFLOW_GUARD:
+                raise Blowup(r, float(peak))
+        r = target
+        out.append((target, x.copy(), None if jac is None else jac.copy()))
+    return out
+
+
+def nan_drift_field():
+    """Stable 1-d field whose drift turns NaN from t = 0.5 on."""
+    def b(t, X):
+        return -np.atleast_2d(X) + (np.nan if t >= 0.5 else 0.0)
+
+    return fl.PeriodicCoefficientField(
+        dim=1, period=1.0, q=lambda t, X: np.full((len(np.atleast_2d(X)), 1, 1), 0.5),
+        b=b, q_independent_of_x=True, name="nan-drift")
+
+
 class TestEvolve:
     def test_brownian_variance(self):
         config = mc.SimConfig(n_particles=40000, dt=0.005, seed=7)
@@ -33,11 +110,31 @@ class TestEvolve:
         assert abs(mean - expected) <= 4 * se + 2e-3
 
     def test_blowup_guard(self):
-        field = fl.polynomial_field(1, 1.0, q_const=0.5,
-                                    drift_terms=(fl.DriftTerm(3, 1.0),), name="explode")
+        # particles leaving upwards, downwards, and a drift that turns NaN at t = 0.5
+        explode = fl.polynomial_field(1, 1.0, q_const=0.5,
+                                      drift_terms=(fl.DriftTerm(3, 1.0),), name="explode")
         config = mc.SimConfig(n_particles=200, dt=0.02, seed=0)
-        with pytest.raises(Blowup):
-            mc.evolve(field, mc.point_mass(3.0, 200), 0.0, 5.0, config)
+        for field, x0 in ((explode, 3.0), (explode, -3.0), (nan_drift_field(), 0.0)):
+            with pytest.raises(Blowup) as got:
+                mc.evolve(field, mc.point_mass(x0, 200), 0.0, 5.0, config)
+            with pytest.raises(Blowup) as want:
+                reference_march(field, mc.point_mass(x0, 200).positions, None, 0.0, [5.0],
+                                config, 0)
+            assert got.value.t == want.value.t
+            assert np.array_equal(got.value.max_abs, want.value.max_abs, equal_nan=True)
+            if field is explode:
+                assert got.value.max_abs > mc.OVERFLOW_GUARD
+            else:
+                assert got.value.t >= 0.5 and math.isnan(got.value.max_abs)
+
+    def test_q_negative_between_spd_checks(self):
+        # Q(t) = 0.9 + sin(2 pi t) is negative only on (0.68, 0.82), between the
+        # sampled SPD checks at t = 0 and 0.63: the NaN noise must end as Blowup
+        field = fl.polynomial_field(1, 1.0, q_const=0.9, q_sin=1.0, name="q-dips")
+        config = mc.SimConfig(n_particles=100, dt=0.01, seed=0)
+        with np.errstate(invalid="ignore"), pytest.raises(Blowup) as got:
+            mc.evolve(field, mc.point_mass(0.0, 100), 0.0, 1.0, config)
+        assert 0.68 < got.value.t < 0.83 and math.isnan(got.value.max_abs)
 
     def test_time_stamp_mismatch(self, ou_field):
         config = mc.SimConfig(n_particles=100, dt=0.01, seed=0)
@@ -59,6 +156,70 @@ class TestEvolve:
         config = mc.SimConfig(n_particles=200, dt=0.01, seed=1)
         ens = mc.evolve(ou_field, mc.point_mass(0.0, 200), 0.0, 0.105, config)
         assert ens.t == 0.105
+
+
+class TestMarchMatchesReference:
+    """``_march`` keeps the Philox streams, draw order and arithmetic of the plain loop."""
+
+    @staticmethod
+    def assert_same(field, x0, jac0, s, captures, config, stream=5):
+        got = mc._march(field, x0, jac0, s, captures, config, stream)
+        want = reference_march(field, x0, jac0, s, captures, config, stream)
+        assert len(got) == len(want)
+        for (t_a, x_a, j_a), (t_b, x_b, j_b) in zip(got, want):
+            assert t_a == t_b
+            assert np.array_equal(x_a, x_b)
+            assert (j_a is None and j_b is None) or np.array_equal(j_a, j_b)
+
+    def test_polynomial_1d_value(self, grad_field):
+        config = mc.SimConfig(n_particles=600, dt=0.01, seed=21, block_size=256)
+        x0 = np.linspace(-2.0, 2.0, 600)[:, None]
+        self.assert_same(grad_field, x0, None, 0.1, [0.55, 1.3], config)
+
+    def test_polynomial_1d_tangent(self, grad_field):
+        config = mc.SimConfig(n_particles=600, dt=0.01, seed=22, block_size=256)
+        x0 = np.linspace(-2.0, 2.0, 600)[:, None]
+        self.assert_same(grad_field, x0, np.ones((600, 1, 1)), 0.0, [0.4, 1.0], config)
+
+    def test_polynomial_2d_tangent(self):
+        field = fl.polynomial_field(2, 1.0, q_const=0.7, q_sin=0.2,
+                                    drift_terms=(fl.DriftTerm(3, -1.0), fl.DriftTerm(1, -0.5)))
+        config = mc.SimConfig(n_particles=300, dt=0.01, seed=23, block_size=128)
+        x0 = np.random.default_rng(3).standard_normal((300, 2))
+        jac0 = np.broadcast_to(np.eye(2), (300, 2, 2)).copy()
+        self.assert_same(field, x0, jac0, 0.0, [0.6], config)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_gen_field_x_dependent_q(self, dim):
+        config = mc.SimConfig(n_particles=800, dt=0.01, seed=24, block_size=512)
+        x0 = np.random.default_rng(4).standard_normal((800, dim))
+        self.assert_same(fl.gen_field(dim=dim), x0, None, 0.0, [0.5, 1.0], config)
+
+    @pytest.mark.parametrize("case", ["grad-value", "grad-tangent", "gen2d"])
+    def test_antithetic_ragged_blocks_off_grid_captures(self, case, grad_field, gen_field):
+        # 1001 particles in blocks of 256 (odd last block), 33 steps to the
+        # first capture, captures off the dt grid and one at the start time
+        field = gen_field if case == "gen2d" else grad_field
+        n, d = 1001, field.dim
+        config = mc.SimConfig(n_particles=n, dt=0.01, seed=25, antithetic=True, block_size=256)
+        x0 = np.random.default_rng(5).standard_normal((n, d))
+        jac0 = np.ones((n, 1, 1)) if case == "grad-tangent" else None
+        self.assert_same(field, x0, jac0, 0.2, [0.2, 0.5237, 0.6111, 1.0049], config, stream=53)
+
+    @pytest.mark.parametrize("cap", [1, 3 * 1001])
+    def test_capped_draw_buffer(self, cap, grad_field, monkeypatch):
+        # large ensembles draw fewer steps per call (here 1 and 3): same numbers
+        monkeypatch.setattr(mc, "_DRAW_FLOATS", cap)
+        config = mc.SimConfig(n_particles=1001, dt=0.01, seed=26, antithetic=True, block_size=256)
+        x0 = np.random.default_rng(6).standard_normal((1001, 1))
+        self.assert_same(grad_field, x0, np.ones((1001, 1, 1)), 0.0, [0.1049, 0.3], config)
+
+    def test_draw_buffer_bounded(self):
+        # a large ensemble buffers at most _DRAW_FLOATS normals, or one step
+        for n in (1000, 200_000, 2 * mc._DRAW_FLOATS):
+            z = next(mc._block_normals(0, 0, n, 1, 16384, False))
+            assert z.shape == (n, 1)
+            assert z.base.size <= max(mc._DRAW_FLOATS, n)
 
 
 class TestEstimateP:

@@ -135,9 +135,11 @@ class TestRun:
         doc = json.loads(json.dumps(TINY))
         again = tmp_path / "again"
         sc.run_scenario(doc, again)
-        for name in ("hypothesis-check", "decay", "poincare"):
-            assert (again / f"{name}.csv").read_bytes() == (out / f"{name}.csv").read_bytes()
-        assert (again / "summary.json").read_bytes() == (out / "summary.json").read_bytes()
+        names = sorted(p.name for p in out.iterdir())
+        assert names == sorted(p.name for p in again.iterdir())
+        assert len(names) == 7  # an experiment JSON and CSV each, plus summary.json
+        for name in names:
+            assert (again / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_jobs_parallel_same_bytes(self, tiny_run, tmp_path):
         out, _ = tiny_run

@@ -65,7 +65,6 @@ from .ougaussian import (
     fourier_matrix_model,
     gaussian_expectation,
     growth_bound,
-    mean_shift,
     ou1d_model,
     periodic_system,
     propagator,

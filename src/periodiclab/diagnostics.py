@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import montecarlo as mc
-from .engines import TestFunction, TransferProfile, debiased_power_mean
+from .engines import SpaceTimeFunction, TestFunction, TransferProfile, debiased_power_mean
 from .errors import DegenerateWindow, NoiseFloor, NotApplicable, NotDissipative
 from .fields import PeriodicCoefficientField
 
@@ -262,73 +262,6 @@ def rate_equivalence_check(
 
 
 @dataclass(frozen=True)
-class SpaceTimeFunction:
-    """Periodic-in-time test function u(s, x) with spatial gradient."""
-
-    fid: str
-    u: Callable            # (s, (n,d)) -> (n,)
-    grad: Callable         # (s, (n,d)) -> (n,d)
-
-    def __call__(self, s, points):
-        return np.asarray(self.u(s, np.atleast_2d(points)))
-
-    def grad_at(self, s, points):
-        return np.asarray(self.grad(s, np.atleast_2d(points)))
-
-
-def st_battery(dim: int, period: float) -> list[SpaceTimeFunction]:
-    """Space-time battery for the inequality checks."""
-    w = 2.0 * np.pi / period
-
-    def mod(s):
-        return 1.0 + 0.5 * math.cos(w * s)
-
-    return [
-        SpaceTimeFunction("st-coord", lambda s, X: X[:, 0], lambda s, X: _const_grad(X)),
-        SpaceTimeFunction(
-            "st-sin-mod",
-            lambda s, X: np.sin(X[:, 0]) * mod(s),
-            lambda s, X: _axis0(X, np.cos(X[:, 0]) * mod(s)),
-        ),
-        SpaceTimeFunction(
-            "st-bump-mod",
-            lambda s, X: np.exp(-0.5 * np.sum(X * X, axis=1)) * (1.0 + 0.5 * math.sin(w * s)),
-            lambda s, X: -X
-            * (np.exp(-0.5 * np.sum(X * X, axis=1)) * (1.0 + 0.5 * math.sin(w * s)))[:, None],
-        ),
-    ]
-
-
-def positive_battery(dim: int) -> list[SpaceTimeFunction]:
-    """Strictly positive bounded functions for the entropy inequality."""
-    return [
-        SpaceTimeFunction("pos-const", lambda s, X: np.full(len(X), 1.5), lambda s, X: np.zeros_like(X)),
-        SpaceTimeFunction(
-            "pos-bump",
-            lambda s, X: 1.0 + 0.5 * np.exp(-np.sum(X * X, axis=1)),
-            lambda s, X: -X * np.exp(-np.sum(X * X, axis=1))[:, None],
-        ),
-        SpaceTimeFunction(
-            "pos-sin",
-            lambda s, X: 2.0 + np.sin(X[:, 0]),
-            lambda s, X: _axis0(X, np.cos(X[:, 0])),
-        ),
-    ]
-
-
-def _const_grad(X):
-    g = np.zeros_like(X)
-    g[:, 0] = 1.0
-    return g
-
-
-def _axis0(X, vals):
-    g = np.zeros_like(X)
-    g[:, 0] = vals
-    return g
-
-
-@dataclass(frozen=True)
 class PhaseMeasures:
     """Phase-indexed quadrature for the space-time invariant measure."""
 
@@ -340,7 +273,7 @@ class PhaseMeasures:
 
     @staticmethod
     def from_engine(engine, n_phases: int) -> "PhaseMeasures":
-        period = getattr(engine, "field", getattr(engine, "model", None)).period
+        period = engine.period
         phases = period * np.arange(n_phases) / n_phases
         nodes, weights = [], []
         for ph in phases:
@@ -352,7 +285,7 @@ class PhaseMeasures:
             phases=phases,
             nodes=nodes,
             weights=weights,
-            stochastic=engine.name == "montecarlo",
+            stochastic=engine.stochastic,
         )
 
     def mean_and_se(self, vals: np.ndarray, k: int):
@@ -503,9 +436,8 @@ def contraction_invariance_report(
     measure (contraction), and the two measure means must agree (invariance
     under push-forward), each within ``slack`` combined standard errors.
     """
-    period = engine.field.period if hasattr(engine, "field") else engine.model.period
     for gap in gaps:
-        if abs((gap / period) - round(gap / period)) > 1e-9:
+        if abs((gap / engine.period) - round(gap / engine.period)) > 1e-9:
             raise ValueError("contraction checks use whole-period separations")
     profile = engine.transfer_profile(list(phis), s, gaps)
     rows = []
@@ -569,8 +501,7 @@ class CoreTestFunction:
 
     ``u(s, x) = alpha(s) g(s, x)`` with ``g(s, .)`` the transition expectation
     of ``chi`` evaluated from time s to the anchor time, extended
-    T-periodically; its generator image is ``alpha'(s) g(s, x)``, exposed for
-    generator-consistency tests.
+    T-periodically.
     """
 
     tau: float
@@ -588,13 +519,6 @@ class CoreTestFunction:
         if a == 0.0:
             return np.zeros(len(np.atleast_2d(points)))
         return a * self.transported(sc, points)
-
-    def generator_image(self, s, points):
-        sc = self._canonical(s)
-        da = float(self.alpha.deriv(sc))
-        if da == 0.0:
-            return np.zeros(len(np.atleast_2d(points)))
-        return da * self.transported(sc, points)
 
 
 def core_test_function(
@@ -665,23 +589,3 @@ def core_on_grid(
         u_vals[j] = a * vec
         img_vals[j] = da * vec
     return gridmod.GridFunction(grid, u_vals), gridmod.GridFunction(grid, img_vals)
-
-
-def kernel_positivity_check(
-    field: PeriodicCoefficientField,
-    s: float,
-    t: float,
-    x,
-    config: mc.SimConfig,
-    half_width: float,
-    bins: int = 8,
-    stream: int = 6,
-) -> dict:
-    """Histogram spot check that the transition kernel charges every bin
-    of a coarse central box for separations of at least half a period."""
-    if t - s < field.period / 2.0:
-        raise ValueError("positivity spot check needs t - s >= T/2")
-    ens = mc.evolve(field, mc.point_mass(x, config.n_particles, s), s, t, config, stream)
-    edges = np.linspace(-half_width, half_width, bins + 1)
-    counts, _ = np.histogramdd(ens.positions, bins=[edges] * field.dim)
-    return {"min_count": int(counts.min()), "positive": bool(counts.min() > 0)}

@@ -1,10 +1,15 @@
-"""Uniform engine interface consumed by the diagnostics layer.
+"""Uniform engine interface consumed by the diagnostics layer, and the test functions.
 
-Every engine exposes the same three surfaces:
+Every engine exposes the same seven members:
 
+* ``name``: the engine id written into reports;
+* ``period``: the period T of the coefficients;
+* ``stochastic``: True when the phase nodes are samples (standard errors
+  are meaningful), False for deterministic quadrature;
 * ``phase_nodes(phase)``: quadrature nodes and weights for the periodic
   invariant measure at a phase;
-* ``phase_mean`` / ``phase_lp``: integrals against that measure;
+* ``phase_mean`` / ``phase_lp``: integrals against that measure, each with
+  its standard error;
 * ``transfer_profile``: the transition expectation (and optionally its
   pathwise gradient) evaluated at measure-distributed points for a list of
   horizons, with per-point standard errors (zero for the deterministic
@@ -12,14 +17,16 @@ Every engine exposes the same three surfaces:
 
 Profiles always evaluate the transported test function at points distributed
 like the measure at the *target* time, which is what the decay norms
-integrate against.
+integrate against.  The test functions the diagnostics apply (the
+space-only battery and the space-time batteries of the inequality checks)
+live here too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,7 +61,7 @@ def battery(dim: int) -> list[TestFunction]:
     fns = [
         TestFunction("const", lambda X: np.ones(len(X)), lambda X: np.zeros_like(X)),
         TestFunction(
-            "coord0", lambda X: X[:, 0], _coord_grad, bounded=False
+            "coord0", lambda X: X[:, 0], lambda X: _axis0_grad(X, 1.0), bounded=False
         ),
         TestFunction(
             "tanh",
@@ -80,12 +87,6 @@ def battery(dim: int) -> list[TestFunction]:
     return fns
 
 
-def _coord_grad(X):
-    g = np.zeros_like(X)
-    g[:, 0] = 1.0
-    return g
-
-
 def _axis0_grad(X, vals):
     g = np.zeros_like(X)
     g[:, 0] = vals
@@ -97,6 +98,61 @@ def _ratio_grad(X):
     g = -2.0 * X * (X[:, 0] / (1.0 + r2) ** 2)[:, None]
     g[:, 0] += 1.0 / (1.0 + r2)
     return g
+
+
+@dataclass(frozen=True)
+class SpaceTimeFunction:
+    """Periodic-in-time test function u(s, x) with spatial gradient."""
+
+    fid: str
+    u: Callable            # (s, (n,d)) -> (n,)
+    grad: Callable         # (s, (n,d)) -> (n,d)
+
+    def __call__(self, s, points):
+        return np.asarray(self.u(s, np.atleast_2d(points)))
+
+    def grad_at(self, s, points):
+        return np.asarray(self.grad(s, np.atleast_2d(points)))
+
+
+def st_battery(dim: int, period: float) -> list[SpaceTimeFunction]:
+    """Space-time battery for the inequality checks."""
+    w = 2.0 * np.pi / period
+
+    def mod(s):
+        return 1.0 + 0.5 * math.cos(w * s)
+
+    return [
+        SpaceTimeFunction("st-coord", lambda s, X: X[:, 0], lambda s, X: _axis0_grad(X, 1.0)),
+        SpaceTimeFunction(
+            "st-sin-mod",
+            lambda s, X: np.sin(X[:, 0]) * mod(s),
+            lambda s, X: _axis0_grad(X, np.cos(X[:, 0]) * mod(s)),
+        ),
+        SpaceTimeFunction(
+            "st-bump-mod",
+            lambda s, X: np.exp(-0.5 * np.sum(X * X, axis=1)) * (1.0 + 0.5 * math.sin(w * s)),
+            lambda s, X: -X
+            * (np.exp(-0.5 * np.sum(X * X, axis=1)) * (1.0 + 0.5 * math.sin(w * s)))[:, None],
+        ),
+    ]
+
+
+def positive_battery(dim: int) -> list[SpaceTimeFunction]:
+    """Strictly positive bounded functions for the entropy inequality."""
+    return [
+        SpaceTimeFunction("pos-const", lambda s, X: np.full(len(X), 1.5), lambda s, X: np.zeros_like(X)),
+        SpaceTimeFunction(
+            "pos-bump",
+            lambda s, X: 1.0 + 0.5 * np.exp(-np.sum(X * X, axis=1)),
+            lambda s, X: -X * np.exp(-np.sum(X * X, axis=1))[:, None],
+        ),
+        SpaceTimeFunction(
+            "pos-sin",
+            lambda s, X: 2.0 + np.sin(X[:, 0]),
+            lambda s, X: _axis0_grad(X, np.cos(X[:, 0])),
+        ),
+    ]
 
 
 @dataclass
@@ -150,18 +206,10 @@ def debiased_power_mean(g, se, weights, p: float, stochastic: bool = True):
     return value, stderr
 
 
-class OUExactEngine:
-    """Quadrature-grade engine backed by the Gaussian transition law."""
+class QuadratureEngine:
+    """Deterministic engine: phase integrals are weighted sums over ``phase_nodes``."""
 
-    name = "ou-exact"
-
-    def __init__(self, model: ou.OUModel, n_phases: int = 33, order: int = 60):
-        self.model = model
-        self.order = order
-        self.system = ou.periodic_system(model, n_phases)
-
-    def phase_nodes(self, phase: float):
-        return ou.gaussian_nodes(self.system.measure(phase), self.order)
+    stochastic = False
 
     def phase_mean(self, fn, phase: float):
         pts, w = self.phase_nodes(phase)
@@ -170,6 +218,21 @@ class OUExactEngine:
     def phase_lp(self, fn, phase: float, p: float):
         pts, w = self.phase_nodes(phase)
         return float(np.dot(w, np.abs(np.asarray(fn(pts))) ** p) ** (1.0 / p)), 0.0
+
+
+class OUExactEngine(QuadratureEngine):
+    """Quadrature-grade engine backed by the Gaussian transition law."""
+
+    name = "ou-exact"
+
+    def __init__(self, model: ou.OUModel, n_phases: int = 33, order: int = 60):
+        self.model = model
+        self.period = model.period
+        self.order = order
+        self.system = ou.periodic_system(model, n_phases)
+
+    def phase_nodes(self, phase: float):
+        return ou.gaussian_nodes(self.system.measure(phase), self.order)
 
     def transfer_profile(self, phis: Sequence[TestFunction], s: float, horizons, gradients=False):
         horizons = np.asarray(sorted(horizons), dtype=float)
@@ -211,6 +274,7 @@ class MonteCarloEngine:
     """Stochastic engine: phase ensembles plus joint inner-replica evolution."""
 
     name = "montecarlo"
+    stochastic = True
 
     def __init__(
         self,
@@ -221,6 +285,7 @@ class MonteCarloEngine:
         certificate=None,
     ):
         self.field = field
+        self.period = field.period
         self.config = config
         self.n_outer = n_outer
         self.n_inner = n_inner
@@ -229,7 +294,6 @@ class MonteCarloEngine:
 
     def _ensemble_config(self) -> mc.SimConfig:
         # one RNG block per ensemble keeps antithetic pairs globally aligned
-        from dataclasses import replace
         return replace(self.config, block_size=self.config.n_particles)
 
     def phase_ensemble(self, phase: float) -> mc.ParticleEnsemble:
@@ -288,7 +352,6 @@ class MonteCarloEngine:
             groups.setdefault(self.field.phase(s + tau), []).append(k)
 
         d = self.field.dim
-        from dataclasses import replace
         march_config = replace(self.config, block_size=self.n_inner)
         for gi, (phase, idxs) in enumerate(sorted(groups.items())):
             outer = self.outer_sample(phase, self.n_outer, offset=gi)
@@ -333,7 +396,7 @@ class MonteCarloEngine:
         )
 
 
-class GridEngine:
+class GridEngine(QuadratureEngine):
     """Deterministic engine: Crank-Nicolson slice maps weighted by rho."""
 
     name = "grid"
@@ -347,6 +410,7 @@ class GridEngine:
         generator: gridmod.DiscreteGenerator | None = None,
     ):
         self.field = field
+        self.period = field.period
         self.grid = grid
         self.substeps = substeps
         self.gen = generator if generator is not None else gridmod.build_generator(
@@ -366,29 +430,6 @@ class GridEngine:
 
     def phase_nodes(self, phase: float):
         return self.grid.nodes(), self._rho_at(phase)
-
-    def phase_mean(self, fn, phase: float):
-        pts, w = self.phase_nodes(phase)
-        return float(np.dot(w, np.asarray(fn(pts)))), 0.0
-
-    def phase_lp(self, fn, phase: float, p: float):
-        pts, w = self.phase_nodes(phase)
-        return float(np.dot(w, np.abs(np.asarray(fn(pts))) ** p) ** (1.0 / p)), 0.0
-
-    def _gradient(self, vec: np.ndarray) -> np.ndarray:
-        g = self.grid
-        shape = (g.points_per_axis,) * g.dim
-        vals = vec.reshape(shape)
-        out = np.zeros(shape + (g.dim,))
-        for axis in range(g.dim):
-            padded = np.moveaxis(vals, axis, -1)
-            ext = np.concatenate(
-                [np.zeros(padded.shape[:-1] + (1,)), padded, np.zeros(padded.shape[:-1] + (1,))],
-                axis=-1,
-            )
-            der = (ext[..., 2:] - ext[..., :-2]) / (2.0 * g.h)
-            out[..., axis] = np.moveaxis(der, -1, axis)
-        return out.reshape(g.n_space, g.dim)
 
     def transfer_profile(self, phis: Sequence[TestFunction], s: float, horizons, gradients=False):
         horizons = np.asarray(sorted(horizons), dtype=float)
@@ -414,7 +455,7 @@ class GridEngine:
                 values[phi.fid].append((g, np.zeros_like(g)))
                 target_mean[phi.fid][k] = float(np.dot(w, phi_vecs[phi.fid]))
                 if gradients:
-                    gv = self._gradient(g)
+                    gv = gridmod.spatial_gradient(self.grid, g)
                     grads[phi.fid].append((gv, np.zeros(len(g))))
         return TransferProfile(
             s=s,

@@ -120,33 +120,9 @@ class SamplePlan:
         shells = self.shell_points.reshape(-1, self.lattice.shape[1])
         return np.vstack([self.lattice, shells])
 
-    def refined(self, factor: int = 2) -> "SamplePlan":
-        """A denser plan on the same domain (used for stability checks)."""
-        d = self.lattice.shape[1]
-        n_times = factor * len(self.times)
-        n_axis = _odd(factor * _axis_count(len(self.lattice), d))
-        return build_plan(
-            dim=d,
-            period=_period_from_times(self.times),
-            r_max=self.r_max,
-            n_times=n_times,
-            n_axis=n_axis,
-            n_shells=self.shell_points.shape[0],
-            n_shell_dirs=factor * self.shell_points.shape[1],
-        )
-
 
 def _odd(n: int) -> int:
     return n if n % 2 == 1 else n + 1
-
-
-def _axis_count(n_lattice: int, d: int) -> int:
-    return max(3, round(n_lattice ** (1.0 / d)))
-
-
-def _period_from_times(times: np.ndarray) -> float:
-    # build_plan lays times uniformly over [0, T)
-    return float(times[1] - times[0]) * len(times) if len(times) > 1 else 1.0
 
 
 def _sphere_directions(d: int, n: int) -> np.ndarray:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -117,32 +116,6 @@ class GridFunction:
 
     def ravel(self) -> np.ndarray:
         return self.values.ravel()
-
-    def save(self, path) -> None:
-        """Same binary column format as particle ensembles: little-endian
-        f64 values plus a JSON sidecar describing the lattice."""
-        import json as _json
-        path = Path(path)
-        self.values.astype("<f8").tofile(path)
-        sidecar = {
-            "half_width": self.grid.half_width,
-            "points_per_axis": self.grid.points_per_axis,
-            "time_slices": self.grid.time_slices,
-            "period": self.grid.period,
-            "dim": self.grid.dim,
-        }
-        path.with_suffix(path.suffix + ".json").write_text(_json.dumps(sidecar, sort_keys=True))
-
-    @staticmethod
-    def load(path) -> "GridFunction":
-        import json as _json
-        path = Path(path)
-        meta = _json.loads(path.with_suffix(path.suffix + ".json").read_text())
-        grid = SpaceTimeGrid(
-            half_width=meta["half_width"], points_per_axis=meta["points_per_axis"],
-            time_slices=meta["time_slices"], period=meta["period"], dim=meta["dim"])
-        vals = np.fromfile(path, dtype="<f8").reshape(grid.time_slices, grid.n_space)
-        return GridFunction(grid, vals)
 
 
 def spatial_operator(field: PeriodicCoefficientField, t: float, grid: SpaceTimeGrid) -> sp.csr_matrix:
@@ -330,18 +303,6 @@ class DiscreteGenerator:
     def rho_slices(self) -> np.ndarray:
         return self.rho.reshape(self.grid.time_slices, self.grid.n_space)
 
-    def slice_density(self, j: int) -> np.ndarray:
-        """Per-slice spatial density estimate of the measure at phase j."""
-        masses = self.rho_slices()[j]
-        return masses / masses.sum() / self.grid.h**self.grid.dim
-
-    def export_triplets(self, path: str | Path) -> None:
-        coo = self.matrix.tocoo()
-        with open(path, "w") as fh:
-            fh.write(f"% {self.size} {self.size} {coo.nnz}\n")
-            for i, j, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{i} {j} {float(v)!r}\n")
-
 
 def build_generator(
     field: PeriodicCoefficientField,
@@ -353,8 +314,9 @@ def build_generator(
     The invariant vector is computed by inverse iteration on the adjoint (the
     truncated problem is nonsingular because mass leaks through the Dirichlet
     boundary, so the eigenvalue nearest zero is a well-defined target).
-    Raises :class:`PerronFailure` when the computed vector changes sign beyond
-    rounding, which signals a discretization too coarse for positivity.
+    Raises :class:`PerronFailure` when the iteration does not converge in 200
+    steps, or when the computed vector changes sign beyond rounding, which
+    signals a discretization too coarse for positivity.
     """
     if grid.dim > 2:
         raise ValueError("generator assembly is limited to d <= 2")
@@ -374,10 +336,13 @@ def build_generator(
     for _ in range(200):
         w = lu.solve(v)
         w = w / np.abs(w).sum()
-        if np.abs(w - v).max() <= 1e-14 or np.abs(w + v).max() <= 1e-14:
-            v = w
-            break
+        converged = np.abs(w - v).max() <= 1e-14 or np.abs(w + v).max() <= 1e-14
         v = w
+        if converged:
+            break
+    else:
+        raise PerronFailure("inverse iteration for the invariant vector did not converge "
+                            "in 200 steps")
     if v.sum() < 0:
         v = -v
     neg_mass = -v[v < 0].sum()
@@ -581,39 +546,18 @@ def spectral_mapping_check(
     return {"worst_mismatch": worst, "rows": rows}
 
 
-def discrete_projection(u: GridFunction, gen: DiscreteGenerator) -> GridFunction:
-    """Replace every slice by its invariant-weighted spatial average.
-
-    Idempotent by construction: slices that are already constant are returned
-    unchanged, so applying the projection twice is exact.
-    """
-    masses = gen.rho_slices()
-    out = np.empty_like(u.values)
-    for j in range(u.grid.time_slices):
-        row = u.values[j]
-        if row.max() == row.min():
-            out[j] = row
-            continue
-        w = masses[j]
-        out[j] = float(np.dot(w, row) / w.sum())
-    return GridFunction(u.grid, out)
-
-
-def gradient_slices(u: GridFunction) -> np.ndarray:
-    """Centered spatial gradient per slice with Dirichlet zero padding: (n_t, n_sp, d)."""
-    g = u.grid
-    n = g.points_per_axis
-    shape = (g.time_slices,) + (n,) * g.dim
-    vals = u.values.reshape(shape)
-    out = np.zeros(shape + (g.dim,))
-    for axis in range(g.dim):
-        padded = np.moveaxis(vals, 1 + axis, -1)
-        ext = np.concatenate(
-            [np.zeros(padded.shape[:-1] + (1,)), padded, np.zeros(padded.shape[:-1] + (1,))], axis=-1
-        )
-        der = (ext[..., 2:] - ext[..., :-2]) / (2.0 * g.h)
-        out[..., axis] = np.moveaxis(der, -1, 1 + axis)
-    return out.reshape(g.time_slices, g.n_space, g.dim)
+def spatial_gradient(grid: SpaceTimeGrid, values: np.ndarray) -> np.ndarray:
+    """Centered spatial gradient with Dirichlet zero padding: (..., n_space) -> (..., n_space, d)."""
+    lead = values.shape[:-1]
+    vals = values.reshape(lead + (grid.points_per_axis,) * grid.dim)
+    out = np.zeros(vals.shape + (grid.dim,))
+    for axis in range(len(lead), vals.ndim):
+        padded = np.moveaxis(vals, axis, -1)
+        zeros = np.zeros(padded.shape[:-1] + (1,))
+        ext = np.concatenate([zeros, padded, zeros], axis=-1)
+        der = (ext[..., 2:] - ext[..., :-2]) / (2.0 * grid.h)
+        out[..., axis - len(lead)] = np.moveaxis(der, -1, axis)
+    return out.reshape(lead + (grid.n_space, grid.dim))
 
 
 def carre_du_champ_residual(
@@ -627,7 +571,7 @@ def carre_du_champ_residual(
     supported data.
     """
     g_u = (gen.matrix @ u.ravel()).reshape(u.values.shape)
-    grads = gradient_slices(u)
+    grads = spatial_gradient(u.grid, u.values)
     nodes = u.grid.nodes()
     rho = gen.rho_slices()
     total = 0.0

@@ -67,12 +67,6 @@ class HypothesisReport:
     lyapunov: LyapunovResult | None
     violations: list
 
-    def zeta_hat(self, t: float) -> float:
-        """Piecewise-constant-in-time estimate of zeta at phase t."""
-        phase = t % self.period
-        idx = int(np.argmin(np.abs(self.zeta_times - phase)))
-        return float(self.zeta_values[idx])
-
     def to_json(self) -> str:
         payload = {
             "field": self.field_name,
@@ -235,30 +229,6 @@ def ell_p(field: PeriodicCoefficientField, plan: SamplePlan, p: float, fd_step: 
     for i, t in enumerate(plan.times):
         eta[i] = np.linalg.eigvalsh(np.asarray(field.q(t, plan.points)))[:, 0]
     return float((r + d3 * zeta[:, None] ** 2 * eta / denom).max())
-
-
-def periodicity_defect(field: PeriodicCoefficientField, plan: SamplePlan) -> float:
-    """Largest relative error between coefficients at t and t + T on the plan."""
-    pts = plan.points
-    worst = 0.0
-    for t in plan.times:
-        q0, q1 = np.asarray(field.q(t, pts)), np.asarray(field.q(t + field.period, pts))
-        b0, b1 = np.asarray(field.b(t, pts)), np.asarray(field.b(t + field.period, pts))
-        scale_q = max(np.abs(q0).max(), 1e-300)
-        scale_b = max(np.abs(b0).max(), 1e-30)
-        worst = max(worst, np.abs(q1 - q0).max() / scale_q, np.abs(b1 - b0).max() / scale_b)
-    return float(worst)
-
-
-def symmetry_defect(field: PeriodicCoefficientField, plan: SamplePlan) -> float:
-    """Largest asymmetry of Q relative to its magnitude, over the plan."""
-    pts = plan.points
-    worst = 0.0
-    for t in plan.times:
-        q = np.asarray(field.q(t, pts))
-        scale = max(np.abs(q).max(), 1e-300)
-        worst = max(worst, np.abs(q - np.swapaxes(q, 1, 2)).max() / scale)
-    return float(worst)
 
 
 def check_hypotheses(

@@ -13,10 +13,8 @@ is updated in place, one step at a time.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -75,21 +73,6 @@ class ParticleEnsemble:
     @property
     def dim(self) -> int:
         return self.positions.shape[1]
-
-    def save(self, path: str | Path, meta: dict | None = None) -> None:
-        """Binary column format: little-endian f64 positions plus JSON sidecar."""
-        path = Path(path)
-        self.positions.astype("<f8").tofile(path)
-        sidecar = {"t": self.t, "n": self.n, "dim": self.dim}
-        sidecar.update(meta or {})
-        path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, sort_keys=True))
-
-    @staticmethod
-    def load(path: str | Path) -> "ParticleEnsemble":
-        path = Path(path)
-        meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-        pos = np.fromfile(path, dtype="<f8").reshape(meta["n"], meta["dim"])
-        return ParticleEnsemble(meta["t"], pos)
 
 
 @dataclass(frozen=True)

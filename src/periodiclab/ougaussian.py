@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import solve_discrete_lyapunov
 
 from .errors import DimensionTooLarge, IntegratorFailure, NotDissipative
 from .fields import PeriodicCoefficientField
@@ -169,11 +170,6 @@ def covariance(model: OUModel, t: float, s: float, tol: float = DEFAULT_TOL) -> 
     return _transition_ode(model, t, s, tol)[1]
 
 
-def mean_shift(model: OUModel, t: float, s: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Forcing response  m(t,s) = int_s^t U(t,r) f(r) dr."""
-    return _transition_ode(model, t, s, tol)[2]
-
-
 def transition(model: OUModel, t: float, s: float, x, tol: float = DEFAULT_TOL) -> GaussianMeasure:
     """Law of the state at time t started from the point x at time s."""
     u, sig, m = _transition_ode(model, t, s, tol)
@@ -219,14 +215,15 @@ class PeriodicGaussianSystem:
 
 
 def periodic_system(
-    model: OUModel, n_phases: int = 32, tol: float = DEFAULT_TOL, fp_tol: float = 1e-12
+    model: OUModel, n_phases: int = 32, tol: float = DEFAULT_TOL
 ) -> PeriodicGaussianSystem:
     """Solve the periodic fixed point for the Gaussian system of measures.
 
-    Per phase s the covariance satisfies  Sigma = M Sigma M^T + S_per  with
-    M the one-period flow from s and S_per the one-period transition
-    covariance; the geometric iteration converges because the growth bound is
-    negative.  The mean solves the linear fixed point (I - M) m = shift.
+    Per phase s the covariance solves the discrete Lyapunov equation
+    Sigma = M Sigma M^T + S_per  with M the one-period flow from s and S_per
+    the one-period transition covariance; its solution is unique because the
+    growth bound is negative.  The mean solves the linear fixed point
+    (I - M) m = shift.
     """
     omega = growth_bound(model, tol)
     if omega >= 0.0:
@@ -237,13 +234,7 @@ def periodic_system(
     covs = np.empty((n_phases, d, d))
     for k, s in enumerate(phases):
         mono, s_per, shift = _transition_ode(model, s + model.period, s, tol)
-        sigma = s_per.copy()
-        for _ in range(10000):
-            nxt = mono @ sigma @ mono.T + s_per
-            if np.abs(nxt - sigma).max() <= fp_tol:
-                sigma = nxt
-                break
-            sigma = nxt
+        sigma = solve_discrete_lyapunov(mono, s_per)
         means[k] = np.linalg.solve(np.eye(d) - mono, shift)
         covs[k] = 0.5 * (sigma + sigma.T)
     return PeriodicGaussianSystem(model.period, phases, means, covs)

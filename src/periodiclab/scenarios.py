@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -161,14 +162,6 @@ class RunContext:
 
     doc: dict
     seed: int
-    _field: object = None
-    _model: object = None
-    _plan: object = None
-    _report: object = None
-    _mc_engine: object = None
-    _ou_engine: object = None
-    _grid_engine: object = None
-    _generator: object = None
 
     def config_hash(self) -> str:
         """Digest of everything that determines the numbers in a report."""
@@ -179,37 +172,34 @@ class RunContext:
             sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
+    @cached_property
+    def _field_and_model(self):
+        return build_field(self.doc["field"])
+
     @property
     def field(self):
-        if self._field is None:
-            self._field, self._model = build_field(self.doc["field"])
-        return self._field
+        return self._field_and_model[0]
 
     @property
     def model(self):
-        _ = self.field
-        return self._model
+        return self._field_and_model[1]
 
-    @property
+    @cached_property
     def plan(self):
-        if self._plan is None:
-            p = self.doc.get("plan", {})
-            self._plan = fl.build_plan(
-                dim=self.field.dim,
-                period=self.field.period,
-                r_max=p.get("r_max", 6.0),
-                n_times=p.get("n_times", 64),
-                n_axis=p.get("n_axis", 21),
-                n_shells=p.get("n_shells", 6),
-                n_shell_dirs=p.get("n_shell_dirs", 16),
-            )
-        return self._plan
+        p = self.doc.get("plan", {})
+        return fl.build_plan(
+            dim=self.field.dim,
+            period=self.field.period,
+            r_max=p.get("r_max", 6.0),
+            n_times=p.get("n_times", 64),
+            n_axis=p.get("n_axis", 21),
+            n_shells=p.get("n_shells", 6),
+            n_shell_dirs=p.get("n_shell_dirs", 16),
+        )
 
-    @property
+    @cached_property
     def hypothesis_report(self) -> hyp.HypothesisReport:
-        if self._report is None:
-            self._report = hyp.check_hypotheses(self.field, self.plan)
-        return self._report
+        return hyp.check_hypotheses(self.field, self.plan)
 
     def sim_config(self) -> mc.SimConfig:
         s = self.doc.get("sim", {})
@@ -233,43 +223,47 @@ class RunContext:
 
     def engine(self, name: str):
         if name == "montecarlo":
-            if self._mc_engine is None:
-                s = self.doc.get("sim", {})
-                self._mc_engine = eng.MonteCarloEngine(
-                    self.field,
-                    self.sim_config(),
-                    n_outer=s.get("n_outer", 128),
-                    n_inner=s.get("n_inner", 2048),
-                    certificate=self.hypothesis_report.lyapunov,
-                )
             return self._mc_engine
         if name == "ou-exact":
-            if self._ou_engine is None:
-                if self.model is None:
-                    raise ConfigError("ou-exact engine needs a linear-drift field", "$.field")
-                self._ou_engine = eng.OUExactEngine(self.model)
             return self._ou_engine
         if name == "grid":
-            if self._grid_engine is None:
-                g = self.doc.get("grid", {})
-                self._grid_engine = eng.GridEngine(
-                    self.field,
-                    self.space_time_grid(),
-                    time_scheme=g.get("time_scheme", "spectral"),
-                    substeps=g.get("substeps", 2),
-                    generator=self.generator,
-                )
             return self._grid_engine
         raise ConfigError(f"unknown engine {name!r}", "$.experiments")
 
-    @property
+    @cached_property
+    def _mc_engine(self):
+        s = self.doc.get("sim", {})
+        return eng.MonteCarloEngine(
+            self.field,
+            self.sim_config(),
+            n_outer=s.get("n_outer", 128),
+            n_inner=s.get("n_inner", 2048),
+            certificate=self.hypothesis_report.lyapunov,
+        )
+
+    @cached_property
+    def _ou_engine(self):
+        if self.model is None:
+            raise ConfigError("ou-exact engine needs a linear-drift field", "$.field")
+        return eng.OUExactEngine(self.model)
+
+    @cached_property
+    def _grid_engine(self):
+        g = self.doc.get("grid", {})
+        return eng.GridEngine(
+            self.field,
+            self.space_time_grid(),
+            time_scheme=g.get("time_scheme", "spectral"),
+            substeps=g.get("substeps", 2),
+            generator=self.generator,
+        )
+
+    @cached_property
     def generator(self):
-        if self._generator is None:
-            g = self.doc.get("grid", {})
-            self._generator = gridmod.build_generator(
-                self.field, self.space_time_grid(), g.get("time_scheme", "spectral")
-            )
-        return self._generator
+        g = self.doc.get("grid", {})
+        return gridmod.build_generator(
+            self.field, self.space_time_grid(), g.get("time_scheme", "spectral")
+        )
 
 
 @dataclass
@@ -291,6 +285,15 @@ def _fmt(value) -> str:
 
 def _check(rule: str, passed: bool, detail: str) -> dict:
     return {"rule": rule, "passed": bool(passed), "detail": detail}
+
+
+def _rate_bounds(params: dict, p: float):
+    """The ``rate_bounds`` entry for exponent p as (lo, hi) with null ends open, or None."""
+    bounds = params.get("rate_bounds", {}).get(f"{p:g}")
+    if bounds is None:
+        return None
+    return (-math.inf if bounds[0] is None else bounds[0],
+            math.inf if bounds[1] is None else bounds[1])
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +365,13 @@ def _run_decay(ctx: RunContext, params: dict) -> ExperimentResult:
         refs = {"ell_2": ctx.hypothesis_report.ell_p_hat.get(2.0)}
         if ctx.model is not None:
             refs["omega0"] = ou.growth_bound(ctx.model)
-        bounds = params.get("rate_bounds", {}).get(f"{p:g}")
+        bounds = _rate_bounds(params, p)
         env_rate = params.get("envelope_rate")
         try:
             fit = dg.fit_rate(combined, window, references=refs)
             payload["fits"][f"p={p:g}"] = fit.to_jsonable()
             if bounds is not None:
-                lo = -math.inf if bounds[0] is None else bounds[0]
-                hi = math.inf if bounds[1] is None else bounds[1]
+                lo, hi = bounds
                 checks.append(_check(
                     f"decay-rate-p{p:g}", lo <= fit.rate <= hi,
                     f"omega_hat={fit.rate:.4f} in [{lo}, {hi}] R2={fit.r_squared:.3f}"))
@@ -418,13 +420,12 @@ def _run_gradient_decay(ctx: RunContext, params: dict) -> ExperimentResult:
                     for phi in phis]
         curves.extend(p_curves)
         combined = dg.max_over_curves(p_curves)
-        bounds = params.get("rate_bounds", {}).get(f"{p:g}")
+        bounds = _rate_bounds(params, p)
         try:
             fit = dg.fit_rate(combined, window)
             payload["fits"][f"p={p:g}"] = fit.to_jsonable()
             if bounds is not None:
-                lo = -math.inf if bounds[0] is None else bounds[0]
-                hi = math.inf if bounds[1] is None else bounds[1]
+                lo, hi = bounds
                 checks.append(_check(
                     f"gradient-rate-p{p:g}", lo <= fit.rate <= hi,
                     f"gamma_hat={fit.rate:.4f} in [{lo}, {hi}]"))
@@ -491,7 +492,7 @@ def _run_poincare(ctx: RunContext, params: dict) -> ExperimentResult:
     ell2 = report_h.ell_p_hat[2.0]
     rows, checks = [], []
     payload = {"constant": lam / abs(ell2), "reports": {}}
-    for u in dg.st_battery(ctx.field.dim, ctx.field.period):
+    for u in eng.st_battery(ctx.field.dim, ctx.field.period):
         rep = dg.poincare_ratio(ctx.field, u, measures, lam, ell2)
         payload["reports"][u.fid] = rep.to_jsonable()
         rows.append({"fid": u.fid, "left": rep.left, "right": rep.right,
@@ -511,7 +512,7 @@ def _run_logsob(ctx: RunContext, params: dict) -> ExperimentResult:
     rows, checks = [], []
     payload = {"reports": {}}
     for p in [float(q) for q in params.get("ps", [1.0, 2.0])]:
-        for u in dg.positive_battery(ctx.field.dim):
+        for u in eng.positive_battery(ctx.field.dim):
             rep = dg.logsob_ratio(ctx.field, u, p, measures, lam, r0)
             key = f"{u.fid}:p={p:g}"
             payload["reports"][key] = rep.to_jsonable()
@@ -605,7 +606,7 @@ def _run_spectrum(ctx: RunContext, params: dict) -> ExperimentResult:
 
 def _run_spectral_mapping(ctx: RunContext, params: dict) -> ExperimentResult:
     gen = ctx.generator
-    report = gridmod.spectrum(gen, k=params.get("k", 40) if "k" in params else 40)
+    report = gridmod.spectrum(gen, k=40)
     result = gridmod.spectral_mapping_check(
         gen, ctx.field, gen.grid, substeps=params.get("substeps", 4), report=report
     )

@@ -192,7 +192,7 @@ class TestAC8FunctionalInequalities:
         lam, ell2 = grad_report.lambda_hat, grad_report.ell_p_hat[2.0]
         assert abs(lam / abs(ell2) - 2.5) < 1e-12
         worst = math.inf
-        for u in dg.st_battery(1, 1.0):
+        for u in eng.st_battery(1, 1.0):
             rep = dg.poincare_ratio(grad_field, u, measures, lam, ell2)
             assert rep.holds(), (u.fid, rep.residual, rep.stderr)
             worst = min(worst, rep.residual)
@@ -202,7 +202,7 @@ class TestAC8FunctionalInequalities:
         measures = dg.PhaseMeasures.from_engine(grad_mc, 8)
         lam, r0 = grad_report.lambda_hat, grad_report.r0_hat
         for p, expected_const in ((1.0, 1.25), (2.0, 5.0)):
-            for u in dg.positive_battery(1):
+            for u in eng.positive_battery(1):
                 rep = dg.logsob_ratio(grad_field, u, p, measures, lam, r0)
                 assert abs(rep.constant - expected_const) < 1e-12
                 assert rep.holds(), (u.fid, p, rep.residual, rep.stderr)

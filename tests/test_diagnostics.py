@@ -8,6 +8,7 @@ import pytest
 from periodiclab import diagnostics as dg
 from periodiclab import engines as eng
 from periodiclab import grid as gridmod
+from periodiclab import montecarlo as mc
 from periodiclab import ougaussian as ou
 from periodiclab.errors import DegenerateWindow, NoiseFloor, NotApplicable
 
@@ -135,10 +136,34 @@ class TestRateEquivalence:
             dg.rate_equivalence_check(ou_engine, battery1[:2], 0.0, 1.5, [1, 2, 3, 4, 5])
 
 
+@pytest.mark.parametrize("kind", ["ou-exact", "grid", "montecarlo"])
+def test_engine_protocol(kind, ou_model, ou_field, ou_grid, ou_generator, ou_report, battery1):
+    if kind == "ou-exact":
+        engine = eng.OUExactEngine(ou_model, n_phases=9, order=20)
+    elif kind == "grid":
+        engine = eng.GridEngine(ou_field, ou_grid, generator=ou_generator)
+    else:
+        config = mc.SimConfig(n_particles=200, dt=0.02, seed=3, horizon_periods=2)
+        engine = eng.MonteCarloEngine(ou_field, config, n_outer=8, n_inner=16,
+                                      certificate=ou_report.lyapunov)
+    assert engine.name == kind
+    assert engine.period == 1.0
+    assert engine.stochastic is (kind == "montecarlo")
+    if not engine.stochastic:
+        pts, w = engine.phase_nodes(0.3)
+        for phi in battery1:
+            vals = np.asarray(phi(pts))
+            assert engine.phase_mean(phi, 0.3) == (float(np.dot(w, vals)), 0.0)
+            for p in (1.0, 2.0, 4.0):
+                lp = float(np.dot(w, np.abs(vals) ** p) ** (1.0 / p))
+                assert engine.phase_lp(phi, 0.3, p) == (lp, 0.0)
+    assert dg.PhaseMeasures.from_engine(engine, 4).stochastic is engine.stochastic
+
+
 class TestPoincare:
     def test_x_independent_function_trivial(self, grad_field, grad_mc):
         measures = dg.PhaseMeasures.from_engine(grad_mc, 4)
-        u = dg.SpaceTimeFunction("flat", lambda s, X: np.full(len(X), 2.0),
+        u = eng.SpaceTimeFunction("flat", lambda s, X: np.full(len(X), 2.0),
                                  lambda s, X: np.zeros_like(X))
         rep = dg.poincare_ratio(grad_field, u, measures, 1.25, -0.5)
         assert rep.left <= 1e-24 and rep.right == 0.0 and abs(rep.residual) <= 1e-24
@@ -146,7 +171,7 @@ class TestPoincare:
 
     def test_grad1d_coordinate(self, grad_field, grad_mc, grad_report):
         measures = dg.PhaseMeasures.from_engine(grad_mc, 8)
-        u = dg.st_battery(1, 1.0)[0]
+        u = eng.st_battery(1, 1.0)[0]
         lam = grad_report.lambda_hat
         ell2 = grad_report.ell_p_hat[2.0]
         rep = dg.poincare_ratio(grad_field, u, measures, lam, ell2)
@@ -157,7 +182,7 @@ class TestPoincare:
 
     def test_modulated_battery(self, grad_field, grad_mc, grad_report):
         measures = dg.PhaseMeasures.from_engine(grad_mc, 8)
-        for u in dg.st_battery(1, 1.0):
+        for u in eng.st_battery(1, 1.0):
             rep = dg.poincare_ratio(grad_field, u, measures,
                                     grad_report.lambda_hat, grad_report.ell_p_hat[2.0])
             assert rep.holds(), (u.fid, rep.residual, rep.stderr)
@@ -166,7 +191,7 @@ class TestPoincare:
 class TestLogSob:
     def test_constant_equality(self, grad_field, grad_mc, grad_report):
         measures = dg.PhaseMeasures.from_engine(grad_mc, 4)
-        u = dg.positive_battery(1)[0]
+        u = eng.positive_battery(1)[0]
         rep = dg.logsob_ratio(grad_field, u, 2.0, measures,
                               grad_report.lambda_hat, grad_report.r0_hat)
         assert abs(rep.residual) < 1e-12
@@ -174,7 +199,7 @@ class TestLogSob:
 
     def test_grad1d_p2_constant_five(self, grad_field, grad_mc, grad_report):
         measures = dg.PhaseMeasures.from_engine(grad_mc, 8)
-        u = next(f for f in dg.positive_battery(1) if f.fid == "pos-bump")
+        u = next(f for f in eng.positive_battery(1) if f.fid == "pos-bump")
         rep = dg.logsob_ratio(grad_field, u, 2.0, measures,
                               grad_report.lambda_hat, grad_report.r0_hat)
         assert abs(rep.constant - 5.0) < 1e-12
@@ -182,7 +207,7 @@ class TestLogSob:
 
     def test_grad1d_p1_positive_sine(self, grad_field, grad_mc, grad_report):
         measures = dg.PhaseMeasures.from_engine(grad_mc, 8)
-        u = next(f for f in dg.positive_battery(1) if f.fid == "pos-sin")
+        u = next(f for f in eng.positive_battery(1) if f.fid == "pos-sin")
         rep = dg.logsob_ratio(grad_field, u, 1.0, measures,
                               grad_report.lambda_hat, grad_report.r0_hat)
         assert abs(rep.constant - 1.25) < 1e-12
@@ -191,7 +216,7 @@ class TestLogSob:
     def test_rejects_x_dependent_diffusion(self, gen_field, gen_mc, gen_report):
         measures = dg.PhaseMeasures.from_engine(gen_mc, 2)
         with pytest.raises(NotApplicable):
-            dg.logsob_ratio(gen_field, dg.positive_battery(2)[0], 2.0, measures,
+            dg.logsob_ratio(gen_field, eng.positive_battery(2)[0], 2.0, measures,
                             gen_report.lambda_hat, gen_report.r0_hat)
 
 
@@ -332,8 +357,6 @@ class TestRateConsistency:
 class TestCrossEngineConsistency:
     def test_grad1d_transition_grid_vs_montecarlo(self, grad_field, grad_grid):
         """The two generic engines must agree pointwise on the nonlinear field."""
-        from periodiclab import montecarlo as mc
-
         s, t = 0.0, 1.5
         probes = np.array([[0.7], [-1.1], [0.0]])
         mat = gridmod.transition_matrix(grad_field, grad_grid, s, t, substeps=4)

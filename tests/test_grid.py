@@ -8,7 +8,7 @@ import pytest
 from periodiclab import fields as fl
 from periodiclab import grid as gr
 from periodiclab import ougaussian as ou
-from periodiclab.errors import BoxTooSmall
+from periodiclab.errors import BoxTooSmall, PerronFailure
 
 HEAT = fl.polynomial_field(1, 1.0, q_const=0.5, name="heat")
 
@@ -126,26 +126,35 @@ class TestGenerator:
         mask = np.abs(x) <= g.half_width / 2
         worst = 0.0
         for j in range(0, 33, 4):
-            dens = gen.slice_density(j)
+            masses = gen.rho_slices()[j]
+            dens = masses / masses.sum() / g.h
             sig = system.covs[j, 0, 0]
             gauss = np.exp(-(x**2) / (2 * sig)) / math.sqrt(2 * np.pi * sig)
             worst = max(worst, (np.abs(dens - gauss)[mask] / gauss[mask]).max())
         assert worst <= 0.02
+
+    def test_perron_nonconvergence_raises(self, monkeypatch):
+        class Alternating:
+            """LU stand-in whose solves flip between two distinct positive vectors."""
+
+            def __init__(self, n):
+                self.vecs = [np.ones(n), np.linspace(1.0, 2.0, n)]
+                self.calls = 0
+
+            def solve(self, v):
+                self.calls += 1
+                return self.vecs[self.calls % 2]
+
+        monkeypatch.setattr(gr.spla, "splu", lambda mat: Alternating(mat.shape[0]))
+        g = gr.SpaceTimeGrid(half_width=4.5, points_per_axis=16, time_slices=17, period=1.0)
+        with pytest.raises(PerronFailure, match="200 steps"):
+            gr.build_generator(HEAT, g, "spectral")
 
     def test_upwind_scheme_spectrum_left(self, ou_field):
         g = gr.SpaceTimeGrid(half_width=4.5, points_per_axis=31, time_slices=16, period=1.0)
         gen = gr.build_generator(ou_field, g, "upwind")
         ev = np.linalg.eigvals(gen.matrix.toarray())
         assert ev.real.max() <= 1e-8
-
-    def test_export_triplets(self, tmp_path, ou_generator):
-        path = tmp_path / "gen.txt"
-        ou_generator.export_triplets(path)
-        head = path.read_text().splitlines()
-        assert head[0].startswith("%")
-        i, j, v = head[1].split()
-        float(v)  # parses
-
 
 class TestSpectrum:
     def test_ou_axis_cluster_and_gap(self, ou_spectrum):
@@ -195,24 +204,6 @@ class TestSpectralMapping:
         assert np.abs(mults - 1.0).min() < 1e-6
 
 
-class TestProjection:
-    def test_fixes_x_independent(self, ou_generator, ou_grid):
-        u = gr.GridFunction.sample(ou_grid, lambda s, X: np.full(len(X), 2.0 + math.sin(s)))
-        out = gr.discrete_projection(u, ou_generator)
-        assert np.array_equal(out.values, u.values)
-
-    def test_odd_function_projects_to_zero(self, ou_generator, ou_grid):
-        u = gr.GridFunction.sample(ou_grid, lambda s, X: X[:, 0])
-        out = gr.discrete_projection(u, ou_generator)
-        assert np.abs(out.values).max() <= 1e-8
-
-    def test_idempotent_exactly(self, ou_generator, ou_grid):
-        u = gr.GridFunction.sample(ou_grid, lambda s, X: np.tanh(X[:, 0]) + math.cos(s))
-        once = gr.discrete_projection(u, ou_generator)
-        twice = gr.discrete_projection(once, ou_generator)
-        assert np.array_equal(once.values, twice.values)
-
-
 class TestCarreDuChamp:
     def test_residual_halves_at_second_order(self, ou_field):
         def u_fn(s, X):
@@ -245,16 +236,6 @@ class TestSolvability:
         assert res_zero <= 1e-6 * scale
         res_one, mean_one = gr.solvability_residual(gen, f_zero + 1.0)
         assert res_one >= abs(mean_one) * (1.0 - 1e-6)
-
-
-class TestGridFunctionIO:
-    def test_roundtrip(self, tmp_path, ou_grid):
-        u = gr.GridFunction.sample(ou_grid, lambda s, X: np.tanh(X[:, 0]) + math.sin(s))
-        path = tmp_path / "u.bin"
-        u.save(path)
-        back = gr.GridFunction.load(path)
-        assert np.array_equal(back.values, u.values)
-        assert back.grid == ou_grid
 
 
 class TestBoxTightness:

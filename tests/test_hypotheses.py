@@ -175,7 +175,11 @@ def test_ell_p_dominates_r0(gen_field, gen_plan):
 def test_refinement_stability(grad_field, grad_plan, gen_field, gen_plan):
     for field, plan in ((grad_field, grad_plan), (gen_field, gen_plan)):
         base = hyp.check_hypotheses(field, plan, p_values=(2.0,))
-        fine = hyp.check_hypotheses(field, plan.refined(2), p_values=(2.0,))
+        n_axis = round(len(plan.lattice) ** (1.0 / field.dim))
+        denser = fl.build_plan(field.dim, field.period, plan.r_max, n_times=2 * len(plan.times),
+                               n_axis=2 * n_axis + 1, n_shells=len(plan.shell_radii),
+                               n_shell_dirs=2 * plan.shell_points.shape[1])
+        fine = hyp.check_hypotheses(field, denser, p_values=(2.0,))
         for attr in ("eta0_hat", "lambda_hat", "r0_hat"):
             a, b = getattr(base, attr), getattr(fine, attr)
             assert abs(a - b) <= 0.01 * max(abs(a), abs(b), 1e-12)

@@ -330,15 +330,6 @@ class TestTangentFlow:
 
 
 class TestEnsembleIO:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        ens = mc.ParticleEnsemble(0.75, rng.standard_normal((128, 2)))
-        path = tmp_path / "cloud.bin"
-        ens.save(path, meta={"field": "demo", "seed": 1})
-        back = mc.ParticleEnsemble.load(path)
-        assert back.t == ens.t
-        assert np.array_equal(back.positions, ens.positions)
-
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             mc.ParticleEnsemble(0.0, np.array([[np.nan]]))
@@ -367,14 +358,3 @@ class TestTransportChecks:
     def test_fractional_gap_rejected(self, ou_mc, battery1):
         with pytest.raises(ValueError):
             dg.contraction_invariance_report(ou_mc, battery1[:1], 0.0, [0.5], [2.0])
-
-    def test_kernel_positivity(self, grad_field):
-        config = mc.SimConfig(n_particles=20000, dt=0.008, seed=16)
-        out = dg.kernel_positivity_check(grad_field, 0.0, 0.5, [0.5], config,
-                                         half_width=1.5, bins=8)
-        assert out["positive"] and out["min_count"] > 0
-
-    def test_positivity_needs_half_period(self, grad_field):
-        config = mc.SimConfig(n_particles=200, dt=0.008, seed=0)
-        with pytest.raises(ValueError):
-            dg.kernel_positivity_check(grad_field, 0.0, 0.1, [0.0], config, 1.0)

@@ -133,6 +133,21 @@ class TestPeriodicSystem:
         system = ou.periodic_system(ou_model, 16)
         assert abs(system.covs[0, 0, 0] - oracle) < 1e-8
 
+    def test_rotation_plus_decay_solves_lyapunov(self):
+        model = ou.fourier_matrix_model(2, 1.0, a0=[[-0.2, 1.0], [-1.0, -0.2]])
+        system = ou.periodic_system(model, 4)
+        for k, s in enumerate(system.phases):
+            mono, s_per, _ = ou._transition_ode(model, s + 1.0, s, ou.DEFAULT_TOL)
+            sigma = system.covs[k]
+            residual = sigma - (mono @ sigma @ mono.T + s_per)
+            assert np.abs(residual).max() <= 1e-12 * np.abs(sigma).max()
+
+    def test_slow_contraction(self):
+        """Stationary variance 1 / (2 |a|) = 1000, where a fixed-point iteration stalls."""
+        model = ou.fourier_matrix_model(1, 1.0, a0=[[-0.0005]])
+        system = ou.periodic_system(model, 2)
+        assert np.allclose(system.covs[:, 0, 0], 1000.0, rtol=1e-9, atol=0.0)
+
     def test_not_dissipative_rejected(self):
         model = ou.fourier_matrix_model(1, 1.0, a0=[[0.1]])
         with pytest.raises(NotDissipative):

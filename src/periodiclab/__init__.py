@@ -10,7 +10,6 @@ residuals.
 
 from .errors import (
     Blowup,
-    BoxTooSmall,
     ConfigError,
     DegenerateWindow,
     DimensionTooLarge,
@@ -51,9 +50,7 @@ from .montecarlo import (
     TangentEnsemble,
     estimate_P,
     evolve,
-    lp_norm,
     sample_periodic_measure,
-    tangent_gradient,
 )
 from .ougaussian import (
     GaussianMeasure,

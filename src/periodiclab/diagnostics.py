@@ -29,6 +29,7 @@ from .fields import PeriodicCoefficientField
 
 MIN_FIT_POINTS = 5
 NOISE_MULTIPLE = 10.0
+SLACK = 5.0              # one-sided inequality slack, in combined standard errors
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,9 @@ class InequalityReport:
     def residual(self) -> float:
         return self.right - self.left
 
-    def holds(self, slack: float = 5.0) -> bool:
+    def holds(self) -> bool:
         scale = max(abs(self.left), abs(self.right), 1.0)
-        return self.residual >= -(slack * self.stderr + 1e-12 * scale)
+        return self.residual >= -(SLACK * self.stderr + 1e-12 * scale)
 
     def to_jsonable(self) -> dict:
         return {
@@ -193,17 +194,16 @@ def fit_rate(
     curve: DecayCurve,
     window: tuple = (1.0, np.inf),
     references: dict | None = None,
-    min_points: int = MIN_FIT_POINTS,
 ) -> RateEstimate:
     """Least-squares slope of log(value) over the window, above the noise floor."""
     lo, hi = window
     in_window = (curve.taus >= lo - 1e-12) & (curve.taus <= hi + 1e-12)
-    if in_window.sum() < min_points:
+    if in_window.sum() < MIN_FIT_POINTS:
         raise DegenerateWindow(
-            f"window [{lo}, {hi}] selects {int(in_window.sum())} < {min_points} points"
+            f"window [{lo}, {hi}] selects {int(in_window.sum())} < {MIN_FIT_POINTS} points"
         )
     visible = in_window & (curve.values > NOISE_MULTIPLE * curve.stderrs) & (curve.values > 0)
-    if visible.sum() < min_points:
+    if visible.sum() < MIN_FIT_POINTS:
         raise NoiseFloor(
             f"only {int(visible.sum())} points above {NOISE_MULTIPLE} stderr in the window"
         )
@@ -427,14 +427,13 @@ def contraction_invariance_report(
     s: float,
     gaps: Sequence[float],
     ps: Sequence[float],
-    slack: float = 5.0,
 ) -> list[dict]:
     """Transport vs measure checks at whole-period separations.
 
     Per (phi, p, gap): the L^p norm of the transported function against the
     starting measure must not exceed the L^p norm of phi against the target
     measure (contraction), and the two measure means must agree (invariance
-    under push-forward), each within ``slack`` combined standard errors.
+    under push-forward), each within ``SLACK`` combined standard errors.
     """
     for gap in gaps:
         if abs((gap / engine.period) - round(gap / engine.period)) > 1e-9:
@@ -457,12 +456,12 @@ def contraction_invariance_report(
                 rows.append({
                     "phi": phi.fid, "p": p, "gap": float(gap),
                     "contraction_lhs": lhs, "contraction_rhs": rhs,
-                    "contraction_slack": slack * math.hypot(lhs_se, rhs_se),
-                    "contraction_ok": lhs <= rhs + slack * math.hypot(lhs_se, rhs_se),
+                    "contraction_slack": SLACK * math.hypot(lhs_se, rhs_se),
+                    "contraction_ok": lhs <= rhs + SLACK * math.hypot(lhs_se, rhs_se),
                     "invariance_gap": abs(mean_p - mean_phi),
-                    "invariance_slack": slack * math.hypot(mean_p_se, mean_phi_se),
+                    "invariance_slack": SLACK * math.hypot(mean_p_se, mean_phi_se),
                     "invariance_ok": abs(mean_p - mean_phi)
-                    <= slack * math.hypot(mean_p_se, mean_phi_se),
+                    <= SLACK * math.hypot(mean_p_se, mean_phi_se),
                 })
     return rows
 
@@ -569,20 +568,16 @@ def core_on_grid(
 
     if alpha.hi > tau + 1e-12:
         raise ValueError("envelope support must end at or before the anchor time")
-    nodes = grid.nodes()
-    chi_vec = np.asarray(chi(nodes))
-    period = grid.period
-    canon = [alpha.lo + (s - alpha.lo) % period for s in grid.slice_times()]
+    canon = [alpha.lo + (s - alpha.lo) % grid.period for s in grid.slice_times()]
     order = np.argsort(canon)[::-1]          # sweep from the anchor downward
     u_vals = np.zeros((grid.time_slices, grid.n_space))
     img_vals = np.zeros_like(u_vals)
-    vec = chi_vec.copy()
+    vec = np.asarray(chi(grid.nodes()))
     t_hi = tau
     for j in order:
         sc = canon[j]
         if sc < t_hi:
-            step = gridmod.transition_matrix(field, grid, sc, t_hi, substeps)
-            vec = step @ vec
+            vec = gridmod.transition_matrix(field, grid, sc, t_hi, vec, substeps)
             t_hi = sc
         a = float(alpha(sc))
         da = float(alpha.deriv(sc))

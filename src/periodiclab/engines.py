@@ -404,18 +404,14 @@ class GridEngine(QuadratureEngine):
     def __init__(
         self,
         field: PeriodicCoefficientField,
-        grid: gridmod.SpaceTimeGrid,
-        time_scheme: str = "spectral",
+        generator: gridmod.DiscreteGenerator,
         substeps: int = 2,
-        generator: gridmod.DiscreteGenerator | None = None,
     ):
         self.field = field
         self.period = field.period
-        self.grid = grid
+        self.grid = generator.grid
         self.substeps = substeps
-        self.gen = generator if generator is not None else gridmod.build_generator(
-            field, grid, time_scheme
-        )
+        self.gen = generator
 
     def _rho_at(self, phase: float) -> np.ndarray:
         """Slice masses linearly interpolated in phase, normalized."""
@@ -444,7 +440,8 @@ class GridEngine(QuadratureEngine):
         phi_vecs = {phi.fid: np.asarray(phi(nodes)) for phi in phis}
         for k, tau in enumerate(horizons):
             t = s + tau
-            step = gridmod.transition_matrix(self.field, self.grid, t_prev, t, self.substeps)
+            step = gridmod.transition_matrix(self.field, self.grid, t_prev, t,
+                                             np.eye(self.grid.n_space), self.substeps)
             mat = mat @ step
             t_prev = t
             w = self._rho_at(t)

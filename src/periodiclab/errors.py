@@ -68,10 +68,6 @@ class SolverDivergence(LabError):
     """The implicit time stepper produced non-finite values."""
 
 
-class BoxTooSmall(LabError):
-    """Grid data or measure mass is not negligible at the truncation boundary."""
-
-
 class PerronFailure(LabError):
     """The discrete invariant density has sign changes above tolerance."""
 

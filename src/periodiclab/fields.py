@@ -20,8 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MissingGradient
-
 Coefficient = Callable[[float, np.ndarray], np.ndarray]
 
 
@@ -67,22 +65,16 @@ class PeriodicCoefficientField:
         p = math.fmod(t, self.period)
         return p + self.period if p < 0 else p
 
-    def grad_b_at(self, t: float, points: np.ndarray, fd_step: float = 1e-5) -> np.ndarray:
+    def grad_b_at(self, t: float, points: np.ndarray) -> np.ndarray:
         """Drift Jacobians at a batch of points, by formula or central differences.
 
-        The fallback step is ``fd_step * (1 + |x|)`` per point.  Raises
-        :class:`MissingGradient` when ``fd_step`` is nonpositive and no
-        analytic gradient is available.
+        The fallback step is ``1e-5 * (1 + |x|)`` per point.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.grad_b is not None:
             return np.asarray(self.grad_b(t, points), dtype=float)
-        if fd_step <= 0:
-            raise MissingGradient(
-                f"field {self.name!r} has no drift gradient and finite differencing is disabled"
-            )
         n, d = points.shape
-        h = fd_step * (1.0 + np.linalg.norm(points, axis=1))  # (n,)
+        h = 1e-5 * (1.0 + np.linalg.norm(points, axis=1))  # (n,)
         jac = np.empty((n, d, d))
         for j in range(d):
             step = np.zeros_like(points)

@@ -2,15 +2,16 @@
 
 Two deterministic engines live here:
 
-* Crank-Nicolson time stepping of the parabolic Cauchy problem
-  ``D_t u = L(t) u`` on ``[-L, L]^d`` with homogeneous Dirichlet closure,
-  with first-order terms upwinded wherever the cell Peclet number exceeds 2;
+* the transition slice map ``phi -> E[phi(X_t) | X_s = .]`` on
+  ``[-L, L]^d`` with homogeneous Dirichlet closure: a Crank-Nicolson sweep
+  that carries the columns it is given from t down to s, with first-order
+  terms upwinded wherever the cell Peclet number exceeds 2;
 * the discrete realization of the periodic space-time generator: per-slice
   spatial operators coupled by a periodic time derivative (spectral
   differencing by default for smooth data, first-order upwind as the
   roughness-robust option), its right-most spectrum, its positive invariant
-  mass vector, and the one-period slice propagator used by the
-  spectral-mapping diagnostic.
+  mass vector, and the spectral-mapping check of that spectrum against the
+  one-period slice map.
 
 The generator is assembled as spatial part plus time derivative, i.e. the
 generator of the semigroup that composes the transition operator with the
@@ -28,7 +29,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import BoxTooSmall, EigSolverFailure, PerronFailure, SolverDivergence
+from .errors import EigSolverFailure, PerronFailure, SolverDivergence
 from .fields import PeriodicCoefficientField
 
 
@@ -78,15 +79,12 @@ class SpaceTimeGrid:
         idx = np.indices((n,) * self.dim).reshape(self.dim, -1)
         return np.any((idx == 0) | (idx == n - 1), axis=0)
 
-    def refined(self, space_factor: int = 2, time_factor: int = 1) -> "SpaceTimeGrid":
-        n_t = self.time_slices
-        if time_factor > 1:
-            # keep parity so the spectral time scheme stays admissible
-            n_t = time_factor * (n_t - 1) + 1 if n_t % 2 == 1 else time_factor * n_t
+    def refined(self) -> "SpaceTimeGrid":
+        """The same box and time slices with half the spatial step."""
         return SpaceTimeGrid(
             half_width=self.half_width,
-            points_per_axis=space_factor * (self.points_per_axis + 1) - 1,
-            time_slices=n_t,
+            points_per_axis=2 * (self.points_per_axis + 1) - 1,
+            time_slices=self.time_slices,
             period=self.period,
             dim=self.dim,
         )
@@ -197,65 +195,29 @@ def _cn_step(a_now, a_next, dt: float, u):
     return out
 
 
-def step_forward(
-    field: PeriodicCoefficientField,
-    u0: np.ndarray,
-    s: float,
-    t: float,
-    grid: SpaceTimeGrid,
-    substeps: int = 1,
-    check_boundary: bool = True,
-) -> np.ndarray:
-    """Integrate the Cauchy problem D_t u = L(t) u from the slice u0 at s to t.
-
-    Raises :class:`BoxTooSmall` when the initial slice carries non-negligible
-    boundary values (relative to its max norm).
-    """
-    u0 = np.asarray(u0, dtype=float).ravel()
-    if u0.shape != (grid.n_space,):
-        raise ValueError("initial slice has wrong size")
-    if check_boundary and np.abs(u0).max() > 0:
-        edge = np.abs(u0[grid.boundary_mask()]).max()
-        if edge > 1e-6 * np.abs(u0).max():
-            raise BoxTooSmall(f"initial slice boundary magnitude {edge:.2e} is not negligible")
-    if t < s:
-        raise ValueError("step_forward requires t >= s")
-    if t == s:
-        return u0.copy()
-    n_steps = max(1, math.ceil((t - s) / (grid.dt / substeps)))
-    dt = (t - s) / n_steps
-    u = u0.copy()
-    a_now = spatial_operator(field, s, grid)
-    for k in range(n_steps):
-        a_next = spatial_operator(field, s + (k + 1) * dt, grid)
-        u = _cn_step(a_now, a_next, dt, u)
-        a_now = a_next
-    return u
-
-
 def transition_matrix(
     field: PeriodicCoefficientField,
     grid: SpaceTimeGrid,
     s: float,
     t: float,
+    u: np.ndarray,
     substeps: int = 2,
 ) -> np.ndarray:
-    """Dense matrix of the transition operator slice map phi -> E[phi(X_t) | X_s = .].
+    """The transition slice map phi -> E[phi(X_t) | X_s = .] applied to u.
 
-    The map solves the terminal-value problem for phi given at time t, which
-    is a forward Crank-Nicolson sweep with the coefficient clock running from
-    t down to s.
+    ``u`` is one ``(n_space,)`` slice at time t or an ``(n_space, k)`` block
+    of them; pass ``np.eye(n_space)`` for the dense map.  The map solves the
+    terminal-value problem for each column, which is a forward Crank-Nicolson
+    sweep with the coefficient clock running from t down to s.
     """
-    m = grid.n_space
     n_steps = max(1, math.ceil((t - s) / (grid.dt / substeps)))
     dt = (t - s) / n_steps
-    mat = np.eye(m)
     a_now = spatial_operator(field, t, grid)
     for k in range(n_steps):
         a_next = spatial_operator(field, t - (k + 1) * dt, grid)
-        mat = _cn_step(a_now, a_next, dt, mat)
+        u = _cn_step(a_now, a_next, dt, u)
         a_now = a_next
-    return mat
+    return u
 
 
 def time_derivative_matrix(n_t: int, period: float, scheme: str = "spectral") -> np.ndarray:
@@ -292,7 +254,6 @@ class DiscreteGenerator:
     grid: SpaceTimeGrid
     matrix: sp.csr_matrix
     rho: np.ndarray                 # (n_t * n_space,), nonnegative, sums to 1
-    field_name: str
     time_scheme: str
     rho_residual: float             # ||rho^T G||_2 / ||G||_fro
 
@@ -358,7 +319,6 @@ def build_generator(
         grid=grid,
         matrix=g_mat,
         rho=v,
-        field_name=field.name,
         time_scheme=time_scheme,
         rho_residual=residual,
     )
@@ -372,7 +332,6 @@ class SpectrumReport:
     axis_cluster: list               # [(k, eigenvalue), ...] matched to 2 pi i k / T
     gap_estimate: float              # max Re over eigenvalues outside the cluster
     residuals: np.ndarray            # residual norms of the reported leading pairs
-    cluster_tol: float
     method: str
 
     def leading(self, m: int) -> np.ndarray:
@@ -412,16 +371,15 @@ def spectrum(
     k: int = 25,
     cluster_tol: float = 1e-3,
     dense_cutoff: int = 4500,
-    sigma_targets: tuple = (),
     with_residuals: bool = False,
 ) -> SpectrumReport:
     """Right-most eigenvalues of the generator and the axis-cluster split.
 
     Dense solves below ``dense_cutoff`` unknowns; otherwise shift-inverted
-    Arnoldi around 0, +-2 pi i / T, and any extra ``sigma_targets``.  The
-    cluster is matched against the expected axis points ``2 pi i k / T`` for
-    every resolvable k; the spectral-gap estimate is the largest real part
-    outside the matched cluster.
+    Arnoldi around 0 and +-2 pi i / T.  The cluster is matched against the
+    expected axis points ``2 pi i k / T`` for every resolvable k; the
+    spectral-gap estimate is the largest real part outside the matched
+    cluster.
     """
     g_mat = gen.matrix
     n = gen.size
@@ -433,7 +391,7 @@ def spectrum(
         method = "dense"
     else:
         w = 2.0 * np.pi / gen.grid.period
-        targets = [0.25, 0.25 + 1j * w, 0.25 - 1j * w, *sigma_targets]
+        targets = [0.25, 0.25 + 1j * w, 0.25 - 1j * w]
         g_complex = g_mat.astype(complex)
         # a fixed pseudo-random Arnoldi start vector: without one ARPACK seeds
         # it from OS entropy, and a structured one (such as constants, which the
@@ -488,40 +446,25 @@ def spectrum(
         axis_cluster=cluster,
         gap_estimate=gap,
         residuals=residuals,
-        cluster_tol=cluster_tol,
         method=method,
     )
-
-
-def one_period_propagator(
-    field: PeriodicCoefficientField,
-    grid: SpaceTimeGrid,
-    start_phase: float = 0.0,
-    substeps: int = 2,
-) -> np.ndarray:
-    """Dense one-period transition slice map starting at the given phase."""
-    return transition_matrix(field, grid, start_phase, start_phase + grid.period, substeps)
 
 
 def spectral_mapping_check(
     gen: DiscreteGenerator,
     field: PeriodicCoefficientField,
-    grid: SpaceTimeGrid,
-    m_leading: int = 5,
-    m_nonaxis: int = 3,
+    report: SpectrumReport,
     substeps: int = 4,
-    report: SpectrumReport | None = None,
 ) -> dict:
-    """Compare exp(T * lambda_j) against the one-period propagator spectrum.
+    """Compare exp(T * lambda_j) against the spectrum of the one-period slice map.
 
-    Checks the ``m_leading`` right-most generator eigenvalues plus the
-    ``m_nonaxis`` right-most eigenvalues outside the axis cluster (the axis
-    points all map to the multiplier 1, so the non-axis rows carry the
-    information).  Returns the worst relative mismatch and per-row details.
+    Checks the 5 right-most generator eigenvalues of ``report`` plus the 3
+    right-most eigenvalues outside the axis cluster (the axis points all map
+    to the multiplier 1, so the non-axis rows carry the information).
+    Returns the worst relative mismatch and per-row details.
     """
-    if report is None:
-        report = spectrum(gen)
-    mono = one_period_propagator(field, grid, float(grid.slice_times()[0]), substeps)
+    grid = gen.grid
+    mono = transition_matrix(field, grid, 0.0, grid.period, np.eye(grid.n_space), substeps)
     mults = np.linalg.eigvals(mono)
     cluster_set = [z for _, z in report.axis_cluster]
 
@@ -530,7 +473,7 @@ def spectral_mapping_check(
         return float(np.abs(mults - target).min() / max(abs(target), 1e-12))
 
     rows = []
-    for lam in report.leading(m_leading):
+    for lam in report.leading(5):
         rows.append({"lambda": complex(lam), "kind": "leading", "mismatch": mismatch(lam)})
     # only low-frequency ladder members test the mapping: near-Nyquist
     # collocation modes carry the time-discretization phase error instead
@@ -538,9 +481,9 @@ def spectral_mapping_check(
     nonaxis = [
         z for z in report.eigenvalues
         if not any(abs(z - c) < 1e-12 for c in cluster_set)
-        and abs(z.imag) <= (m_nonaxis // 2 + 1) * w0
+        and abs(z.imag) <= 2 * w0
     ]
-    for lam in nonaxis[:m_nonaxis]:
+    for lam in nonaxis[:3]:
         rows.append({"lambda": complex(lam), "kind": "non-axis", "mismatch": mismatch(lam)})
     worst = max(r["mismatch"] for r in rows) if rows else np.nan
     return {"worst_mismatch": worst, "rows": rows}
@@ -588,7 +531,7 @@ def mass_outside_box(grid: SpaceTimeGrid, positions: np.ndarray) -> float:
     return float(outside.mean())
 
 
-def solvability_residual(gen: DiscreteGenerator, f: np.ndarray, rcond: float = 1e-10):
+def solvability_residual(gen: DiscreteGenerator, f: np.ndarray):
     """Least-squares residual of G u = f in the invariant-mass geometry.
 
     The invariant functional is the one direction the range of G cannot
@@ -607,7 +550,7 @@ def solvability_residual(gen: DiscreteGenerator, f: np.ndarray, rcond: float = 1
     nu = w / np.linalg.norm(w)
     coef = float(nu @ b_vec)
     b_perp = b_vec - coef * nu
-    sol, _, _, _ = np.linalg.lstsq(a_mat, b_perp, rcond=rcond)
+    sol, _, _, _ = np.linalg.lstsq(a_mat, b_perp, rcond=1e-10)
     r_perp = float(np.linalg.norm(a_mat @ sol - b_perp))
     mean = float(np.dot(gen.rho, f))
     return math.hypot(r_perp, coef), mean

@@ -56,7 +56,6 @@ class HypothesisReport:
     """Aggregated certification of a field over one sample plan."""
 
     field_name: str
-    period: float
     r_max: float
     eta0_hat: float
     lambda_hat: float
@@ -178,20 +177,20 @@ def lyapunov_check(field: PeriodicCoefficientField, plan: SamplePlan, n: int = 1
     return LyapunovResult(n=n, accepted=False, a=None, c=None, violations=violations)
 
 
-def _r_values(field: PeriodicCoefficientField, plan: SamplePlan, fd_step: float = 1e-5) -> np.ndarray:
+def _r_values(field: PeriodicCoefficientField, plan: SamplePlan) -> np.ndarray:
     """r(s, x) = lambda_max of the symmetrized drift Jacobian, per (time, point)."""
     pts = plan.points
     out = np.empty((len(plan.times), len(pts)))
     for i, t in enumerate(plan.times):
-        jac = field.grad_b_at(t, pts, fd_step=fd_step)
+        jac = field.grad_b_at(t, pts)
         sym = 0.5 * (jac + np.swapaxes(jac, 1, 2))
         out[i] = np.linalg.eigvalsh(sym)[:, -1]
     return out
 
 
-def dissipativity_r0(field: PeriodicCoefficientField, plan: SamplePlan, fd_step: float = 1e-5) -> float:
+def dissipativity_r0(field: PeriodicCoefficientField, plan: SamplePlan) -> float:
     """Estimate r0 = sup over the plan of the drift dissipativity quadratic form."""
-    return float(_r_values(field, plan, fd_step=fd_step).max())
+    return float(_r_values(field, plan).max())
 
 
 def _zeta_values(field: PeriodicCoefficientField, plan: SamplePlan) -> np.ndarray:
@@ -211,13 +210,13 @@ def _zeta_values(field: PeriodicCoefficientField, plan: SamplePlan) -> np.ndarra
     return zeta
 
 
-def ell_p(field: PeriodicCoefficientField, plan: SamplePlan, p: float, fd_step: float = 1e-5) -> float:
+def ell_p(field: PeriodicCoefficientField, plan: SamplePlan, p: float) -> float:
     """Gradient-envelope constant ell_p over the plan.
 
     For x-independent diffusion zeta vanishes and the estimate collapses to
     r0 for every p (that case is also the only one where p = 1 is allowed).
     """
-    r = _r_values(field, plan, fd_step=fd_step)
+    r = _r_values(field, plan)
     zeta = _zeta_values(field, plan)
     if np.all(zeta == 0.0):
         return float(r.max())
@@ -235,18 +234,15 @@ def check_hypotheses(
     field: PeriodicCoefficientField,
     plan: SamplePlan,
     p_values: Sequence[float] = (1.5, 2.0, 4.0),
-    lyapunov_n: int = 1,
-    fd_step: float = 1e-5,
 ) -> HypothesisReport:
-    """Run every checker and aggregate the certification report."""
+    """Run every checker, with the Lyapunov function 1 + |x|^2, and aggregate the report."""
     eta0, lam = ellipticity_bounds(field, plan)
-    r0 = dissipativity_r0(field, plan, fd_step=fd_step)
+    r0 = dissipativity_r0(field, plan)
     zeta = _zeta_values(field, plan)
-    ells = {float(p): ell_p(field, plan, p, fd_step=fd_step) for p in p_values}
-    lyap = lyapunov_check(field, plan, n=lyapunov_n)
+    ells = {float(p): ell_p(field, plan, p) for p in p_values}
+    lyap = lyapunov_check(field, plan)
     return HypothesisReport(
         field_name=field.name,
-        period=field.period,
         r_max=plan.r_max,
         eta0_hat=eta0,
         lambda_hat=lam,

@@ -349,14 +349,6 @@ def mean_and_stderr(vals: np.ndarray, antithetic: bool, block_size: int):
     return mean, se
 
 
-def lp_norm(ensemble: ParticleEnsemble, f, p: float) -> float:
-    """Empirical L^p norm of f against the ensemble's equal-weight measure."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    vals = np.abs(np.asarray(f(ensemble.positions)))
-    return float(np.mean(vals**p) ** (1.0 / p))
-
-
 def evolve_tangent(
     field: PeriodicCoefficientField,
     ensemble: TangentEnsemble,
@@ -375,42 +367,18 @@ def evolve_tangent(
     return TangentEnsemble(t_out, pos, jac)
 
 
-def tangent_gradient(
-    field: PeriodicCoefficientField,
-    phi_grad,
-    t: float,
-    s: float,
-    x,
-    config: SimConfig,
-    stream: int = 3,
-):
-    """Pathwise gradient of the transition expectation at the point x.
-
-    ``phi_grad(X) -> (n, d)`` is the gradient of the test function; the
-    estimator is the mean of J^T grad phi(X_t) along the tangent flow.
-    Returns (gradient vector, scalar stderr).
-    """
-    ens = TangentEnsemble.identity(s, np.tile(np.atleast_1d(x), (config.n_particles, 1)))
-    out = evolve_tangent(field, ens, s, t, config, stream)
-    pulled = np.einsum("nij,ni->nj", out.jacobians, np.asarray(phi_grad(out.positions)))
-    grad = pulled.mean(axis=0)
-    se = float(np.linalg.norm(pulled.std(axis=0, ddof=1)) / math.sqrt(out.n))
-    return grad, se
-
-
 def horizon_is_converged(
     field: PeriodicCoefficientField,
     s: float,
     config: SimConfig,
     certificate: LyapunovResult | None = None,
-    moments=(1, 2),
 ) -> bool:
-    """Doubling test for the far-past horizon: moments move by < 2 stderr."""
+    """Doubling test for the far-past horizon: first and second moments move by < 2 stderr."""
     base = sample_periodic_measure(field, s, config, certificate, stream=2)
     doubled = sample_periodic_measure(
         field, s, replace(config, horizon_periods=2 * config.horizon_periods), certificate, stream=2
     )
-    for k in moments:
+    for k in (1, 2):
         for axis in range(field.dim):
             a = base.positions[:, axis] ** k
             b = doubled.positions[:, axis] ** k

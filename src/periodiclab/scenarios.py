@@ -46,7 +46,7 @@ _PLAN_KEYS = {"r_max", "n_times", "n_axis", "n_shells", "n_shell_dirs"}
 _SIM_KEYS = {"particles", "dt", "horizon_periods", "antithetic", "n_outer", "n_inner"}
 _GRID_KEYS = {"half_width", "points_per_axis", "time_slices", "time_scheme", "substeps"}
 _EXPERIMENT_KEYS = {
-    "hypothesis-check": {"name", "moment_phases", "lyapunov_n"},
+    "hypothesis-check": {"name", "moment_phases"},
     "decay": {"name", "engine", "ps", "horizons", "window", "rate_bounds",
               "envelope_rate", "contraction_gaps", "contraction_ps"},
     "gradient-decay": {"name", "engine", "ps", "horizons", "window", "rate_bounds",
@@ -56,7 +56,7 @@ _EXPERIMENT_KEYS = {
     "logsob": {"name", "ps", "n_phases"},
     "spectrum": {"name", "k", "cluster_tol", "gap_cap", "refine", "carre", "solvability"},
     "spectral-mapping": {"name", "tol", "substeps"},
-    "core-consistency": {"name", "engine", "tol"},
+    "core-consistency": {"name", "tol"},
 }
 
 
@@ -97,7 +97,7 @@ def validate_scenario(doc: dict) -> dict:
         if name == "logsob":
             _require(not q_varies,
                      "the entropy inequality needs diffusion independent of x", path)
-        if name in ("decay", "gradient-decay", "rate-equivalence", "core-consistency"):
+        if name in ("decay", "gradient-decay", "rate-equivalence"):
             engine = spec.get("engine", "montecarlo")
             _require(engine in ("montecarlo", "grid", "ou-exact"),
                      f"unknown engine {engine!r}", f"{path}.engine")
@@ -211,16 +211,6 @@ class RunContext:
             antithetic=s.get("antithetic", False),
         )
 
-    def space_time_grid(self) -> gridmod.SpaceTimeGrid:
-        g = self.doc.get("grid", {})
-        return gridmod.SpaceTimeGrid(
-            half_width=g.get("half_width", 4.5),
-            points_per_axis=g.get("points_per_axis", 63),
-            time_slices=g.get("time_slices", 33),
-            period=self.field.period,
-            dim=self.field.dim,
-        )
-
     def engine(self, name: str):
         if name == "montecarlo":
             return self._mc_engine
@@ -233,10 +223,16 @@ class RunContext:
     @cached_property
     def _mc_engine(self):
         s = self.doc.get("sim", {})
+        config = self.sim_config()
+        n_outer = s.get("n_outer", 128)
+        # checked here, not in validate_scenario: CLI overrides may lower the particle count
+        _require(n_outer <= config.n_particles,
+                 f"n_outer {n_outer} exceeds the {config.n_particles} particles it is drawn from",
+                 "$.sim.n_outer")
         return eng.MonteCarloEngine(
             self.field,
-            self.sim_config(),
-            n_outer=s.get("n_outer", 128),
+            config,
+            n_outer=n_outer,
             n_inner=s.get("n_inner", 2048),
             certificate=self.hypothesis_report.lyapunov,
         )
@@ -249,21 +245,21 @@ class RunContext:
 
     @cached_property
     def _grid_engine(self):
-        g = self.doc.get("grid", {})
-        return eng.GridEngine(
-            self.field,
-            self.space_time_grid(),
-            time_scheme=g.get("time_scheme", "spectral"),
-            substeps=g.get("substeps", 2),
-            generator=self.generator,
-        )
+        return eng.GridEngine(self.field, self.generator,
+                              substeps=self.doc.get("grid", {}).get("substeps", 2))
 
     @cached_property
-    def generator(self):
+    def generator(self) -> gridmod.DiscreteGenerator:
+        """The space-time generator, the one source of the grid for every grid experiment."""
         g = self.doc.get("grid", {})
-        return gridmod.build_generator(
-            self.field, self.space_time_grid(), g.get("time_scheme", "spectral")
+        grid = gridmod.SpaceTimeGrid(
+            half_width=g.get("half_width", 4.5),
+            points_per_axis=g.get("points_per_axis", 63),
+            time_slices=g.get("time_slices", 33),
+            period=self.field.period,
+            dim=self.field.dim,
         )
+        return gridmod.build_generator(self.field, grid, g.get("time_scheme", "spectral"))
 
 
 @dataclass
@@ -550,7 +546,7 @@ def _run_spectrum(ctx: RunContext, params: dict) -> ExperimentResult:
                              f"gap {report.gap_estimate:.4f} <= {gap_cap}"))
     payload = {"spectrum": report.to_jsonable(), "rho_residual": gen.rho_residual}
     refine, carre = params.get("refine", False), params.get("carre", False)
-    fine = (gridmod.build_generator(ctx.field, gen.grid.refined(2), gen.time_scheme)
+    fine = (gridmod.build_generator(ctx.field, gen.grid.refined(), gen.time_scheme)
             if refine or carre else None)
     if refine:
         fine_rep = gridmod.spectrum(fine, k=12, cluster_tol=cluster_tol,
@@ -607,9 +603,8 @@ def _run_spectrum(ctx: RunContext, params: dict) -> ExperimentResult:
 def _run_spectral_mapping(ctx: RunContext, params: dict) -> ExperimentResult:
     gen = ctx.generator
     report = gridmod.spectrum(gen, k=40)
-    result = gridmod.spectral_mapping_check(
-        gen, ctx.field, gen.grid, substeps=params.get("substeps", 4), report=report
-    )
+    result = gridmod.spectral_mapping_check(gen, ctx.field, report,
+                                            substeps=params.get("substeps", 4))
     tol = params.get("tol", 1e-3)
     checks = [_check("spectral-mapping", result["worst_mismatch"] <= tol,
                      f"worst mismatch {result['worst_mismatch']:.2e} <= {tol}")]
@@ -628,10 +623,9 @@ def _run_core_consistency(ctx: RunContext, params: dict) -> ExperimentResult:
     tol = params.get("tol", 5e-2)
     checks = []
     payload = {}
-    grid = ctx.space_time_grid()
-    u_fn, image = dg.core_on_grid(ctx.field, grid, period, chi, alpha,
-                                  substeps=ctx.doc.get("grid", {}).get("substeps", 2))
     gen = ctx.generator
+    u_fn, image = dg.core_on_grid(ctx.field, gen.grid, period, chi, alpha,
+                                  substeps=ctx.doc.get("grid", {}).get("substeps", 2))
     applied = (gen.matrix @ u_fn.ravel()).reshape(u_fn.values.shape)
     err = float(np.sqrt(np.dot(gen.rho, ((applied - image.values).ravel()) ** 2)))
     scale = float(np.sqrt(np.dot(gen.rho, (image.values.ravel()) ** 2)))

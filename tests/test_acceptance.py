@@ -123,9 +123,8 @@ class TestAC4RateEquivalence:
         assert out["difference"] <= 0.1
         _report("AC4", f"ou1d |omega-gamma| = {out['difference']:.4f} <= 0.1")
 
-    def test_grad1d(self, grad_field, grad_grid, grad_generator, battery1):
-        engine = eng.GridEngine(grad_field, grad_grid, substeps=2,
-                                generator=grad_generator)
+    def test_grad1d(self, grad_field, grad_generator, battery1):
+        engine = eng.GridEngine(grad_field, grad_generator, substeps=2)
         phis = [p for p in battery1 if p.fid in ("tanh", "sin", "ratio")]
         horizons = [1 + 0.25 * k for k in range(13)]
         out = dg.rate_equivalence_check(engine, phis, 0.0, 2.0, horizons, (1.0, 4.0))
@@ -222,10 +221,10 @@ class TestAC9Spectrum:
         assert err <= 1e-3
         cap = ou_report.ell_p_hat[2.0] + 0.1
         assert ou_spectrum.gap_estimate <= cap
-        mapping = gridmod.spectral_mapping_check(ou_generator, ou_field, ou_grid,
-                                                 substeps=4, report=ou_spectrum)
+        mapping = gridmod.spectral_mapping_check(ou_generator, ou_field, ou_spectrum,
+                                                 substeps=4)
         assert mapping["worst_mismatch"] <= 1e-3
-        fine = gridmod.build_generator(ou_field, ou_grid.refined(2), "spectral")
+        fine = gridmod.build_generator(ou_field, ou_grid.refined(), "spectral")
         fine_rep = gridmod.spectrum(fine, k=12, dense_cutoff=0)
         drift = abs(fine_rep.gap_estimate - ou_spectrum.gap_estimate)
         assert drift <= 0.05
@@ -237,10 +236,10 @@ class TestAC9Spectrum:
         assert err <= 1e-3
         cap = grad_report.ell_p_hat[2.0] + 0.1
         assert grad_spectrum.gap_estimate <= cap
-        mapping = gridmod.spectral_mapping_check(grad_generator, grad_field, grad_grid,
-                                                 substeps=4, report=grad_spectrum)
+        mapping = gridmod.spectral_mapping_check(grad_generator, grad_field, grad_spectrum,
+                                                 substeps=4)
         assert mapping["worst_mismatch"] <= 1e-3
-        fine = gridmod.build_generator(grad_field, grad_grid.refined(2), "spectral")
+        fine = gridmod.build_generator(grad_field, grad_grid.refined(), "spectral")
         fine_rep = gridmod.spectrum(fine, k=12, dense_cutoff=0)
         drift = abs(fine_rep.gap_estimate - grad_spectrum.gap_estimate)
         assert drift <= 0.05

@@ -137,11 +137,11 @@ class TestRateEquivalence:
 
 
 @pytest.mark.parametrize("kind", ["ou-exact", "grid", "montecarlo"])
-def test_engine_protocol(kind, ou_model, ou_field, ou_grid, ou_generator, ou_report, battery1):
+def test_engine_protocol(kind, ou_model, ou_field, ou_generator, ou_report, battery1):
     if kind == "ou-exact":
         engine = eng.OUExactEngine(ou_model, n_phases=9, order=20)
     elif kind == "grid":
-        engine = eng.GridEngine(ou_field, ou_grid, generator=ou_generator)
+        engine = eng.GridEngine(ou_field, ou_generator)
     else:
         config = mc.SimConfig(n_particles=200, dt=0.02, seed=3, horizon_periods=2)
         engine = eng.MonteCarloEngine(ou_field, config, n_outer=8, n_inner=16,
@@ -359,9 +359,8 @@ class TestCrossEngineConsistency:
         """The two generic engines must agree pointwise on the nonlinear field."""
         s, t = 0.0, 1.5
         probes = np.array([[0.7], [-1.1], [0.0]])
-        mat = gridmod.transition_matrix(grad_field, grad_grid, s, t, substeps=4)
-        tanh_vec = np.tanh(grad_grid.nodes()[:, 0])
-        g_grid = mat @ tanh_vec
+        g_grid = gridmod.transition_matrix(grad_field, grad_grid, s, t,
+                                           np.tanh(grad_grid.nodes()[:, 0]), substeps=4)
         x_nodes = grad_grid.nodes()[:, 0]
         config = mc.SimConfig(n_particles=40000, dt=0.004, seed=77)
         for probe in probes:

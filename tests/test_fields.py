@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from periodiclab import fields as fl
-from periodiclab.errors import MissingGradient
 
 
 @settings(max_examples=25, deadline=None)
@@ -59,8 +58,6 @@ def test_grad_b_finite_difference_fallback():
     fd = bare.grad_b_at(0.2, pts)
     exact = base.grad_b_at(0.2, pts)
     assert np.allclose(fd, exact, atol=1e-8)
-    with pytest.raises(MissingGradient):
-        bare.grad_b_at(0.2, pts, fd_step=0.0)
 
 
 def test_plan_shapes_and_refinement():

@@ -5,27 +5,30 @@ import math
 import numpy as np
 import pytest
 
+from periodiclab import engines as eng
 from periodiclab import fields as fl
 from periodiclab import grid as gr
 from periodiclab import ougaussian as ou
-from periodiclab.errors import BoxTooSmall, PerronFailure
+from periodiclab.errors import PerronFailure
 
 HEAT = fl.polynomial_field(1, 1.0, q_const=0.5, name="heat")
 
 
 class TestStepForward:
+    """Crank-Nicolson stepping through the transition slice map."""
+
     def test_constants_are_caloric(self):
         g = gr.SpaceTimeGrid(half_width=6.0, points_per_axis=127, time_slices=32, period=1.0)
         x = g.nodes()[:, 0]
         u0 = np.exp(-((x / 4.0) ** 16))
-        out = gr.step_forward(HEAT, u0, 0.0, 0.05, g, substeps=4)
+        out = gr.transition_matrix(HEAT, g, 0.0, 0.05, u0, substeps=4)
         assert np.abs(out - 1.0)[np.abs(x) < 1.0].max() < 1e-4
 
     def test_heat_kernel_oracle(self):
         g = gr.SpaceTimeGrid(half_width=6.0, points_per_axis=191, time_slices=32, period=1.0)
         x = g.nodes()[:, 0]
         u0 = np.exp(-(x**2) / 0.2) / math.sqrt(0.2 * np.pi)
-        out = gr.step_forward(HEAT, u0, 0.0, 0.5, g, substeps=4)
+        out = gr.transition_matrix(HEAT, g, 0.0, 0.5, u0, substeps=4)
         exact = np.exp(-(x**2) / 1.2) / math.sqrt(1.2 * np.pi)
         assert np.abs(out - exact)[np.abs(x) < 3.0].max() < 1e-3
 
@@ -34,25 +37,37 @@ class TestStepForward:
         x = g.nodes()[:, 0]
         taper = np.exp(-((x / 4.0) ** 20))
         phi = x * taper
-        out = gr.step_forward(ou_field, phi, 0.0, 0.7, g, substeps=4)
+        out = gr.transition_matrix(ou_field, g, 0.0, 0.7, phi, substeps=4)
         # quadrature oracle for the same (tapered) data
         exact = ou.apply(ou_model, lambda X: X[:, 0] * np.exp(-((X[:, 0] / 4.0) ** 20)),
                          0.7, 0.0, g.nodes(), order=80)
         assert np.abs(out - exact)[np.abs(x) < 2.0].max() < 1e-3
 
+    def test_ou_nonlinear_oracle_off_phase(self, ou_model, ou_field):
+        """A nonlinear phi away from phase 0 tells the transition clock from the
+        reversed one (for the linear phi above the two agree)."""
+        g = gr.SpaceTimeGrid(half_width=5.0, points_per_axis=191, time_slices=32, period=1.0)
+        x = g.nodes()[:, 0]
+        tanh = next(phi for phi in eng.battery(1) if phi.fid == "tanh")
+        out = gr.transition_matrix(ou_field, g, 0.2, 0.7, tanh(g.nodes()), substeps=4)
+        exact = ou.apply(ou_model, tanh, 0.7, 0.2, g.nodes(), order=80)
+        assert np.abs(out - exact)[np.abs(x) < 2.0].max() < 1e-3
+
+    def test_block_matches_dense_map(self, ou_field):
+        g = gr.SpaceTimeGrid(half_width=4.5, points_per_axis=31, time_slices=17, period=1.0)
+        block = np.random.default_rng(3).standard_normal((g.n_space, 3))
+        dense = gr.transition_matrix(ou_field, g, 0.1, 0.6, np.eye(g.n_space))
+        out = gr.transition_matrix(ou_field, g, 0.1, 0.6, block)
+        assert out.shape == block.shape
+        assert np.abs(out - dense @ block).max() <= 1e-12 * np.abs(dense @ block).max()
+
     def test_max_principle(self):
         g = gr.SpaceTimeGrid(half_width=6.0, points_per_axis=127, time_slices=64, period=1.0)
         x = g.nodes()[:, 0]
         u0 = np.exp(-(x**2) / 0.5)
-        out = gr.step_forward(HEAT, u0, 0.0, 0.25, g, substeps=8)
+        out = gr.transition_matrix(HEAT, g, 0.0, 0.25, u0, substeps=8)
         assert out.min() >= u0.min() - 1e-8
         assert out.max() <= u0.max() + 1e-8
-
-    def test_box_too_small(self):
-        g = gr.SpaceTimeGrid(half_width=3.0, points_per_axis=63, time_slices=32, period=1.0)
-        x = g.nodes()[:, 0]
-        with pytest.raises(BoxTooSmall):
-            gr.step_forward(HEAT, np.exp(-(x**2) / 8.0), 0.0, 0.1, g)
 
     def test_heat_2d(self):
         field = fl.polynomial_field(2, 1.0, q_const=0.5, name="heat2")
@@ -61,7 +76,7 @@ class TestStepForward:
         pts = g.nodes()
         r2 = np.sum(pts**2, axis=1)
         u0 = np.exp(-r2 / 0.4) / (0.4 * np.pi)
-        out = gr.step_forward(field, u0, 0.0, 0.3, g, substeps=4)
+        out = gr.transition_matrix(field, g, 0.0, 0.3, u0, substeps=4)
         exact = np.exp(-r2 / 1.0) / (1.0 * np.pi)
         mask = r2 < 4.0
         # coarser 2-d lattice than the pinned 1-d case: second-order in h
@@ -189,8 +204,7 @@ class TestSpectrum:
 
 class TestSpectralMapping:
     def test_ou_mapping(self, ou_generator, ou_field, ou_grid, ou_spectrum):
-        out = gr.spectral_mapping_check(ou_generator, ou_field, ou_grid,
-                                        substeps=4, report=ou_spectrum)
+        out = gr.spectral_mapping_check(ou_generator, ou_field, ou_spectrum, substeps=4)
         assert out["worst_mismatch"] <= 1e-3
         leading = [r for r in out["rows"] if r["kind"] == "leading"]
         # eigenvalue 0 and the +-2 pi i / T pair all map to multiplier 1
@@ -199,7 +213,8 @@ class TestSpectralMapping:
             assert abs(target - 1.0) < 1e-4
 
     def test_multiplier_one_aliases_axis(self, ou_field, ou_grid):
-        mono = gr.one_period_propagator(ou_field, ou_grid, 0.0, substeps=4)
+        mono = gr.transition_matrix(ou_field, ou_grid, 0.0, 1.0, np.eye(ou_grid.n_space),
+                                    substeps=4)
         mults = np.linalg.eigvals(mono)
         assert np.abs(mults - 1.0).min() < 1e-6
 
@@ -251,6 +266,7 @@ class TestAliasing:
         block diagonal over phases, so each block contributes one such
         multiplier and the total multiplicity dominates the axis count."""
         for phase in (0.0, 0.25, 0.5):
-            mono = gr.one_period_propagator(ou_field, ou_grid, phase, substeps=2)
+            mono = gr.transition_matrix(ou_field, ou_grid, phase, phase + 1.0,
+                                        np.eye(ou_grid.n_space))
             mults = np.linalg.eigvals(mono)
             assert np.abs(mults - 1.0).min() < 1e-6

@@ -279,34 +279,26 @@ class TestPeriodicMeasure:
         assert mc.horizon_is_converged(grad_field, 0.0, config, grad_report.lyapunov)
 
 
-class TestLpNorm:
-    def test_constant(self):
-        ens = mc.ParticleEnsemble(0.0, np.zeros((500, 1)))
-        assert mc.lp_norm(ens, lambda X: np.full(len(X), 2.0), 3.0) == 2.0
-
-    def test_standard_normal_second_moment(self):
-        rng = np.random.default_rng(11)
-        ens = mc.ParticleEnsemble(0.0, rng.standard_normal((40000, 1)))
-        val = mc.lp_norm(ens, lambda X: X[:, 0], 2.0)
-        assert abs(val - 1.0) <= 4 * math.sqrt(2.0 / ens.n)
-
-    def test_evaluation_error_surfaces(self):
-        ens = mc.ParticleEnsemble(0.0, np.zeros((100, 1)))
-        with pytest.raises(ValueError):
-            mc.lp_norm(ens, lambda X: X @ np.ones(5), 2.0)
+def _pathwise_gradient(field, phi_grad, t, s, x, config):
+    """Mean and scalar stderr of J^T grad phi(X_t) over a tangent flow started at x."""
+    ens = mc.TangentEnsemble.identity(s, np.tile(x, (config.n_particles, 1)))
+    out = mc.evolve_tangent(field, ens, s, t, config, stream=3)
+    pulled = np.einsum("nij,ni->nj", out.jacobians, phi_grad(out.positions))
+    se = float(np.linalg.norm(pulled.std(axis=0, ddof=1)) / math.sqrt(out.n))
+    return pulled.mean(axis=0), se
 
 
 class TestTangentFlow:
     def test_constant_gradient_zero(self, ou_field):
         config = mc.SimConfig(n_particles=500, dt=0.01, seed=12)
-        grad, se = mc.tangent_gradient(ou_field, lambda X: np.zeros_like(X),
-                                       1.0, 0.0, [0.3], config)
+        grad, se = _pathwise_gradient(ou_field, lambda X: np.zeros_like(X),
+                                      1.0, 0.0, [0.3], config)
         assert np.all(grad == 0.0) and se == 0.0
 
     def test_ou_linear_jacobian(self, ou_model, ou_field):
         config = mc.SimConfig(n_particles=2000, dt=0.0025, seed=13)
-        grad, _ = mc.tangent_gradient(ou_field, lambda X: np.ones((len(X), 1)),
-                                      1.0, 0.0, [0.5], config)
+        grad, _ = _pathwise_gradient(ou_field, lambda X: np.ones((len(X), 1)),
+                                     1.0, 0.0, [0.5], config)
         expected = ou.propagator(ou_model, 1.0, 0.0)[0, 0]
         assert abs(grad[0] - expected) < 3e-3  # deterministic Jacobian, Euler bias only
 

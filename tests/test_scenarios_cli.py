@@ -1,5 +1,7 @@
 """Scenario schema validation, CLI behavior, and report determinism."""
 
+import ast
+import inspect
 import json
 
 import pytest
@@ -80,6 +82,50 @@ class TestValidation:
         with pytest.raises(ConfigError):
             sc.load_scenario("not-a-scenario")
 
+    @pytest.mark.parametrize("name, key, value", [
+        ("hypothesis-check", "lyapunov_n", 2),
+        ("core-consistency", "engine", "grid"),
+    ])
+    def test_unread_experiment_keys_rejected(self, name, key, value):
+        doc = json.loads(json.dumps(sc.load_scenario("grad1d")))
+        i = next(k for k, e in enumerate(doc["experiments"]) if e["name"] == name)
+        doc["experiments"][i][key] = value
+        with pytest.raises(ConfigError) as err:
+            sc.validate_scenario(doc)
+        assert f"$.experiments[{i}].{key}" in str(err.value)
+
+
+def _params_keys(func, param: str, seen: set) -> set:
+    """String keys a function reads from its dict argument ``param``.
+
+    Follows module-level helpers of ``scenarios`` that receive the dict.
+    """
+    tree = ast.parse(inspect.getsource(func).lstrip())
+    keys = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == param and isinstance(node.args[0], ast.Constant)):
+            keys.add(node.args[0].value)
+        elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+              and node.value.id == param and isinstance(node.slice, ast.Constant)):
+            keys.add(node.slice.value)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            helper = getattr(sc, node.func.id, None)
+            for pos, arg in enumerate(node.args):
+                if (isinstance(arg, ast.Name) and arg.id == param and inspect.isfunction(helper)
+                        and helper not in seen):
+                    name = list(inspect.signature(helper).parameters)[pos]
+                    keys |= _params_keys(helper, name, seen | {helper})
+    return keys
+
+
+@pytest.mark.parametrize("name", sorted(sc._RUNNERS))
+def test_every_accepted_experiment_key_is_read(name):
+    runner = sc._RUNNERS[name]
+    params = list(inspect.signature(runner).parameters)[1]
+    assert _params_keys(runner, params, {runner}) == sc._EXPERIMENT_KEYS[name] - {"name"}
+
 
 class TestCli:
     def test_list_includes_builtins(self, capsys):
@@ -158,9 +204,36 @@ class TestRun:
         out = capsys.readouterr().out
         assert "checks passed" in out
 
+    def test_n_outer_above_particles_is_a_config_error(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(TINY))
+        doc["sim"]["n_outer"] = 128
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        argv = ["run", str(path), "--out", str(tmp_path / "out"), "--particles", "100"]
+        assert cli.main(argv) == 2
+        assert "$.sim.n_outer" in capsys.readouterr().err
+
     def test_seed_override_changes_numbers(self, tiny_run, tmp_path):
         out, _ = tiny_run
         doc = json.loads(json.dumps(TINY))
         other = tmp_path / "seeded"
         sc.run_scenario(doc, other, overrides={"seed": 99})
         assert (other / "decay.csv").read_bytes() != (out / "decay.csv").read_bytes()
+
+
+def test_jobs_parallel_same_bytes_grid_scenario(tmp_path):
+    """ou1d at toy sizes: the generator built before the workers start gives
+    the same bytes as a serial run."""
+    doc = json.loads(json.dumps(sc.load_scenario("ou1d")))
+    doc["sim"] = {"particles": 200, "dt": 0.02, "horizon_periods": 2, "n_outer": 8,
+                  "n_inner": 16, "antithetic": True}
+    doc["grid"] = {"half_width": 4.5, "points_per_axis": 31, "time_slices": 17,
+                   "time_scheme": "spectral", "substeps": 1}
+    doc["plan"] = {"r_max": 6.0, "n_times": 8, "n_axis": 9, "n_shells": 2, "n_shell_dirs": 2}
+    sc.run_scenario(doc, tmp_path / "serial", jobs=1)
+    sc.run_scenario(doc, tmp_path / "par", jobs=3)
+    names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "par").iterdir())
+    assert len(names) == 17  # eight experiments, a JSON and a CSV each, plus summary.json
+    for name in names:
+        assert (tmp_path / "par" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()

@@ -5,7 +5,9 @@ Conventions shared by every diagnostic:
 * decay values are ``|| P(s+tau, s) phi - m phi ||_{L^p}`` integrated against
   the invariant measure at the target time, with the centering taken at the
   target phase (at whole-period horizons this coincides with the starting
-  phase, which is how the shipped scenarios are probed);
+  phase, which is how the shipped scenarios are probed).  Engines only
+  transport; the centering ``m_{s+tau} phi`` is taken here, from the
+  engine's ``phase_mean``;
 * inequality checks are one-sided with a ``5 x stderr`` statistical slack:
   the inequalities must never be violated beyond sampling noise, but they
   are not expected to be tight;
@@ -120,56 +122,37 @@ def decay_curve(
     phi: TestFunction,
     s: float,
     p: float,
-    horizons: Sequence[float],
-    profile: TransferProfile | None = None,
+    profile: TransferProfile,
+    gradient: bool = False,
 ) -> DecayCurve:
-    """Distance-to-equilibrium curve for one test function."""
-    if profile is None:
-        profile = engine.transfer_profile([phi], s, horizons)
-    return _curve_from_profile(profile, phi.fid, p, engine.name, kind="value")
+    """Distance-to-equilibrium curve (or, with ``gradient``, gradient-norm curve)
+    of one test function from a transfer profile started at time s.
 
-
-def gradient_decay_curve(
-    engine,
-    phi: TestFunction,
-    s: float,
-    p: float,
-    horizons: Sequence[float],
-    profile: TransferProfile | None = None,
-) -> DecayCurve:
-    """Gradient-norm decay curve; horizons below one period of separation are
-    excluded (the gradient envelope statements start at unit separation)."""
-    horizons = [tau for tau in horizons if tau >= 1.0]
-    if not horizons:
+    Value curves centre each horizon with the engine's phase mean at the target
+    time; gradient curves need every horizon at one period of separation or
+    more (the gradient envelope statements start at unit separation)."""
+    if gradient and np.any(profile.horizons < 1.0):
         raise DegenerateWindow("gradient curves need horizons with tau >= 1")
-    if profile is None:
-        profile = engine.transfer_profile([phi], s, horizons, gradients=True)
-    elif np.any(profile.horizons < 1.0):
-        raise DegenerateWindow("provided profile contains sub-unit separations")
-    return _curve_from_profile(profile, phi.fid, p, engine.name, kind="gradient")
-
-
-def _curve_from_profile(profile, fid, p, engine_id, kind) -> DecayCurve:
     values = np.empty(len(profile.horizons))
     errs = np.empty(len(profile.horizons))
-    entry = profile.values[fid] if kind == "value" else profile.grads[fid]
-    for k in range(len(profile.horizons)):
+    entry = profile.grads[phi.fid] if gradient else profile.values[phi.fid]
+    for k, tau in enumerate(profile.horizons):
         g, se = entry[k]
         w = profile.outer_weights[k]
-        if kind == "value":
-            centered = g - profile.target_mean[fid][k]
-            values[k], errs[k] = debiased_power_mean(centered, se, w, p, profile.stochastic)
-            errs[k] = math.hypot(errs[k], profile.target_mean_se[fid][k])
+        if gradient:
+            values[k], errs[k] = debiased_power_mean(g, se, w, p, engine.stochastic)
         else:
-            values[k], errs[k] = debiased_power_mean(g, se, w, p, profile.stochastic)
+            mean, mean_se = engine.phase_mean(phi, s + tau)
+            values[k], errs[k] = debiased_power_mean(g - mean, se, w, p, engine.stochastic)
+            errs[k] = math.hypot(errs[k], mean_se)
     return DecayCurve(
         taus=profile.horizons.copy(),
         values=values,
         stderrs=errs,
         p=p,
-        phi_id=fid,
-        engine_id=engine_id,
-        kind=kind,
+        phi_id=phi.fid,
+        engine_id=engine.name,
+        kind="gradient" if gradient else "value",
     )
 
 
@@ -247,8 +230,8 @@ def rate_equivalence_check(
     if p < 2:
         raise NotApplicable("rate equivalence is checked for p >= 2")
     profile = engine.transfer_profile(list(phis), s, horizons, gradients=True)
-    value_curves = [decay_curve(engine, phi, s, p, horizons, profile) for phi in phis]
-    grad_curves = [gradient_decay_curve(engine, phi, s, p, horizons, profile) for phi in phis]
+    value_curves = [decay_curve(engine, phi, s, p, profile) for phi in phis]
+    grad_curves = [decay_curve(engine, phi, s, p, profile, gradient=True) for phi in phis]
     omega = fit_rate(max_over_curves(value_curves), window)
     gamma = fit_rate(max_over_curves(grad_curves), window)
     return {
@@ -265,7 +248,6 @@ def rate_equivalence_check(
 class PhaseMeasures:
     """Phase-indexed quadrature for the space-time invariant measure."""
 
-    period: float
     phases: np.ndarray
     nodes: list          # per phase (m, d)
     weights: list        # per phase (m,), each summing to 1
@@ -273,15 +255,13 @@ class PhaseMeasures:
 
     @staticmethod
     def from_engine(engine, n_phases: int) -> "PhaseMeasures":
-        period = engine.period
-        phases = period * np.arange(n_phases) / n_phases
+        phases = engine.period * np.arange(n_phases) / n_phases
         nodes, weights = [], []
         for ph in phases:
             pts, w = engine.phase_nodes(ph)
             nodes.append(pts)
             weights.append(w)
         return PhaseMeasures(
-            period=period,
             phases=phases,
             nodes=nodes,
             weights=weights,
@@ -446,12 +426,12 @@ def contraction_invariance_report(
             w = profile.outer_weights[k]
             mean_p = float(np.dot(w, g))
             mean_p_se = 0.0
-            if profile.stochastic:
+            if engine.stochastic:
                 mean_p_se = math.sqrt(float(np.dot(w**2, se**2))
                                       + float(np.dot(w**2, (g - mean_p) ** 2)))
             mean_phi, mean_phi_se = engine.phase_mean(phi, s + gap)
             for p in ps:
-                lhs, lhs_se = debiased_power_mean(g, se, w, p, profile.stochastic)
+                lhs, lhs_se = debiased_power_mean(g, se, w, p, engine.stochastic)
                 rhs, rhs_se = engine.phase_lp(phi, s + gap, p)
                 rows.append({
                     "phi": phi.fid, "p": p, "gap": float(gap),

@@ -15,9 +15,10 @@ Every engine exposes the same seven members:
   horizons, with per-point standard errors (zero for the deterministic
   engines).
 
-Profiles always evaluate the transported test function at points distributed
-like the measure at the *target* time, which is what the decay norms
-integrate against.  The test functions the diagnostics apply (the
+Engines only transport.  A profile evaluates the transported test function
+at points distributed like the measure at the *target* time, which is what
+the decay norms integrate against, and carries no centering: diagnostics
+centres with ``phase_mean``.  The test functions the diagnostics apply (the
 space-only battery and the space-time batteries of the inequality checks)
 live here too.
 """
@@ -44,7 +45,6 @@ class TestFunction:
     fid: str
     fn: object                   # (n, d) -> (n,)
     grad: object                 # (n, d) -> (n, d)
-    bounded: bool = True
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.atleast_2d(points)))
@@ -60,9 +60,7 @@ def battery(dim: int) -> list[TestFunction]:
     """The documented test-function battery (ids are stable report keys)."""
     fns = [
         TestFunction("const", lambda X: np.ones(len(X)), lambda X: np.zeros_like(X)),
-        TestFunction(
-            "coord0", lambda X: X[:, 0], lambda X: _axis0_grad(X, 1.0), bounded=False
-        ),
+        TestFunction("coord0", lambda X: X[:, 0], lambda X: _axis0_grad(X, 1.0)),
         TestFunction(
             "tanh",
             lambda X: np.tanh(X[:, 0]),
@@ -159,27 +157,21 @@ def positive_battery(dim: int) -> list[SpaceTimeFunction]:
 class TransferProfile:
     """Transition expectations over measure-distributed points per horizon."""
 
-    s: float
     horizons: np.ndarray                     # offsets tau, increasing
-    outer_points: list                       # per horizon: (M, d)
     outer_weights: list                      # per horizon: (M,), sums to 1
     values: dict                             # fid -> list of (g, se) arrays (M,)
     grads: dict                              # fid -> list of (gvec (M,d), se (M,)) or {}
-    target_mean: dict                        # fid -> (n_h,) m_{s+tau} phi
-    target_mean_se: dict                     # fid -> (n_h,)
-    stochastic: bool = False                 # True when outer points are samples
 
 
-def debiased_power_mean(g, se, weights, p: float, stochastic: bool = True):
+def debiased_power_mean(g, se, weights, p: float, stochastic: bool):
     """Weighted p-th power mean of |g| with inner-noise bias removed.
 
     For p in {2, 4} the leading Monte Carlo bias of |g_hat|^p is subtracted
     using the per-point standard errors; other exponents use the plain
     estimator.  Returns (value, stderr) with a delta-method stderr; for
-    deterministic quadrature data (``stochastic=False``) the stderr is zero
-    and no debiasing is applied."""
+    deterministic quadrature data (``stochastic=False``) the stderr is zero."""
     g = np.asarray(g, dtype=float)
-    se = np.zeros_like(g) if se is None else np.asarray(se, dtype=float)
+    se = np.asarray(se, dtype=float)
     if g.ndim == 1:
         sq = g * g
         se_sq = se * se
@@ -236,14 +228,12 @@ class OUExactEngine(QuadratureEngine):
 
     def transfer_profile(self, phis: Sequence[TestFunction], s: float, horizons, gradients=False):
         horizons = np.asarray(sorted(horizons), dtype=float)
-        outer_points, outer_weights = [], []
+        outer_weights = []
         values = {phi.fid: [] for phi in phis}
         grads = {phi.fid: [] for phi in phis} if gradients else {}
-        target_mean = {phi.fid: np.empty(len(horizons)) for phi in phis}
-        for k, tau in enumerate(horizons):
+        for tau in horizons:
             t = s + tau
             pts, w = self.phase_nodes(t)
-            outer_points.append(pts)
             outer_weights.append(w)
             u_mat, sig, shift = ou._transition_ode(self.model, t, s, ou.DEFAULT_TOL)
             z, zw = ou.hermite_nodes(self.model.dim, self.order)
@@ -253,21 +243,11 @@ class OUExactEngine(QuadratureEngine):
             for phi in phis:
                 vals = np.asarray(phi(flat)).reshape(len(zw), len(pts))
                 values[phi.fid].append((zw @ vals, np.zeros(len(pts))))
-                target_mean[phi.fid][k] = self.phase_mean(phi, t)[0]
                 if gradients:
                     gv = np.asarray(phi.grad_at(flat)).reshape(len(zw), len(pts), -1)
                     inner = np.einsum("q,qmd->md", zw, gv)
                     grads[phi.fid].append((inner @ u_mat, np.zeros(len(pts))))
-        return TransferProfile(
-            s=s,
-            horizons=horizons,
-            outer_points=outer_points,
-            outer_weights=outer_weights,
-            values=values,
-            grads=grads,
-            target_mean=target_mean,
-            target_mean_se={phi.fid: np.zeros(len(horizons)) for phi in phis},
-        )
+        return TransferProfile(horizons, outer_weights, values, grads)
 
 
 class MonteCarloEngine:
@@ -340,12 +320,9 @@ class MonteCarloEngine:
             raise QNotXIndependent("pathwise gradients need x-independent diffusion")
         horizons = np.asarray(sorted(horizons), dtype=float)
         n_h = len(horizons)
-        outer_points: list = [None] * n_h
-        outer_weights: list = [None] * n_h
+        outer_weights = [np.full(self.n_outer, 1.0 / self.n_outer)] * n_h
         values = {phi.fid: [None] * n_h for phi in phis}
         grads = {phi.fid: [None] * n_h for phi in phis} if gradients else {}
-        target_mean = {phi.fid: np.empty(n_h) for phi in phis}
-        target_mean_se = {phi.fid: np.empty(n_h) for phi in phis}
 
         groups: dict[float, list[int]] = {}
         for k, tau in enumerate(horizons):
@@ -362,15 +339,10 @@ class MonteCarloEngine:
             captures = [s + horizons[k] for k in idxs]
             snaps = mc._march(self.field, x0, jac0, s, captures, march_config, stream=53 + gi)
             for (t_snap, pos, jac), k in zip(snaps, idxs):
-                outer_points[k] = outer
-                outer_weights[k] = np.full(self.n_outer, 1.0 / self.n_outer)
                 for phi in phis:
                     vals = np.asarray(phi(pos)).reshape(self.n_outer, self.n_inner)
-                    g, se = mc.mean_and_stderr(vals, self.config.antithetic, self.n_inner)
-                    values[phi.fid][k] = (g, se)
-                    mean, mean_se = self.phase_mean(phi, s + horizons[k])
-                    target_mean[phi.fid][k] = mean
-                    target_mean_se[phi.fid][k] = mean_se
+                    values[phi.fid][k] = mc.mean_and_stderr(
+                        vals, self.config.antithetic, self.n_inner)
                     if gradients:
                         pulled = np.einsum("nij,ni->nj", jac, phi.grad_at(pos))
                         pulled = pulled.reshape(self.n_outer, self.n_inner, d)
@@ -383,17 +355,7 @@ class MonteCarloEngine:
                             comp_mean[:, c] = m_c
                             comp_var[:, c] = se_c**2
                         grads[phi.fid][k] = (comp_mean, np.sqrt(comp_var.sum(axis=1)))
-        return TransferProfile(
-            s=s,
-            horizons=horizons,
-            outer_points=outer_points,
-            outer_weights=outer_weights,
-            values=values,
-            grads=grads,
-            target_mean=target_mean,
-            target_mean_se=target_mean_se,
-            stochastic=True,
-        )
+        return TransferProfile(horizons, outer_weights, values, grads)
 
 
 class GridEngine(QuadratureEngine):
@@ -429,38 +391,24 @@ class GridEngine(QuadratureEngine):
 
     def transfer_profile(self, phis: Sequence[TestFunction], s: float, horizons, gradients=False):
         horizons = np.asarray(sorted(horizons), dtype=float)
-        nodes = self.grid.nodes()
-        n_h = len(horizons)
         values = {phi.fid: [] for phi in phis}
         grads = {phi.fid: [] for phi in phis} if gradients else {}
-        target_mean = {phi.fid: np.empty(n_h) for phi in phis}
-        outer_points, outer_weights = [], []
+        outer_weights = []
         mat = np.eye(self.grid.n_space)
         t_prev = s
+        nodes = self.grid.nodes()
         phi_vecs = {phi.fid: np.asarray(phi(nodes)) for phi in phis}
-        for k, tau in enumerate(horizons):
+        for tau in horizons:
             t = s + tau
             step = gridmod.transition_matrix(self.field, self.grid, t_prev, t,
                                              np.eye(self.grid.n_space), self.substeps)
             mat = mat @ step
             t_prev = t
-            w = self._rho_at(t)
-            outer_points.append(nodes)
-            outer_weights.append(w)
+            outer_weights.append(self._rho_at(t))
             for phi in phis:
                 g = mat @ phi_vecs[phi.fid]
                 values[phi.fid].append((g, np.zeros_like(g)))
-                target_mean[phi.fid][k] = float(np.dot(w, phi_vecs[phi.fid]))
                 if gradients:
                     gv = gridmod.spatial_gradient(self.grid, g)
                     grads[phi.fid].append((gv, np.zeros(len(g))))
-        return TransferProfile(
-            s=s,
-            horizons=horizons,
-            outer_points=outer_points,
-            outer_weights=outer_weights,
-            values=values,
-            grads=grads,
-            target_mean=target_mean,
-            target_mean_se={phi.fid: np.zeros(n_h) for phi in phis},
-        )
+        return TransferProfile(horizons, outer_weights, values, grads)

@@ -73,12 +73,6 @@ class SpaceTimeGrid:
     def slice_times(self) -> np.ndarray:
         return self.period * np.arange(self.time_slices) / self.time_slices
 
-    def boundary_mask(self) -> np.ndarray:
-        """Marks nodes adjacent to the Dirichlet boundary (first/last index)."""
-        n = self.points_per_axis
-        idx = np.indices((n,) * self.dim).reshape(self.dim, -1)
-        return np.any((idx == 0) | (idx == n - 1), axis=0)
-
     def refined(self) -> "SpaceTimeGrid":
         """The same box and time slices with half the spatial step."""
         return SpaceTimeGrid(

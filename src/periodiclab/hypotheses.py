@@ -17,7 +17,6 @@ flags certificates that would fail at infinity.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
@@ -66,7 +65,7 @@ class HypothesisReport:
     lyapunov: LyapunovResult | None
     violations: list
 
-    def to_json(self) -> str:
+    def to_jsonable(self) -> dict:
         payload = {
             "field": self.field_name,
             "r_max": self.r_max,
@@ -85,7 +84,7 @@ class HypothesisReport:
                 "c": self.lyapunov.c,
                 "V": self.lyapunov.v_descriptor,
             }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return payload
 
 
 def _q_eigen_range(field: PeriodicCoefficientField, plan: SamplePlan):

@@ -170,13 +170,6 @@ def covariance(model: OUModel, t: float, s: float, tol: float = DEFAULT_TOL) -> 
     return _transition_ode(model, t, s, tol)[1]
 
 
-def transition(model: OUModel, t: float, s: float, x, tol: float = DEFAULT_TOL) -> GaussianMeasure:
-    """Law of the state at time t started from the point x at time s."""
-    u, sig, m = _transition_ode(model, t, s, tol)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return GaussianMeasure(u @ x + m, sig)
-
-
 def growth_bound(model: OUModel, tol: float = DEFAULT_TOL) -> float:
     """Floquet growth bound: log spectral radius of the monodromy over T."""
     mono = propagator(model, model.period, 0.0, tol)
@@ -204,14 +197,6 @@ class PeriodicGaussianSystem:
             (1 - w) * self.means[i] + w * self.means[j],
             (1 - w) * self.covs[i] + w * self.covs[j],
         )
-
-    def to_jsonable(self) -> dict:
-        return {
-            "period": self.period,
-            "phases": self.phases.tolist(),
-            "means": self.means.tolist(),
-            "covs": self.covs.tolist(),
-        }
 
 
 def periodic_system(

@@ -98,16 +98,26 @@ def validate_scenario(doc: dict) -> dict:
             _require(not q_varies,
                      "the entropy inequality needs diffusion independent of x", path)
         if name in ("decay", "gradient-decay", "rate-equivalence"):
-            engine = spec.get("engine", "montecarlo")
+            engine = _engine_name(name, spec, kind)
             _require(engine in ("montecarlo", "grid", "ou-exact"),
                      f"unknown engine {engine!r}", f"{path}.engine")
             if engine == "ou-exact":
                 _require(kind == "ou", "the exact engine needs a linear-drift field",
                          f"{path}.engine")
-            if name == "gradient-decay" and engine == "montecarlo":
+            if name != "decay" and engine == "montecarlo":
                 _require(not q_varies,
                          "pathwise gradients need diffusion independent of x", path)
     return doc
+
+
+def _engine_name(experiment: str, params: dict, field_kind: str) -> str:
+    """The engine an experiment runs on: its ``engine`` key, else the default,
+    which is the exact or grid engine for rate equivalence and Monte Carlo otherwise."""
+    if experiment == "rate-equivalence":
+        default = "ou-exact" if field_kind == "ou" else "grid"
+    else:
+        default = "montecarlo"
+    return params.get("engine", default)
 
 
 def build_field(field_spec: dict):
@@ -330,20 +340,13 @@ def _run_hypothesis_check(ctx: RunContext, params: dict) -> ExperimentResult:
             rows.append({"metric": f"moment_phase_{k}", "value": mean})
         checks.append(_check("moment-bound", ok,
                              f"bound={bound:.4g} worst_excess={worst:.4g}"))
-    payload = json.loads(report.to_json())
+    payload = report.to_jsonable()
     payload["checks"] = checks
     return ExperimentResult("hypothesis-check", payload, ["metric", "value"], rows, checks)
 
 
-def _curves_payload(curves: list[dg.DecayCurve]) -> list[dict]:
-    rows = []
-    for curve in curves:
-        rows.extend(curve.rows())
-    return rows
-
-
 def _run_decay(ctx: RunContext, params: dict) -> ExperimentResult:
-    engine = ctx.engine(params.get("engine", "montecarlo"))
+    engine = ctx.engine(_engine_name("decay", params, ctx.doc["field"]["kind"]))
     ps = [float(p) for p in params.get("ps", [2.0])]
     horizons = params.get("horizons", [1, 2, 3, 4, 5, 6, 7, 8])
     window = tuple(params.get("window", [1.0, max(horizons)]))
@@ -353,7 +356,7 @@ def _run_decay(ctx: RunContext, params: dict) -> ExperimentResult:
     checks = []
     payload = {"engine": engine.name, "monotone_envelope": {}, "fits": {}}
     for p in ps:
-        p_curves = [dg.decay_curve(engine, phi, 0.0, p, horizons, profile) for phi in phis]
+        p_curves = [dg.decay_curve(engine, phi, 0.0, p, profile) for phi in phis]
         for c in p_curves:
             payload["monotone_envelope"][f"{c.phi_id}:p={p:g}"] = c.eventually_decreasing()
         curves.extend(p_curves)
@@ -397,11 +400,12 @@ def _run_decay(ctx: RunContext, params: dict) -> ExperimentResult:
             f"{sum(r['invariance_ok'] for r in rows)}/{len(rows)} rows"))
     payload["checks"] = checks
     header = ["tau", "value", "stderr", "p", "phi", "engine", "kind"]
-    return ExperimentResult("decay", payload, header, _curves_payload(curves), checks)
+    curve_rows = [row for curve in curves for row in curve.rows()]
+    return ExperimentResult("decay", payload, header, curve_rows, checks)
 
 
 def _run_gradient_decay(ctx: RunContext, params: dict) -> ExperimentResult:
-    engine = ctx.engine(params.get("engine", "montecarlo"))
+    engine = ctx.engine(_engine_name("gradient-decay", params, ctx.doc["field"]["kind"]))
     ps = [float(p) for p in params.get("ps", [2.0])]
     horizons = [tau for tau in params.get("horizons", [1, 2, 3, 4]) if tau >= 1.0]
     window = tuple(params.get("window", [1.0, max(horizons)]))
@@ -412,8 +416,7 @@ def _run_gradient_decay(ctx: RunContext, params: dict) -> ExperimentResult:
     checks = []
     payload = {"engine": engine.name, "fits": {}}
     for p in ps:
-        p_curves = [dg.gradient_decay_curve(engine, phi, 0.0, p, horizons, profile)
-                    for phi in phis]
+        p_curves = [dg.decay_curve(engine, phi, 0.0, p, profile, gradient=True) for phi in phis]
         curves.extend(p_curves)
         combined = dg.max_over_curves(p_curves)
         bounds = _rate_bounds(params, p)
@@ -448,11 +451,12 @@ def _run_gradient_decay(ctx: RunContext, params: dict) -> ExperimentResult:
             f"{sum(r['holds'] for r in results)}/{len(results)} samples"))
     payload["checks"] = checks
     header = ["tau", "value", "stderr", "p", "phi", "engine", "kind"]
-    return ExperimentResult("gradient-decay", payload, header, _curves_payload(curves), checks)
+    curve_rows = [row for curve in curves for row in curve.rows()]
+    return ExperimentResult("gradient-decay", payload, header, curve_rows, checks)
 
 
 def _run_rate_equivalence(ctx: RunContext, params: dict) -> ExperimentResult:
-    engine = ctx.engine(params.get("engine", "grid" if ctx.model is None else "ou-exact"))
+    engine = ctx.engine(_engine_name("rate-equivalence", params, ctx.doc["field"]["kind"]))
     p = float(params.get("p", 2.0))
     horizons = params.get("horizons", [1, 2, 3, 4, 5, 6])
     window = tuple(params.get("window", [1.0, max(horizons)]))
@@ -477,13 +481,9 @@ def _run_rate_equivalence(ctx: RunContext, params: dict) -> ExperimentResult:
                                                           "difference", "p"], rows, checks)
 
 
-def _inequality_measures(ctx: RunContext, n_phases: int) -> dg.PhaseMeasures:
-    return dg.PhaseMeasures.from_engine(ctx.engine("montecarlo"), n_phases)
-
-
 def _run_poincare(ctx: RunContext, params: dict) -> ExperimentResult:
     report_h = ctx.hypothesis_report
-    measures = _inequality_measures(ctx, params.get("n_phases", 8))
+    measures = dg.PhaseMeasures.from_engine(ctx.engine("montecarlo"), params.get("n_phases", 8))
     lam = report_h.lambda_hat
     ell2 = report_h.ell_p_hat[2.0]
     rows, checks = [], []
@@ -502,7 +502,7 @@ def _run_poincare(ctx: RunContext, params: dict) -> ExperimentResult:
 
 def _run_logsob(ctx: RunContext, params: dict) -> ExperimentResult:
     report_h = ctx.hypothesis_report
-    measures = _inequality_measures(ctx, params.get("n_phases", 8))
+    measures = dg.PhaseMeasures.from_engine(ctx.engine("montecarlo"), params.get("n_phases", 8))
     lam = report_h.lambda_hat
     r0 = report_h.r0_hat
     rows, checks = [], []

@@ -91,8 +91,7 @@ class TestAC2RateReproduction:
         assert abs(omega0 + 1.0) < 1e-6
         horizons = list(range(1, 9))
         profile = ou_engine.transfer_profile(decay_battery1, 0.0, horizons)
-        curves = [dg.decay_curve(ou_engine, phi, 0.0, 2.0, horizons, profile)
-                  for phi in decay_battery1]
+        curves = [dg.decay_curve(ou_engine, phi, 0.0, 2.0, profile) for phi in decay_battery1]
         fit = dg.fit_rate(dg.max_over_curves(curves), (1.0, 8.0))
         assert -1.1 <= fit.rate <= -0.9
         _report("AC2", f"omega_hat = {fit.rate:.4f} in [-1.1, -0.9] "
@@ -103,8 +102,7 @@ class TestAC3ExponentialEnvelope:
     @pytest.mark.parametrize("p", [2.0, 4.0])
     def test_grad1d_envelope_and_rate(self, grad_mc, grad_heavy_profile,
                                       decay_battery1, p):
-        horizons = grad_heavy_profile.horizons
-        curves = [dg.decay_curve(grad_mc, phi, 0.0, p, horizons, grad_heavy_profile)
+        curves = [dg.decay_curve(grad_mc, phi, 0.0, p, grad_heavy_profile)
                   for phi in decay_battery1]
         combined = dg.max_over_curves(curves)
         m_env = dg.envelope_constant(combined, -0.5)

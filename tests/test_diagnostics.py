@@ -17,9 +17,13 @@ class FakeExpEngine:
     """Deterministic engine whose value and gradient profiles share one decay."""
 
     name = "synthetic"
+    stochastic = False
 
     def __init__(self, rate=-1.0):
         self.rate = rate
+
+    def phase_mean(self, fn, phase):
+        return 0.0, 0.0
 
     def transfer_profile(self, phis, s, horizons, gradients=False):
         horizons = np.asarray(sorted(horizons), dtype=float)
@@ -32,24 +36,23 @@ class FakeExpEngine:
             grads[phi.fid] = [(np.exp(self.rate * tau) * np.ones((9, 1)), np.zeros(9))
                               for tau in horizons]
         return eng.TransferProfile(
-            s=s, horizons=horizons, outer_points=[pts] * len(horizons),
-            outer_weights=[w] * len(horizons), values=values,
+            horizons=horizons, outer_weights=[w] * len(horizons), values=values,
             grads=grads if gradients else {},
-            target_mean={phi.fid: np.zeros(len(horizons)) for phi in phis},
-            target_mean_se={phi.fid: np.zeros(len(horizons)) for phi in phis},
         )
 
 
 class TestDecayCurve:
     def test_constant_function_is_flat_zero(self, ou_engine, battery1):
         const = next(p for p in battery1 if p.fid == "const")
-        curve = dg.decay_curve(ou_engine, const, 0.0, 2.0, [1, 2, 3])
+        profile = ou_engine.transfer_profile([const], 0.0, [1, 2, 3])
+        curve = dg.decay_curve(ou_engine, const, 0.0, 2.0, profile)
         assert np.all(curve.values <= 1e-12)
 
     def test_ou_coordinate_matches_closed_form(self, ou_model, ou_engine, battery1):
         coord = next(p for p in battery1 if p.fid == "coord0")
         horizons = [0.0, 1.0, 2.0, 3.0]
-        curve = dg.decay_curve(ou_engine, coord, 0.0, 2.0, horizons)
+        profile = ou_engine.transfer_profile([coord], 0.0, horizons)
+        curve = dg.decay_curve(ou_engine, coord, 0.0, 2.0, profile)
         system = ou_engine.system
         for tau, value in zip(curve.taus, curve.values):
             u = 1.0 if tau == 0 else ou.propagator(ou_model, tau, 0.0)[0, 0]
@@ -61,23 +64,27 @@ class TestDecayCurve:
 
     def test_monotone_envelope_flag(self, ou_engine, battery1):
         coord = next(p for p in battery1 if p.fid == "coord0")
-        curve = dg.decay_curve(ou_engine, coord, 0.0, 2.0, [1, 2, 3, 4])
+        profile = ou_engine.transfer_profile([coord], 0.0, [1, 2, 3, 4])
+        curve = dg.decay_curve(ou_engine, coord, 0.0, 2.0, profile)
         assert curve.eventually_decreasing()
 
     def test_gradient_curve_is_propagator(self, ou_model, ou_engine, battery1):
         coord = next(p for p in battery1 if p.fid == "coord0")
-        curve = dg.gradient_decay_curve(ou_engine, coord, 0.0, 2.0, [1, 2, 3])
+        profile = ou_engine.transfer_profile([coord], 0.0, [1, 2, 3], gradients=True)
+        curve = dg.decay_curve(ou_engine, coord, 0.0, 2.0, profile, gradient=True)
         for tau, value in zip(curve.taus, curve.values):
             assert abs(value - abs(ou.propagator(ou_model, tau, 0.0)[0, 0])) < 1e-9
 
     def test_gradient_curve_constant_zero(self, ou_engine, battery1):
         const = next(p for p in battery1 if p.fid == "const")
-        curve = dg.gradient_decay_curve(ou_engine, const, 0.0, 2.0, [1, 2])
+        profile = ou_engine.transfer_profile([const], 0.0, [1, 2], gradients=True)
+        curve = dg.decay_curve(ou_engine, const, 0.0, 2.0, profile, gradient=True)
         assert np.all(curve.values <= 1e-13)
 
     def test_gradient_needs_unit_separation(self, ou_engine, battery1):
+        profile = ou_engine.transfer_profile(battery1[:1], 0.0, [0.25, 0.5], gradients=True)
         with pytest.raises(DegenerateWindow):
-            dg.gradient_decay_curve(ou_engine, battery1[0], 0.0, 2.0, [0.25, 0.5])
+            dg.decay_curve(ou_engine, battery1[0], 0.0, 2.0, profile, gradient=True)
 
 
 class TestFitRate:
@@ -265,8 +272,7 @@ class TestThetaInterpolation:
     def test_grad1d_p15_rate_below_theta(self, grad_mc, grad_heavy_profile, decay_battery1):
         """Fractional-p decay rate sits below the interpolated bound."""
         theta = 2.0 * (-0.5) * (1.0 - 1.0 / 1.5)
-        curves = [dg.decay_curve(grad_mc, phi, 0.0, 1.5,
-                                 grad_heavy_profile.horizons, grad_heavy_profile)
+        curves = [dg.decay_curve(grad_mc, phi, 0.0, 1.5, grad_heavy_profile)
                   for phi in decay_battery1]
         fit = dg.fit_rate(dg.max_over_curves(curves), (1.0, 8.0))
         assert fit.rate <= theta + 0.1
@@ -348,8 +354,7 @@ class TestRateConsistency:
         phis = [p for p in eng.battery(2) if p.fid in ("tanh", "sin", "coord0", "bump")]
         horizons = [1, 1.25, 1.5, 1.75, 2, 2.25, 2.5]
         profile = gen_mc.transfer_profile(phis, 0.0, horizons)
-        curves = [dg.decay_curve(gen_mc, phi, 0.0, 2.0, horizons, profile)
-                  for phi in phis]
+        curves = [dg.decay_curve(gen_mc, phi, 0.0, 2.0, profile) for phi in phis]
         fit = dg.fit_rate(dg.max_over_curves(curves), (1.0, 2.5))
         assert fit.rate <= gen_report.ell_p_hat[2.0] + 0.1
 

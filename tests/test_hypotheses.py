@@ -188,7 +188,7 @@ def test_refinement_stability(grad_field, grad_plan, gen_field, gen_plan):
 def test_report_serialization(grad_report):
     import json
 
-    payload = json.loads(grad_report.to_json())
+    payload = json.loads(json.dumps(grad_report.to_jsonable()))
     assert payload["eta0_hat"] == 0.75
     assert payload["lambda_hat"] == 1.25
     assert payload["r0_hat"] == -0.5

@@ -265,9 +265,3 @@ class TestAsField:
         with pytest.raises(ValueError):
             model.check_ellipticity()
 
-
-def test_periodic_system_serializes(ou_model):
-    system = ou.periodic_system(ou_model, 8)
-    payload = system.to_jsonable()
-    assert len(payload["phases"]) == 8
-    assert len(payload["means"]) == 8 and len(payload["covs"]) == 8

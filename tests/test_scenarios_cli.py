@@ -68,6 +68,17 @@ class TestValidation:
         with pytest.raises(ConfigError):
             sc.validate_scenario(doc)
 
+    def test_montecarlo_rate_equivalence_needs_flat_diffusion(self):
+        doc = json.loads(json.dumps(sc.load_scenario("gen2d")))
+        doc["experiments"].append({"name": "rate-equivalence", "engine": "montecarlo"})
+        i = len(doc["experiments"]) - 1
+        with pytest.raises(ConfigError) as err:
+            sc.validate_scenario(doc)
+        assert str(err.value).startswith(f"$.experiments[{i}]:")
+        # without an engine key rate equivalence runs on the grid, as the runner does
+        doc["experiments"][i] = {"name": "rate-equivalence"}
+        sc.validate_scenario(doc)
+
     def test_unknown_experiment(self):
         doc = json.loads(json.dumps(TINY))
         doc["experiments"] = [{"name": "frobnicate"}]
@@ -142,6 +153,14 @@ class TestCli:
     def test_describe_unknown_fails(self, capsys):
         assert cli.main(["describe", "nope"]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_montecarlo_rate_equivalence_on_x_dependent_q_exits_2(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(sc.load_scenario("gen2d")))
+        doc["experiments"] = [{"name": "rate-equivalence", "engine": "montecarlo"}]
+        path = tmp_path / "gen2d.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "$.experiments[0]" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

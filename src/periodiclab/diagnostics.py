@@ -8,6 +8,8 @@ Conventions shared by every diagnostic:
   phase, which is how the shipped scenarios are probed).  Engines only
   transport; the centering ``m_{s+tau} phi`` is taken here, from the
   engine's ``phase_mean``;
+* contraction and invariance rows are read from the decay experiment's own
+  transfer profile at whole-period gaps, so they cost no extra transport;
 * inequality checks are one-sided with a ``5 x stderr`` statistical slack:
   the inequalities must never be violated beyond sampling noise, but they
   are not expected to be tight;
@@ -407,20 +409,22 @@ def contraction_invariance_report(
     s: float,
     gaps: Sequence[float],
     ps: Sequence[float],
+    profile: TransferProfile,
 ) -> list[dict]:
     """Transport vs measure checks at whole-period separations.
 
-    Per (phi, p, gap): the L^p norm of the transported function against the
-    starting measure must not exceed the L^p norm of phi against the target
+    Per (phi, p, gap), read from ``profile`` (one started at time s with every
+    gap among its horizons): the L^p norm of the transported function against
+    the starting measure must not exceed the L^p norm of phi against the target
     measure (contraction), and the two measure means must agree (invariance
     under push-forward), each within ``SLACK`` combined standard errors.
     """
     for gap in gaps:
         if abs((gap / engine.period) - round(gap / engine.period)) > 1e-9:
             raise ValueError("contraction checks use whole-period separations")
-    profile = engine.transfer_profile(list(phis), s, gaps)
     rows = []
-    for k, gap in enumerate(profile.horizons):
+    for gap in sorted(gaps):
+        k = list(profile.horizons).index(gap)     # ValueError when the profile lacks it
         for phi in phis:
             g, se = profile.values[phi.fid][k]
             w = profile.outer_weights[k]

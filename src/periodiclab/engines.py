@@ -18,14 +18,16 @@ Every engine exposes the same seven members:
 Engines only transport.  A profile evaluates the transported test function
 at points distributed like the measure at the *target* time, which is what
 the decay norms integrate against, and carries no centering: diagnostics
-centres with ``phase_mean``.  The test functions the diagnostics apply (the
-space-only battery and the space-time batteries of the inequality checks)
-live here too.
+centres with ``phase_mean``.  One profile serves a whole decay experiment,
+including its contraction and invariance rows.  The test functions the
+diagnostics apply (the space-only battery and the space-time batteries of
+the inequality checks) live here too.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -271,6 +273,9 @@ class MonteCarloEngine:
         self.n_inner = n_inner
         self.certificate = certificate
         self._phase_cache: dict[float, mc.ParticleEnsemble] = {}
+        # one lock per phase: concurrent experiments build each ensemble once
+        self._phase_locks: dict[float, threading.Lock] = {}
+        self._locks_lock = threading.Lock()
 
     def _ensemble_config(self) -> mc.SimConfig:
         # one RNG block per ensemble keeps antithetic pairs globally aligned
@@ -278,11 +283,14 @@ class MonteCarloEngine:
 
     def phase_ensemble(self, phase: float) -> mc.ParticleEnsemble:
         key = self.field.phase(phase)
-        if key not in self._phase_cache:
-            stream = 1000 + int(round(4096 * key / self.field.period))
-            self._phase_cache[key] = mc.sample_periodic_measure(
-                self.field, key, self._ensemble_config(), self.certificate, stream=stream
-            )
+        with self._locks_lock:
+            lock = self._phase_locks.setdefault(key, threading.Lock())
+        with lock:
+            if key not in self._phase_cache:
+                stream = 1000 + int(round(4096 * key / self.field.period))
+                self._phase_cache[key] = mc.sample_periodic_measure(
+                    self.field, key, self._ensemble_config(), self.certificate, stream=stream
+                )
         return self._phase_cache[key]
 
     def phase_nodes(self, phase: float):

@@ -525,26 +525,22 @@ def mass_outside_box(grid: SpaceTimeGrid, positions: np.ndarray) -> float:
     return float(outside.mean())
 
 
-def solvability_residual(gen: DiscreteGenerator, f: np.ndarray):
-    """Least-squares residual of G u = f in the invariant-mass geometry.
+def solvability_residual(gen: DiscreteGenerator, f: np.ndarray) -> dict:
+    """Solve G u = f0 and G u = f0 + 1 with one sparse LU, f0 the rho-mean-zero part of f.
 
-    The invariant functional is the one direction the range of G cannot
-    reach: it is deflated explicitly (its unit left vector in the weighted
-    frame is sqrt(rho), since rho^T G vanishes), the orthogonal complement is
-    solved by truncated least squares, and the residual recombines both
-    parts.  Mean-zero data is solvable up to discretization roundoff, while
-    data with rho-mean m leaves a residual pinned at |m|.
-
-    Returns ``(residual, mean)`` with both quantities in the L^2(rho) frame.
+    The truncated generator leaks mass through the boundary, so it is
+    nonsingular, and the Fredholm dichotomy shows in the solution sizes:
+    ``||u|| <~ ||f0|| / |gap|`` for mean-zero data, while a unit mean excites
+    the near-null invariant direction.  Returns the L^2(rho) norms ``data`` of
+    f0 and ``zero_mean``, ``unit_mean`` of the solutions, and the relative
+    L^2(rho) ``residual`` of the mean-zero solve.
     """
     f = np.asarray(f, dtype=float).ravel()
-    w = np.sqrt(gen.rho)
-    a_mat = gen.matrix.toarray() * w[:, None]
-    b_vec = w * f
-    nu = w / np.linalg.norm(w)
-    coef = float(nu @ b_vec)
-    b_perp = b_vec - coef * nu
-    sol, _, _, _ = np.linalg.lstsq(a_mat, b_perp, rcond=1e-10)
-    r_perp = float(np.linalg.norm(a_mat @ sol - b_perp))
-    mean = float(np.dot(gen.rho, f))
-    return math.hypot(r_perp, coef), mean
+    f_zero = f - float(np.dot(gen.rho, f))
+    u = spla.splu(sp.csc_matrix(gen.matrix)).solve(np.column_stack([f_zero, f_zero + 1.0]))
+    u_zero, u_one = np.sqrt(gen.rho @ u**2)
+    data = math.sqrt(float(gen.rho @ f_zero**2))
+    misfit = gen.matrix @ u[:, 0] - f_zero
+    residual = math.sqrt(float(gen.rho @ misfit**2)) / max(data, 1e-300)
+    return {"data": data, "zero_mean": float(u_zero), "unit_mean": float(u_one),
+            "residual": residual}

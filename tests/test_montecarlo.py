@@ -343,10 +343,17 @@ class TestAntitheticStats:
 class TestTransportChecks:
     def test_contraction_and_invariance_ou(self, ou_mc, battery1):
         phis = [p for p in battery1 if p.fid in ("tanh", "sin", "bump", "coord0")]
-        rows = dg.contraction_invariance_report(ou_mc, phis, 0.0, [1.0, 2.0], [1.0, 2.0, 4.0])
+        profile = ou_mc.transfer_profile(phis, 0.0, [1.0, 2.0])
+        rows = dg.contraction_invariance_report(ou_mc, phis, 0.0, [1.0, 2.0], [1.0, 2.0, 4.0],
+                                                profile)
         assert all(r["contraction_ok"] for r in rows)
         assert all(r["invariance_ok"] for r in rows)
 
     def test_fractional_gap_rejected(self, ou_mc, battery1):
         with pytest.raises(ValueError):
-            dg.contraction_invariance_report(ou_mc, battery1[:1], 0.0, [0.5], [2.0])
+            dg.contraction_invariance_report(ou_mc, battery1[:1], 0.0, [0.5], [2.0], None)
+
+    def test_gap_missing_from_profile_rejected(self, ou_engine, battery1):
+        profile = ou_engine.transfer_profile(battery1[:1], 0.0, [1.0])
+        with pytest.raises(ValueError):
+            dg.contraction_invariance_report(ou_engine, battery1[:1], 0.0, [2.0], [2.0], profile)

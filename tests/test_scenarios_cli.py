@@ -1,12 +1,19 @@
 """Scenario schema validation, CLI behavior, and report determinism."""
 
 import ast
+import dataclasses
 import inspect
 import json
+import time
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periodiclab import cli
+from periodiclab import engines as eng
+from periodiclab import montecarlo as mc
 from periodiclab import scenarios as sc
 from periodiclab.errors import ConfigError
 
@@ -79,6 +86,45 @@ class TestValidation:
         doc["experiments"][i] = {"name": "rate-equivalence"}
         sc.validate_scenario(doc)
 
+    @pytest.mark.parametrize("name", ["gradient-decay", "rate-equivalence"])
+    def test_gradient_horizons_start_at_one_period(self, name):
+        doc = json.loads(json.dumps(sc.load_scenario("grad1d")))
+        i = next(k for k, e in enumerate(doc["experiments"]) if e["name"] == name)
+        doc["experiments"][i]["horizons"] = [0.5, 1, 2, 3, 4, 5]
+        with pytest.raises(ConfigError) as err:
+            sc.validate_scenario(doc)
+        assert f"$.experiments[{i}].horizons" in str(err.value)
+
+    @pytest.mark.parametrize("gaps", [[0.5], [5]])
+    def test_contraction_gaps_are_whole_period_decay_horizons(self, gaps):
+        doc = json.loads(json.dumps(TINY))
+        doc["experiments"][1]["contraction_gaps"] = gaps
+        with pytest.raises(ConfigError) as err:
+            sc.validate_scenario(doc)
+        assert "$.experiments[1].contraction_gaps" in str(err.value)
+
+    @pytest.mark.parametrize("sid, where, value, path", [
+        ("grad1d", ("sim", "particles"), 50, "$.sim.particles"),
+        ("grad1d", ("sim", "particles"), "x", "$.sim.particles"),
+        ("grad1d", ("sim", "dt"), 0.1, "$.sim.dt"),
+        ("grad1d", ("field", "period"), -1, "$.field.period"),
+        ("gen2d", ("field", "dim"), 4, "$.field.dim"),
+        ("grad1d", ("grid", "points_per_axis"), 2, "$.grid.points_per_axis"),
+        ("grad1d", ("grid", "time_slices"), 32, "$.grid.time_slices"),
+        ("grad1d", ("grid", "substeps"), 0, "$.grid.substeps"),
+        ("grad1d", ("experiments", 1, "horizons"), [], "$.experiments[1].horizons"),
+        ("grad1d", ("experiments", 1, "ps"), ["two"], "$.experiments[1].ps"),
+    ])
+    def test_bad_values_name_their_path(self, sid, where, value, path):
+        doc = json.loads(json.dumps(sc.load_scenario(sid)))
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        with pytest.raises(ConfigError) as err:
+            sc.validate_scenario(doc)
+        assert path in str(err.value)
+
     def test_unknown_experiment(self):
         doc = json.loads(json.dumps(TINY))
         doc["experiments"] = [{"name": "frobnicate"}]
@@ -104,6 +150,33 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             sc.validate_scenario(doc)
         assert f"$.experiments[{i}].{key}" in str(err.value)
+
+
+_NUMERIC_KEYS = (
+    [("sim", key) for key in ("particles", "dt", "horizon_periods", "n_outer", "n_inner")]
+    + [("grid", key) for key in ("half_width", "points_per_axis", "time_slices", "substeps")])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sid=st.sampled_from(sc.builtin_ids()), where=st.sampled_from(_NUMERIC_KEYS),
+       value=st.one_of(st.integers(-10**6, 10**6), st.floats(), st.booleans(), st.none(),
+                       st.text(max_size=3)))
+def test_mutated_numbers_fail_validation_or_build(sid, where, value):
+    """A mutated sim/grid number is a ConfigError naming its key, or the
+    simulation config and the grid build from it."""
+    section, key = where
+    doc = json.loads(json.dumps(sc.load_scenario(sid)))
+    doc.setdefault(section, {})[key] = value
+    try:
+        sc.validate_scenario(doc)
+    except ConfigError as err:
+        # a particle count below n_outer is reported at n_outer
+        allowed = {f"$.{section}.{key}"} | ({"$.sim.n_outer"} if key == "particles" else set())
+        assert err.path in allowed
+        return
+    ctx = sc.RunContext(doc=doc, seed=1)
+    ctx.sim_config().validated_for(ctx.field)
+    ctx.space_time_grid()
 
 
 def _params_keys(func, param: str, seen: set) -> set:
@@ -153,6 +226,11 @@ class TestCli:
     def test_describe_unknown_fails(self, capsys):
         assert cli.main(["describe", "nope"]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_bad_override_is_a_config_error(self, tmp_path, capsys):
+        argv = ["run", "ou1d", "--out", str(tmp_path), "--particles", "50"]
+        assert cli.main(argv) == 2
+        assert "$.sim.particles" in capsys.readouterr().err
 
     def test_montecarlo_rate_equivalence_on_x_dependent_q_exits_2(self, tmp_path, capsys):
         doc = json.loads(json.dumps(sc.load_scenario("gen2d")))
@@ -232,6 +310,42 @@ class TestRun:
         assert cli.main(argv) == 2
         assert "$.sim.n_outer" in capsys.readouterr().err
 
+    def test_jobs_build_each_phase_ensemble_once(self, tmp_path, monkeypatch):
+        builds = Counter()
+        sample = mc.sample_periodic_measure
+
+        def slow_sample(field, s, *args, **kwargs):
+            builds[s] += 1
+            time.sleep(0.2)    # holds the build open while the other worker asks
+            return sample(field, s, *args, **kwargs)
+
+        monkeypatch.setattr(mc, "sample_periodic_measure", slow_sample)
+        doc = json.loads(json.dumps(TINY))
+        doc["experiments"] = [TINY["experiments"][0], TINY["experiments"][2]]
+        sc.run_scenario(doc, tmp_path / "par", jobs=2)
+        assert builds == Counter({0.0: 1, 0.25: 1, 0.5: 1, 0.75: 1})
+        sc.run_scenario(doc, tmp_path / "serial", jobs=1)
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "par").iterdir())
+        for name in names:
+            assert (tmp_path / "par" / name).read_bytes() == \
+                (tmp_path / "serial" / name).read_bytes(), name
+
+    def test_contraction_reads_the_decay_profile(self, tmp_path, monkeypatch):
+        calls = []
+        profile = eng.MonteCarloEngine.transfer_profile
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[2])
+            return profile(self, *args, **kwargs)
+
+        monkeypatch.setattr(eng.MonteCarloEngine, "transfer_profile", counted)
+        doc = json.loads(json.dumps(TINY))
+        doc["experiments"] = [TINY["experiments"][1]]
+        summary = sc.run_scenario(doc, tmp_path)
+        assert calls == [[1, 2, 3]]
+        assert {"contraction", "invariance"} <= {c["rule"] for c in summary["checks"]}
+
     def test_seed_override_changes_numbers(self, tiny_run, tmp_path):
         out, _ = tiny_run
         doc = json.loads(json.dumps(TINY))
@@ -256,3 +370,21 @@ def test_jobs_parallel_same_bytes_grid_scenario(tmp_path):
     assert len(names) == 17  # eight experiments, a JSON and a CSV each, plus summary.json
     for name in names:
         assert (tmp_path / "par" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+def test_solvability_check_fails_when_rho_is_not_invariant():
+    """A perturbed mass vector puts mean-zero data on the near-null direction;
+    the dichotomy on solution norms sees it."""
+    for sid in ("ou1d", "grad1d"):
+        doc = json.loads(json.dumps(sc.load_scenario(sid)))
+        doc["grid"].update(points_per_axis=31, time_slices=17)
+        verdicts = []
+        for scale in (0.0, 0.2):
+            ctx = sc.RunContext(doc=doc, seed=1)
+            gen = ctx.generator
+            rho = gen.rho * (1.0 + scale * np.sin(np.arange(gen.size)))
+            ctx.__dict__["generator"] = dataclasses.replace(gen, rho=rho / rho.sum())
+            result = sc._run_spectrum(ctx, {"k": 40, "solvability": True})
+            verdicts += [c["passed"] for c in result.checks
+                         if c["rule"] == "mean-zero-solvability"]
+        assert verdicts == [True, False], sid

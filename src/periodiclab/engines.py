@@ -15,11 +15,12 @@ Every engine exposes the same seven members:
   horizons, with per-point standard errors (zero for the deterministic
   engines).
 
-Engines only transport.  A profile evaluates the transported test function
-at points distributed like the measure at the *target* time, which is what
-the decay norms integrate against, and carries no centering: diagnostics
-centres with ``phase_mean``.  One profile serves a whole decay experiment,
-including its contraction and invariance rows.  The test functions the
+Engines only transport.  A profile evaluates the transported test function,
+for every horizon, at one set of points distributed like the measure at the
+*starting* time s, which is what the decay norms ``L^p(mu_s)`` integrate
+against, and carries no centering: diagnostics centres with ``phase_mean``
+at the target time.  One profile serves a whole decay experiment, including
+its contraction and invariance rows.  The test functions the
 diagnostics apply (the space-only battery and the space-time batteries of
 the inequality checks) live here too.
 """
@@ -160,7 +161,7 @@ class TransferProfile:
     """Transition expectations over measure-distributed points per horizon."""
 
     horizons: np.ndarray                     # offsets tau, increasing
-    outer_weights: list                      # per horizon: (M,), sums to 1
+    weights: np.ndarray                      # (M,) measure at the start time, sums to 1
     values: dict                             # fid -> list of (g, se) arrays (M,)
     grads: dict                              # fid -> list of (gvec (M,d), se (M,)) or {}
 
@@ -230,13 +231,11 @@ class OUExactEngine(QuadratureEngine):
 
     def transfer_profile(self, phis: Sequence[TestFunction], s: float, horizons, gradients=False):
         horizons = np.asarray(sorted(horizons), dtype=float)
-        outer_weights = []
+        pts, w = self.phase_nodes(s)
         values = {phi.fid: [] for phi in phis}
         grads = {phi.fid: [] for phi in phis} if gradients else {}
         for tau in horizons:
             t = s + tau
-            pts, w = self.phase_nodes(t)
-            outer_weights.append(w)
             u_mat, sig, shift = ou._transition_ode(self.model, t, s, ou.DEFAULT_TOL)
             z, zw = ou.hermite_nodes(self.model.dim, self.order)
             noise = z @ ou.GaussianMeasure(np.zeros(self.model.dim), sig).sqrt_cov().T
@@ -249,7 +248,7 @@ class OUExactEngine(QuadratureEngine):
                     gv = np.asarray(phi.grad_at(flat)).reshape(len(zw), len(pts), -1)
                     inner = np.einsum("q,qmd->md", zw, gv)
                     grads[phi.fid].append((inner @ u_mat, np.zeros(len(pts))))
-        return TransferProfile(horizons, outer_weights, values, grads)
+        return TransferProfile(horizons, w, values, grads)
 
 
 class MonteCarloEngine:
@@ -311,59 +310,46 @@ class MonteCarloEngine:
         value = max(mean, 0.0) ** (1.0 / p)
         return value, se / (p * max(mean, 1e-300) ** (1.0 - 1.0 / p))
 
-    def outer_sample(self, phase: float, count: int, offset: int = 0) -> np.ndarray:
-        ens = self.phase_ensemble(phase)
-        idx = (offset + np.arange(count) * (ens.n // count)) % ens.n
-        return ens.positions[idx]
-
     def transfer_profile(self, phis: Sequence[TestFunction], s: float, horizons, gradients=False):
-        """Evaluate inner-replica transition means at mu_t-distributed points.
+        """Evaluate inner-replica transition means at mu_s-distributed points.
 
-        Horizons are grouped by target phase; each group evolves one joint
-        ensemble started at time s from outer points drawn from the ensemble
-        of the group's phase, so every decay norm integrates against points
-        distributed like the measure at its own target time.
+        One joint ensemble starts at time s from outer points spread evenly
+        through the phase-s ensemble and is marched once through every
+        horizon, so every decay norm integrates against points distributed
+        like the measure at the starting time.  Each snapshot is reduced to
+        per-point means and standard errors as the march yields it.
         """
         if gradients and not self.field.q_independent_of_x:
             raise QNotXIndependent("pathwise gradients need x-independent diffusion")
         horizons = np.asarray(sorted(horizons), dtype=float)
-        n_h = len(horizons)
-        outer_weights = [np.full(self.n_outer, 1.0 / self.n_outer)] * n_h
-        values = {phi.fid: [None] * n_h for phi in phis}
-        grads = {phi.fid: [None] * n_h for phi in phis} if gradients else {}
-
-        groups: dict[float, list[int]] = {}
-        for k, tau in enumerate(horizons):
-            groups.setdefault(self.field.phase(s + tau), []).append(k)
-
+        values = {phi.fid: [] for phi in phis}
+        grads = {phi.fid: [] for phi in phis} if gradients else {}
+        ens = self.phase_ensemble(s)
+        x0 = np.repeat(ens.positions[np.arange(self.n_outer) * (ens.n // self.n_outer)],
+                       self.n_inner, axis=0)
         d = self.field.dim
+        jac0 = np.broadcast_to(np.eye(d), (len(x0), d, d)).copy() if gradients else None
         march_config = replace(self.config, block_size=self.n_inner)
-        for gi, (phase, idxs) in enumerate(sorted(groups.items())):
-            outer = self.outer_sample(phase, self.n_outer, offset=gi)
-            x0 = np.repeat(outer, self.n_inner, axis=0)
-            jac0 = (
-                np.broadcast_to(np.eye(d), (len(x0), d, d)).copy() if gradients else None
-            )
-            captures = [s + horizons[k] for k in idxs]
-            snaps = mc._march(self.field, x0, jac0, s, captures, march_config, stream=53 + gi)
-            for (t_snap, pos, jac), k in zip(snaps, idxs):
-                for phi in phis:
-                    vals = np.asarray(phi(pos)).reshape(self.n_outer, self.n_inner)
-                    values[phi.fid][k] = mc.mean_and_stderr(
-                        vals, self.config.antithetic, self.n_inner)
-                    if gradients:
-                        pulled = np.einsum("nij,ni->nj", jac, phi.grad_at(pos))
-                        pulled = pulled.reshape(self.n_outer, self.n_inner, d)
-                        comp_mean = np.empty((self.n_outer, d))
-                        comp_var = np.empty((self.n_outer, d))
-                        for c in range(d):
-                            m_c, se_c = mc.mean_and_stderr(
-                                pulled[..., c], self.config.antithetic, self.n_inner
-                            )
-                            comp_mean[:, c] = m_c
-                            comp_var[:, c] = se_c**2
-                        grads[phi.fid][k] = (comp_mean, np.sqrt(comp_var.sum(axis=1)))
-        return TransferProfile(horizons, outer_weights, values, grads)
+        for _, pos, jac in mc._march(self.field, x0, jac0, s, s + horizons, march_config,
+                                     stream=53):
+            for phi in phis:
+                vals = np.asarray(phi(pos)).reshape(self.n_outer, self.n_inner)
+                values[phi.fid].append(mc.mean_and_stderr(
+                    vals, self.config.antithetic, self.n_inner))
+                if gradients:
+                    pulled = np.einsum("nij,ni->nj", jac, phi.grad_at(pos))
+                    pulled = pulled.reshape(self.n_outer, self.n_inner, d)
+                    comp_mean = np.empty((self.n_outer, d))
+                    comp_var = np.empty((self.n_outer, d))
+                    for c in range(d):
+                        m_c, se_c = mc.mean_and_stderr(
+                            pulled[..., c], self.config.antithetic, self.n_inner
+                        )
+                        comp_mean[:, c] = m_c
+                        comp_var[:, c] = se_c**2
+                    grads[phi.fid].append((comp_mean, np.sqrt(comp_var.sum(axis=1))))
+        weights = np.full(self.n_outer, 1.0 / self.n_outer)
+        return TransferProfile(horizons, weights, values, grads)
 
 
 class GridEngine(QuadratureEngine):
@@ -401,7 +387,6 @@ class GridEngine(QuadratureEngine):
         horizons = np.asarray(sorted(horizons), dtype=float)
         values = {phi.fid: [] for phi in phis}
         grads = {phi.fid: [] for phi in phis} if gradients else {}
-        outer_weights = []
         mat = np.eye(self.grid.n_space)
         t_prev = s
         nodes = self.grid.nodes()
@@ -412,11 +397,10 @@ class GridEngine(QuadratureEngine):
                                              np.eye(self.grid.n_space), self.substeps)
             mat = mat @ step
             t_prev = t
-            outer_weights.append(self._rho_at(t))
             for phi in phis:
                 g = mat @ phi_vecs[phi.fid]
                 values[phi.fid].append((g, np.zeros_like(g)))
                 if gradients:
                     gv = gridmod.spatial_gradient(self.grid, g)
                     grads[phi.fid].append((gv, np.zeros(len(g))))
-        return TransferProfile(horizons, outer_weights, values, grads)
+        return TransferProfile(horizons, self._rho_at(s), values, grads)

@@ -281,13 +281,18 @@ def gen_field(
     w = 2.0 * np.pi / period
     eye = np.eye(dim)
 
-    def scalar_q(t, X):
-        r2 = np.sum(X * X, axis=1)
-        return q_const + q_sin * math.sin(w * t) + q_bump / (1.0 + r2)
-
     def q(t, X):
+        # column by column: numpy's reductions over a short axis and
+        # broadcasting against eye cost several times more per point
         X = np.atleast_2d(X)
-        return scalar_q(t, X)[:, None, None] * eye
+        r2 = X[:, 0] * X[:, 0]
+        for i in range(1, dim):
+            r2 += X[:, i] * X[:, i]
+        scalar = q_const + q_sin * math.sin(w * t) + q_bump / (1.0 + r2)
+        out = np.zeros((len(X), dim, dim))
+        for i in range(dim):
+            out[:, i, i] = scalar
+        return out
 
     def b(t, X):
         X = np.atleast_2d(X)

@@ -191,12 +191,15 @@ def _check_spd(field, r, positions):
 
 
 def _march(field, positions, jacobians, s, capture_times, config, stream):
-    """Shared Euler-Maruyama loop; captures state copies at requested times.
+    """Shared Euler-Maruyama loop; yields a state copy at each requested time.
 
-    Full steps use config.dt; a shorter partial step lands on every capture
-    time exactly.  Returns [(t, positions, jacobians), ...] in time order.
-    The state is updated in place; arrays returned by the field callables
-    are only read.
+    Each segment from r to the next capture takes
+    ``floor((target - r)/dt + 1e-9)`` full steps of config.dt, then one
+    partial step when more than ``1e-9 dt`` is left, so a segment's schedule
+    (and the noise it draws) depends on its start, its target and dt alone,
+    not on the other captures.  Yields (t, positions, jacobians) in time
+    order.  The state is updated in place; arrays returned by the field
+    callables are only read.
     """
     captures = sorted(set(float(t) for t in capture_times))
     if captures and captures[0] < s:
@@ -205,16 +208,13 @@ def _march(field, positions, jacobians, s, capture_times, config, stream):
                              config.antithetic)
     x = np.array(positions, dtype=float)
     jac = None if jacobians is None else np.array(jacobians, dtype=float)
-    out = []
     r = s
     step_count = 0
     _check_spd(field, s, x)
     for target in captures:
-        if target == r:
-            out.append((target, x.copy(), None if jac is None else jac.copy()))
-            continue
-        while r < target - 1e-15:
-            dt = min(config.dt, target - r)
+        n_full = math.floor((target - r) / config.dt + 1e-9)
+        rest = (target - r) - n_full * config.dt
+        for dt in [config.dt] * n_full + ([rest] if rest > 1e-9 * config.dt else []):
             step_count += 1
             if step_count % 64 == 0:
                 _check_spd(field, r, x)
@@ -232,8 +232,7 @@ def _march(field, positions, jacobians, s, capture_times, config, stream):
             if not np.isfinite(peak) or peak > OVERFLOW_GUARD:
                 raise Blowup(r, float(peak))
         r = target
-        out.append((target, x.copy(), None if jac is None else jac.copy()))
-    return out
+        yield target, x.copy(), None if jac is None else jac.copy()
 
 
 def evolve(

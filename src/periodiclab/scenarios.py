@@ -168,12 +168,12 @@ def validate_scenario(doc: dict) -> dict:
             if name != "decay" and engine == "montecarlo":
                 _require(not q_varies,
                          "pathwise gradients need diffusion independent of x", path)
-        _check_experiment_values(name, spec, path, field.get("period", 1.0))
+        _check_experiment_values(name, spec, path)
     return doc
 
 
-def _check_experiment_values(name: str, spec: dict, path: str, period: float):
-    """Types and ranges of the experiment values the runners cannot work without."""
+def _check_experiment_values(name: str, spec: dict, path: str):
+    """Types and ranges of the experiment values the runners read."""
     if "horizons" in spec:
         # gradient envelopes start at unit separation
         gradient = name in ("gradient-decay", "rate-equivalence")
@@ -185,13 +185,39 @@ def _check_experiment_values(name: str, spec: dict, path: str, period: float):
         _number(spec["p"], f"{path}.p", 2)
     if name == "spectral-mapping" and "substeps" in spec:
         _number(spec["substeps"], f"{path}.substeps", 1, integer=True)
+    for key in ("n_phases", "moment_phases", "k"):
+        if key in spec:
+            _number(spec[key], f"{path}.{key}", 1, integer=True)
+    for key in ("tol", "tolerance", "cluster_tol"):
+        if key in spec:
+            _number(spec[key], f"{path}.{key}", 0, above=True)
+    for key in ("gap_cap", "envelope_rate"):
+        if key in spec:
+            _number(spec[key], f"{path}.{key}", -math.inf)
+    if "window" in spec:
+        window = spec["window"]
+        _require(isinstance(window, list) and len(window) == 2,
+                 f"expected [lo, hi], got {window!r}", f"{path}.window")
+        _number(window[0], f"{path}.window[0]", -math.inf)
+        _number(window[1], f"{path}.window[1]", window[0], above=True)
+    if "rate_bounds" in spec:
+        bounds = spec["rate_bounds"]
+        _require(isinstance(bounds, dict), "expected an object", f"{path}.rate_bounds")
+        ps = {f"{float(p):g}" for p in spec.get("ps", [2.0])}
+        for key, pair in bounds.items():
+            key_path = f"{path}.rate_bounds.{key}"
+            _require(key in ps, f"no exponent {key!r} among ps", key_path)
+            _require(isinstance(pair, list) and len(pair) == 2,
+                     f"expected [lo|null, hi|null], got {pair!r}", key_path)
+            for j, end in enumerate(pair):
+                if end is not None:
+                    _number(end, f"{key_path}[{j}]", -math.inf)
     if "contraction_gaps" in spec:
         gaps_path = f"{path}.contraction_gaps"
         _numbers(spec["contraction_gaps"], gaps_path, 0, above=True)
         horizons = spec.get("horizons", _DECAY_HORIZONS)
         for j, gap in enumerate(spec["contraction_gaps"]):
-            _require(gap in horizons and abs(gap / period - round(gap / period)) <= 1e-9,
-                     "contraction gaps must be whole periods and decay horizons",
+            _require(gap in horizons, "contraction gaps must be decay horizons",
                      f"{gaps_path}[{j}]")
 
 

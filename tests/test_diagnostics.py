@@ -36,7 +36,7 @@ class FakeExpEngine:
             grads[phi.fid] = [(np.exp(self.rate * tau) * np.ones((9, 1)), np.zeros(9))
                               for tau in horizons]
         return eng.TransferProfile(
-            horizons=horizons, outer_weights=[w] * len(horizons), values=values,
+            horizons=horizons, weights=w, values=values,
             grads=grads if gradients else {},
         )
 

@@ -1,5 +1,7 @@
 """Coefficient-field invariants and sample-plan construction."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,3 +77,13 @@ def test_plan_shapes_and_refinement():
 def test_phase_canonicalization(grad_field):
     assert grad_field.phase(1.25) == grad_field.phase(0.25)
     assert 0.0 <= grad_field.phase(-0.3) < grad_field.period
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gen_field_q_matches_broadcast_formula(dim):
+    """Q(t, x) = (1 + 0.1 sin(2 pi t) + 0.25 / (1 + |x|^2)) I, bit for bit."""
+    f = fl.gen_field(dim=dim)
+    X = 3.0 * np.random.default_rng(dim).standard_normal((500, dim))
+    for t in (0.0, 0.3, 0.77):
+        scalar = 1.0 + 0.1 * math.sin(2.0 * np.pi * t) + 0.25 / (1.0 + np.sum(X * X, axis=1))
+        assert np.array_equal(f.q(t, X), scalar[:, None, None] * np.eye(dim))

@@ -94,6 +94,18 @@ if __name__ == "__main__":
     for sid in sorted(SIZES):
         with tempfile.TemporaryDirectory() as tmp:
             pin = run_builtin(sid, Path(tmp))
-        (GOLDEN / f"{sid}.json").write_text(json.dumps(pin, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {GOLDEN / f'{sid}.json'}: {len(pin['checks'])} checks, "
-              f"{len(pin['numbers'])} numbers")
+        path = GOLDEN / f"{sid}.json"
+        old = json.loads(path.read_text()) if path.exists() else {"checks": [], "numbers": {}}
+        # what moved, old -> new, before the pin is overwritten
+        old_checks = {(name, rule): passed for name, rule, passed in old["checks"]}
+        new_checks = {(name, rule): passed for name, rule, passed in pin["checks"]}
+        for key in sorted(old_checks.keys() | new_checks.keys()):
+            if old_checks.get(key) != new_checks.get(key):
+                print(f"{sid}: check {'/'.join(key)}: {old_checks.get(key)} -> "
+                      f"{new_checks.get(key)}")
+        for key in sorted(old["numbers"].keys() | pin["numbers"].keys()):
+            was, now = old["numbers"].get(key), pin["numbers"].get(key)
+            if was is None or now is None or abs(now - was) > RTOL * max(1.0, abs(was)):
+                print(f"{sid}: {key}: {was!r} -> {now!r}")
+        path.write_text(json.dumps(pin, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {path}: {len(pin['checks'])} checks, {len(pin['numbers'])} numbers")

@@ -1,5 +1,6 @@
 """Stochastic engine against exact transition laws and pathwise bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,8 +23,10 @@ def reference_march(field, positions, jacobians, s, capture_times, config, strea
 
     One Philox call per block and step, out-of-place ``x + dt*b + noise``,
     the 2x2 square root as a copied and divided (n, 2, 2) stack, einsum noise
-    and an einsum Jacobian update.  The SPD sampling check is left out: it
-    changes no number.
+    and an einsum Jacobian update.  Each segment takes
+    ``floor((target - r)/dt + 1e-9)`` full steps and then one partial step
+    when more than ``1e-9 dt`` is left.  The SPD sampling check is left out:
+    it changes no number.
     """
     n, d = positions.shape
     bs = config.block_size
@@ -69,8 +72,9 @@ def reference_march(field, positions, jacobians, s, capture_times, config, strea
     out = []
     r = s
     for target in sorted(set(capture_times)):
-        while r < target - 1e-15:
-            dt = min(config.dt, target - r)
+        n_full = math.floor((target - r) / config.dt + 1e-9)
+        rest = (target - r) - n_full * config.dt
+        for dt in [config.dt] * n_full + ([rest] if rest > 1e-9 * config.dt else []):
             z = draw()
             if jac is not None:
                 jac = jac + dt * np.einsum("nij,njk->nik", field.grad_b_at(r, x), jac)
@@ -163,7 +167,7 @@ class TestMarchMatchesReference:
 
     @staticmethod
     def assert_same(field, x0, jac0, s, captures, config, stream=5):
-        got = mc._march(field, x0, jac0, s, captures, config, stream)
+        got = list(mc._march(field, x0, jac0, s, captures, config, stream))
         want = reference_march(field, x0, jac0, s, captures, config, stream)
         assert len(got) == len(want)
         for (t_a, x_a, j_a), (t_b, x_b, j_b) in zip(got, want):
@@ -213,6 +217,27 @@ class TestMarchMatchesReference:
         config = mc.SimConfig(n_particles=1001, dt=0.01, seed=26, antithetic=True, block_size=256)
         x0 = np.random.default_rng(6).standard_normal((1001, 1))
         self.assert_same(grad_field, x0, np.ones((1001, 1, 1)), 0.0, [0.1049, 0.3], config)
+
+    def test_schedule_ignores_other_captures(self, grad_field):
+        # 1 + 1 + 1 + 1, 1 + 1 + 2 and 4 periods at dt 0.01 are 400 steps each
+        config = mc.SimConfig(n_particles=200, dt=0.01, seed=27)
+        x0 = np.linspace(-2.0, 2.0, 200)[:, None]
+        calls, finals = [], []
+        for captures in ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 4.0], [4.0]):
+            times = []
+
+            def b(t, X):
+                times.append(t)
+                return grad_field.b(t, X)
+
+            field = dataclasses.replace(grad_field, b=b)
+            *_, (t, x, _) = mc._march(field, x0, None, 0.0, captures, config, stream=5)
+            assert t == 4.0
+            calls.append(len(times))
+            finals.append(x)
+        assert calls == [400, 400, 400]
+        for x in finals[1:]:
+            assert np.abs(x - finals[0]).max() <= 1e-12
 
     def test_draw_buffer_bounded(self):
         # a large ensemble buffers at most _DRAW_FLOATS normals, or one step
@@ -343,15 +368,41 @@ class TestAntitheticStats:
 class TestTransportChecks:
     def test_contraction_and_invariance_ou(self, ou_mc, battery1):
         phis = [p for p in battery1 if p.fid in ("tanh", "sin", "bump", "coord0")]
-        profile = ou_mc.transfer_profile(phis, 0.0, [1.0, 2.0])
-        rows = dg.contraction_invariance_report(ou_mc, phis, 0.0, [1.0, 2.0], [1.0, 2.0, 4.0],
-                                                profile)
+        gaps = [0.5, 1.0, 2.0]
+        profile = ou_mc.transfer_profile(phis, 0.0, gaps)
+        rows = dg.contraction_invariance_report(ou_mc, phis, 0.0, gaps, [1.0, 2.0, 4.0], profile)
         assert all(r["contraction_ok"] for r in rows)
         assert all(r["invariance_ok"] for r in rows)
 
-    def test_fractional_gap_rejected(self, ou_mc, battery1):
-        with pytest.raises(ValueError):
-            dg.contraction_invariance_report(ou_mc, battery1[:1], 0.0, [0.5], [2.0], None)
+    @pytest.mark.parametrize("kind", ["ou-exact", "grid"])
+    def test_profile_weights_are_the_starting_measure(self, kind, ou_engine, ou_field,
+                                                      ou_generator):
+        # int P(s, s + tau) phi dmu_s = int phi dmu_{s + tau} at fractional horizons too
+        engine = ou_engine if kind == "ou-exact" else eng.GridEngine(ou_field, ou_generator)
+        square = eng.TestFunction("square", lambda X: X[:, 0] ** 2, lambda X: 2.0 * X)
+        profile = engine.transfer_profile([square], 0.0, [0.5, 1.25])
+        for k, tau in enumerate(profile.horizons):
+            g, _ = profile.values["square"][k]
+            want, _ = engine.phase_mean(square, tau)
+            assert abs(float(np.dot(profile.weights, g)) - want) <= 2e-3 * want, (tau, want)
+
+    def test_one_march_per_profile(self, grad_field, grad_report, monkeypatch):
+        marches, march = [], mc._march
+
+        def counted(*args, **kwargs):
+            marches.append(args[4])          # the capture times
+            return march(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "_march", counted)
+        config = mc.SimConfig(n_particles=200, dt=0.02, seed=3, horizon_periods=2)
+        engine = eng.MonteCarloEngine(grad_field, config, n_outer=8, n_inner=16,
+                                      certificate=grad_report.lyapunov)
+        engine.phase_ensemble(0.0)
+        marches.clear()
+        horizons = [1, 1.25, 1.5, 1.75, 2, 2.25, 2.5, 3, 4, 6, 8]
+        profile = engine.transfer_profile(eng.battery(1)[1:3], 0.0, horizons)
+        assert len(marches) == 1 and list(marches[0]) == horizons
+        assert [len(profile.values[fid]) for fid in profile.values] == [11, 11]
 
     def test_gap_missing_from_profile_rejected(self, ou_engine, battery1):
         profile = ou_engine.transfer_profile(battery1[:1], 0.0, [1.0])

@@ -96,12 +96,15 @@ class TestValidation:
         assert f"$.experiments[{i}].horizons" in str(err.value)
 
     @pytest.mark.parametrize("gaps", [[0.5], [5]])
-    def test_contraction_gaps_are_whole_period_decay_horizons(self, gaps):
+    def test_contraction_gaps_are_decay_horizons(self, gaps):
         doc = json.loads(json.dumps(TINY))
         doc["experiments"][1]["contraction_gaps"] = gaps
         with pytest.raises(ConfigError) as err:
             sc.validate_scenario(doc)
         assert "$.experiments[1].contraction_gaps" in str(err.value)
+        # any decay horizon is a valid gap, whole period or not
+        doc["experiments"][1]["horizons"] = [0.5, 1, 2, 3, 5]
+        sc.validate_scenario(doc)
 
     @pytest.mark.parametrize("sid, where, value, path", [
         ("grad1d", ("sim", "particles"), 50, "$.sim.particles"),
@@ -114,6 +117,27 @@ class TestValidation:
         ("grad1d", ("grid", "substeps"), 0, "$.grid.substeps"),
         ("grad1d", ("experiments", 1, "horizons"), [], "$.experiments[1].horizons"),
         ("grad1d", ("experiments", 1, "ps"), ["two"], "$.experiments[1].ps"),
+        ("grad1d", ("experiments", 0, "moment_phases"), 0, "$.experiments[0].moment_phases"),
+        ("grad1d", ("experiments", 4, "n_phases"), 0, "$.experiments[4].n_phases"),
+        ("grad1d", ("experiments", 5, "n_phases"), 2.5, "$.experiments[5].n_phases"),
+        ("grad1d", ("experiments", 1, "window"), "x", "$.experiments[1].window"),
+        ("grad1d", ("experiments", 1, "window"), [3, 1], "$.experiments[1].window"),
+        ("grad1d", ("experiments", 2, "window"), [1, "4"], "$.experiments[2].window"),
+        ("grad1d", ("experiments", 3, "tolerance"), "big", "$.experiments[3].tolerance"),
+        ("grad1d", ("experiments", 6, "cluster_tol"), 0, "$.experiments[6].cluster_tol"),
+        ("grad1d", ("experiments", 7, "tol"), -1e-3, "$.experiments[7].tol"),
+        ("grad1d", ("experiments", 6, "k"), 0, "$.experiments[6].k"),
+        ("grad1d", ("experiments", 6, "gap_cap"), None, "$.experiments[6].gap_cap"),
+        ("grad1d", ("experiments", 1, "envelope_rate"), "fast",
+         "$.experiments[1].envelope_rate"),
+        ("grad1d", ("experiments", 1, "rate_bounds"), {"3": [None, -0.4]},
+         "$.experiments[1].rate_bounds.3"),
+        ("grad1d", ("experiments", 2, "rate_bounds"), {"2": [-0.4]},
+         "$.experiments[2].rate_bounds.2"),
+        ("grad1d", ("experiments", 2, "rate_bounds"), {"2": [None, "x"]},
+         "$.experiments[2].rate_bounds.2[1]"),
+        ("grad1d", ("experiments", 2, "rate_bounds"), [None, -0.4],
+         "$.experiments[2].rate_bounds"),
     ])
     def test_bad_values_name_their_path(self, sid, where, value, path):
         doc = json.loads(json.dumps(sc.load_scenario(sid)))

@@ -247,12 +247,20 @@ def rate_equivalence_check(
 
 @dataclass(frozen=True)
 class PhaseMeasures:
-    """Phase-indexed quadrature for the space-time invariant measure."""
+    """Phase-indexed quadrature for the space-time invariant measure.
+
+    Stochastic phase nodes are one ensemble carried forward (node i of every
+    phase descends from the same particle), so a phase average takes its
+    standard error per node: each node's contribution is averaged over the
+    phases first, then the spread is taken over antithetic pair units when
+    the ensemble is paired.  Deterministic quadrature has stderr 0.
+    """
 
     phases: np.ndarray
     nodes: list          # per phase (m, d)
     weights: list        # per phase (m,), each summing to 1
     stochastic: bool     # True when weights are empirical (stderr meaningful)
+    antithetic: bool     # node i pairs with node i + ceil(m/2)
 
     @staticmethod
     def from_engine(engine, n_phases: int) -> "PhaseMeasures":
@@ -267,13 +275,19 @@ class PhaseMeasures:
             nodes=nodes,
             weights=weights,
             stochastic=engine.stochastic,
+            antithetic=engine.stochastic and engine.config.antithetic,
         )
 
-    def mean_and_se(self, vals: np.ndarray, k: int):
-        w = self.weights[k]
-        mean = float(np.dot(w, vals))
-        se = math.sqrt(float(np.dot(w**2, (vals - mean) ** 2))) if self.stochastic else 0.0
-        return mean, se
+    def phase_means(self, per_phase: Sequence[np.ndarray]):
+        """Per-phase weighted means of node values, and the stderr of their average.
+
+        ``per_phase[k]`` holds one value per node of phase k."""
+        means = np.array([np.dot(w, v) for w, v in zip(self.weights, per_phase)])
+        if not self.stochastic:
+            return means, 0.0
+        contrib = np.mean([len(w) * w * v for w, v in zip(self.weights, per_phase)], axis=0)
+        _, se = mc.mean_and_stderr(contrib, self.antithetic, len(contrib))
+        return means, float(se)
 
 
 def poincare_ratio(
@@ -287,30 +301,26 @@ def poincare_ratio(
 
     left  = phase average of int |u - Pi u|^2 d mu_s,
     right = (Lambda / |ell_2|) * phase average of int |grad_x u|^2 d mu_s.
+    Each term's stderr is the per-node one of ``PhaseMeasures.phase_means``.
     """
     if ell2 >= 0.0:
         raise NotDissipative(f"Poincare check needs ell_2 < 0, got {ell2}")
     const = lam / abs(ell2)
-    lefts, rights, ses = [], [], []
-    margins = []
+    dev2, mean_terms, energy = [], [], []
     for k, s in enumerate(measures.phases):
         vals = u(s, measures.nodes[k])
-        m, m_se = measures.mean_and_se(vals, k)
-        var, var_se = measures.mean_and_se((vals - m) ** 2, k)
-        g2 = np.sum(u.grad_at(s, measures.nodes[k]) ** 2, axis=1)
-        energy, energy_se = measures.mean_and_se(g2, k)
-        lefts.append(var)
-        rights.append(const * energy)
-        ses.append(math.hypot(var_se, const * energy_se, 2 * abs(m) * m_se))
-        margins.append(const * energy - var)
-    left = float(np.mean(lefts))
-    right = float(np.mean(rights))
-    stderr = float(np.linalg.norm(ses) / len(ses))
-    worst = int(np.argmin(margins))
+        m = float(np.dot(measures.weights[k], vals))
+        dev2.append((vals - m) ** 2)
+        mean_terms.append(2 * abs(m) * vals)
+        energy.append(np.sum(u.grad_at(s, measures.nodes[k]) ** 2, axis=1))
+    var, var_se = measures.phase_means(dev2)
+    energies, energy_se = measures.phase_means(energy)
+    _, mean_se = measures.phase_means(mean_terms)
+    worst = int(np.argmin(const * energies - var))
     return InequalityReport(
-        left=left,
-        right=right,
-        stderr=stderr,
+        left=float(np.mean(var)),
+        right=float(np.mean(const * energies)),
+        stderr=math.hypot(var_se, const * energy_se, mean_se),
         constant=const,
         witness=(u.fid, float(measures.phases[worst])),
     )
@@ -330,6 +340,7 @@ def logsob_ratio(
     right = phase average of (Pi |u|^p) log(Pi |u|^p)
             + p^2 Lambda / (2 |r0|) * int |u|^(p-2) |grad_x u|^2 d mu.
     Signed u is handled through |u| (gradient term clipped away from u = 0).
+    Each term's stderr is the per-node one of ``PhaseMeasures.phase_means``.
     """
     if not field.q_independent_of_x:
         raise NotApplicable("entropy inequality needs diffusion independent of x")
@@ -338,33 +349,27 @@ def logsob_ratio(
     if p < 1.0:
         raise ValueError("p must be >= 1")
     const = p * p * lam / (2.0 * abs(r0))
-    ent, proj, grad = [], [], []
-    ses = []
-    margins = []
+    ent, powers, grad = [], [], []
     for k, s in enumerate(measures.phases):
         absu = np.abs(u(s, measures.nodes[k]))
         up = absu**p
-        ent_vals = np.where(up > 0.0, up * np.log(np.maximum(up, 1e-300)), 0.0)
-        a, a_se = measures.mean_and_se(ent_vals, k)
-        pi_up, pi_se = measures.mean_and_se(up, k)
-        b = pi_up * math.log(max(pi_up, 1e-300))
-        b_se = abs(1.0 + math.log(max(pi_up, 1e-300))) * pi_se
+        ent.append(np.where(up > 0.0, up * np.log(np.maximum(up, 1e-300)), 0.0))
+        powers.append(up)
         g2 = np.sum(u.grad_at(s, measures.nodes[k]) ** 2, axis=1)
         weight = np.where(absu > 1e-150, absu ** (p - 2.0), 0.0) if p != 2.0 else 1.0
-        c, c_se = measures.mean_and_se(weight * g2, k)
-        ent.append(a)
-        proj.append(b)
-        grad.append(const * c)
-        ses.append(math.hypot(a_se, b_se, const * c_se))
-        margins.append(b + const * c - a)
-    left = float(np.mean(ent))
-    right = float(np.mean(proj) + np.mean(grad))
-    stderr = float(np.linalg.norm(ses) / len(ses))
-    worst = int(np.argmin(margins))
+        grad.append(weight * g2)
+    a, a_se = measures.phase_means(ent)
+    pi_up, _ = measures.phase_means(powers)
+    c, c_se = measures.phase_means(grad)
+    log_pi = np.log(np.maximum(pi_up, 1e-300))
+    b = pi_up * log_pi
+    # delta method: d(x log x)/dx = 1 + log x, per phase
+    _, b_se = measures.phase_means([abs(1.0 + lk) * up for lk, up in zip(log_pi, powers)])
+    worst = int(np.argmin(b + const * c - a))
     return InequalityReport(
-        left=left,
-        right=right,
-        stderr=stderr,
+        left=float(np.mean(a)),
+        right=float(np.mean(b) + np.mean(const * c)),
+        stderr=math.hypot(a_se, b_se, const * c_se),
         constant=const,
         witness=(u.fid, float(measures.phases[worst])),
     )
@@ -388,13 +393,12 @@ def pointwise_gradient_check(
     ens = mc.TangentEnsemble.identity(s, np.tile(np.atleast_1d(x), (config.n_particles, 1)))
     out = mc.evolve_tangent(field, ens, s, t, config, stream=stream)
     pulled = np.einsum("nij,ni->nj", out.jacobians, phi.grad_at(out.positions))
-    lhs_vec = pulled.mean(axis=0)
+    lhs_vec, lhs_ses = mc.mean_and_stderr(pulled.T, config.antithetic, config.block_size)
     lhs = float(np.linalg.norm(lhs_vec))
-    lhs_se = float(np.linalg.norm(pulled.std(axis=0, ddof=1)) / math.sqrt(out.n))
-    rhs_vals = phi.grad_norm(out.positions)
-    rhs = math.exp(r0 * (t - s)) * float(rhs_vals.mean())
-    rhs_se = math.exp(r0 * (t - s)) * float(rhs_vals.std(ddof=1) / math.sqrt(out.n))
-    stderr = math.hypot(lhs_se, rhs_se)
+    rhs_mean, rhs_se = mc.mean_and_stderr(phi.grad_norm(out.positions), config.antithetic,
+                                          config.block_size)
+    rhs = math.exp(r0 * (t - s)) * float(rhs_mean)
+    stderr = math.hypot(float(np.linalg.norm(lhs_ses)), math.exp(r0 * (t - s)) * float(rhs_se))
     return {
         "t": t, "s": s, "x": np.atleast_1d(x).tolist(), "phi": phi.fid,
         "lhs": lhs, "rhs": rhs, "stderr": stderr,

@@ -15,6 +15,11 @@ Every engine exposes the same seven members:
   horizons, with per-point standard errors (zero for the deterministic
   engines).
 
+The Monte Carlo engine runs one burn-in per run: its phase-0 ensemble is
+sampled from the far past, and every other phase ensemble is that ensemble
+carried forward, so particle i of every phase shares one ancestor and
+diagnostics that average over phases take standard errors per particle.
+
 Engines only transport.  A profile evaluates the transported test function,
 for every horizon, at one set of points distributed like the measure at the
 *starting* time s, which is what the decay norms ``L^p(mu_s)`` integrate
@@ -281,15 +286,29 @@ class MonteCarloEngine:
         return replace(self.config, block_size=self.config.n_particles)
 
     def phase_ensemble(self, phase: float) -> mc.ParticleEnsemble:
+        """The cached particle ensemble of the periodic invariant measure at a phase.
+
+        Phase 0 is the one burn-in: ``sample_periodic_measure`` over
+        ``horizon_periods`` periods on stream 1000.  Every other canonical
+        phase s in (0, T) is the phase-0 ensemble carried forward from 0 to s
+        on stream ``1000 + round(4096 s / T)``, since the measures form an
+        evolution system (mu_s = mu_0 P_{0,s}).  So particle i of every phase
+        descends from particle i at phase 0, and antithetic pairs stay pairs.
+        """
         key = self.field.phase(phase)
         with self._locks_lock:
             lock = self._phase_locks.setdefault(key, threading.Lock())
         with lock:
             if key not in self._phase_cache:
                 stream = 1000 + int(round(4096 * key / self.field.period))
-                self._phase_cache[key] = mc.sample_periodic_measure(
-                    self.field, key, self._ensemble_config(), self.certificate, stream=stream
-                )
+                config = self._ensemble_config()
+                if key == 0.0:
+                    ens = mc.sample_periodic_measure(self.field, 0.0, config, self.certificate,
+                                                     stream=stream)
+                else:
+                    ens = mc.evolve(self.field, self.phase_ensemble(0.0), 0.0, key, config,
+                                    stream=stream)
+                self._phase_cache[key] = ens
         return self._phase_cache[key]
 
     def phase_nodes(self, phase: float):

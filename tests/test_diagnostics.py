@@ -195,6 +195,48 @@ class TestPoincare:
             assert rep.holds(), (u.fid, rep.residual, rep.stderr)
 
 
+class OneEnsembleEngine:
+    """Stochastic engine whose every phase holds one and the same paired ensemble."""
+
+    name = "one-ensemble"
+    stochastic = True
+    period = 1.0
+
+    def __init__(self, positions):
+        self.positions = positions
+        self.config = mc.SimConfig(n_particles=len(positions), antithetic=True)
+
+    def phase_nodes(self, phase):
+        return self.positions, np.full(len(self.positions), 1.0 / len(self.positions))
+
+
+class TestPhaseAverageStderr:
+    """Phases that share particles pool per particle, over antithetic pair units."""
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        return OneEnsembleEngine(np.random.default_rng(11).standard_normal((1000, 1)))
+
+    def test_poincare_copies_report_the_single_phase_stderr(self, grad_field, engine):
+        u = eng.st_battery(1, 1.0)[0]              # u = x, |grad u| = 1
+        one = dg.poincare_ratio(grad_field, u, dg.PhaseMeasures.from_engine(engine, 1), 2.0, -1.0)
+        eight = dg.poincare_ratio(grad_field, u, dg.PhaseMeasures.from_engine(engine, 8),
+                                  2.0, -1.0)
+        x = engine.positions[:, 0]
+        m = x.mean()
+        want = math.hypot(mc.mean_and_stderr((x - m) ** 2, True, len(x))[1],
+                          mc.mean_and_stderr(2 * abs(m) * x, True, len(x))[1])
+        assert one.stderr == pytest.approx(want, rel=1e-12)
+        assert eight.stderr == pytest.approx(want, rel=1e-12)   # not want / sqrt(8)
+
+    def test_logsob_copies_report_the_single_phase_stderr(self, grad_field, engine):
+        u = next(f for f in eng.positive_battery(1) if f.fid == "pos-sin")
+        one, eight = (dg.logsob_ratio(grad_field, u, 1.0, dg.PhaseMeasures.from_engine(engine, k),
+                                      1.0, -1.0) for k in (1, 8))
+        assert one.stderr > 0.0
+        assert eight.stderr == pytest.approx(one.stderr, rel=1e-12)
+
+
 class TestLogSob:
     def test_constant_equality(self, grad_field, grad_mc, grad_report):
         measures = dg.PhaseMeasures.from_engine(grad_mc, 4)

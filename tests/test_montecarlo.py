@@ -345,6 +345,61 @@ class TestTangentFlow:
                                               grad_report.r0_hat, stream=40 + i)
             assert out["holds"], out
 
+    def test_pointwise_stderr_uses_pair_units(self):
+        # odd drift from x = 0 with mirrored noise: every pair is (x, -x), and
+        # both sides average even functions of x, so pairs are the units
+        field = fl.polynomial_field(1, 1.0, q_const=0.5, drift_terms=(fl.DriftTerm(1, -1.0),))
+        config = mc.SimConfig(n_particles=2000, dt=0.01, seed=8, antithetic=True)
+        tanh = next(p for p in eng.battery(1) if p.fid == "tanh")
+        out = dg.pointwise_gradient_check(field, tanh, 1.0, 0.0, [0.0], config, -1.0, stream=5)
+        ens = mc.evolve_tangent(field, mc.TangentEnsemble.identity(0.0, np.zeros((2000, 1))),
+                                0.0, 1.0, config, stream=5)
+        assert np.array_equal(ens.positions[1000:], -ens.positions[:1000])
+        lhs_vals = ens.jacobians[:, 0, 0] * tanh.grad_at(ens.positions)[:, 0]
+        rhs_vals = math.exp(-1.0) * tanh.grad_norm(ens.positions)
+        paired = math.hypot(mc.mean_and_stderr(lhs_vals, True, 2000)[1],
+                            mc.mean_and_stderr(rhs_vals, True, 2000)[1])
+        naive = math.hypot(lhs_vals.std(ddof=1), rhs_vals.std(ddof=1)) / math.sqrt(2000)
+        assert paired > 1.4 * naive
+        assert out["stderr"] == pytest.approx(paired, rel=1e-12)
+
+
+class TestPhaseEnsembles:
+    @staticmethod
+    def engine(field, report):
+        config = mc.SimConfig(n_particles=200, dt=0.02, seed=3, horizon_periods=2,
+                              antithetic=True)
+        return eng.MonteCarloEngine(field, config, n_outer=8, n_inner=16,
+                                    certificate=report.lyapunov)
+
+    def test_phase_zero_is_the_burn_in(self, grad_field, grad_report):
+        engine = self.engine(grad_field, grad_report)
+        config = dataclasses.replace(engine.config, block_size=engine.config.n_particles)
+        want = mc.sample_periodic_measure(grad_field, 0.0, config, grad_report.lyapunov,
+                                          stream=1000)
+        assert np.array_equal(engine.phase_ensemble(0.0).positions, want.positions)
+
+    def test_other_phases_carry_phase_zero_forward(self, grad_field, grad_report):
+        calls = []
+
+        def counted_b(t, X):
+            calls.append(t)
+            return grad_field.b(t, X)
+
+        field = dataclasses.replace(grad_field, b=counted_b)
+        engine = self.engine(field, grad_report)
+        for k in range(8):
+            engine.phase_ensemble(k / 8)
+        dt, burn_in = engine.config.dt, engine.config.horizon_periods * field.period
+        # one burn-in, then at most one period per phase (8 burn-ins, 800 calls, before)
+        want = round(burn_in / dt) + sum(math.ceil(k * field.period / (8 * dt))
+                                         for k in range(1, 8))
+        assert len(calls) == want == 278
+        config = dataclasses.replace(engine.config, block_size=engine.config.n_particles)
+        moved = mc.evolve(grad_field, engine.phase_ensemble(0.0), 0.0, 0.375, config,
+                          stream=1000 + 1536)
+        assert np.array_equal(engine.phase_ensemble(0.375).positions, moved.positions)
+
 
 class TestEnsembleIO:
     def test_rejects_nonfinite(self):

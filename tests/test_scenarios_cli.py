@@ -335,15 +335,22 @@ class TestRun:
         assert "$.sim.n_outer" in capsys.readouterr().err
 
     def test_jobs_build_each_phase_ensemble_once(self, tmp_path, monkeypatch):
+        # phase 0 is built by the burn-in, every other phase by carrying it forward
         builds = Counter()
-        sample = mc.sample_periodic_measure
+        sample, evolve = mc.sample_periodic_measure, mc.evolve
 
         def slow_sample(field, s, *args, **kwargs):
             builds[s] += 1
             time.sleep(0.2)    # holds the build open while the other worker asks
             return sample(field, s, *args, **kwargs)
 
+        def slow_evolve(field, ensemble, s, t, *args, **kwargs):
+            builds[t] += 1
+            time.sleep(0.2)
+            return evolve(field, ensemble, s, t, *args, **kwargs)
+
         monkeypatch.setattr(mc, "sample_periodic_measure", slow_sample)
+        monkeypatch.setattr(mc, "evolve", slow_evolve)
         doc = json.loads(json.dumps(TINY))
         doc["experiments"] = [TINY["experiments"][0], TINY["experiments"][2]]
         sc.run_scenario(doc, tmp_path / "par", jobs=2)
@@ -354,6 +361,25 @@ class TestRun:
         for name in names:
             assert (tmp_path / "par" / name).read_bytes() == \
                 (tmp_path / "serial" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("naive_multiple, passed", [(5.0, True), (6.0, False)])
+    def test_moment_bound_slack_uses_pair_units(self, naive_multiple, passed):
+        # exact mirror pairs (x, -x): 1 + |x|^2 has one independent value per
+        # pair, so its stderr is about sqrt(2) times the per-particle one
+        ctx = sc.RunContext(doc=sc.validate_scenario(json.loads(json.dumps(TINY))), seed=7)
+        half = np.random.default_rng(4).standard_normal((750, 1))
+        ens = mc.ParticleEnsemble(0.0, np.concatenate([half, -half]))
+        ctx.engine("montecarlo")._phase_cache[0.0] = ens
+        v = 1.0 + ens.positions[:, 0] ** 2
+        naive = v.std(ddof=1) / np.sqrt(len(v))
+        paired = mc.mean_and_stderr(v, True, len(v))[1]
+        assert 5.0 * naive < 4.0 * paired < 6.0 * naive
+        report = ctx.hypothesis_report
+        bound = v.mean() - naive_multiple * naive
+        ctx.hypothesis_report = dataclasses.replace(report, lyapunov=dataclasses.replace(
+            report.lyapunov, n=1, a=bound - 1.0, c=1.0))
+        result = sc._run_hypothesis_check(ctx, {"moment_phases": 1})
+        assert next(c["passed"] for c in result.checks if c["rule"] == "moment-bound") is passed
 
     def test_contraction_reads_the_decay_profile(self, tmp_path, monkeypatch):
         calls = []

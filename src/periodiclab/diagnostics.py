@@ -6,7 +6,9 @@ Conventions shared by every diagnostic:
   integrated against the invariant measure at the starting time s.  Since
   ``int P(s+tau, s) phi dmu_s = m_{s+tau} phi``, the centred function is
   mean-zero under that measure at every horizon.  Engines only transport;
-  the centering is taken here, from the engine's ``phase_mean``;
+  every integral against a phase measure (``phase_mean``, ``phase_lp``, the
+  centering) is taken here from the engine's ``phase_nodes``, with the one
+  stderr rule of ``PhaseMeasures.phase_means``;
 * contraction and invariance rows are read from the decay experiment's own
   transfer profile at any of its horizons, so they cost no extra transport;
 * inequality checks are one-sided with a ``5 x stderr`` statistical slack:
@@ -26,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import montecarlo as mc
-from .engines import SpaceTimeFunction, TestFunction, TransferProfile, debiased_power_mean
+from .engines import SpaceTimeFunction, TestFunction, TransferProfile
 from .errors import DegenerateWindow, NoiseFloor, NotApplicable, NotDissipative
 from .fields import PeriodicCoefficientField
 
@@ -118,6 +120,41 @@ class InequalityReport:
         }
 
 
+def debiased_power_mean(g, se, weights, p: float, stochastic: bool):
+    """Weighted p-th power mean of |g| with inner-noise bias removed.
+
+    For p in {2, 4} the leading Monte Carlo bias of |g_hat|^p is subtracted
+    using the per-point standard errors; other exponents use the plain
+    estimator.  Returns (value, stderr) with a delta-method stderr; for
+    deterministic quadrature data (``stochastic=False``) the stderr is zero."""
+    g = np.asarray(g, dtype=float)
+    se = np.asarray(se, dtype=float)
+    if g.ndim == 1:
+        sq = g * g
+        se_sq = se * se
+    else:
+        sq = np.sum(g * g, axis=1)
+        se_sq = se * se  # se is already the aggregated component norm
+    if p == 2:
+        y = sq - se_sq
+    elif p == 4:
+        y = sq * sq - 6.0 * sq * se_sq + 3.0 * se_sq**2
+    else:
+        base = np.sqrt(sq)
+        y = base**p
+    mean_y = float(np.dot(weights, y))
+    var_y = float(np.dot(weights**2, (y - mean_y) ** 2)) if stochastic else 0.0
+    mean_y = max(mean_y, 0.0)
+    value = mean_y ** (1.0 / p)
+    if not stochastic:
+        return value, 0.0
+    if mean_y > 0.0:
+        stderr = math.sqrt(var_y) / (p * mean_y ** (1.0 - 1.0 / p))
+    else:
+        stderr = math.sqrt(math.sqrt(var_y)) if var_y > 0 else 0.0
+    return value, stderr
+
+
 def decay_curve(
     engine,
     phi: TestFunction,
@@ -129,8 +166,8 @@ def decay_curve(
     """Distance-to-equilibrium curve (or, with ``gradient``, gradient-norm curve)
     of one test function from a transfer profile started at time s.
 
-    Value curves centre each horizon with the engine's phase mean at the target
-    time; gradient curves need every horizon at one period of separation or
+    Value curves centre each horizon with ``phase_mean`` at the target time;
+    gradient curves need every horizon at one period of separation or
     more (the gradient envelope statements start at unit separation)."""
     if gradient and np.any(profile.horizons < 1.0):
         raise DegenerateWindow("gradient curves need horizons with tau >= 1")
@@ -143,7 +180,7 @@ def decay_curve(
         if gradient:
             values[k], errs[k] = debiased_power_mean(g, se, w, p, engine.stochastic)
         else:
-            mean, mean_se = engine.phase_mean(phi, s + tau)
+            mean, mean_se = phase_mean(engine, phi, s + tau)
             values[k], errs[k] = debiased_power_mean(g - mean, se, w, p, engine.stochastic)
             errs[k] = math.hypot(errs[k], mean_se)
     return DecayCurve(
@@ -249,11 +286,13 @@ def rate_equivalence_check(
 class PhaseMeasures:
     """Phase-indexed quadrature for the space-time invariant measure.
 
-    Stochastic phase nodes are one ensemble carried forward (node i of every
-    phase descends from the same particle), so a phase average takes its
-    standard error per node: each node's contribution is averaged over the
-    phases first, then the spread is taken over antithetic pair units when
-    the ensemble is paired.  Deterministic quadrature has stderr 0.
+    ``phase_means`` holds the one stderr rule of every phase integral here,
+    ``phase_mean`` and ``phase_lp`` included.  Stochastic phase nodes are one
+    ensemble carried forward (node i of every phase descends from the same
+    particle), so a phase average takes its standard error per node: each
+    node's contribution is averaged over the phases first, then the spread is
+    taken over antithetic pair units when the ensemble is paired.
+    Deterministic quadrature has stderr 0.
     """
 
     phases: np.ndarray
@@ -263,31 +302,46 @@ class PhaseMeasures:
     antithetic: bool     # node i pairs with node i + ceil(m/2)
 
     @staticmethod
-    def from_engine(engine, n_phases: int) -> "PhaseMeasures":
-        phases = engine.period * np.arange(n_phases) / n_phases
-        nodes, weights = [], []
-        for ph in phases:
-            pts, w = engine.phase_nodes(ph)
-            nodes.append(pts)
-            weights.append(w)
+    def at(engine, phases) -> "PhaseMeasures":
+        """The engine's phase nodes at the given phases."""
+        nodes, weights = zip(*(engine.phase_nodes(ph) for ph in phases))
         return PhaseMeasures(
-            phases=phases,
-            nodes=nodes,
-            weights=weights,
+            phases=np.asarray(phases, dtype=float),
+            nodes=list(nodes),
+            weights=list(weights),
             stochastic=engine.stochastic,
             antithetic=engine.stochastic and engine.config.antithetic,
         )
 
+    @staticmethod
+    def from_engine(engine, n_phases: int) -> "PhaseMeasures":
+        """The engine's phase nodes at ``n_phases`` equispaced phases of one period."""
+        return PhaseMeasures.at(engine, engine.period * np.arange(n_phases) / n_phases)
+
     def phase_means(self, per_phase: Sequence[np.ndarray]):
         """Per-phase weighted means of node values, and the stderr of their average.
 
-        ``per_phase[k]`` holds one value per node of phase k."""
-        means = np.array([np.dot(w, v) for w, v in zip(self.weights, per_phase)])
+        ``per_phase[k]`` holds one value per node of phase k.  A stochastic
+        phase mean is the plain mean of its node contributions ``m w_i v_i``,
+        so a constant integrates to itself exactly."""
         if not self.stochastic:
-            return means, 0.0
-        contrib = np.mean([len(w) * w * v for w, v in zip(self.weights, per_phase)], axis=0)
-        _, se = mc.mean_and_stderr(contrib, self.antithetic, len(contrib))
-        return means, float(se)
+            return np.array([np.dot(w, v) for w, v in zip(self.weights, per_phase)]), 0.0
+        contrib = np.array([len(w) * w * v for w, v in zip(self.weights, per_phase)])
+        _, se = mc.mean_and_stderr(contrib.mean(axis=0), self.antithetic, contrib.shape[1])
+        return contrib.mean(axis=1), float(se)
+
+
+def phase_mean(engine, fn, s: float):
+    """``int fn d mu_s`` on the engine's phase nodes, with its stderr."""
+    measures = PhaseMeasures.at(engine, [s])
+    means, se = measures.phase_means([np.asarray(fn(measures.nodes[0]))])
+    return float(means[0]), se
+
+
+def phase_lp(engine, fn, s: float, p: float):
+    """``||fn||_{L^p(mu_s)}`` with a delta-method stderr from that of ``int |fn|^p``."""
+    mean, se = phase_mean(engine, lambda X: np.abs(np.asarray(fn(X))) ** p, s)
+    return max(mean, 0.0) ** (1.0 / p), se / (p * max(mean, 1e-300) ** (1.0 - 1.0 / p))
 
 
 def poincare_ratio(
@@ -420,7 +474,8 @@ def contraction_invariance_report(
     gap among its horizons): the L^p norm of the transported function against
     the starting measure must not exceed the L^p norm of phi against the target
     measure (contraction), and the two measure means must agree (invariance
-    under push-forward), each within ``SLACK`` combined standard errors.
+    under push-forward), each within ``SLACK`` combined standard errors.  The
+    target-measure sides are ``phase_lp`` and ``phase_mean`` at time s + gap.
     """
     w = profile.weights
     rows = []
@@ -433,10 +488,10 @@ def contraction_invariance_report(
             if engine.stochastic:
                 mean_p_se = math.sqrt(float(np.dot(w**2, se**2))
                                       + float(np.dot(w**2, (g - mean_p) ** 2)))
-            mean_phi, mean_phi_se = engine.phase_mean(phi, s + gap)
+            mean_phi, mean_phi_se = phase_mean(engine, phi, s + gap)
             for p in ps:
                 lhs, lhs_se = debiased_power_mean(g, se, w, p, engine.stochastic)
-                rhs, rhs_se = engine.phase_lp(phi, s + gap, p)
+                rhs, rhs_se = phase_lp(engine, phi, s + gap, p)
                 rows.append({
                     "phi": phi.fid, "p": p, "gap": float(gap),
                     "contraction_lhs": lhs, "contraction_rhs": rhs,

@@ -1,6 +1,6 @@
 """Uniform engine interface consumed by the diagnostics layer, and the test functions.
 
-Every engine exposes the same seven members:
+Every engine exposes the same five members:
 
 * ``name``: the engine id written into reports;
 * ``period``: the period T of the coefficients;
@@ -8,8 +8,6 @@ Every engine exposes the same seven members:
   are meaningful), False for deterministic quadrature;
 * ``phase_nodes(phase)``: quadrature nodes and weights for the periodic
   invariant measure at a phase;
-* ``phase_mean`` / ``phase_lp``: integrals against that measure, each with
-  its standard error;
 * ``transfer_profile``: the transition expectation (and optionally its
   pathwise gradient) evaluated at measure-distributed points for a list of
   horizons, with per-point standard errors (zero for the deterministic
@@ -23,8 +21,9 @@ diagnostics that average over phases take standard errors per particle.
 Engines only transport.  A profile evaluates the transported test function,
 for every horizon, at one set of points distributed like the measure at the
 *starting* time s, which is what the decay norms ``L^p(mu_s)`` integrate
-against, and carries no centering: diagnostics centres with ``phase_mean``
-at the target time.  One profile serves a whole decay experiment, including
+against, and carries no centering: diagnostics takes every integral against
+the measure from ``phase_nodes``, and centres with its ``phase_mean`` at the
+target time.  One profile serves a whole decay experiment, including
 its contraction and invariance rows.  The test functions the
 diagnostics apply (the space-only battery and the space-time batteries of
 the inequality checks) live here too.
@@ -171,59 +170,11 @@ class TransferProfile:
     grads: dict                              # fid -> list of (gvec (M,d), se (M,)) or {}
 
 
-def debiased_power_mean(g, se, weights, p: float, stochastic: bool):
-    """Weighted p-th power mean of |g| with inner-noise bias removed.
-
-    For p in {2, 4} the leading Monte Carlo bias of |g_hat|^p is subtracted
-    using the per-point standard errors; other exponents use the plain
-    estimator.  Returns (value, stderr) with a delta-method stderr; for
-    deterministic quadrature data (``stochastic=False``) the stderr is zero."""
-    g = np.asarray(g, dtype=float)
-    se = np.asarray(se, dtype=float)
-    if g.ndim == 1:
-        sq = g * g
-        se_sq = se * se
-    else:
-        sq = np.sum(g * g, axis=1)
-        se_sq = se * se  # se is already the aggregated component norm
-    if p == 2:
-        y = sq - se_sq
-    elif p == 4:
-        y = sq * sq - 6.0 * sq * se_sq + 3.0 * se_sq**2
-    else:
-        base = np.sqrt(sq)
-        y = base**p
-    mean_y = float(np.dot(weights, y))
-    var_y = float(np.dot(weights**2, (y - mean_y) ** 2)) if stochastic else 0.0
-    mean_y = max(mean_y, 0.0)
-    value = mean_y ** (1.0 / p)
-    if not stochastic:
-        return value, 0.0
-    if mean_y > 0.0:
-        stderr = math.sqrt(var_y) / (p * mean_y ** (1.0 - 1.0 / p))
-    else:
-        stderr = math.sqrt(math.sqrt(var_y)) if var_y > 0 else 0.0
-    return value, stderr
-
-
-class QuadratureEngine:
-    """Deterministic engine: phase integrals are weighted sums over ``phase_nodes``."""
-
-    stochastic = False
-
-    def phase_mean(self, fn, phase: float):
-        pts, w = self.phase_nodes(phase)
-        return float(np.dot(w, np.asarray(fn(pts)))), 0.0
-
-    def phase_lp(self, fn, phase: float, p: float):
-        pts, w = self.phase_nodes(phase)
-        return float(np.dot(w, np.abs(np.asarray(fn(pts))) ** p) ** (1.0 / p)), 0.0
-
-
-class OUExactEngine(QuadratureEngine):
+class OUExactEngine:
     """Quadrature-grade engine backed by the Gaussian transition law."""
 
     name = "ou-exact"
+    stochastic = False
 
     def __init__(self, model: ou.OUModel, n_phases: int = 33, order: int = 60):
         self.model = model
@@ -291,8 +242,9 @@ class MonteCarloEngine:
         Phase 0 is the one burn-in: ``sample_periodic_measure`` over
         ``horizon_periods`` periods on stream 1000.  Every other canonical
         phase s in (0, T) is the phase-0 ensemble carried forward from 0 to s
-        on stream ``1000 + round(4096 s / T)``, since the measures form an
-        evolution system (mu_s = mu_0 P_{0,s}).  So particle i of every phase
+        on stream ``1000 + max(1, round(4096 s / T))``, since the measures form
+        an evolution system (mu_s = mu_0 P_{0,s}); the floor of 1 keeps a phase
+        below T/8192 off the burn-in's stream.  So particle i of every phase
         descends from particle i at phase 0, and antithetic pairs stay pairs.
         """
         key = self.field.phase(phase)
@@ -300,12 +252,12 @@ class MonteCarloEngine:
             lock = self._phase_locks.setdefault(key, threading.Lock())
         with lock:
             if key not in self._phase_cache:
-                stream = 1000 + int(round(4096 * key / self.field.period))
                 config = self._ensemble_config()
                 if key == 0.0:
                     ens = mc.sample_periodic_measure(self.field, 0.0, config, self.certificate,
-                                                     stream=stream)
+                                                     stream=1000)
                 else:
+                    stream = 1000 + max(1, round(4096 * key / self.field.period))
                     ens = mc.evolve(self.field, self.phase_ensemble(0.0), 0.0, key, config,
                                     stream=stream)
                 self._phase_cache[key] = ens
@@ -314,20 +266,6 @@ class MonteCarloEngine:
     def phase_nodes(self, phase: float):
         ens = self.phase_ensemble(phase)
         return ens.positions, np.full(ens.n, 1.0 / ens.n)
-
-    def _stats(self, vals: np.ndarray):
-        mean, se = mc.mean_and_stderr(
-            vals, self.config.antithetic, self.config.n_particles
-        )
-        return float(mean), float(se)
-
-    def phase_mean(self, fn, phase: float):
-        return self._stats(np.asarray(fn(self.phase_ensemble(phase).positions)))
-
-    def phase_lp(self, fn, phase: float, p: float):
-        mean, se = self._stats(np.abs(np.asarray(fn(self.phase_ensemble(phase).positions))) ** p)
-        value = max(mean, 0.0) ** (1.0 / p)
-        return value, se / (p * max(mean, 1e-300) ** (1.0 - 1.0 / p))
 
     def transfer_profile(self, phis: Sequence[TestFunction], s: float, horizons, gradients=False):
         """Evaluate inner-replica transition means at mu_s-distributed points.
@@ -357,24 +295,21 @@ class MonteCarloEngine:
                     vals, self.config.antithetic, self.n_inner))
                 if gradients:
                     pulled = np.einsum("nij,ni->nj", jac, phi.grad_at(pos))
-                    pulled = pulled.reshape(self.n_outer, self.n_inner, d)
-                    comp_mean = np.empty((self.n_outer, d))
-                    comp_var = np.empty((self.n_outer, d))
-                    for c in range(d):
-                        m_c, se_c = mc.mean_and_stderr(
-                            pulled[..., c], self.config.antithetic, self.n_inner
-                        )
-                        comp_mean[:, c] = m_c
-                        comp_var[:, c] = se_c**2
-                    grads[phi.fid].append((comp_mean, np.sqrt(comp_var.sum(axis=1))))
+                    # contiguous inner rows sum each component as a 1-d reduction would
+                    pulled = np.ascontiguousarray(
+                        pulled.reshape(self.n_outer, self.n_inner, d).transpose(0, 2, 1))
+                    comp_mean, comp_se = mc.mean_and_stderr(pulled, self.config.antithetic,
+                                                            self.n_inner)
+                    grads[phi.fid].append((comp_mean, np.linalg.norm(comp_se, axis=1)))
         weights = np.full(self.n_outer, 1.0 / self.n_outer)
         return TransferProfile(horizons, weights, values, grads)
 
 
-class GridEngine(QuadratureEngine):
+class GridEngine:
     """Deterministic engine: Crank-Nicolson slice maps weighted by rho."""
 
     name = "grid"
+    stochastic = False
 
     def __init__(
         self,

@@ -519,12 +519,6 @@ def carre_du_champ_residual(
     return abs(float(total))
 
 
-def mass_outside_box(grid: SpaceTimeGrid, positions: np.ndarray) -> float:
-    """Empirical measure mass outside the truncation box (tightness check)."""
-    outside = np.any(np.abs(np.asarray(positions)) > grid.half_width, axis=1)
-    return float(outside.mean())
-
-
 def solvability_residual(gen: DiscreteGenerator, f: np.ndarray) -> dict:
     """Solve G u = f0 and G u = f0 + 1 with one sparse LU, f0 the rho-mean-zero part of f.
 

@@ -14,7 +14,7 @@ is updated in place, one step at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -365,23 +365,3 @@ def evolve_tangent(
     (t_out, pos, jac), = _march(field, ensemble.positions, ensemble.jacobians, s, [t], config, stream)
     return TangentEnsemble(t_out, pos, jac)
 
-
-def horizon_is_converged(
-    field: PeriodicCoefficientField,
-    s: float,
-    config: SimConfig,
-    certificate: LyapunovResult | None = None,
-) -> bool:
-    """Doubling test for the far-past horizon: first and second moments move by < 2 stderr."""
-    base = sample_periodic_measure(field, s, config, certificate, stream=2)
-    doubled = sample_periodic_measure(
-        field, s, replace(config, horizon_periods=2 * config.horizon_periods), certificate, stream=2
-    )
-    for k in (1, 2):
-        for axis in range(field.dim):
-            a = base.positions[:, axis] ** k
-            b = doubled.positions[:, axis] ** k
-            se = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
-            if abs(a.mean() - b.mean()) >= 2.0 * se:
-                return False
-    return True

@@ -43,7 +43,7 @@ _FIELD_KEYS = {
     "gen": {"kind", "dim", "period", "rate_const", "rate_cos", "q_const", "q_sin", "q_bump"},
     "custom-polynomial": {"kind", "dim", "period", "q_const", "q_sin", "q_cos", "drift_terms"},
 }
-_PLAN_KEYS = {"r_max", "n_times", "n_axis", "n_shells", "n_shell_dirs"}
+_PLAN_DEFAULTS = {"r_max": 6.0, "n_times": 64, "n_axis": 21, "n_shells": 6, "n_shell_dirs": 16}
 _SIM_DEFAULTS = {"particles": 20000, "dt": 0.004, "horizon_periods": 16, "antithetic": False,
                  "n_outer": 128, "n_inner": 2048}
 _GRID_DEFAULTS = {"half_width": 4.5, "points_per_axis": 63, "time_slices": 33,
@@ -95,18 +95,34 @@ def _numbers(values, path: str, low: float, above: bool = False):
 
 
 def _section(doc: dict, name: str) -> dict:
-    """The ``sim`` or ``grid`` section with every unset key at its default."""
-    return {**{"sim": _SIM_DEFAULTS, "grid": _GRID_DEFAULTS}[name], **doc.get(name, {})}
+    """The ``plan``, ``sim`` or ``grid`` section with every unset key at its default."""
+    defaults = {"plan": _PLAN_DEFAULTS, "sim": _SIM_DEFAULTS, "grid": _GRID_DEFAULTS}[name]
+    return {**defaults, **doc.get(name, {})}
 
 
 def _check_values(doc: dict):
-    """Types and ranges of the field, sim and grid values the engines read."""
+    """Types and ranges of the field, plan, sim and grid values the engines read."""
     field = doc["field"]
     period = field.get("period", 1.0)
     _number(period, "$.field.period", 0.0, above=True)
     if "dim" in field:
         _number(field["dim"], "$.field.dim", 1, integer=True)
         _require(field["dim"] <= 3, "the lab supports d <= 3", "$.field.dim")
+    terms = field.get("drift_terms", [])
+    _require(isinstance(terms, list), "expected a list", "$.field.drift_terms")
+    for j, term in enumerate(terms):
+        path = f"$.field.drift_terms[{j}]"
+        _check_keys(term, {"power", "const", "sin", "cos"}, path)
+        _number(term.get("power"), f"{path}.power", 1, integer=True)
+        _require(term["power"] % 2 == 1, f"must be odd, got {term['power']}", f"{path}.power")
+        for key in ("const", "sin", "cos"):
+            _number(term.get(key, 0.0), f"{path}.{key}", -math.inf)
+    plan = _section(doc, "plan")
+    _number(plan["r_max"], "$.plan.r_max", 0.0, above=True)
+    for key in ("n_times", "n_axis", "n_shell_dirs"):
+        _number(plan[key], f"$.plan.{key}", 1, integer=True)
+    # the radial growth test compares the two outermost shells
+    _number(plan["n_shells"], "$.plan.n_shells", 2, integer=True)
     sim = _section(doc, "sim")
     _number(sim["particles"], "$.sim.particles", 100, integer=True)
     _number(sim["dt"], "$.sim.dt", 0.0, above=True)
@@ -141,7 +157,7 @@ def validate_scenario(doc: dict) -> dict:
     kind = field.get("kind")
     _require(kind in _FIELD_KEYS, f"unknown field kind {kind!r}", "$.field.kind")
     _check_keys(field, _FIELD_KEYS[kind], "$.field")
-    for section, keys in (("plan", _PLAN_KEYS), ("sim", _SIM_DEFAULTS),
+    for section, keys in (("plan", _PLAN_DEFAULTS), ("sim", _SIM_DEFAULTS),
                           ("grid", _GRID_DEFAULTS)):
         if section in doc:
             _check_keys(doc[section], keys, f"$.{section}")
@@ -158,6 +174,9 @@ def validate_scenario(doc: dict) -> dict:
         if name == "logsob":
             _require(not q_varies,
                      "the entropy inequality needs diffusion independent of x", path)
+        if spec.get("pointwise_samples"):
+            _require(not q_varies, "pathwise gradients need diffusion independent of x",
+                     f"{path}.pointwise_samples")
         if name in ("decay", "gradient-decay", "rate-equivalence"):
             engine = _engine_name(name, spec, kind)
             _require(engine in ("montecarlo", "grid", "ou-exact"),
@@ -188,6 +207,11 @@ def _check_experiment_values(name: str, spec: dict, path: str):
     for key in ("n_phases", "moment_phases", "k"):
         if key in spec:
             _number(spec[key], f"{path}.{key}", 1, integer=True)
+    if "pointwise_samples" in spec:
+        _number(spec["pointwise_samples"], f"{path}.pointwise_samples", 0, integer=True)
+    for key in ("refine", "carre", "solvability"):
+        if key in spec:
+            _require(isinstance(spec[key], bool), "expected true or false", f"{path}.{key}")
     for key in ("tol", "tolerance", "cluster_tol"):
         if key in spec:
             _number(spec[key], f"{path}.{key}", 0, above=True)
@@ -307,16 +331,8 @@ class RunContext:
 
     @cached_property
     def plan(self):
-        p = self.doc.get("plan", {})
-        return fl.build_plan(
-            dim=self.field.dim,
-            period=self.field.period,
-            r_max=p.get("r_max", 6.0),
-            n_times=p.get("n_times", 64),
-            n_axis=p.get("n_axis", 21),
-            n_shells=p.get("n_shells", 6),
-            n_shell_dirs=p.get("n_shell_dirs", 16),
-        )
+        return fl.build_plan(dim=self.field.dim, period=self.field.period,
+                             **_section(self.doc, "plan"))
 
     @cached_property
     def hypothesis_report(self) -> hyp.HypothesisReport:
@@ -443,7 +459,7 @@ def _run_hypothesis_check(ctx: RunContext, params: dict) -> ExperimentResult:
             return 1.0 + np.sum(X**2, axis=1) ** report.lyapunov.n
 
         for k in range(n_phases):
-            mean, se = mc_engine.phase_mean(moment, ctx.field.period * k / n_phases)
+            mean, se = dg.phase_mean(mc_engine, moment, ctx.field.period * k / n_phases)
             ok = ok and mean <= bound + 4.0 * se
             worst = max(worst, mean - bound)
             rows.append({"metric": f"moment_phase_{k}", "value": mean})
@@ -542,7 +558,7 @@ def _run_gradient_decay(ctx: RunContext, params: dict) -> ExperimentResult:
             if bounds is not None:
                 checks.append(_check(f"gradient-rate-p{p:g}", False, f"fit refused: {exc}"))
     n_point = params.get("pointwise_samples", 0)
-    if n_point and ctx.field.q_independent_of_x:
+    if n_point:
         rng = np.random.default_rng(ctx.seed)
         r0 = ctx.hypothesis_report.r0_hat
         config = replace(ctx.sim_config(), n_particles=4000)

@@ -22,8 +22,9 @@ class FakeExpEngine:
     def __init__(self, rate=-1.0):
         self.rate = rate
 
-    def phase_mean(self, fn, phase):
-        return 0.0, 0.0
+    def phase_nodes(self, phase):
+        # a point mass at the origin, where the odd test functions vanish
+        return np.zeros((1, 1)), np.ones(1)
 
     def transfer_profile(self, phis, s, horizons, gradients=False):
         horizons = np.asarray(sorted(horizons), dtype=float)
@@ -150,20 +151,31 @@ def test_engine_protocol(kind, ou_model, ou_field, ou_generator, ou_report, batt
     elif kind == "grid":
         engine = eng.GridEngine(ou_field, ou_generator)
     else:
-        config = mc.SimConfig(n_particles=200, dt=0.02, seed=3, horizon_periods=2)
+        # at 2000 particles np.dot(w, 1) is 1 + 7e-16: the plain mean keeps constants exact
+        config = mc.SimConfig(n_particles=2000, dt=0.02, seed=3, horizon_periods=2,
+                              antithetic=True)
         engine = eng.MonteCarloEngine(ou_field, config, n_outer=8, n_inner=16,
                                       certificate=ou_report.lyapunov)
     assert engine.name == kind
     assert engine.period == 1.0
     assert engine.stochastic is (kind == "montecarlo")
-    if not engine.stochastic:
-        pts, w = engine.phase_nodes(0.3)
-        for phi in battery1:
-            vals = np.asarray(phi(pts))
-            assert engine.phase_mean(phi, 0.3) == (float(np.dot(w, vals)), 0.0)
+    for member in ("phase_mean", "phase_lp", "_stats"):
+        assert not hasattr(engine, member)     # phase integrals live in diagnostics
+    pts, w = engine.phase_nodes(0.3)
+    for phi in battery1:
+        vals = np.asarray(phi(pts))
+        mean, se = dg.phase_mean(engine, phi, 0.3)
+        if engine.stochastic:
+            assert mean == vals.mean()
+            assert se == mc.mean_and_stderr(vals, True, len(vals))[1]
+            if phi.fid == "const":
+                assert (mean, se) == (1.0, 0.0) == dg.phase_lp(engine, phi, 0.3, 2.0)
+        else:
+            assert mean == float(np.dot(w, vals))
+            assert se == 0.0
             for p in (1.0, 2.0, 4.0):
                 lp = float(np.dot(w, np.abs(vals) ** p) ** (1.0 / p))
-                assert engine.phase_lp(phi, 0.3, p) == (lp, 0.0)
+                assert dg.phase_lp(engine, phi, 0.3, p) == (lp, 0.0)
     assert dg.PhaseMeasures.from_engine(engine, 4).stochastic is engine.stochastic
 
 
@@ -278,8 +290,8 @@ class TestProjectionProperties:
                 pis, raws = [], []
                 for k in range(8):
                     phase = k / 8.0
-                    mean, _ = ou_engine.phase_mean(phi, phase)
-                    lp, _ = ou_engine.phase_lp(phi, phase, p)
+                    mean, _ = dg.phase_mean(ou_engine, phi, phase)
+                    lp, _ = dg.phase_lp(ou_engine, phi, phase, p)
                     pis.append(abs(mean) ** p)
                     raws.append(lp**p)
                 assert np.mean(pis) ** (1 / p) <= np.mean(raws) ** (1 / p) + 1e-12
@@ -297,7 +309,7 @@ class TestProjectionProperties:
             u, sig, shift = ou._transition_ode(ou_model, target, s, 1e-10)
             push = ou.GaussianMeasure(u @ mu_s.mean + shift, u @ mu_s.cov @ u.T + sig)
             lhs = ou.gaussian_expectation(push, phi, order=60)
-            rhs, _ = ou_engine.phase_mean(eng.TestFunction("t", phi, lambda X: X), target)
+            rhs, _ = dg.phase_mean(ou_engine, eng.TestFunction("t", phi, lambda X: X), target)
             assert abs(lhs - rhs) < 1e-8
 
     def test_commutation_montecarlo(self, ou_mc, battery1):
@@ -306,7 +318,7 @@ class TestProjectionProperties:
         g, se = profile.values["tanh"][0]
         mean_p = float(np.mean(g))
         se_p = math.sqrt(float(np.mean(se**2)) / len(g) + g.var(ddof=1) / len(g))
-        rhs, rhs_se = ou_mc.phase_mean(tanh, 1.25)
+        rhs, rhs_se = dg.phase_mean(ou_mc, tanh, 1.25)
         assert abs(mean_p - rhs) <= 5 * math.hypot(se_p, rhs_se) + 1e-4
 
 

@@ -299,10 +299,6 @@ class TestPeriodicMeasure:
         with pytest.raises(NotDissipative):
             mc.sample_periodic_measure(field, 0.0, config)
 
-    def test_horizon_doubling_converged(self, grad_field, grad_report):
-        config = mc.SimConfig(n_particles=8000, dt=0.008, seed=9, horizon_periods=10)
-        assert mc.horizon_is_converged(grad_field, 0.0, config, grad_report.lyapunov)
-
 
 def _pathwise_gradient(field, phi_grad, t, s, x, config):
     """Mean and scalar stderr of J^T grad phi(X_t) over a tangent flow started at x."""
@@ -400,6 +396,19 @@ class TestPhaseEnsembles:
                           stream=1000 + 1536)
         assert np.array_equal(engine.phase_ensemble(0.375).positions, moved.positions)
 
+    def test_tiny_phase_stays_off_the_burn_in_stream(self, grad_field, grad_report,
+                                                     monkeypatch):
+        streams, evolve = [], mc.evolve
+
+        def spied(*args, **kwargs):
+            streams.append(kwargs["stream"])
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "evolve", spied)
+        engine = self.engine(grad_field, grad_report)
+        engine.phase_ensemble(1e-5 * grad_field.period)      # 4096 s / T rounds to 0
+        assert streams == [1001]
+
 
 class TestEnsembleIO:
     def test_rejects_nonfinite(self):
@@ -414,9 +423,19 @@ class TestAntitheticStats:
         mean, se = mc.mean_and_stderr(vals, True, 256)
         assert abs(mean - vals.mean()) < 1e-12
 
+    def test_component_rows_reduce_as_the_per_component_loop(self):
+        # the tangent profile reduces all d gradient components in one call
+        pulled = np.random.default_rng(5).standard_normal((16, 1024, 3))
+        rows = np.ascontiguousarray(pulled.transpose(0, 2, 1))
+        for antithetic in (True, False):
+            mean, se = mc.mean_and_stderr(rows, antithetic, 1024)
+            for c in range(3):
+                m_c, se_c = mc.mean_and_stderr(pulled[..., c], antithetic, 1024)
+                assert np.array_equal(mean[:, c], m_c) and np.array_equal(se[:, c], se_c)
+
     def test_odd_function_collapses(self, grad_mc, battery1):
         tanh = next(p for p in battery1 if p.fid == "tanh")
-        mean, se = grad_mc.phase_mean(tanh, 0.0)
+        mean, se = dg.phase_mean(grad_mc, tanh, 0.0)
         assert abs(mean) < 1e-14 and se < 1e-14
 
 
@@ -438,7 +457,7 @@ class TestTransportChecks:
         profile = engine.transfer_profile([square], 0.0, [0.5, 1.25])
         for k, tau in enumerate(profile.horizons):
             g, _ = profile.values["square"][k]
-            want, _ = engine.phase_mean(square, tau)
+            want, _ = dg.phase_mean(engine, square, tau)
             assert abs(float(np.dot(profile.weights, g)) - want) <= 2e-3 * want, (tau, want)
 
     def test_one_march_per_profile(self, grad_field, grad_report, monkeypatch):

@@ -138,6 +138,33 @@ class TestValidation:
          "$.experiments[2].rate_bounds.2[1]"),
         ("grad1d", ("experiments", 2, "rate_bounds"), [None, -0.4],
          "$.experiments[2].rate_bounds"),
+        ("grad1d", ("plan", "r_max"), 0, "$.plan.r_max"),
+        ("grad1d", ("plan", "n_times"), 0, "$.plan.n_times"),
+        ("grad1d", ("plan", "n_axis"), 1.5, "$.plan.n_axis"),
+        ("grad1d", ("plan", "n_shells"), 1, "$.plan.n_shells"),
+        ("grad1d", ("plan", "n_shell_dirs"), "16", "$.plan.n_shell_dirs"),
+        ("ou1d", ("experiments", 5, "refine"), "no", "$.experiments[5].refine"),
+        ("ou1d", ("experiments", 5, "carre"), 1, "$.experiments[5].carre"),
+        ("grad1d", ("experiments", 6, "solvability"), "yes", "$.experiments[6].solvability"),
+        ("grad1d", ("experiments", 2, "pointwise_samples"), -1,
+         "$.experiments[2].pointwise_samples"),
+        ("grad1d", ("experiments", 2, "pointwise_samples"), 2.5,
+         "$.experiments[2].pointwise_samples"),
+        ("gen2d", ("experiments", 2),
+         {"name": "gradient-decay", "engine": "grid", "pointwise_samples": 5},
+         "$.experiments[2].pointwise_samples"),
+        ("grad1d", ("field",), {"kind": "custom-polynomial", "q_const": 0.5,
+                                "drift_terms": [{"power": 1, "const": -1.0, "tan": 1.0}]},
+         "$.field.drift_terms[0].tan"),
+        ("grad1d", ("field",), {"kind": "custom-polynomial", "q_const": 0.5,
+                                "drift_terms": [{"power": 2, "const": -1.0}]},
+         "$.field.drift_terms[0].power"),
+        ("grad1d", ("field",), {"kind": "custom-polynomial", "q_const": 0.5,
+                                "drift_terms": [{"const": -1.0}]},
+         "$.field.drift_terms[0].power"),
+        ("grad1d", ("field",), {"kind": "custom-polynomial", "q_const": 0.5,
+                                "drift_terms": [{"power": 3, "sin": "0.5"}]},
+         "$.field.drift_terms[0].sin"),
     ])
     def test_bad_values_name_their_path(self, sid, where, value, path):
         doc = json.loads(json.dumps(sc.load_scenario(sid)))

@@ -16,13 +16,14 @@ Conventions shared by every diagnostic:
   are not expected to be tight;
 * rate fits run on log values, exclude the transient ``tau < 1`` and points
   within ten standard errors of the noise floor, and refuse to fit when
-  fewer than five points survive.
+  fewer than five points survive; ``fit_battery``, the one fit path, returns
+  that refusal so it fails the checks that need the fit, never a whole run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,6 +36,11 @@ from .fields import PeriodicCoefficientField
 MIN_FIT_POINTS = 5
 NOISE_MULTIPLE = 10.0
 SLACK = 5.0              # one-sided inequality slack, in combined standard errors
+
+
+def _roundoff(*values) -> float:
+    """Relative roundoff allowance of a comparison between the given values."""
+    return 1e-12 * max(1.0, *(abs(v) for v in values))
 
 
 @dataclass(frozen=True)
@@ -81,14 +87,7 @@ class RateEstimate:
     references: dict = dc_field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
-        return {
-            "rate": self.rate,
-            "intercept": self.intercept,
-            "window": list(self.window),
-            "r_squared": self.r_squared,
-            "n_points": self.n_points,
-            "references": self.references,
-        }
+        return {**asdict(self), "window": list(self.window)}
 
 
 @dataclass(frozen=True)
@@ -106,8 +105,7 @@ class InequalityReport:
         return self.right - self.left
 
     def holds(self) -> bool:
-        scale = max(abs(self.left), abs(self.right), 1.0)
-        return self.residual >= -(SLACK * self.stderr + 1e-12 * scale)
+        return self.residual >= -(SLACK * self.stderr + _roundoff(self.left, self.right))
 
     def to_jsonable(self) -> dict:
         return {
@@ -245,6 +243,29 @@ def fit_rate(
     )
 
 
+@dataclass(frozen=True)
+class BatteryFit:
+    """A battery's pointwise-max curve with its fitted rate, or why the fit was refused."""
+
+    curve: DecayCurve
+    fit: RateEstimate | None
+    refused: str | None = None
+
+    def to_jsonable(self) -> dict:
+        return {"refused": self.refused} if self.fit is None else self.fit.to_jsonable()
+
+
+def fit_battery(curves: Sequence[DecayCurve], window: tuple,
+                references: dict | None = None) -> BatteryFit:
+    """The one rate-fit path: ``fit_rate`` on the pointwise max of a battery's
+    curves, with a refusal (noise floor, too few points) returned, not raised."""
+    curve = max_over_curves(curves)
+    try:
+        return BatteryFit(curve, fit_rate(curve, window, references=references))
+    except (NoiseFloor, DegenerateWindow) as exc:
+        return BatteryFit(curve, None, str(exc))
+
+
 def envelope_constant(curve: DecayCurve, rate: float) -> float:
     """Smallest M with value(tau) <= M exp(rate * tau) across the curve."""
     return float(np.max(curve.values * np.exp(-rate * curve.taus)))
@@ -263,20 +284,21 @@ def rate_equivalence_check(
 
     Requires bounded diffusion and p >= 2 (the regime where the two decay
     exponents provably coincide); the report flags agreement at the given
-    tolerance.
+    tolerance.  A refused fit leaves its rate and the difference None: no agreement.
     """
     if p < 2:
         raise NotApplicable("rate equivalence is checked for p >= 2")
     profile = engine.transfer_profile(list(phis), s, horizons, gradients=True)
-    value_curves = [decay_curve(engine, phi, s, p, profile) for phi in phis]
-    grad_curves = [decay_curve(engine, phi, s, p, profile, gradient=True) for phi in phis]
-    omega = fit_rate(max_over_curves(value_curves), window)
-    gamma = fit_rate(max_over_curves(grad_curves), window)
+    omega, gamma = (
+        fit_battery([decay_curve(engine, phi, s, p, profile, gradient=g) for phi in phis], window)
+        for g in (False, True))
+    rates = [None if f.fit is None else f.fit.rate for f in (omega, gamma)]
+    difference = None if None in rates else abs(rates[0] - rates[1])
     return {
-        "omega_hat": omega.rate,
-        "gamma_hat": gamma.rate,
-        "difference": abs(omega.rate - gamma.rate),
-        "agree": abs(omega.rate - gamma.rate) <= tolerance,
+        "omega_hat": rates[0],
+        "gamma_hat": rates[1],
+        "difference": difference,
+        "agree": difference is not None and difference <= tolerance,
         "omega_fit": omega,
         "gamma_fit": gamma,
     }
@@ -476,8 +498,14 @@ def contraction_invariance_report(
     measure (contraction), and the two measure means must agree (invariance
     under push-forward), each within ``SLACK`` combined standard errors.  The
     target-measure sides are ``phase_lp`` and ``phase_mean`` at time s + gap.
+    Deterministic engines have no standard errors, so their slack is the
+    roundoff allowance ``1e-12 max(1, |lhs|, |rhs|)`` instead.
     """
     w = profile.weights
+
+    def slack(se_a, se_b, a, b):
+        return SLACK * math.hypot(se_a, se_b) if engine.stochastic else _roundoff(a, b)
+
     rows = []
     for gap in sorted(gaps):
         k = list(profile.horizons).index(gap)     # ValueError when the profile lacks it
@@ -489,18 +517,19 @@ def contraction_invariance_report(
                 mean_p_se = math.sqrt(float(np.dot(w**2, se**2))
                                       + float(np.dot(w**2, (g - mean_p) ** 2)))
             mean_phi, mean_phi_se = phase_mean(engine, phi, s + gap)
+            mean_slack = slack(mean_p_se, mean_phi_se, mean_p, mean_phi)
             for p in ps:
                 lhs, lhs_se = debiased_power_mean(g, se, w, p, engine.stochastic)
                 rhs, rhs_se = phase_lp(engine, phi, s + gap, p)
+                lp_slack = slack(lhs_se, rhs_se, lhs, rhs)
                 rows.append({
                     "phi": phi.fid, "p": p, "gap": float(gap),
                     "contraction_lhs": lhs, "contraction_rhs": rhs,
-                    "contraction_slack": SLACK * math.hypot(lhs_se, rhs_se),
-                    "contraction_ok": lhs <= rhs + SLACK * math.hypot(lhs_se, rhs_se),
+                    "contraction_slack": lp_slack,
+                    "contraction_ok": lhs <= rhs + lp_slack,
                     "invariance_gap": abs(mean_p - mean_phi),
-                    "invariance_slack": SLACK * math.hypot(mean_p_se, mean_phi_se),
-                    "invariance_ok": abs(mean_p - mean_phi)
-                    <= SLACK * math.hypot(mean_p_se, mean_phi_se),
+                    "invariance_slack": mean_slack,
+                    "invariance_ok": abs(mean_p - mean_phi) <= mean_slack,
                 })
     return rows
 
@@ -542,7 +571,6 @@ class CoreTestFunction:
     T-periodically.
     """
 
-    tau: float
     period: float
     alpha: BumpWindow
     transported: Callable        # (s_canonical, (n,d)) -> (n,)
@@ -585,7 +613,7 @@ def core_test_function(
         return np.asarray(ou.apply(engine.model, chi, tau, s, np.atleast_2d(points),
                                     order=engine.order))
 
-    return CoreTestFunction(tau=tau, period=period, alpha=alpha, transported=transported)
+    return CoreTestFunction(period=period, alpha=alpha, transported=transported)
 
 
 def core_on_grid(

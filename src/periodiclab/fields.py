@@ -44,8 +44,6 @@ class PeriodicCoefficientField:
         Jacobian of the drift).
     q_independent_of_x : bool
         Smoothness hint: Q depends on t only (then zeta == 0).
-    q_bounded : bool
-        Smoothness hint: Q is bounded on the whole space.
     name : str
         Identifier used in reports.
     """
@@ -57,7 +55,6 @@ class PeriodicCoefficientField:
     grad_q: Coefficient | None = None
     grad_b: Coefficient | None = None
     q_independent_of_x: bool = False
-    q_bounded: bool = False
     name: str = "custom"
 
     def phase(self, t: float) -> float:
@@ -88,16 +85,15 @@ class SamplePlan:
     """Deterministic space-time sample set used by the hypothesis checkers.
 
     Spatial samples are a box lattice (covering ``[-r_max, r_max]^d``) plus
-    radial shells used for the unboundedness heuristic.  ``directions`` are
-    unit vectors retained for quadratic-form reporting; the checkers extremize
-    via eigendecompositions, which dominate any finite direction set.
+    radial shells, along unit directions, used for the unboundedness
+    heuristic.  The checkers extremize quadratic forms via eigendecompositions,
+    which dominate any finite direction set.
     """
 
     times: np.ndarray            # (nt,) in [0, T)
     lattice: np.ndarray          # (m, d)
     shell_radii: np.ndarray      # (ns,), increasing
     shell_points: np.ndarray     # (ns, ms, d)
-    directions: np.ndarray       # (k, d), unit vectors
     r_max: float
 
     def __post_init__(self):
@@ -161,7 +157,6 @@ def build_plan(
         lattice=lattice,
         shell_radii=radii,
         shell_points=shell_points,
-        directions=dirs,
         r_max=float(r_max),
     )
 
@@ -243,7 +238,6 @@ def polynomial_field(
         grad_q=grad_q,
         grad_b=grad_b,
         q_independent_of_x=True,
-        q_bounded=True,
         name=name,
     )
 
@@ -318,6 +312,5 @@ def gen_field(
         grad_q=grad_q,
         grad_b=grad_b,
         q_independent_of_x=False,
-        q_bounded=True,
         name=name,
     )

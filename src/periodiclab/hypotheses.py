@@ -4,7 +4,7 @@ The checkers estimate, over a :class:`~periodiclab.fields.SamplePlan`,
 
 * the ellipticity window ``eta0 = inf lambda_min(Q)``, ``Lambda = sup
   lambda_max(Q)``,
-* a Lyapunov certificate ``L V <= a - c V`` for ``V = 1 + |x|^(2n)``,
+* a Lyapunov certificate ``L V <= a - c V`` for ``V = 1 + |x|^2``,
 * the drift dissipativity bound ``r0 = sup lambda_max(sym grad b)``,
 * the gradient-envelope constant
   ``ell_p = sup ( r(s,x) + d^3 zeta(s)^2 eta(s,x) / (4 min(p-1, 1)) )``,
@@ -31,17 +31,12 @@ C_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
 
 @dataclass(frozen=True)
 class LyapunovResult:
-    """Outcome of the Lyapunov search for V = 1 + |x|^(2n)."""
+    """Outcome of the Lyapunov search for V = 1 + |x|^2."""
 
-    n: int
     accepted: bool
     a: float | None
     c: float | None
     violations: list = dc_field(default_factory=list)
-
-    @property
-    def v_descriptor(self) -> str:
-        return f"1+|x|^{2 * self.n}"
 
     def moment_bound(self) -> float:
         """The certified bound on int V d(mu_s): min V + a / c."""
@@ -62,11 +57,11 @@ class HypothesisReport:
     zeta_times: np.ndarray
     zeta_values: np.ndarray
     ell_p_hat: dict
-    lyapunov: LyapunovResult | None
+    lyapunov: LyapunovResult
     violations: list
 
     def to_jsonable(self) -> dict:
-        payload = {
+        return {
             "field": self.field_name,
             "r_max": self.r_max,
             "eta0_hat": self.eta0_hat,
@@ -74,17 +69,14 @@ class HypothesisReport:
             "r0_hat": self.r0_hat,
             "zeta": {"times": self.zeta_times.tolist(), "values": self.zeta_values.tolist()},
             "ell_p_hat": {str(p): v for p, v in self.ell_p_hat.items()},
-            "lyapunov": None,
-            "violations": self.violations,
-        }
-        if self.lyapunov is not None:
-            payload["lyapunov"] = {
+            "lyapunov": {
                 "accepted": self.lyapunov.accepted,
                 "a": self.lyapunov.a,
                 "c": self.lyapunov.c,
-                "V": self.lyapunov.v_descriptor,
-            }
-        return payload
+                "V": "1+|x|^2",
+            },
+            "violations": self.violations,
+        }
 
 
 def _q_eigen_range(field: PeriodicCoefficientField, plan: SamplePlan):
@@ -112,8 +104,8 @@ def ellipticity_bounds(field: PeriodicCoefficientField, plan: SamplePlan) -> tup
     return float(mins.min()), float(maxs.max())
 
 
-def _lyapunov_terms(field: PeriodicCoefficientField, t: float, pts: np.ndarray, n: int):
-    """(L V, V) for V = 1 + |x|^(2n), in closed form from Q and b."""
+def _lyapunov_terms(field: PeriodicCoefficientField, t: float, pts: np.ndarray):
+    """(L V, V) for V = 1 + |x|^2, in closed form from Q and b."""
     q = np.asarray(field.q(t, pts))
     b = np.asarray(field.b(t, pts))
     if not np.all(np.isfinite(b)):
@@ -122,15 +114,10 @@ def _lyapunov_terms(field: PeriodicCoefficientField, t: float, pts: np.ndarray, 
     r2 = np.sum(pts * pts, axis=1)
     tr_q = np.trace(q, axis1=1, axis2=2)
     bx = np.sum(b * pts, axis=1)
-    av = 2.0 * n * r2 ** (n - 1) * (tr_q + bx)
-    if n >= 2:
-        qxx = np.einsum("mij,mi,mj->m", q, pts, pts)
-        av += 2.0 * n * (2.0 * n - 2.0) * r2 ** (n - 2) * qxx
-    v = 1.0 + r2**n
-    return av, v
+    return 2.0 * (tr_q + bx), 1.0 + r2
 
 
-def lyapunov_check(field: PeriodicCoefficientField, plan: SamplePlan, n: int = 1) -> LyapunovResult:
+def lyapunov_check(field: PeriodicCoefficientField, plan: SamplePlan) -> LyapunovResult:
     """Search the 1-2-5 rate grid for the strongest certificate L V <= a - c V.
 
     For each candidate c the radial-shell growth test rejects certificates
@@ -140,16 +127,14 @@ def lyapunov_check(field: PeriodicCoefficientField, plan: SamplePlan, n: int = 1
     smaller a.  When every candidate fails, the worst offending shell samples
     are returned as violations.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     av_lat = np.empty((len(plan.times), len(plan.lattice)))
     v_lat = None
     ns, ms, d = plan.shell_points.shape
     shells_flat = plan.shell_points.reshape(ns * ms, d)
     av_sh = np.empty((len(plan.times), ns * ms))
     for i, t in enumerate(plan.times):
-        av_lat[i], v_l = _lyapunov_terms(field, t, plan.lattice, n)
-        av_sh[i], v_s = _lyapunov_terms(field, t, shells_flat, n)
+        av_lat[i], v_l = _lyapunov_terms(field, t, plan.lattice)
+        av_sh[i], v_s = _lyapunov_terms(field, t, shells_flat)
         if v_lat is None:
             v_lat, v_shell = v_l, v_s
 
@@ -165,7 +150,7 @@ def lyapunov_check(field: PeriodicCoefficientField, plan: SamplePlan, n: int = 1
         candidates.append((a / c, c, a))
     if candidates:
         _, c_best, a_best = min(candidates)
-        return LyapunovResult(n=n, accepted=True, a=a_best, c=c_best)
+        return LyapunovResult(accepted=True, a=a_best, c=c_best)
 
     c = C_GRID[0]
     g_sh = (av_sh + c * v_shell).reshape(len(plan.times), ns, ms)
@@ -173,7 +158,7 @@ def lyapunov_check(field: PeriodicCoefficientField, plan: SamplePlan, n: int = 1
     violations = [
         (float(plan.times[i]), plan.shell_points[j, k].tolist(), "LV+cV", float(g_sh[i, j, k]))
     ]
-    return LyapunovResult(n=n, accepted=False, a=None, c=None, violations=violations)
+    return LyapunovResult(accepted=False, a=None, c=None, violations=violations)
 
 
 def _r_values(field: PeriodicCoefficientField, plan: SamplePlan) -> np.ndarray:

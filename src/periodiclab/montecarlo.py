@@ -298,7 +298,7 @@ def sample_periodic_measure(
     config.validated_for(field)
     if certificate is None:
         plan = _fields.build_plan(field.dim, field.period, r_max=8.0, n_times=16, n_axis=9)
-        certificate = lyapunov_check(field, plan, n=1)
+        certificate = lyapunov_check(field, plan)
     if not certificate.accepted:
         raise NotDissipative(f"no Lyapunov certificate for field {field.name!r}")
     phase = field.phase(s)

@@ -317,6 +317,5 @@ def as_field(model: OUModel) -> PeriodicCoefficientField:
         grad_q=grad_q,
         grad_b=grad_b,
         q_independent_of_x=True,
-        q_bounded=True,
         name=model.name,
     )

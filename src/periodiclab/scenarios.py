@@ -29,7 +29,7 @@ from . import grid as gridmod
 from . import hypotheses as hyp
 from . import montecarlo as mc
 from . import ougaussian as ou
-from .errors import ConfigError, DegenerateWindow, NoiseFloor
+from .errors import ConfigError
 import hashlib
 
 SCHEMA_VERSION = 1
@@ -94,6 +94,16 @@ def _numbers(values, path: str, low: float, above: bool = False):
     _require(len(set(values)) == len(values), "entries must be distinct", path)
 
 
+def _array(value, path: str, shape: tuple):
+    """Require nested lists of finite numbers with the given shape."""
+    if not shape:
+        return _number(value, path, -math.inf)
+    _require(isinstance(value, list) and len(value) == shape[0],
+             f"expected a list of {shape[0]}, got {value!r}", path)
+    for j, entry in enumerate(value):
+        _array(entry, f"{path}[{j}]", shape[1:])
+
+
 def _section(doc: dict, name: str) -> dict:
     """The ``plan``, ``sim`` or ``grid`` section with every unset key at its default."""
     defaults = {"plan": _PLAN_DEFAULTS, "sim": _SIM_DEFAULTS, "grid": _GRID_DEFAULTS}[name]
@@ -108,6 +118,15 @@ def _check_values(doc: dict):
     if "dim" in field:
         _number(field["dim"], "$.field.dim", 1, integer=True)
         _require(field["dim"] <= 3, "the lab supports d <= 3", "$.field.dim")
+    dim = field.get("dim", 1)
+    # the keys were checked against the field kind, so each name has one shape
+    shapes = {**dict.fromkeys(("a0", "a_sin", "a_cos", "b0", "b_sin", "b_cos"), (dim, dim)),
+              **dict.fromkeys(("f0", "f_sin", "f_cos"), (dim,)),
+              **dict.fromkeys(("rate_const", "rate_cos", "q_bump", "q_const", "q_sin", "q_cos"),
+                              ())}
+    for key, shape in shapes.items():
+        if key in field:
+            _array(field[key], f"$.field.{key}", shape)
     terms = field.get("drift_terms", [])
     _require(isinstance(terms, list), "expected a list", "$.field.drift_terms")
     for j, term in enumerate(terms):
@@ -399,11 +418,10 @@ class RunContext:
 
 @dataclass
 class ExperimentResult:
-    name: str
     payload: dict
     csv_header: list
     csv_rows: list
-    checks: list                      # [{"rule", "passed", "detail"}]
+    checks: list                      # [{"rule", "passed", "detail"}], also written to the payload
 
 
 def _fmt(value) -> str:
@@ -411,20 +429,29 @@ def _fmt(value) -> str:
         return repr(float(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return str(value)
+    return "" if value is None else str(value)     # None: a rate whose fit was refused
 
 
 def _check(rule: str, passed: bool, detail: str) -> dict:
     return {"rule": rule, "passed": bool(passed), "detail": detail}
 
 
-def _rate_bounds(params: dict, p: float):
-    """The ``rate_bounds`` entry for exponent p as (lo, hi) with null ends open, or None."""
+def _fit_check(rule: str, fits: list, verdict) -> dict:
+    """A check that needs fitted rates: ``verdict()`` gives (passed, detail),
+    and a refused fit among ``fits`` fails the check with its reason."""
+    refused = [f.refused for f in fits if f.fit is None]
+    return _check(rule, False, f"fit refused: {refused[0]}") if refused else _check(rule, *verdict())
+
+
+def _rate_check(params: dict, rule: str, p: float, fitted, detail: str) -> list:
+    """The ``rate_bounds`` check of exponent p, if it has bounds (null ends open)."""
     bounds = params.get("rate_bounds", {}).get(f"{p:g}")
     if bounds is None:
-        return None
-    return (-math.inf if bounds[0] is None else bounds[0],
-            math.inf if bounds[1] is None else bounds[1])
+        return []
+    lo = -math.inf if bounds[0] is None else bounds[0]
+    hi = math.inf if bounds[1] is None else bounds[1]
+    return [_fit_check(f"{rule}-p{p:g}", [fitted], lambda: (
+        lo <= fitted.fit.rate <= hi, detail.format(fit=fitted.fit, lo=lo, hi=hi)))]
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +464,7 @@ def _run_hypothesis_check(ctx: RunContext, params: dict) -> ExperimentResult:
     checks = [
         _check("hyp-ellipticity", report.eta0_hat > 0.0,
                f"eta0={report.eta0_hat:.6g} Lambda={report.lambda_hat:.6g}"),
-        _check("hyp-lyapunov", report.lyapunov is not None and report.lyapunov.accepted,
+        _check("hyp-lyapunov", report.lyapunov.accepted,
                f"a={report.lyapunov.a} c={report.lyapunov.c}"),
     ]
     rows = [
@@ -456,7 +483,7 @@ def _run_hypothesis_check(ctx: RunContext, params: dict) -> ExperimentResult:
         ok = True
 
         def moment(X):
-            return 1.0 + np.sum(X**2, axis=1) ** report.lyapunov.n
+            return 1.0 + np.sum(X**2, axis=1)
 
         for k in range(n_phases):
             mean, se = dg.phase_mean(mc_engine, moment, ctx.field.period * k / n_phases)
@@ -466,97 +493,78 @@ def _run_hypothesis_check(ctx: RunContext, params: dict) -> ExperimentResult:
         checks.append(_check("moment-bound", ok,
                              f"bound={bound:.4g} worst_excess={worst:.4g}"))
     payload = report.to_jsonable()
-    payload["checks"] = checks
-    return ExperimentResult("hypothesis-check", payload, ["metric", "value"], rows, checks)
+    return ExperimentResult(payload, ["metric", "value"], rows, checks)
+
+
+# per rate-fit experiment: its default horizons and the battery ids it fits
+_FIT_DEFAULTS = {
+    "decay": (_DECAY_HORIZONS, ("coord0", "tanh", "sin", "bump", "ratio")),
+    "gradient-decay": ([1, 2, 3, 4], ("coord0", "tanh", "sin", "ratio")),
+    "rate-equivalence": ([1, 2, 3, 4, 5, 6], ("tanh", "sin", "ratio")),
+}
+_CURVE_HEADER = ["tau", "value", "stderr", "p", "phi", "engine", "kind"]
+
+
+def _fit_setup(ctx: RunContext, experiment: str, params: dict):
+    """Engine, horizons, fit window and battery of a rate-fit experiment."""
+    default_horizons, ids = _FIT_DEFAULTS[experiment]
+    engine = ctx.engine(_engine_name(experiment, params, ctx.doc["field"]["kind"]))
+    horizons = params.get("horizons", default_horizons)
+    window = tuple(params.get("window", [1.0, max(horizons)]))
+    phis = [phi for phi in eng.battery(ctx.field.dim) if phi.fid in ids]
+    return engine, horizons, window, phis
+
+
+def _battery_fits(ctx: RunContext, experiment: str, params: dict, gradient: bool,
+                  references: dict | None = None):
+    """What decay and gradient-decay share: one transfer profile from s = 0, per
+    exponent of ``ps`` (p, curves, fit), a payload of fit records, and CSV rows."""
+    engine, horizons, window, phis = _fit_setup(ctx, experiment, params)
+    profile = engine.transfer_profile(phis, 0.0, horizons, gradients=gradient)
+    fits = []
+    for p in [float(p) for p in params.get("ps", [2.0])]:
+        curves = [dg.decay_curve(engine, phi, 0.0, p, profile, gradient=gradient) for phi in phis]
+        fits.append((p, curves, dg.fit_battery(curves, window, references)))
+    payload = {"engine": engine.name, "fits": {f"p={p:g}": f.to_jsonable() for p, _, f in fits}}
+    rows = [row for _, curves, _ in fits for curve in curves for row in curve.rows()]
+    return engine, phis, profile, fits, payload, rows
 
 
 def _run_decay(ctx: RunContext, params: dict) -> ExperimentResult:
-    engine = ctx.engine(_engine_name("decay", params, ctx.doc["field"]["kind"]))
-    ps = [float(p) for p in params.get("ps", [2.0])]
-    horizons = params.get("horizons", _DECAY_HORIZONS)
-    window = tuple(params.get("window", [1.0, max(horizons)]))
-    phis = [phi for phi in eng.battery(ctx.field.dim) if phi.fid != "const"]
-    profile = engine.transfer_profile(phis, 0.0, horizons)
-    curves = []
+    refs = {"ell_2": ctx.hypothesis_report.ell_p_hat.get(2.0)}
+    if ctx.model is not None:
+        refs["omega0"] = ou.growth_bound(ctx.model)
+    engine, phis, profile, fits, payload, rows = _battery_fits(ctx, "decay", params, False, refs)
+    env_rate = params.get("envelope_rate")
+    payload["monotone_envelope"] = {f"{c.phi_id}:p={p:g}": c.eventually_decreasing()
+                                    for p, curves, _ in fits for c in curves}
     checks = []
-    payload = {"engine": engine.name, "monotone_envelope": {}, "fits": {}}
-    for p in ps:
-        p_curves = [dg.decay_curve(engine, phi, 0.0, p, profile) for phi in phis]
-        for c in p_curves:
-            payload["monotone_envelope"][f"{c.phi_id}:p={p:g}"] = c.eventually_decreasing()
-        curves.extend(p_curves)
-        combined = dg.max_over_curves(p_curves)
-        refs = {"ell_2": ctx.hypothesis_report.ell_p_hat.get(2.0)}
-        if ctx.model is not None:
-            refs["omega0"] = ou.growth_bound(ctx.model)
-        bounds = _rate_bounds(params, p)
-        env_rate = params.get("envelope_rate")
-        try:
-            fit = dg.fit_rate(combined, window, references=refs)
-            payload["fits"][f"p={p:g}"] = fit.to_jsonable()
-            if bounds is not None:
-                lo, hi = bounds
-                checks.append(_check(
-                    f"decay-rate-p{p:g}", lo <= fit.rate <= hi,
-                    f"omega_hat={fit.rate:.4f} in [{lo}, {hi}] R2={fit.r_squared:.3f}"))
-            if env_rate is not None:
-                m_env = dg.envelope_constant(combined, env_rate)
-                admits = bool(np.all(
-                    combined.values <= m_env * np.exp(env_rate * combined.taus) * (1 + 1e-9)))
-                payload["fits"][f"p={p:g}"]["envelope_M"] = m_env
-                checks.append(_check(
-                    f"decay-envelope-p{p:g}", admits,
-                    f"M={m_env:.4g} at rate {env_rate}"))
-        except (NoiseFloor, DegenerateWindow) as exc:
-            payload["fits"][f"p={p:g}"] = {"refused": str(exc)}
-            if bounds is not None or env_rate is not None:
-                checks.append(_check(f"decay-rate-p{p:g}", False, f"fit refused: {exc}"))
+    for p, _, fitted in fits:
+        checks += _rate_check(params, "decay-rate", p, fitted,
+                              "omega_hat={fit.rate:.4f} in [{lo}, {hi}] R2={fit.r_squared:.3f}")
+        if env_rate is not None:
+            m_env = dg.envelope_constant(fitted.curve, env_rate)
+            admits = bool(np.all(fitted.curve.values
+                                 <= m_env * np.exp(env_rate * fitted.curve.taus) * (1 + 1e-9)))
+            payload["fits"][f"p={p:g}"]["envelope_M"] = m_env
+            checks.append(_fit_check(f"decay-envelope-p{p:g}", [fitted], lambda: (
+                admits, f"M={m_env:.4g} at rate {env_rate}")))
     gaps = params.get("contraction_gaps", [])
     if gaps:
-        rows = dg.contraction_invariance_report(
+        report = dg.contraction_invariance_report(
             engine, phis, 0.0, gaps, [float(p) for p in params.get("contraction_ps", [1, 2, 4])],
             profile)
-        payload["contraction"] = rows
-        checks.append(_check(
-            "contraction", all(r["contraction_ok"] for r in rows),
-            f"{sum(r['contraction_ok'] for r in rows)}/{len(rows)} rows"))
-        checks.append(_check(
-            "invariance", all(r["invariance_ok"] for r in rows),
-            f"{sum(r['invariance_ok'] for r in rows)}/{len(rows)} rows"))
-    payload["checks"] = checks
-    header = ["tau", "value", "stderr", "p", "phi", "engine", "kind"]
-    curve_rows = [row for curve in curves for row in curve.rows()]
-    return ExperimentResult("decay", payload, header, curve_rows, checks)
+        payload["contraction"] = report
+        for rule in ("contraction", "invariance"):
+            passed = [r[f"{rule}_ok"] for r in report]
+            checks.append(_check(rule, all(passed), f"{sum(passed)}/{len(passed)} rows"))
+    return ExperimentResult(payload, _CURVE_HEADER, rows, checks)
 
 
 def _run_gradient_decay(ctx: RunContext, params: dict) -> ExperimentResult:
-    engine = ctx.engine(_engine_name("gradient-decay", params, ctx.doc["field"]["kind"]))
-    ps = [float(p) for p in params.get("ps", [2.0])]
-    horizons = params.get("horizons", [1, 2, 3, 4])
-    window = tuple(params.get("window", [1.0, max(horizons)]))
-    phis = [phi for phi in eng.battery(ctx.field.dim)
-            if phi.fid in ("tanh", "sin", "ratio", "coord0")]
-    profile = engine.transfer_profile(phis, 0.0, horizons, gradients=True)
-    curves = []
-    checks = []
-    payload = {"engine": engine.name, "fits": {}}
-    for p in ps:
-        p_curves = [dg.decay_curve(engine, phi, 0.0, p, profile, gradient=True) for phi in phis]
-        curves.extend(p_curves)
-        combined = dg.max_over_curves(p_curves)
-        bounds = _rate_bounds(params, p)
-        try:
-            fit = dg.fit_rate(combined, window)
-            payload["fits"][f"p={p:g}"] = fit.to_jsonable()
-            if bounds is not None:
-                lo, hi = bounds
-                checks.append(_check(
-                    f"gradient-rate-p{p:g}", lo <= fit.rate <= hi,
-                    f"gamma_hat={fit.rate:.4f} in [{lo}, {hi}]"))
-        except (NoiseFloor, DegenerateWindow) as exc:
-            payload["fits"][f"p={p:g}"] = {"refused": str(exc)}
-            if bounds is not None:
-                checks.append(_check(f"gradient-rate-p{p:g}", False, f"fit refused: {exc}"))
+    _, _, _, fits, payload, rows = _battery_fits(ctx, "gradient-decay", params, True)
+    checks = [check for p, _, fitted in fits for check in _rate_check(
+        params, "gradient-rate", p, fitted, "gamma_hat={fit.rate:.4f} in [{lo}, {hi}]")]
     n_point = params.get("pointwise_samples", 0)
     if n_point:
         rng = np.random.default_rng(ctx.seed)
@@ -574,36 +582,21 @@ def _run_gradient_decay(ctx: RunContext, params: dict) -> ExperimentResult:
         checks.append(_check(
             "gradient-pointwise", all(r["holds"] for r in results),
             f"{sum(r['holds'] for r in results)}/{len(results)} samples"))
-    payload["checks"] = checks
-    header = ["tau", "value", "stderr", "p", "phi", "engine", "kind"]
-    curve_rows = [row for curve in curves for row in curve.rows()]
-    return ExperimentResult("gradient-decay", payload, header, curve_rows, checks)
+    return ExperimentResult(payload, _CURVE_HEADER, rows, checks)
 
 
 def _run_rate_equivalence(ctx: RunContext, params: dict) -> ExperimentResult:
-    engine = ctx.engine(_engine_name("rate-equivalence", params, ctx.doc["field"]["kind"]))
+    engine, horizons, window, phis = _fit_setup(ctx, "rate-equivalence", params)
     p = float(params.get("p", 2.0))
-    horizons = params.get("horizons", [1, 2, 3, 4, 5, 6])
-    window = tuple(params.get("window", [1.0, max(horizons)]))
     tol = params.get("tolerance", 0.1)
-    phis = [phi for phi in eng.battery(ctx.field.dim) if phi.fid in ("tanh", "sin", "ratio")]
     report = dg.rate_equivalence_check(engine, phis, 0.0, p, horizons, window, tol)
-    payload = {
-        "engine": engine.name,
-        "omega_hat": report["omega_hat"],
-        "gamma_hat": report["gamma_hat"],
-        "difference": report["difference"],
-        "omega_fit": report["omega_fit"].to_jsonable(),
-        "gamma_fit": report["gamma_fit"].to_jsonable(),
-    }
-    checks = [_check(
-        "rate-equivalence", report["agree"],
-        f"|omega-gamma|={report['difference']:.4f} <= {tol}")]
-    payload["checks"] = checks
-    rows = [{"omega_hat": report["omega_hat"], "gamma_hat": report["gamma_hat"],
-             "difference": report["difference"], "p": p}]
-    return ExperimentResult("rate-equivalence", payload, ["omega_hat", "gamma_hat",
-                                                          "difference", "p"], rows, checks)
+    fits = [report["omega_fit"], report["gamma_fit"]]
+    checks = [_fit_check("rate-equivalence", fits, lambda: (
+        report["agree"], f"|omega-gamma|={report['difference']:.4f} <= {tol}"))]
+    row = {key: report[key] for key in ("omega_hat", "gamma_hat", "difference")}
+    payload = {**row, "engine": engine.name, "omega_fit": fits[0].to_jsonable(),
+               "gamma_fit": fits[1].to_jsonable()}
+    return ExperimentResult(payload, [*row, "p"], [{**row, "p": p}], checks)
 
 
 def _run_poincare(ctx: RunContext, params: dict) -> ExperimentResult:
@@ -620,8 +613,7 @@ def _run_poincare(ctx: RunContext, params: dict) -> ExperimentResult:
                      "residual": rep.residual, "stderr": rep.stderr})
         checks.append(_check(f"poincare-{u.fid}", rep.holds(),
                              f"residual={rep.residual:.4g} stderr={rep.stderr:.3g}"))
-    payload["checks"] = checks
-    return ExperimentResult("poincare", payload,
+    return ExperimentResult(payload,
                             ["fid", "left", "right", "residual", "stderr"], rows, checks)
 
 
@@ -641,8 +633,7 @@ def _run_logsob(ctx: RunContext, params: dict) -> ExperimentResult:
                          "residual": rep.residual, "stderr": rep.stderr})
             checks.append(_check(f"logsob-{key}", rep.holds(),
                                  f"residual={rep.residual:.4g} stderr={rep.stderr:.3g}"))
-    payload["checks"] = checks
-    return ExperimentResult("logsob", payload,
+    return ExperimentResult(payload,
                             ["fid", "p", "left", "right", "residual", "stderr"], rows, checks)
 
 
@@ -713,12 +704,11 @@ def _run_spectrum(ctx: RunContext, params: dict) -> ExperimentResult:
         checks.append(_check("mean-zero-solvability", ok,
                              f"zero-mean |u| {sol['zero_mean']:.3g} <= {bound:.3g}, "
                              f"unit-mean |u| {sol['unit_mean']:.3g}"))
-    payload["checks"] = checks
     rows = []
     for i, z in enumerate(report.eigenvalues[:50]):
         res = report.residuals[i] if i < len(report.residuals) else ""
         rows.append({"re": z.real, "im": z.imag, "residual": res})
-    return ExperimentResult("spectrum", payload, ["re", "im", "residual"], rows, checks)
+    return ExperimentResult(payload, ["re", "im", "residual"], rows, checks)
 
 
 def _run_spectral_mapping(ctx: RunContext, params: dict) -> ExperimentResult:
@@ -731,9 +721,8 @@ def _run_spectral_mapping(ctx: RunContext, params: dict) -> ExperimentResult:
                      f"worst mismatch {result['worst_mismatch']:.2e} <= {tol}")]
     rows = [{"re": r["lambda"].real, "im": r["lambda"].imag, "kind": r["kind"],
              "mismatch": r["mismatch"]} for r in result["rows"]]
-    payload = {"worst_mismatch": result["worst_mismatch"],
-               "rows": rows, "checks": checks}
-    return ExperimentResult("spectral-mapping", payload,
+    payload = {"worst_mismatch": result["worst_mismatch"], "rows": rows}
+    return ExperimentResult(payload,
                             ["re", "im", "kind", "mismatch"], rows, checks)
 
 
@@ -764,9 +753,8 @@ def _run_core_consistency(ctx: RunContext, params: dict) -> ExperimentResult:
         err_pt = float(np.abs(direct - via_core).max())
         payload["value_match"] = err_pt
         checks.append(_check("core-value", err_pt <= 1e-6, f"max error {err_pt:.2e}"))
-    payload["checks"] = checks
     rows = [{"metric": "grid_rel_residual", "value": rel}]
-    return ExperimentResult("core-consistency", payload, ["metric", "value"], rows, checks)
+    return ExperimentResult(payload, ["metric", "value"], rows, checks)
 
 
 _RUNNERS = {
@@ -812,8 +800,6 @@ class _ComplexEncoder(json.JSONEncoder):
             return obj.tolist()
         if isinstance(obj, (np.floating, np.integer)):
             return obj.item()
-        if isinstance(obj, (dg.RateEstimate,)):
-            return obj.to_jsonable()
         return super().default(obj)
 
 
@@ -863,7 +849,7 @@ def run_scenario(doc: dict, out_dir: str | Path, jobs: int = 1,
                "config_hash": ctx.config_hash(), "experiments": {}, "checks": [],
                "pass": True}
     for name, result in zip(names, results):
-        result.payload.setdefault("config_hash", ctx.config_hash())
+        result.payload.update(checks=result.checks, config_hash=ctx.config_hash())
         (out / f"{name}.json").write_text(
             json.dumps(result.payload, indent=2, sort_keys=True, cls=_ComplexEncoder))
         _write_csv(out / f"{name}.csv", result.csv_header, result.csv_rows)

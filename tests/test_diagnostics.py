@@ -122,7 +122,52 @@ class TestFitRate:
         assert np.all(curve.values <= m_env * np.exp(-0.5 * taus) + 1e-15)
 
 
+class TestFitBattery:
+    """The one rate-fit path returns a refusal instead of raising it."""
+
+    @staticmethod
+    def _curves(values, stderrs):
+        taus = np.arange(1.0, 9.0)
+        return [dg.DecayCurve(taus=taus, values=v, stderrs=se, p=2.0, phi_id=f"c{i}",
+                              engine_id="synthetic")
+                for i, (v, se) in enumerate(zip(values, stderrs))]
+
+    def test_fits_the_pointwise_max(self):
+        taus = np.arange(1.0, 9.0)
+        curves = self._curves([np.exp(-2.0 * taus), 0.5 * np.exp(-taus)], [np.zeros(8)] * 2)
+        fitted = dg.fit_battery(curves, (1.0, 8.0), {"ref": 1.0})
+        combined = dg.max_over_curves(curves)
+        assert np.array_equal(fitted.curve.values, combined.values)
+        assert fitted.fit == dg.fit_rate(combined, (1.0, 8.0), references={"ref": 1.0})
+        assert fitted.refused is None
+        assert fitted.to_jsonable() == fitted.fit.to_jsonable()
+
+    def test_noisy_curve_refused(self):
+        curves = self._curves([np.full(8, 1e-4)], [np.full(8, 5e-5)])
+        fitted = dg.fit_battery(curves, (1.0, 8.0))
+        assert fitted.fit is None
+        assert fitted.refused == "only 0 points above 10.0 stderr in the window"
+        assert fitted.to_jsonable() == {"refused": fitted.refused}
+        assert np.array_equal(fitted.curve.values, curves[0].values)
+
+    def test_short_window_refused(self):
+        curves = self._curves([np.exp(-np.arange(1.0, 9.0))], [np.zeros(8)])
+        fitted = dg.fit_battery(curves, (1.0, 3.0))
+        assert fitted.fit is None
+        assert fitted.refused == "window [1.0, 3.0] selects 3 < 5 points"
+
+
 class TestRateEquivalence:
+    def test_refused_fit_disagrees_without_raising(self, battery1):
+        phis = [p for p in battery1 if p.fid in ("tanh", "sin")]
+        out = dg.rate_equivalence_check(FakeExpEngine(rate=-1.0), phis, 0.0, 2.0,
+                                        [1, 2, 3], (1.0, 3.0))
+        assert out["agree"] is False
+        assert out["omega_hat"] is None and out["gamma_hat"] is None
+        assert out["difference"] is None
+        for key in ("omega_fit", "gamma_fit"):
+            assert out[key].to_jsonable() == {"refused": "window [1.0, 3.0] selects 3 < 5 points"}
+
     def test_synthetic_shared_source(self, battery1):
         engine = FakeExpEngine(rate=-1.0)
         phis = [p for p in battery1 if p.fid in ("tanh", "sin")]
@@ -320,6 +365,19 @@ class TestProjectionProperties:
         se_p = math.sqrt(float(np.mean(se**2)) / len(g) + g.var(ddof=1) / len(g))
         rhs, rhs_se = dg.phase_mean(ou_mc, tanh, 1.25)
         assert abs(mean_p - rhs) <= 5 * math.hypot(se_p, rhs_se) + 1e-4
+
+
+def test_deterministic_contraction_rows_allow_roundoff(ou_engine, decay_battery1):
+    """Exact quadrature meets both sides up to roundoff; the slack is that roundoff."""
+    profile = ou_engine.transfer_profile(decay_battery1, 0.0, [1, 2])
+    rows = dg.contraction_invariance_report(ou_engine, decay_battery1, 0.0, [1, 2],
+                                            [1.0, 2.0, 4.0], profile)
+    assert len(rows) == 30
+    for row in rows:
+        assert row["contraction_ok"] and row["invariance_ok"], row
+        assert row["contraction_slack"] == 1e-12 * max(
+            1.0, abs(row["contraction_lhs"]), abs(row["contraction_rhs"]))
+        assert 0.0 < row["invariance_slack"] <= 1e-11
 
 
 class TestThetaInterpolation:

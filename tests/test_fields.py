@@ -67,11 +67,11 @@ def test_plan_shapes_and_refinement():
     assert plan.lattice.shape == (25, 2)
     assert plan.shell_points.shape == (3, 8, 2)
     assert np.isclose(plan.shell_radii[-1], 4.0)
-    assert np.allclose(np.linalg.norm(plan.directions, axis=1), 1.0)
+    assert np.allclose(np.linalg.norm(plan.shell_points[-1], axis=1), 4.0)
     with pytest.raises(ValueError):
         fl.SamplePlan(times=np.array([]), lattice=plan.lattice,
                       shell_radii=plan.shell_radii, shell_points=plan.shell_points,
-                      directions=plan.directions, r_max=4.0)
+                      r_max=4.0)
 
 
 def test_phase_canonicalization(grad_field):

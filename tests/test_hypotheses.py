@@ -26,7 +26,7 @@ def _const_matrix_field(mat):
 
     return fl.PeriodicCoefficientField(
         dim=d, period=1.0, q=q, b=b, grad_b=grad_b,
-        q_independent_of_x=True, q_bounded=True, name="const-matrix")
+        q_independent_of_x=True, name="const-matrix")
 
 
 def test_ellipticity_constant_diagonal():
@@ -60,7 +60,7 @@ def test_lyapunov_linear_drift_certificate():
     # Q = 1/2, b = -x: L(1 + x^2) = 1 - 2 x^2 = 3 - 2 V exactly
     field = fl.polynomial_field(1, 1.0, q_const=0.5, drift_terms=(fl.DriftTerm(1, -1.0),))
     plan = fl.build_plan(1, 1.0, r_max=5.0, n_times=8, n_axis=21)
-    res = hyp.lyapunov_check(field, plan, n=1)
+    res = hyp.lyapunov_check(field, plan)
     assert res.accepted
     assert res.c == 2.0
     assert abs(res.a - 3.0) < 1e-12
@@ -70,7 +70,7 @@ def test_lyapunov_linear_drift_certificate():
 def test_lyapunov_antidissipative_violations():
     field = fl.polynomial_field(1, 1.0, q_const=0.5, drift_terms=(fl.DriftTerm(1, 1.0),))
     plan = fl.build_plan(1, 1.0, r_max=5.0, n_times=8, n_axis=21)
-    res = hyp.lyapunov_check(field, plan, n=1)
+    res = hyp.lyapunov_check(field, plan)
     assert not res.accepted
     assert res.violations
     t, x, quantity, value = res.violations[0]
@@ -78,12 +78,12 @@ def test_lyapunov_antidissipative_violations():
 
 
 def test_lyapunov_grad1d_accepts(grad_field, grad_plan):
-    res = hyp.lyapunov_check(grad_field, grad_plan, n=1)
+    res = hyp.lyapunov_check(grad_field, grad_plan)
     assert res.accepted and res.a > 0 and res.c > 0
     # brute oracle on the same samples: the certificate must actually hold
     pts = grad_plan.points
     for t in grad_plan.times[::8]:
-        av, v = hyp._lyapunov_terms(grad_field, t, pts, 1)
+        av, v = hyp._lyapunov_terms(grad_field, t, pts)
         assert np.all(av <= res.a - res.c * v + 1e-9)
 
 
@@ -105,7 +105,7 @@ def test_dissipativity_matrix_drift_fd():
         return np.broadcast_to(np.eye(2), (X.shape[0], 2, 2)).copy()
 
     field = fl.PeriodicCoefficientField(dim=2, period=1.0, q=q, b=b,
-                                        q_independent_of_x=True, q_bounded=True)
+                                        q_independent_of_x=True)
     plan = fl.build_plan(2, 1.0, r_max=3.0, n_times=4, n_axis=5)
     # largest eigenvalue of sym [[-1, 1], [0, -1]] is -1 + 1/2
     assert abs(hyp.dissipativity_r0(field, plan) - (-0.5)) < 1e-9
@@ -132,7 +132,7 @@ def _synthetic_zeta_field(zeta=0.1):
         return np.broadcast_to(-np.eye(2), (X.shape[0], 2, 2)).copy()
 
     return fl.PeriodicCoefficientField(dim=2, period=1.0, q=q, b=b,
-                                       grad_q=grad_q, grad_b=grad_b, q_bounded=True)
+                                       grad_q=grad_q, grad_b=grad_b)
 
 
 def test_ell_p_formula_arithmetic():
@@ -204,7 +204,7 @@ def test_zeta_requires_diffusion_gradient():
 
     base = fl.gen_field()
     bare = fl.PeriodicCoefficientField(dim=2, period=1.0, q=base.q, b=base.b,
-                                       grad_b=base.grad_b, q_bounded=True, name="bare-gen")
+                                       grad_b=base.grad_b, name="bare-gen")
     plan = fl.build_plan(2, 1.0, r_max=3.0, n_times=4, n_axis=5)
     with pytest.raises(MissingGradient):
         hyp.ell_p(bare, plan, 2.0)

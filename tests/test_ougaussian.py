@@ -258,7 +258,7 @@ class TestAsField:
         plan = build_plan(1, 1.0, r_max=4.0, n_times=64, n_axis=9)
         # sup over t of a(t) = -1 + 0.5 max sin = -0.5
         assert ell_p(ou_field, plan, 2.0) == -0.5
-        assert ou_field.q_independent_of_x and ou_field.q_bounded
+        assert ou_field.q_independent_of_x
 
     def test_degenerate_diffusion_flagged(self):
         model = ou.fourier_matrix_model(1, 1.0, a0=[[-1.0]], b0=[[1.0]], b_cos=[[1.0]])

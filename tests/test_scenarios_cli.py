@@ -165,6 +165,26 @@ class TestValidation:
         ("grad1d", ("field",), {"kind": "custom-polynomial", "q_const": 0.5,
                                 "drift_terms": [{"power": 3, "sin": "0.5"}]},
          "$.field.drift_terms[0].sin"),
+        ("ou1d", ("field", "a0"), [[-1.0, 0.0]], "$.field.a0[0]"),
+        ("ou1d", ("field", "a_sin"), [0.5], "$.field.a_sin[0]"),
+        ("ou1d", ("field", "a_cos"), [[0.1], [0.2]], "$.field.a_cos"),
+        ("ou1d", ("field", "b0"), [["x"]], "$.field.b0[0][0]"),
+        ("ou1d", ("field", "b_sin"), 0.5, "$.field.b_sin"),
+        ("ou1d", ("field", "b_cos"), [[True]], "$.field.b_cos[0][0]"),
+        ("ou1d", ("field", "f0"), [1.0, 2.0], "$.field.f0"),
+        ("ou1d", ("field", "f_sin"), ["1"], "$.field.f_sin[0]"),
+        ("ou1d", ("field", "f_cos"), [[1.0]], "$.field.f_cos[0]"),
+        ("gen2d", ("field", "rate_const"), "2", "$.field.rate_const"),
+        ("gen2d", ("field", "rate_cos"), None, "$.field.rate_cos"),
+        ("gen2d", ("field", "q_const"), [1.0], "$.field.q_const"),
+        ("gen2d", ("field", "q_sin"), float("nan"), "$.field.q_sin"),
+        ("gen2d", ("field", "q_bump"), "0.25", "$.field.q_bump"),
+        ("grad1d", ("field",), {"kind": "custom-polynomial", "q_const": "x"},
+         "$.field.q_const"),
+        ("grad1d", ("field",), {"kind": "custom-polynomial", "q_sin": [0.1]},
+         "$.field.q_sin"),
+        ("grad1d", ("field",), {"kind": "custom-polynomial", "q_cos": False},
+         "$.field.q_cos"),
     ])
     def test_bad_values_name_their_path(self, sid, where, value, path):
         doc = json.loads(json.dumps(sc.load_scenario(sid)))
@@ -404,7 +424,7 @@ class TestRun:
         report = ctx.hypothesis_report
         bound = v.mean() - naive_multiple * naive
         ctx.hypothesis_report = dataclasses.replace(report, lyapunov=dataclasses.replace(
-            report.lyapunov, n=1, a=bound - 1.0, c=1.0))
+            report.lyapunov, a=bound - 1.0, c=1.0))
         result = sc._run_hypothesis_check(ctx, {"moment_phases": 1})
         assert next(c["passed"] for c in result.checks if c["rule"] == "moment-bound") is passed
 
@@ -447,6 +467,38 @@ def test_jobs_parallel_same_bytes_grid_scenario(tmp_path):
     assert len(names) == 17  # eight experiments, a JSON and a CSV each, plus summary.json
     for name in names:
         assert (tmp_path / "par" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+def test_refused_rate_equivalence_fit_is_a_failed_check(tmp_path, capsys):
+    """Too few horizons in the window refuse both fits: the run still writes
+    every report and exits 1 (checks failed), not 3 (numerical failure)."""
+    doc = json.loads(json.dumps(sc.load_scenario("ou1d")))
+    doc["sim"] = {"particles": 200, "dt": 0.02, "horizon_periods": 2, "n_outer": 8,
+                  "n_inner": 16, "antithetic": True}
+    doc["plan"] = {"r_max": 6.0, "n_times": 8, "n_axis": 9, "n_shells": 2, "n_shell_dirs": 2}
+    doc["experiments"] = [
+        {"name": "hypothesis-check", "moment_phases": 2},
+        {"name": "rate-equivalence", "engine": "ou-exact", "horizons": [1, 2, 3, 4, 5, 6],
+         "window": [1, 3]},
+    ]
+    path = tmp_path / "ou1d.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    out = tmp_path / "out" / "ou1d"
+    for name in ("hypothesis-check", "rate-equivalence"):
+        assert (out / f"{name}.json").exists() and (out / f"{name}.csv").exists()
+    summary = json.loads((out / "summary.json").read_text())
+    check = next(c for c in summary["checks"] if c["experiment"] == "rate-equivalence")
+    assert check["rule"] == "rate-equivalence" and not check["passed"]
+    refusal = "window [1, 3] selects 3 < 5 points"
+    assert check["detail"] == f"fit refused: {refusal}"
+    text = (out / "rate-equivalence.json").read_text()
+    assert "NaN" not in text
+    report = json.loads(text)
+    assert report["omega_hat"] is None and report["difference"] is None
+    assert report["omega_fit"] == report["gamma_fit"] == {"refused": refusal}
+    assert (out / "rate-equivalence.csv").read_text().splitlines()[1] == ",,,2.0"
+    assert "[FAIL] rate-equivalence/rate-equivalence: fit refused" in capsys.readouterr().out
 
 
 def test_solvability_check_fails_when_rho_is_not_invariant():

@@ -2,6 +2,9 @@
 
 Particles follow  X <- X + b(r, X) dt + sigma(r, X) sqrt(dt) xi  with
 sigma sigma^T = 2 Q (the operator carries Q, not Q/2, on second derivatives).
+The law of the walk depends on sigma only through sigma sigma^T, so sigma is
+sqrt(2 Q) in d = 1, the lower Cholesky factor of 2 Q in d = 2 and the
+symmetric square root in d >= 3.
 Noise is drawn from counter-based Philox streams keyed by
 (seed, stream, block), so ensembles are bit-reproducible for a fixed
 schedule regardless of how particle blocks are traversed; reductions are
@@ -128,55 +131,56 @@ def _block_normals(seed: int, stream: int, n: int, dim: int, block_size: int, an
         yield from buf
 
 
-def _sqrt_spd_2x2(m: np.ndarray) -> np.ndarray:
-    """Symmetric square roots of 2x2 SPD matrices, in place.
+def _lower_factor_2x2(q: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Overwrite (n, 2) ``normals`` z by L z, with L the lower Cholesky factor of 2 q.
 
-    ``m`` is a (4, n) array whose rows are the entries m00, m01, m10, m11;
-    it is overwritten by the entries of the roots and returned.
+    ``q`` is an (m, 2, 2) stack with m = n or 1; L is applied row by row on
+    (n,) columns: l00 = sqrt(2 q00), l10 = 2 q10 / l00 and
+    l11 = sqrt(max(2 q11 - l10^2, 0)).  A negative q00 makes the noise NaN.
     """
-    m00, m01, m10, m11 = m
-    s = m00 * m11
-    s -= m01 * m10
-    np.maximum(s, 0.0, out=s)
-    np.sqrt(s, out=s)
-    denom = m00 + m11
-    denom += 2.0 * s
-    np.maximum(denom, 1e-300, out=denom)
-    np.sqrt(denom, out=denom)
-    m00 += s
-    m11 += s
-    m /= denom
-    return m
+    l00 = q[:, 0, 0] * 2.0
+    np.sqrt(l00, out=l00)
+    l10 = q[:, 1, 0] * 2.0
+    l10 /= l00
+    l11 = q[:, 1, 1] * 2.0
+    l11 -= l10 * l10
+    np.maximum(l11, 0.0, out=l11)
+    np.sqrt(l11, out=l11)
+    z0, z1 = normals.T
+    z1 *= l11
+    z1 += l10 * z0
+    z0 *= l00
+    return normals
 
 
 def _sqrt_spd_batch(mats: np.ndarray) -> np.ndarray:
     """Symmetric square roots of a batch of SPD matrices (continuous in the data)."""
-    d = mats.shape[-1]
-    if d == 1:
+    if mats.shape[-1] == 1:
         return np.sqrt(mats)
-    if d == 2:
-        entries = np.array(mats.reshape(-1, 4).T, order="C")
-        return _sqrt_spd_2x2(entries).T.reshape(-1, 2, 2)
     w, v = np.linalg.eigh(mats)
     return (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.swapaxes(v, -1, -2)
 
 
 def _noise_increment(field, r, positions, normals, sqrt_dt):
-    """sqrt(dt) sigma(r, x) xi with sigma sigma^T = 2 Q; ``normals`` may be overwritten."""
+    """sqrt(dt) sigma(r, x) xi with sigma sigma^T = 2 Q; ``normals`` may be overwritten.
+
+    Only sigma sigma^T enters the law of the walk, so sigma is whichever
+    factor is cheapest: sqrt(2 Q) in d = 1, the lower Cholesky factor of 2 Q
+    in d = 2 (applied in place) and the symmetric root in d >= 3.
+    """
     d = field.dim
     if field.q_independent_of_x:
-        q = np.asarray(field.q(r, np.zeros((1, d))))[0]
+        q = np.asarray(field.q(r, np.zeros((1, d))))
         normals *= sqrt_dt
         if d == 1:
-            normals *= np.sqrt(2.0 * q[0, 0])
+            normals *= np.sqrt(2.0 * q[0, 0, 0])
             return normals
-        return normals @ _sqrt_spd_batch((2.0 * q)[None])[0].T
+        if d == 2:
+            return _lower_factor_2x2(q, normals)
+        return normals @ _sqrt_spd_batch(2.0 * q)[0].T
     q = np.asarray(field.q(r, positions))
     if d == 2:
-        # sig[i, j] * z_j summed over j, all on (n,) rows
-        sig = _sqrt_spd_2x2(np.multiply(q.reshape(-1, 4).T, 2.0, order="C")).reshape(2, 2, -1)
-        sig *= normals.T
-        np.add(sig[:, 0], sig[:, 1], out=normals.T)
+        normals = _lower_factor_2x2(q, normals)
         normals *= sqrt_dt
         return normals
     return sqrt_dt * np.einsum("nij,nj->ni", _sqrt_spd_batch(2.0 * q), normals)

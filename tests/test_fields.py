@@ -87,3 +87,60 @@ def test_gen_field_q_matches_broadcast_formula(dim):
     for t in (0.0, 0.3, 0.77):
         scalar = 1.0 + 0.1 * math.sin(2.0 * np.pi * t) + 0.25 / (1.0 + np.sum(X * X, axis=1))
         assert np.array_equal(f.q(t, X), scalar[:, None, None] * np.eye(dim))
+
+
+def per_term_drift(field_dim, terms, t, X):
+    """b and D b summed term by term, as ``polynomial_field`` once evaluated them.
+
+    D_j [g x_i |x|^(p-1)] = g (|x|^(p-1) delta_ij + (p-1) x_i x_j |x|^(p-3)).
+    """
+    r2 = np.sum(X * X, axis=1)
+    b = np.zeros_like(X)
+    jac = np.zeros((len(X), field_dim, field_dim))
+    outer = X[:, :, None] * X[:, None, :]
+    for term in terms:
+        g = fl._fourier_scalar(term.const, term.sin, term.cos, 1.0)(t)
+        k = (term.power - 1) // 2
+        b += g * X * (r2 ** k)[:, None]
+        jac += g * (r2 ** k)[:, None, None] * np.eye(field_dim)
+        if term.power >= 3:
+            jac += g * (term.power - 1) * (r2 ** (k - 1))[:, None, None] * outer
+    return b, jac
+
+
+POWER_SETS = [(), (1,), (3,), (1, 3), (1, 5), (1, 3, 5, 7)]
+
+
+def _poly(dim, powers):
+    # every g_k(t) < 0, so no term cancels another and rtol is meaningful
+    terms = tuple(fl.DriftTerm(p, -1.0 - 0.1 * p, sin=0.3, cos=0.2) for p in powers)
+    return fl.polynomial_field(dim, 1.0, q_const=1.0, drift_terms=terms), terms
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("powers", POWER_SETS)
+def test_polynomial_drift_matches_per_term_formula(dim, powers):
+    f, terms = _poly(dim, powers)
+    X = 1.5 * np.random.default_rng(dim).standard_normal((200, dim))
+    for t in (0.0, 0.3, 0.77):
+        b_ref, jac_ref = per_term_drift(dim, terms, t, X)
+        b, jac = f.b(t, X), f.grad_b(t, X)
+        assert b.shape == (200, dim) and jac.shape == (200, dim, dim)
+        np.testing.assert_allclose(b, b_ref, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(jac, jac_ref, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("powers", POWER_SETS[1:])
+def test_polynomial_grad_b_matches_central_differences(dim, powers):
+    f, _ = _poly(dim, powers)
+    X = np.random.default_rng(10 + dim).standard_normal((50, dim))
+    h = 1e-6
+    for t in (0.1, 0.6):
+        jac = f.grad_b(t, X)
+        for j in range(dim):
+            step = np.zeros_like(X)
+            step[:, j] = h
+            fd = (f.b(t, X + step) - f.b(t, X - step)) / (2.0 * h)
+            scale = np.abs(jac).max()
+            assert np.abs(jac[:, :, j] - fd).max() <= 1e-7 * scale

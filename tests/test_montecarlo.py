@@ -22,7 +22,7 @@ def reference_march(field, positions, jacobians, s, capture_times, config, strea
     """Plain Euler-Maruyama loop with the arithmetic ``mc._march`` must reproduce.
 
     One Philox call per block and step, out-of-place ``x + dt*b + noise``,
-    the 2x2 square root as a copied and divided (n, 2, 2) stack, einsum noise
+    the 2x2 noise factor as a lower Cholesky (n, 2, 2) stack, einsum noise
     and an einsum Jacobian update.  Each segment takes
     ``floor((target - r)/dt + 1e-9)`` full steps and then one partial step
     when more than ``1e-9 dt`` is left.  The SPD sampling check is left out:
@@ -51,13 +51,11 @@ def reference_march(field, positions, jacobians, s, capture_times, config, strea
         if d == 1:
             return np.sqrt(mats)
         if d == 2:
-            det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-            root = np.sqrt(np.maximum(det, 0.0))
-            denom = np.sqrt(np.maximum(mats[:, 0, 0] + mats[:, 1, 1] + 2.0 * root, 1e-300))
-            out = mats.copy()
-            out[:, 0, 0] += root
-            out[:, 1, 1] += root
-            return out / denom[:, None, None]
+            out = np.zeros_like(mats)
+            out[:, 0, 0] = np.sqrt(mats[:, 0, 0])
+            out[:, 1, 0] = mats[:, 1, 0] / out[:, 0, 0]
+            out[:, 1, 1] = np.sqrt(np.maximum(mats[:, 1, 1] - out[:, 1, 0] ** 2, 0.0))
+            return out
         w, v = np.linalg.eigh(mats)
         return (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.swapaxes(v, -1, -2)
 
@@ -96,6 +94,33 @@ def nan_drift_field():
     return fl.PeriodicCoefficientField(
         dim=1, period=1.0, q=lambda t, X: np.full((len(np.atleast_2d(X)), 1, 1), 0.5),
         b=b, q_independent_of_x=True, name="nan-drift")
+
+
+def tilted_field(q00=lambda t, r2: 1.0 + 0.2 * math.sin(2.0 * math.pi * t) + 0.3 / (1.0 + r2)):
+    """2-d field whose Q(t, x) has an x-dependent off-diagonal entry.
+
+    Q = [[q00, c], [c, 0.8 + 0.1 cos(2 pi t)]] with c = 0.4 x0 x1 / (1 + |x|^2),
+    so |c| <= 0.2, and b = -(2 + 0.5 cos(2 pi t)) x.  With the default q00 >= 0.8
+    Q is SPD everywhere.
+    """
+    def q(t, X):
+        X = np.atleast_2d(X)
+        r2 = X[:, 0] ** 2 + X[:, 1] ** 2
+        out = np.empty((len(X), 2, 2))
+        out[:, 0, 0] = q00(t, r2)
+        out[:, 0, 1] = out[:, 1, 0] = 0.4 * X[:, 0] * X[:, 1] / (1.0 + r2)
+        out[:, 1, 1] = 0.8 + 0.1 * math.cos(2.0 * math.pi * t)
+        return out
+
+    def b(t, X):
+        return -(2.0 + 0.5 * math.cos(2.0 * math.pi * t)) * np.atleast_2d(X)
+
+    return fl.PeriodicCoefficientField(dim=2, period=1.0, q=q, b=b, name="tilted")
+
+
+def random_spd_2x2(n, seed):
+    m = np.random.default_rng(seed).standard_normal((n, 2, 2))
+    return m @ np.swapaxes(m, 1, 2) + 0.05 * np.eye(2)
 
 
 class TestEvolve:
@@ -138,6 +163,17 @@ class TestEvolve:
         config = mc.SimConfig(n_particles=100, dt=0.01, seed=0)
         with np.errstate(invalid="ignore"), pytest.raises(Blowup) as got:
             mc.evolve(field, mc.point_mass(0.0, 100), 0.0, 1.0, config)
+        assert 0.68 < got.value.t < 0.83 and math.isnan(got.value.max_abs)
+
+    def test_q_indefinite_2d_between_spd_checks(self):
+        # q00 = 0.9 + sin(2 pi t) + 0.05 / (1 + |x|^2) with an x-dependent
+        # off-diagonal entry: q00 < 0, so Q is indefinite, only inside (0.68, 0.82),
+        # between the SPD checks at t = 0 and 0.63; l00 turns NaN and the march
+        # ends as Blowup, not as a ValueError or finite noise
+        field = tilted_field(lambda t, r2: 0.9 + math.sin(2.0 * math.pi * t) + 0.05 / (1.0 + r2))
+        config = mc.SimConfig(n_particles=100, dt=0.01, seed=0)
+        with np.errstate(invalid="ignore"), pytest.raises(Blowup) as got:
+            mc.evolve(field, mc.point_mass([0.3, -0.2], 100), 0.0, 1.0, config)
         assert 0.68 < got.value.t < 0.83 and math.isnan(got.value.max_abs)
 
     def test_time_stamp_mismatch(self, ou_field):
@@ -199,6 +235,11 @@ class TestMarchMatchesReference:
         x0 = np.random.default_rng(4).standard_normal((800, dim))
         self.assert_same(fl.gen_field(dim=dim), x0, None, 0.0, [0.5, 1.0], config)
 
+    def test_x_dependent_off_diagonal_q(self):
+        config = mc.SimConfig(n_particles=1001, dt=0.01, seed=28, antithetic=True, block_size=256)
+        x0 = np.random.default_rng(7).standard_normal((1001, 2))
+        self.assert_same(tilted_field(), x0, None, 0.1, [0.45, 1.0], config)
+
     @pytest.mark.parametrize("case", ["grad-value", "grad-tangent", "gen2d"])
     def test_antithetic_ragged_blocks_off_grid_captures(self, case, grad_field, gen_field):
         # 1001 particles in blocks of 256 (odd last block), 33 steps to the
@@ -245,6 +286,45 @@ class TestMarchMatchesReference:
             z = next(mc._block_normals(0, 0, n, 1, 16384, False))
             assert z.shape == (n, 1)
             assert z.base.size <= max(mc._DRAW_FLOATS, n)
+
+
+class TestNoiseFactor2d:
+    """The d = 2 noise is L z with L the lower Cholesky factor of 2 Q."""
+
+    @staticmethod
+    def factor(q, independent):
+        # L read off the noise of the unit normals e0 and e1 at sqrt(dt) = 1
+        field = fl.PeriodicCoefficientField(dim=2, period=1.0, q=lambda t, X: q, b=None,
+                                            q_independent_of_x=independent)
+        x = np.zeros((len(q), 2))
+        cols = [mc._noise_increment(field, 0.0, x, np.tile(e, (len(q), 1)), 1.0)
+                for e in np.eye(2)]
+        return np.stack(cols, axis=-1)
+
+    @pytest.mark.parametrize("independent", [False, True])
+    def test_factor_squares_to_2q(self, independent):
+        q = random_spd_2x2(500, 11)
+        if independent:
+            lower = np.concatenate([self.factor(q[i : i + 1], True) for i in range(50)])
+            q = q[:50]
+        else:
+            lower = self.factor(q, False)
+        assert np.all(lower[:, 0, 1] == 0.0)
+        assert np.all(lower[:, 0, 0] > 0.0) and np.all(lower[:, 1, 1] > 0.0)
+        err = np.abs(lower @ np.swapaxes(lower, 1, 2) - 2.0 * q).max(axis=(1, 2))
+        assert np.all(err <= 1e-14 * np.abs(2.0 * q).max(axis=(1, 2)))
+
+    def test_one_step_covariance(self):
+        # from a point mass the increments of one step have covariance 2 Q dt
+        n, dt, x0 = 40000, 0.01, np.array([0.8, -0.6])
+        field = tilted_field()
+        config = mc.SimConfig(n_particles=n, dt=dt, seed=29)
+        ens = mc.evolve(field, mc.point_mass(x0, n, 0.1), 0.1, 0.1 + dt, config)
+        want = 2.0 * dt * field.q(0.1, x0[None])[0]
+        assert abs(want[0, 1]) > 0.1 * dt
+        got = np.cov(ens.positions, rowvar=False)
+        se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want ** 2) / n)
+        assert np.all(np.abs(got - want) <= 5.0 * se), (got, want)
 
 
 class TestEstimateP:

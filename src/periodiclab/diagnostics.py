@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -560,60 +560,6 @@ class BumpWindow:
         out[inside] = np.exp(-1.0 / (1.0 - zi**2)) * (-2.0 * zi / (1.0 - zi**2) ** 2)
         out = out / (0.5 * (self.hi - self.lo))
         return out if out.shape else float(out)
-
-
-@dataclass(frozen=True)
-class CoreTestFunction:
-    """Separable core element: envelope times a transported bump.
-
-    ``u(s, x) = alpha(s) g(s, x)`` with ``g(s, .)`` the transition expectation
-    of ``chi`` evaluated from time s to the anchor time, extended
-    T-periodically.
-    """
-
-    period: float
-    alpha: BumpWindow
-    transported: Callable        # (s_canonical, (n,d)) -> (n,)
-
-    def _canonical(self, s: float) -> float:
-        lo = self.alpha.lo
-        return lo + (s - lo) % self.period
-
-    def u(self, s, points):
-        sc = self._canonical(s)
-        a = float(self.alpha(sc))
-        if a == 0.0:
-            return np.zeros(len(np.atleast_2d(points)))
-        return a * self.transported(sc, points)
-
-
-def core_test_function(
-    engine,
-    tau: float,
-    chi: TestFunction,
-    alpha: BumpWindow,
-    period: float,
-) -> CoreTestFunction:
-    """Build the separable core element anchored at time tau.
-
-    The envelope must be supported strictly inside a window of one period
-    that ends no later than the anchor, so the transported factor is always
-    evaluated over a nonnegative separation.  Needs a point-evaluable engine
-    (the exact Gaussian one); grid realizations use :func:`core_on_grid`.
-    """
-    if alpha.hi > tau + 1e-12:
-        raise ValueError("envelope support must end at or before the anchor time")
-    if alpha.hi - alpha.lo > period:
-        raise ValueError("envelope support must fit inside one period")
-    if not hasattr(engine, "model"):
-        raise NotApplicable("core_test_function needs the exact Gaussian engine")
-
-    def transported(s, points):
-        from . import ougaussian as ou
-        return np.asarray(ou.apply(engine.model, chi, tau, s, np.atleast_2d(points),
-                                    order=engine.order))
-
-    return CoreTestFunction(period=period, alpha=alpha, transported=transported)
 
 
 def core_on_grid(

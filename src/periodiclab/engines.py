@@ -13,6 +13,11 @@ Every engine exposes the same five members:
   horizons, with per-point standard errors (zero for the deterministic
   engines).
 
+The exact Gaussian engine reads each phase measure from the fixed point of
+its one-period map, solved once per phase, and builds a profile's laws by
+composing one transition solve per horizon increment, so a profile over
+horizons 1..8 integrates 8 periods.
+
 The Monte Carlo engine runs one burn-in per run: its phase-0 ensemble is
 sampled from the far past, and every other phase ensemble is that ensemble
 carried forward, so particle i of every phase shares one ancestor and
@@ -176,27 +181,36 @@ class OUExactEngine:
     name = "ou-exact"
     stochastic = False
 
-    def __init__(self, model: ou.OUModel, n_phases: int = 33, order: int = 60):
+    def __init__(self, model: ou.OUModel, order: int = 60):
         self.model = model
         self.period = model.period
         self.order = order
-        self.system = ou.periodic_system(model, n_phases)
+        self.system = ou.periodic_system(model)
 
     def phase_nodes(self, phase: float):
         return ou.gaussian_nodes(self.system.measure(phase), self.order)
 
     def transfer_profile(self, phis: Sequence[TestFunction], s: float, horizons, gradients=False):
+        """Transport by the exact Gaussian law from s, one ODE solve per horizon increment.
+
+        Each horizon's law (U, S, m) is the previous one composed with the
+        law over the increment: U <- U_inc U, S <- U_inc S U_inc^T + S_inc,
+        m <- U_inc m + m_inc, so the profile integrates its longest horizon once.
+        """
         horizons = np.asarray(sorted(horizons), dtype=float)
         pts, w = self.phase_nodes(s)
+        z, zw = ou.hermite_nodes(self.model.dim, self.order)
+        d = self.model.dim
+        u_mat, sig, shift = np.eye(d), np.zeros((d, d)), np.zeros(d)
+        t_prev = s
         values = {phi.fid: [] for phi in phis}
         grads = {phi.fid: [] for phi in phis} if gradients else {}
         for tau in horizons:
             t = s + tau
-            u_mat, sig, shift = ou._transition_ode(self.model, t, s, ou.DEFAULT_TOL)
-            z, zw = ou.hermite_nodes(self.model.dim, self.order)
-            noise = z @ ou.GaussianMeasure(np.zeros(self.model.dim), sig).sqrt_cov().T
-            cloud = pts @ u_mat.T + shift + noise[:, None, :]   # (q, M, d)
-            flat = cloud.reshape(-1, self.model.dim)
+            u_inc, s_inc, m_inc = ou._transition_ode(self.model, t, t_prev, ou.DEFAULT_TOL)
+            u_mat, sig, shift = u_inc @ u_mat, u_inc @ sig @ u_inc.T + s_inc, u_inc @ shift + m_inc
+            t_prev = t
+            flat = ou.transition_cloud(pts, u_mat, sig, shift, z).reshape(-1, d)
             for phi in phis:
                 vals = np.asarray(phi(flat)).reshape(len(zw), len(pts))
                 values[phi.fid].append((zw @ vals, np.zeros(len(pts))))

@@ -136,7 +136,8 @@ def _lower_factor_2x2(q: np.ndarray, normals: np.ndarray) -> np.ndarray:
 
     ``q`` is an (m, 2, 2) stack with m = n or 1; L is applied row by row on
     (n,) columns: l00 = sqrt(2 q00), l10 = 2 q10 / l00 and
-    l11 = sqrt(max(2 q11 - l10^2, 0)).  A negative q00 makes the noise NaN.
+    l11 = sqrt(2 q11 - l10^2).  A Q that is not positive semidefinite makes a
+    negative q00 or 2 q11 - l10^2, so the noise turns NaN.
     """
     l00 = q[:, 0, 0] * 2.0
     np.sqrt(l00, out=l00)
@@ -144,7 +145,6 @@ def _lower_factor_2x2(q: np.ndarray, normals: np.ndarray) -> np.ndarray:
     l10 /= l00
     l11 = q[:, 1, 1] * 2.0
     l11 -= l10 * l10
-    np.maximum(l11, 0.0, out=l11)
     np.sqrt(l11, out=l11)
     z0, z1 = normals.T
     z1 *= l11
@@ -154,11 +154,11 @@ def _lower_factor_2x2(q: np.ndarray, normals: np.ndarray) -> np.ndarray:
 
 
 def _sqrt_spd_batch(mats: np.ndarray) -> np.ndarray:
-    """Symmetric square roots of a batch of SPD matrices (continuous in the data)."""
+    """Symmetric square roots of a batch of SPD matrices; a negative eigenvalue gives NaN."""
     if mats.shape[-1] == 1:
         return np.sqrt(mats)
     w, v = np.linalg.eigh(mats)
-    return (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.swapaxes(v, -1, -2)
+    return (v * np.sqrt(w)[:, None, :]) @ np.swapaxes(v, -1, -2)
 
 
 def _noise_increment(field, r, positions, normals, sqrt_dt):

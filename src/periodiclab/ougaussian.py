@@ -6,15 +6,18 @@ transition law started at (s, x) is Gaussian,
     N( U(t,s) x + m(t,s),  S(t,s) ),
 
 where U solves dU/dt = A(t) U, U(s,s) = I, and the shift and covariance solve
-the companion linear equations.  Everything downstream (periodic Gaussian
-system, closed-form action on exponentials, Gauss-Hermite expectations) is
-built from one adaptive high-order ODE solve per (t, s) pair, so this module
-serves as the reference oracle against which the stochastic and grid engines
-are validated.
+the companion linear equations.  Everything downstream (closed-form action
+on exponentials, Gauss-Hermite expectations) is built from one adaptive
+high-order ODE solve per (t, s) pair.  The periodic system of measures is
+exact at every phase: mu_s is the fixed point of the one-period map from s,
+one ODE solve plus a discrete Lyapunov equation, with no interpolation.  So
+this module serves as the reference oracle against which the stochastic and
+grid engines are validated.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -172,57 +175,53 @@ def covariance(model: OUModel, t: float, s: float, tol: float = DEFAULT_TOL) -> 
 
 def growth_bound(model: OUModel, tol: float = DEFAULT_TOL) -> float:
     """Floquet growth bound: log spectral radius of the monodromy over T."""
-    mono = propagator(model, model.period, 0.0, tol)
-    rho = np.abs(np.linalg.eigvals(mono)).max()
-    return float(np.log(rho) / model.period)
+    return _floquet_exponent(propagator(model, model.period, 0.0, tol), model.period)
 
 
-@dataclass(frozen=True)
+def _floquet_exponent(mono: np.ndarray, period: float) -> float:
+    return float(np.log(np.abs(np.linalg.eigvals(mono)).max()) / period)
+
+
 class PeriodicGaussianSystem:
-    """Phase grid of Gaussian laws (the T-periodic system of measures)."""
+    """The T-periodic Gaussian system of measures, one phase at a time.
 
-    period: float
-    phases: np.ndarray        # (n,), uniform on [0, T)
-    means: np.ndarray         # (n, d)
-    covs: np.ndarray          # (n, d, d)
+    mu_s is the invariant law of the one-period map P(s+T, s): its covariance
+    solves the discrete Lyapunov equation Sigma = M Sigma M^T + S_per, with M
+    the one-period flow from s and S_per the one-period transition
+    covariance, and its mean solves (I - M) m = shift.  Both solutions are
+    unique because the growth bound is negative.  Each canonical phase is
+    solved once, on first request, under a lock shared by concurrent callers.
+    """
+
+    def __init__(self, model: OUModel, tol: float = DEFAULT_TOL):
+        self.model = model
+        self.period = model.period
+        self.tol = tol
+        self._lock = threading.Lock()
+        law = _transition_ode(model, model.period, 0.0, tol)
+        omega = _floquet_exponent(law[0], model.period)
+        if omega >= 0.0:
+            raise NotDissipative(f"growth bound {omega:.4f} is not negative")
+        self._measures = {0.0: self._fixed_point(*law)}
+
+    def _fixed_point(self, mono, s_per, shift) -> GaussianMeasure:
+        mean = np.linalg.solve(np.eye(self.model.dim) - mono, shift)
+        return GaussianMeasure(mean, solve_discrete_lyapunov(mono, s_per))
 
     def measure(self, s: float) -> GaussianMeasure:
-        """Measure at an arbitrary phase (piecewise linear in mean and cov)."""
-        n = len(self.phases)
-        pos = (s % self.period) / self.period * n
-        i = int(np.floor(pos)) % n
-        j = (i + 1) % n
-        w = pos - np.floor(pos)
-        return GaussianMeasure(
-            (1 - w) * self.means[i] + w * self.means[j],
-            (1 - w) * self.covs[i] + w * self.covs[j],
-        )
+        """The invariant law of the one-period map at the canonical phase of s."""
+        key = s % self.period
+        with self._lock:
+            if key not in self._measures:
+                law = _transition_ode(self.model, key + self.period, key, self.tol)
+                self._measures[key] = self._fixed_point(*law)
+            return self._measures[key]
 
 
-def periodic_system(
-    model: OUModel, n_phases: int = 32, tol: float = DEFAULT_TOL
-) -> PeriodicGaussianSystem:
-    """Solve the periodic fixed point for the Gaussian system of measures.
-
-    Per phase s the covariance solves the discrete Lyapunov equation
-    Sigma = M Sigma M^T + S_per  with M the one-period flow from s and S_per
-    the one-period transition covariance; its solution is unique because the
-    growth bound is negative.  The mean solves the linear fixed point
-    (I - M) m = shift.
-    """
-    omega = growth_bound(model, tol)
-    if omega >= 0.0:
-        raise NotDissipative(f"growth bound {omega:.4f} is not negative")
-    d = model.dim
-    phases = model.period * np.arange(n_phases) / n_phases
-    means = np.empty((n_phases, d))
-    covs = np.empty((n_phases, d, d))
-    for k, s in enumerate(phases):
-        mono, s_per, shift = _transition_ode(model, s + model.period, s, tol)
-        sigma = solve_discrete_lyapunov(mono, s_per)
-        means[k] = np.linalg.solve(np.eye(d) - mono, shift)
-        covs[k] = 0.5 * (sigma + sigma.T)
-    return PeriodicGaussianSystem(model.period, phases, means, covs)
+def periodic_system(model: OUModel, tol: float = DEFAULT_TOL) -> PeriodicGaussianSystem:
+    """The periodic Gaussian system of measures; raises NotDissipative unless
+    the Floquet growth bound is negative."""
+    return PeriodicGaussianSystem(model, tol)
 
 
 def apply_to_exponential(model: OUModel, h, t: float, s: float, x, tol: float = DEFAULT_TOL) -> complex:
@@ -268,17 +267,25 @@ def gaussian_expectation(measure: GaussianMeasure, phi, order: int = 40) -> floa
     return complex(w @ vals) if np.iscomplexobj(vals) else float(w @ vals)
 
 
+def transition_cloud(xs, u, sig, m, z) -> np.ndarray:
+    """Quadrature points of the transition laws N(U x + m, S) from each row x of xs.
+
+    ``z`` holds standard-normal nodes (q, d); the result is (q, n, d), node
+    major, so a weight vector over the first axis integrates each law.
+    """
+    noise = z @ GaussianMeasure(np.zeros(len(m)), sig).sqrt_cov().T  # (q, d)
+    return xs @ u.T + m + noise[:, None, :]
+
+
 def apply(model: OUModel, phi, t: float, s: float, x, order: int = 40, tol: float = DEFAULT_TOL):
     """Quadrature-grade evaluation of the transition expectation at points x.
 
     ``x`` may be one point ``(d,)`` or a batch ``(n, d)``; the shared flow is
     solved once and phi is integrated against each transition Gaussian.
     """
-    u, sig, m = _transition_ode(model, t, s, tol)
     z, w = hermite_nodes(model.dim, order)
-    noise = z @ GaussianMeasure(np.zeros(model.dim), sig).sqrt_cov().T  # (q, d)
     xs = np.atleast_2d(np.asarray(x, dtype=float))
-    pts = xs @ u.T + m + noise[:, None, :]          # (q, n, d)
+    pts = transition_cloud(xs, *_transition_ode(model, t, s, tol), z)
     vals = np.asarray(phi(pts.reshape(-1, model.dim))).reshape(len(w), len(xs))
     out = w @ vals
     return out if np.ndim(x) > 1 else out[0]

@@ -731,8 +731,6 @@ def _run_core_consistency(ctx: RunContext, params: dict) -> ExperimentResult:
     alpha = dg.BumpWindow(0.1 * period, 0.9 * period)
     chi = next(phi for phi in eng.battery(ctx.field.dim) if phi.fid == "bump")
     tol = params.get("tol", 5e-2)
-    checks = []
-    payload = {}
     gen = ctx.generator
     u_fn, image = dg.core_on_grid(ctx.field, gen.grid, period, chi, alpha,
                                   substeps=_section(ctx.doc, "grid")["substeps"])
@@ -740,19 +738,8 @@ def _run_core_consistency(ctx: RunContext, params: dict) -> ExperimentResult:
     err = float(np.sqrt(np.dot(gen.rho, ((applied - image.values).ravel()) ** 2)))
     scale = float(np.sqrt(np.dot(gen.rho, (image.values.ravel()) ** 2)))
     rel = err / max(scale, 1e-300)
-    payload["grid_residual"] = {"abs": err, "rel": rel}
-    checks.append(_check("core-generator", rel <= tol, f"relative residual {rel:.3e}"))
-    if ctx.model is not None:
-        engine = ctx.engine("ou-exact")
-        core = dg.core_test_function(engine, period, chi, alpha, period)
-        rng = np.random.default_rng(ctx.seed)
-        pts = rng.uniform(-1.5, 1.5, size=(16, ctx.field.dim))
-        s_probe = 0.5 * period
-        direct = float(alpha(s_probe)) * ou.apply(ctx.model, chi, period, s_probe, pts)
-        via_core = core.u(s_probe, pts)
-        err_pt = float(np.abs(direct - via_core).max())
-        payload["value_match"] = err_pt
-        checks.append(_check("core-value", err_pt <= 1e-6, f"max error {err_pt:.2e}"))
+    payload = {"grid_residual": {"abs": err, "rel": rel}}
+    checks = [_check("core-generator", rel <= tol, f"relative residual {rel:.3e}")]
     rows = [{"metric": "grid_rel_residual", "value": rel}]
     return ExperimentResult(payload, ["metric", "value"], rows, checks)
 

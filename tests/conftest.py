@@ -68,7 +68,7 @@ def gen_report(gen_field, gen_plan):
 
 @pytest.fixture(scope="session")
 def ou_engine(ou_model):
-    return eng.OUExactEngine(ou_model, n_phases=33, order=60)
+    return eng.OUExactEngine(ou_model, order=60)
 
 
 @pytest.fixture(scope="session")

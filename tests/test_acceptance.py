@@ -70,7 +70,7 @@ class TestAC1OUExactness:
         direct = ou.apply_to_exponential(ou_model, h, t, s, x)
         assert abs(direct - composed) <= 1e-8
 
-        system = ou.periodic_system(ou_model, 16)
+        system = ou.periodic_system(ou_model)
         worst_iden = 0.0
         for s0, t0 in ((0.0, 1.375), (0.25, 2.25), (0.5, 1.5)):
             mu_s, mu_t = system.measure(s0), system.measure(t0)

@@ -189,10 +189,28 @@ class TestRateEquivalence:
             dg.rate_equivalence_check(ou_engine, battery1[:2], 0.0, 1.5, [1, 2, 3, 4, 5])
 
 
+def test_exact_engine_integrates_each_period_once(ou_model, battery1, monkeypatch):
+    """Construction solves phase 0's period map, and a profile over horizons
+    1..8 composes one solve per increment: 1 and 8 periods integrated."""
+    periods = []
+    transition = ou._transition_ode
+
+    def counted(model, t, s, tol):
+        periods.append((t - s) / model.period)
+        return transition(model, t, s, tol)
+
+    monkeypatch.setattr(ou, "_transition_ode", counted)
+    engine = eng.OUExactEngine(ou_model)
+    assert sum(periods) == pytest.approx(1.0)
+    periods.clear()
+    engine.transfer_profile(battery1[:2], 0.0, range(1, 9), gradients=True)
+    assert sum(periods) == pytest.approx(8.0)
+
+
 @pytest.mark.parametrize("kind", ["ou-exact", "grid", "montecarlo"])
 def test_engine_protocol(kind, ou_model, ou_field, ou_generator, ou_report, battery1):
     if kind == "ou-exact":
-        engine = eng.OUExactEngine(ou_model, n_phases=9, order=20)
+        engine = eng.OUExactEngine(ou_model, order=20)
     elif kind == "grid":
         engine = eng.GridEngine(ou_field, ou_generator)
     else:
@@ -344,18 +362,18 @@ class TestProjectionProperties:
     def test_shift_commutes_with_projection(self, ou_model, ou_engine):
         """Projection of the transported function equals the shifted projection."""
         system = ou_engine.system
-        phi = lambda X: np.tanh(X[:, 0])
-        t_shift = 2.0 / 33.0  # multiple of the phase grid spacing
-        for k in (0, 5, 11):
-            s = system.phases[k]
-            target = s + t_shift
-            # m_s[P(target, s) phi] via push-forward quadrature
-            mu_s = system.measure(s)
-            u, sig, shift = ou._transition_ode(ou_model, target, s, 1e-10)
-            push = ou.GaussianMeasure(u @ mu_s.mean + shift, u @ mu_s.cov @ u.T + sig)
-            lhs = ou.gaussian_expectation(push, phi, order=60)
-            rhs, _ = dg.phase_mean(ou_engine, eng.TestFunction("t", phi, lambda X: X), target)
-            assert abs(lhs - rhs) < 1e-8
+        t_shift = 2.0 / 33.0
+        pairs = [(k / 33, k / 33 + t_shift) for k in (0, 5, 11)] + [(0.0, 0.5), (0.0, 1.3)]
+        for phi in (lambda X: np.tanh(X[:, 0]), lambda X: np.exp(-0.5 * np.sum(X * X, axis=1))):
+            for s, target in pairs:
+                # m_s[P(target, s) phi] via push-forward quadrature
+                mu_s = system.measure(s)
+                u, sig, shift = ou._transition_ode(ou_model, target, s, 1e-10)
+                push = ou.GaussianMeasure(u @ mu_s.mean + shift, u @ mu_s.cov @ u.T + sig)
+                lhs = ou.gaussian_expectation(push, phi, order=60)
+                rhs, _ = dg.phase_mean(ou_engine, eng.TestFunction("t", phi, lambda X: X),
+                                       target)
+                assert abs(lhs - rhs) < 1e-8
 
     def test_commutation_montecarlo(self, ou_mc, battery1):
         tanh = next(p for p in battery1 if p.fid == "tanh")
@@ -410,31 +428,6 @@ class TestShortTimeSingularity:
 
 
 class TestCoreElement:
-    def test_vanishing_envelope(self, ou_engine, battery1):
-        chi = next(p for p in battery1 if p.fid == "bump")
-        alpha = dg.BumpWindow(0.2, 0.8)
-        core = dg.core_test_function(ou_engine, 1.0, chi, alpha, 1.0)
-        pts = np.array([[0.3], [-0.7]])
-        assert np.all(core.u(0.9, pts) == 0.0)       # outside the support
-        assert np.all(core.u(0.05, pts) == 0.0)
-
-    def test_anchor_validation(self, ou_engine, battery1):
-        chi = battery1[0]
-        with pytest.raises(ValueError):
-            dg.core_test_function(ou_engine, 0.5, chi, dg.BumpWindow(0.2, 0.8), 1.0)
-
-    def test_value_matches_closed_form(self, ou_model, ou_engine, battery1):
-        chi = next(p for p in battery1 if p.fid == "bump")
-        alpha = dg.BumpWindow(0.1, 0.9)
-        core = dg.core_test_function(ou_engine, 1.0, chi, alpha, 1.0)
-        rng = np.random.default_rng(0)
-        pts = rng.uniform(-1.5, 1.5, size=(12, 1))
-        s = 0.45
-        direct = float(alpha(s)) * ou.apply(ou_model, chi, 1.0, s, pts, order=60)
-        assert np.abs(core.u(s, pts) - direct).max() < 1e-6
-        # periodic extension
-        assert np.abs(core.u(s + 3.0, pts) - core.u(s, pts)).max() < 1e-12
-
     def test_grid_generator_image_converges(self, ou_field, battery1):
         chi = next(p for p in battery1 if p.fid == "bump")
         alpha = dg.BumpWindow(0.1, 0.9)

@@ -138,14 +138,14 @@ class TestGenerator:
     def test_ou_rho_matches_gaussian(self, ou_model, ou_field):
         g = gr.SpaceTimeGrid(half_width=4.5, points_per_axis=159, time_slices=33, period=1.0)
         gen = gr.build_generator(ou_field, g, "spectral")
-        system = ou.periodic_system(ou_model, 33)
+        system = ou.periodic_system(ou_model)
         x = g.nodes()[:, 0]
         mask = np.abs(x) <= g.half_width / 2
         worst = 0.0
         for j in range(0, 33, 4):
             masses = gen.rho_slices()[j]
             dens = masses / masses.sum() / g.h
-            sig = system.covs[j, 0, 0]
+            sig = system.measure(j / 33).cov[0, 0]
             gauss = np.exp(-(x**2) / (2 * sig)) / math.sqrt(2 * np.pi * sig)
             worst = max(worst, (np.abs(dens - gauss)[mask] / gauss[mask]).max())
         assert worst <= 0.02

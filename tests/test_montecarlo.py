@@ -176,6 +176,29 @@ class TestEvolve:
             mc.evolve(field, mc.point_mass([0.3, -0.2], 100), 0.0, 1.0, config)
         assert 0.68 < got.value.t < 0.83 and math.isnan(got.value.max_abs)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_q_indefinite_in_last_entry_between_spd_checks(self, dim):
+        # Q = diag(1, ..., 1, q_last) with q_last = 0.9 + sin(2 pi t), plus
+        # 0.05 / (1 + |x|^2) in 2-d so Q depends on x there: q00 stays 1 while
+        # q_last < 0 inside (0.68, 0.82), between the SPD checks at t = 0 and
+        # 0.63; l11 (2-d) or the negative eigenvalue's root (3-d) turns NaN and
+        # the march ends as Blowup, not with finite noise
+        def q(t, X):
+            X = np.atleast_2d(X)
+            out = np.broadcast_to(np.eye(dim), (len(X), dim, dim)).copy()
+            out[:, -1, -1] = 0.9 + math.sin(2.0 * math.pi * t)
+            if dim == 2:
+                out[:, -1, -1] += 0.05 / (1.0 + np.sum(X * X, axis=1))
+            return out
+
+        field = fl.PeriodicCoefficientField(dim=dim, period=1.0, q=q,
+                                            b=lambda t, X: -np.atleast_2d(X),
+                                            q_independent_of_x=dim == 3, name="q-last-dips")
+        config = mc.SimConfig(n_particles=100, dt=0.01, seed=0)
+        with np.errstate(invalid="ignore"), pytest.raises(Blowup) as got:
+            mc.evolve(field, mc.point_mass(np.full(dim, 0.3), 100), 0.0, 1.0, config)
+        assert 0.68 < got.value.t < 0.83 and math.isnan(got.value.max_abs)
+
     def test_time_stamp_mismatch(self, ou_field):
         config = mc.SimConfig(n_particles=100, dt=0.01, seed=0)
         with pytest.raises(ValueError):

@@ -118,55 +118,57 @@ class TestGrowthBound:
 class TestPeriodicSystem:
     def test_constant_coefficients(self):
         model = ou.fourier_matrix_model(1, 1.0, a0=[[-1.0]])
-        system = ou.periodic_system(model, 8)
-        assert np.allclose(system.covs[:, 0, 0], 0.5, atol=1e-10)
-        assert np.allclose(system.means, 0.0, atol=1e-12)
+        system = ou.periodic_system(model)
+        mus = [system.measure(k / 8) for k in range(8)]
+        assert np.allclose([mu.cov[0, 0] for mu in mus], 0.5, atol=1e-10)
+        assert np.allclose([mu.mean for mu in mus], 0.0, atol=1e-12)
 
     def test_zero_forcing_zero_mean(self, ou_model):
-        system = ou.periodic_system(ou_model, 16)
-        assert np.allclose(system.means, 0.0, atol=1e-10)
+        system = ou.periodic_system(ou_model)
+        assert np.allclose([system.measure(k / 16).mean for k in range(16)], 0.0, atol=1e-10)
 
     def test_far_past_quadrature_oracle(self, ou_model):
         """Sigma(0) = int_{-inf}^0 U(0,r)^2 dr truncated at r = -40."""
         oracle, _ = quad(lambda r: np.exp(2.0 * (_a_integral(0.0) - _a_integral(r))),
                          -40.0, 0.0, limit=2000)
-        system = ou.periodic_system(ou_model, 16)
-        assert abs(system.covs[0, 0, 0] - oracle) < 1e-8
+        system = ou.periodic_system(ou_model)
+        assert abs(system.measure(0.0).cov[0, 0] - oracle) < 1e-8
 
     def test_rotation_plus_decay_solves_lyapunov(self):
         model = ou.fourier_matrix_model(2, 1.0, a0=[[-0.2, 1.0], [-1.0, -0.2]])
-        system = ou.periodic_system(model, 4)
-        for k, s in enumerate(system.phases):
+        system = ou.periodic_system(model)
+        for s in (0.0, 0.25, 0.3, 0.5, 0.75):
             mono, s_per, _ = ou._transition_ode(model, s + 1.0, s, ou.DEFAULT_TOL)
-            sigma = system.covs[k]
+            sigma = system.measure(s).cov
             residual = sigma - (mono @ sigma @ mono.T + s_per)
             assert np.abs(residual).max() <= 1e-12 * np.abs(sigma).max()
 
     def test_slow_contraction(self):
         """Stationary variance 1 / (2 |a|) = 1000, where a fixed-point iteration stalls."""
         model = ou.fourier_matrix_model(1, 1.0, a0=[[-0.0005]])
-        system = ou.periodic_system(model, 2)
-        assert np.allclose(system.covs[:, 0, 0], 1000.0, rtol=1e-9, atol=0.0)
+        system = ou.periodic_system(model)
+        assert np.allclose([system.measure(s).cov[0, 0] for s in (0.0, 0.5)], 1000.0,
+                           rtol=1e-9, atol=0.0)
 
     def test_not_dissipative_rejected(self):
         model = ou.fourier_matrix_model(1, 1.0, a0=[[0.1]])
         with pytest.raises(NotDissipative):
-            ou.periodic_system(model, 4)
+            ou.periodic_system(model)
 
     def test_interpolation_periodic(self, ou_model):
-        system = ou.periodic_system(ou_model, 16)
+        system = ou.periodic_system(ou_model)
         m0 = system.measure(0.3)
         m1 = system.measure(0.3 + ou_model.period)
         assert np.allclose(m0.cov, m1.cov) and np.allclose(m0.mean, m1.mean)
 
     def test_forced_mean_fixed_point(self):
         model = ou.fourier_matrix_model(1, 1.0, a0=[[-1.0]], f0=[0.5], f_sin=[0.2])
-        system = ou.periodic_system(model, 8)
+        system = ou.periodic_system(model)
         # fixed point: m(s) = U m(s) + shift over one period
-        for k in (0, 3):
-            s = system.phases[k]
+        for s in (0.0, 3 / 8):
             u, _, shift = ou._transition_ode(model, s + 1.0, s, 1e-10)
-            assert abs(system.means[k] - (u[0, 0] * system.means[k] + shift[0])) < 1e-8
+            mean = system.measure(s).mean
+            assert abs(mean - (u[0, 0] * mean + shift[0])) < 1e-8
 
 
 class TestExponentials:
@@ -198,10 +200,9 @@ class TestExponentials:
 
     def test_evolution_system_identity_polynomials(self, ou_model):
         """Push-forward of mu_s over [s, t] reproduces mu_t for deg <= 4."""
-        system = ou.periodic_system(ou_model, 16)
+        system = ou.periodic_system(ou_model)
         polys = [lambda X: X[:, 0], lambda X: X[:, 0] ** 2,
                  lambda X: X[:, 0] ** 3, lambda X: X[:, 0] ** 4]
-        # phases on the stored grid: measure values are exact there
         for s, t in ((0.0, 1.375), (0.25, 2.25)):
             mu_s = system.measure(s)
             mu_t = system.measure(t)

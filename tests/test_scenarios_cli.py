@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from periodiclab import cli
 from periodiclab import engines as eng
 from periodiclab import montecarlo as mc
+from periodiclab import ougaussian as ou
 from periodiclab import scenarios as sc
 from periodiclab.errors import ConfigError
 
@@ -465,6 +466,45 @@ def test_jobs_parallel_same_bytes_grid_scenario(tmp_path):
     names = sorted(p.name for p in (tmp_path / "serial").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "par").iterdir())
     assert len(names) == 17  # eight experiments, a JSON and a CSV each, plus summary.json
+    for name in names:
+        assert (tmp_path / "par" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+def test_jobs_solve_each_exact_phase_once(tmp_path, monkeypatch):
+    """ou1d's exact-engine experiments on two workers: one Lyapunov solve per
+    phase measure asked for, the periods integrated of a serial run, and the
+    same bytes."""
+    phases, solves, periods = set(), [], []
+    measure, lyapunov, transition = (ou.PeriodicGaussianSystem.measure,
+                                     ou.solve_discrete_lyapunov, ou._transition_ode)
+
+    def recorded(self, s):
+        phases.add(s % self.period)
+        return measure(self, s)
+
+    def slow_lyapunov(*args):
+        solves.append(args)
+        time.sleep(0.1)    # holds the solve open while the other worker asks
+        return lyapunov(*args)
+
+    def counted(model, t, s, tol):
+        periods.append((t - s) / model.period)
+        return transition(model, t, s, tol)
+
+    monkeypatch.setattr(ou.PeriodicGaussianSystem, "measure", recorded)
+    monkeypatch.setattr(ou, "solve_discrete_lyapunov", slow_lyapunov)
+    monkeypatch.setattr(ou, "_transition_ode", counted)
+    doc = json.loads(json.dumps(sc.load_scenario("ou1d")))
+    doc["plan"] = {"r_max": 6.0, "n_times": 8, "n_axis": 9, "n_shells": 2, "n_shell_dirs": 2}
+    doc["experiments"] = [spec for spec in doc["experiments"] if spec.get("engine") == "ou-exact"]
+    sc.run_scenario(doc, tmp_path / "par", jobs=2)
+    assert len(solves) == len(phases | {0.0})
+    parallel = sum(periods)
+    periods.clear()
+    sc.run_scenario(doc, tmp_path / "serial", jobs=1)
+    assert sum(periods) == pytest.approx(parallel)
+    names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "par").iterdir())
     for name in names:
         assert (tmp_path / "par" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 

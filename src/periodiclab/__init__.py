@@ -39,9 +39,6 @@ from .hypotheses import (
     HypothesisReport,
     LyapunovResult,
     check_hypotheses,
-    dissipativity_r0,
-    ell_p,
-    ellipticity_bounds,
     lyapunov_check,
 )
 from .montecarlo import (

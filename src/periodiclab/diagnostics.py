@@ -266,11 +266,6 @@ def fit_battery(curves: Sequence[DecayCurve], window: tuple,
         return BatteryFit(curve, None, str(exc))
 
 
-def envelope_constant(curve: DecayCurve, rate: float) -> float:
-    """Smallest M with value(tau) <= M exp(rate * tau) across the curve."""
-    return float(np.max(curve.values * np.exp(-rate * curve.taus)))
-
-
 def rate_equivalence_check(
     engine,
     phis: Sequence[TestFunction],

@@ -176,7 +176,8 @@ class TransferProfile:
 
 
 class OUExactEngine:
-    """Quadrature-grade engine backed by the Gaussian transition law."""
+    """Quadrature-grade engine backed by the Gaussian transition law, with one
+    Gauss-Hermite rule of the given order for every phase and transition."""
 
     name = "ou-exact"
     stochastic = False
@@ -184,11 +185,12 @@ class OUExactEngine:
     def __init__(self, model: ou.OUModel, order: int = 60):
         self.model = model
         self.period = model.period
-        self.order = order
         self.system = ou.periodic_system(model)
+        self._z, self._weights = ou.hermite_nodes(model.dim, order)
 
     def phase_nodes(self, phase: float):
-        return ou.gaussian_nodes(self.system.measure(phase), self.order)
+        measure = self.system.measure(phase)
+        return measure.mean + self._z @ measure.sqrt_cov().T, self._weights
 
     def transfer_profile(self, phis: Sequence[TestFunction], s: float, horizons, gradients=False):
         """Transport by the exact Gaussian law from s, one ODE solve per horizon increment.
@@ -199,7 +201,7 @@ class OUExactEngine:
         """
         horizons = np.asarray(sorted(horizons), dtype=float)
         pts, w = self.phase_nodes(s)
-        z, zw = ou.hermite_nodes(self.model.dim, self.order)
+        z, zw = self._z, self._weights
         d = self.model.dim
         u_mat, sig, shift = np.eye(d), np.zeros((d, d)), np.zeros(d)
         t_prev = s

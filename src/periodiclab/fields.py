@@ -193,8 +193,8 @@ def polynomial_field(
     """Scalar-diffusion field with odd-polynomial radial drift.
 
     Q(t) = (q_const + q_sin sin(2 pi t / T) + q_cos cos(2 pi t / T)) I and
-    b(t, x) = sum_k g_k(t) x |x|^(p_k - 1) with odd powers p_k.  Gradients are
-    analytic, so every hypothesis checker runs without finite differences.
+    b(t, x) = sum_k g_k(t) x |x|^(p_k - 1) with odd powers p_k.  The drift
+    Jacobian is analytic, and Q needs no gradient since it does not depend on x.
 
     The terms are grouped by k = (p - 1) / 2, so b = c(t, |x|^2) x with
     c = sum_k g_k(t) (|x|^2)^k evaluated by Horner, and
@@ -245,16 +245,11 @@ def polynomial_field(
             jac[:, i, i] = dcx * X[:, i] + c
         return jac
 
-    def grad_q(t, X):
-        X = np.atleast_2d(X)
-        return np.zeros((X.shape[0], dim, dim, dim))
-
     return PeriodicCoefficientField(
         dim=dim,
         period=period,
         q=q,
         b=b,
-        grad_q=grad_q,
         grad_b=grad_b,
         q_independent_of_x=True,
         name=name,

@@ -1,6 +1,8 @@
 """Numerical certification of the standing assumptions on a coefficient field.
 
-The checkers estimate, over a :class:`~periodiclab.fields.SamplePlan`,
+:func:`check_hypotheses` estimates, in one pass over the times of a
+:class:`~periodiclab.fields.SamplePlan` that reads Q, b, D b and (for
+x-dependent Q) D Q once per time on all plan points,
 
 * the ellipticity window ``eta0 = inf lambda_min(Q)``, ``Lambda = sup
   lambda_max(Q)``,
@@ -79,47 +81,19 @@ class HypothesisReport:
         }
 
 
-def _q_eigen_range(field: PeriodicCoefficientField, plan: SamplePlan):
-    """Per-(time, point) extreme eigenvalues of Q over the whole plan."""
-    pts = plan.points
-    mins = np.empty((len(plan.times), len(pts)))
-    maxs = np.empty_like(mins)
-    for i, t in enumerate(plan.times):
-        w = np.linalg.eigvalsh(np.asarray(field.q(t, pts)))
-        mins[i] = w[:, 0]
-        maxs[i] = w[:, -1]
-    return mins, maxs
-
-
-def ellipticity_bounds(field: PeriodicCoefficientField, plan: SamplePlan) -> tuple[float, float]:
-    """Estimate (eta0, Lambda) = (inf lambda_min Q, sup lambda_max Q) on the plan.
-
-    Raises :class:`NonPositiveDefinite` at the first sample where the smallest
-    eigenvalue is nonpositive.
-    """
-    mins, maxs = _q_eigen_range(field, plan)
-    i, j = np.unravel_index(np.argmin(mins), mins.shape)
-    if mins[i, j] <= 0.0:
-        raise NonPositiveDefinite(float(plan.times[i]), plan.points[j], float(mins[i, j]))
-    return float(mins.min()), float(maxs.max())
-
-
-def _lyapunov_terms(field: PeriodicCoefficientField, t: float, pts: np.ndarray):
-    """(L V, V) for V = 1 + |x|^2, in closed form from Q and b."""
-    q = np.asarray(field.q(t, pts))
-    b = np.asarray(field.b(t, pts))
+def _generator_of_v(t: float, pts: np.ndarray, q: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L V for V = 1 + |x|^2, in closed form from Q and b at the points."""
     if not np.all(np.isfinite(b)):
         bad = pts[~np.all(np.isfinite(b), axis=1)][0]
         raise UnboundedDrift(f"drift overflow at t={t}, x={bad}")
-    r2 = np.sum(pts * pts, axis=1)
-    tr_q = np.trace(q, axis1=1, axis2=2)
-    bx = np.sum(b * pts, axis=1)
-    return 2.0 * (tr_q + bx), 1.0 + r2
+    return 2.0 * (np.trace(q, axis1=1, axis2=2) + np.sum(b * pts, axis=1))
 
 
-def lyapunov_check(field: PeriodicCoefficientField, plan: SamplePlan) -> LyapunovResult:
+def _lyapunov_fit(lv: np.ndarray, v: np.ndarray, plan: SamplePlan) -> LyapunovResult:
     """Search the 1-2-5 rate grid for the strongest certificate L V <= a - c V.
 
+    ``lv`` holds L V per (time, point of ``plan.points``) and ``v`` holds V
+    per point; the lattice and the shells are the two slices of the points.
     For each candidate c the radial-shell growth test rejects certificates
     whose slack ``L V + c V`` still increases at the outermost shells (the
     numerical signature of unboundedness).  Among surviving candidates the
@@ -127,33 +101,22 @@ def lyapunov_check(field: PeriodicCoefficientField, plan: SamplePlan) -> Lyapuno
     smaller a.  When every candidate fails, the worst offending shell samples
     are returned as violations.
     """
-    av_lat = np.empty((len(plan.times), len(plan.lattice)))
-    v_lat = None
-    ns, ms, d = plan.shell_points.shape
-    shells_flat = plan.shell_points.reshape(ns * ms, d)
-    av_sh = np.empty((len(plan.times), ns * ms))
-    for i, t in enumerate(plan.times):
-        av_lat[i], v_l = _lyapunov_terms(field, t, plan.lattice)
-        av_sh[i], v_s = _lyapunov_terms(field, t, shells_flat)
-        if v_lat is None:
-            v_lat, v_shell = v_l, v_s
-
+    ns, ms, _ = plan.shell_points.shape
+    n_lat = len(plan.lattice)
     candidates = []
     for c in C_GRID:
-        g_lat = av_lat + c * v_lat
-        g_sh = (av_sh + c * v_shell).reshape(len(plan.times), ns, ms)
-        shell_max = g_sh.max(axis=(0, 2))  # (ns,)
+        g = lv + c * v
+        shell_max = g[:, n_lat:].reshape(len(plan.times), ns, ms).max(axis=(0, 2))  # (ns,)
         tol = 1e-9 * max(1.0, abs(float(shell_max[-1])))
         if ns >= 2 and shell_max[-1] > shell_max[-2] + tol:
             continue
-        a = float(max(g_lat.max(), g_sh.max()))
+        a = float(g.max())
         candidates.append((a / c, c, a))
     if candidates:
         _, c_best, a_best = min(candidates)
         return LyapunovResult(accepted=True, a=a_best, c=c_best)
 
-    c = C_GRID[0]
-    g_sh = (av_sh + c * v_shell).reshape(len(plan.times), ns, ms)
+    g_sh = (lv + C_GRID[0] * v)[:, n_lat:].reshape(len(plan.times), ns, ms)
     i, j, k = np.unravel_index(np.argmax(g_sh), g_sh.shape)
     violations = [
         (float(plan.times[i]), plan.shell_points[j, k].tolist(), "LV+cV", float(g_sh[i, j, k]))
@@ -161,57 +124,14 @@ def lyapunov_check(field: PeriodicCoefficientField, plan: SamplePlan) -> Lyapuno
     return LyapunovResult(accepted=False, a=None, c=None, violations=violations)
 
 
-def _r_values(field: PeriodicCoefficientField, plan: SamplePlan) -> np.ndarray:
-    """r(s, x) = lambda_max of the symmetrized drift Jacobian, per (time, point)."""
+def lyapunov_check(field: PeriodicCoefficientField, plan: SamplePlan) -> LyapunovResult:
+    """The Lyapunov certificate for V = 1 + |x|^2 alone, from Q and b on the plan."""
     pts = plan.points
-    out = np.empty((len(plan.times), len(pts)))
-    for i, t in enumerate(plan.times):
-        jac = field.grad_b_at(t, pts)
-        sym = 0.5 * (jac + np.swapaxes(jac, 1, 2))
-        out[i] = np.linalg.eigvalsh(sym)[:, -1]
-    return out
-
-
-def dissipativity_r0(field: PeriodicCoefficientField, plan: SamplePlan) -> float:
-    """Estimate r0 = sup over the plan of the drift dissipativity quadratic form."""
-    return float(_r_values(field, plan).max())
-
-
-def _zeta_values(field: PeriodicCoefficientField, plan: SamplePlan) -> np.ndarray:
-    """zeta(s) = sup_x max_ijk |D_k q_ij| / eta(s, x), one value per plan time."""
-    if field.q_independent_of_x:
-        return np.zeros(len(plan.times))
-    if field.grad_q is None:
-        raise MissingGradient(
-            f"field {field.name!r} has x-dependent diffusion but no diffusion gradient"
-        )
-    pts = plan.points
-    zeta = np.empty(len(plan.times))
-    for i, t in enumerate(plan.times):
-        gq = np.abs(np.asarray(field.grad_q(t, pts))).max(axis=(1, 2, 3))  # (m,)
-        eta = np.linalg.eigvalsh(np.asarray(field.q(t, pts)))[:, 0]
-        zeta[i] = float((gq / eta).max())
-    return zeta
-
-
-def ell_p(field: PeriodicCoefficientField, plan: SamplePlan, p: float) -> float:
-    """Gradient-envelope constant ell_p over the plan.
-
-    For x-independent diffusion zeta vanishes and the estimate collapses to
-    r0 for every p (that case is also the only one where p = 1 is allowed).
-    """
-    r = _r_values(field, plan)
-    zeta = _zeta_values(field, plan)
-    if np.all(zeta == 0.0):
-        return float(r.max())
-    if p <= 1.0:
-        raise ValueError("ell_p needs p > 1 unless the diffusion is x-independent")
-    d3 = field.dim**3
-    denom = 4.0 * min(p - 1.0, 1.0)
-    eta = np.empty_like(r)
-    for i, t in enumerate(plan.times):
-        eta[i] = np.linalg.eigvalsh(np.asarray(field.q(t, plan.points)))[:, 0]
-    return float((r + d3 * zeta[:, None] ** 2 * eta / denom).max())
+    lv = np.stack([
+        _generator_of_v(t, pts, np.asarray(field.q(t, pts)), np.asarray(field.b(t, pts)))
+        for t in plan.times
+    ])
+    return _lyapunov_fit(lv, 1.0 + np.sum(pts * pts, axis=1), plan)
 
 
 def check_hypotheses(
@@ -219,18 +139,62 @@ def check_hypotheses(
     plan: SamplePlan,
     p_values: Sequence[float] = (1.5, 2.0, 4.0),
 ) -> HypothesisReport:
-    """Run every checker, with the Lyapunov function 1 + |x|^2, and aggregate the report."""
-    eta0, lam = ellipticity_bounds(field, plan)
-    r0 = dissipativity_r0(field, plan)
-    zeta = _zeta_values(field, plan)
-    ells = {float(p): ell_p(field, plan, p) for p in p_values}
-    lyap = lyapunov_check(field, plan)
+    """Certify every standing assumption in one pass over the plan times.
+
+    Each time reads Q, b and D b once on the plan points, and D Q once when
+    Q depends on x.  Faults are raised after the pass, most basic first:
+    :class:`NonPositiveDefinite` at the smallest eigenvalue of Q over the
+    plan, :class:`MissingGradient` for x-dependent Q without its gradient,
+    ``ValueError`` for p <= 1 when zeta does not vanish, and
+    :class:`UnboundedDrift` at the first drift overflow.
+    """
+    pts = plan.points
+    shape = (len(plan.times), len(pts))
+    eta, lam, r, lv = (np.empty(shape) for _ in range(4))
+    need_grad_q = not field.q_independent_of_x
+    grad_q_max = np.zeros(shape)
+    overflow = None
+    for i, t in enumerate(plan.times):
+        q = np.asarray(field.q(t, pts))
+        w = np.linalg.eigvalsh(q)
+        eta[i], lam[i] = w[:, 0], w[:, -1]
+        jac = field.grad_b_at(t, pts)
+        r[i] = np.linalg.eigvalsh(0.5 * (jac + np.swapaxes(jac, 1, 2)))[:, -1]
+        if need_grad_q and field.grad_q is not None:
+            grad_q_max[i] = np.abs(np.asarray(field.grad_q(t, pts))).max(axis=(1, 2, 3))
+        try:
+            lv[i] = _generator_of_v(t, pts, q, np.asarray(field.b(t, pts)))
+        except UnboundedDrift as exc:
+            overflow = overflow or exc
+
+    i, j = np.unravel_index(np.argmin(eta), shape)
+    if eta[i, j] <= 0.0:
+        raise NonPositiveDefinite(float(plan.times[i]), pts[j], float(eta[i, j]))
+    if need_grad_q and field.grad_q is None:
+        raise MissingGradient(
+            f"field {field.name!r} has x-dependent diffusion but no diffusion gradient"
+        )
+    # zeta(s) = sup_x max_ijk |D_k q_ij| / eta(s, x); zero makes every ell_p equal r0
+    zeta = (grad_q_max / eta).max(axis=1)
+    zeta_vanishes = np.all(zeta == 0.0)
+    ells = {}
+    for p in p_values:
+        if zeta_vanishes:
+            ells[float(p)] = float(r.max())
+        elif p <= 1.0:
+            raise ValueError("ell_p needs p > 1 unless the diffusion is x-independent")
+        else:
+            envelope = field.dim**3 * zeta[:, None] ** 2 * eta / (4.0 * min(p - 1.0, 1.0))
+            ells[float(p)] = float((r + envelope).max())
+    if overflow is not None:
+        raise overflow
+    lyap = _lyapunov_fit(lv, 1.0 + np.sum(pts * pts, axis=1), plan)
     return HypothesisReport(
         field_name=field.name,
         r_max=plan.r_max,
-        eta0_hat=eta0,
-        lambda_hat=lam,
-        r0_hat=r0,
+        eta0_hat=float(eta.min()),
+        lambda_hat=float(lam.max()),
+        r0_hat=float(r.max()),
         zeta_times=plan.times.copy(),
         zeta_values=zeta,
         ell_p_hat=ells,

@@ -191,6 +191,7 @@ class PeriodicGaussianSystem:
     covariance, and its mean solves (I - M) m = shift.  Both solutions are
     unique because the growth bound is negative.  Each canonical phase is
     solved once, on first request, under a lock shared by concurrent callers.
+    ``growth_bound`` is the Floquet exponent of the phase-0 monodromy.
     """
 
     def __init__(self, model: OUModel, tol: float = DEFAULT_TOL):
@@ -199,9 +200,9 @@ class PeriodicGaussianSystem:
         self.tol = tol
         self._lock = threading.Lock()
         law = _transition_ode(model, model.period, 0.0, tol)
-        omega = _floquet_exponent(law[0], model.period)
-        if omega >= 0.0:
-            raise NotDissipative(f"growth bound {omega:.4f} is not negative")
+        self.growth_bound = _floquet_exponent(law[0], model.period)
+        if self.growth_bound >= 0.0:
+            raise NotDissipative(f"growth bound {self.growth_bound:.4f} is not negative")
         self._measures = {0.0: self._fixed_point(*law)}
 
     def _fixed_point(self, mono, s_per, shift) -> GaussianMeasure:
@@ -312,16 +313,11 @@ def as_field(model: OUModel) -> PeriodicCoefficientField:
         X = np.atleast_2d(X)
         return np.broadcast_to(np.asarray(model.A(t)), (X.shape[0], d, d)).copy()
 
-    def grad_q(t, X):
-        X = np.atleast_2d(X)
-        return np.zeros((X.shape[0], d, d, d))
-
     return PeriodicCoefficientField(
         dim=d,
         period=model.period,
         q=q,
         b=b,
-        grad_q=grad_q,
         grad_b=grad_b,
         q_independent_of_x=True,
         name=model.name,

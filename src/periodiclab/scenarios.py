@@ -52,7 +52,7 @@ _DECAY_HORIZONS = [1, 2, 3, 4, 5, 6, 7, 8]
 _EXPERIMENT_KEYS = {
     "hypothesis-check": {"name", "moment_phases"},
     "decay": {"name", "engine", "ps", "horizons", "window", "rate_bounds",
-              "envelope_rate", "contraction_gaps", "contraction_ps"},
+              "contraction_gaps", "contraction_ps"},
     "gradient-decay": {"name", "engine", "ps", "horizons", "window", "rate_bounds",
                        "pointwise_samples"},
     "rate-equivalence": {"name", "engine", "p", "horizons", "window", "tolerance"},
@@ -234,9 +234,8 @@ def _check_experiment_values(name: str, spec: dict, path: str):
     for key in ("tol", "tolerance", "cluster_tol"):
         if key in spec:
             _number(spec[key], f"{path}.{key}", 0, above=True)
-    for key in ("gap_cap", "envelope_rate"):
-        if key in spec:
-            _number(spec[key], f"{path}.{key}", -math.inf)
+    if "gap_cap" in spec:
+        _number(spec["gap_cap"], f"{path}.gap_cap", -math.inf)
     if "window" in spec:
         window = spec["window"]
         _require(isinstance(window, list) and len(window) == 2,
@@ -533,22 +532,14 @@ def _battery_fits(ctx: RunContext, experiment: str, params: dict, gradient: bool
 def _run_decay(ctx: RunContext, params: dict) -> ExperimentResult:
     refs = {"ell_2": ctx.hypothesis_report.ell_p_hat.get(2.0)}
     if ctx.model is not None:
-        refs["omega0"] = ou.growth_bound(ctx.model)
+        refs["omega0"] = ctx.engine("ou-exact").system.growth_bound
     engine, phis, profile, fits, payload, rows = _battery_fits(ctx, "decay", params, False, refs)
-    env_rate = params.get("envelope_rate")
     payload["monotone_envelope"] = {f"{c.phi_id}:p={p:g}": c.eventually_decreasing()
                                     for p, curves, _ in fits for c in curves}
     checks = []
     for p, _, fitted in fits:
         checks += _rate_check(params, "decay-rate", p, fitted,
                               "omega_hat={fit.rate:.4f} in [{lo}, {hi}] R2={fit.r_squared:.3f}")
-        if env_rate is not None:
-            m_env = dg.envelope_constant(fitted.curve, env_rate)
-            admits = bool(np.all(fitted.curve.values
-                                 <= m_env * np.exp(env_rate * fitted.curve.taus) * (1 + 1e-9)))
-            payload["fits"][f"p={p:g}"]["envelope_M"] = m_env
-            checks.append(_fit_check(f"decay-envelope-p{p:g}", [fitted], lambda: (
-                admits, f"M={m_env:.4g} at rate {env_rate}")))
     gaps = params.get("contraction_gaps", [])
     if gaps:
         report = dg.contraction_invariance_report(

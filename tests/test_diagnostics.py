@@ -113,14 +113,6 @@ class TestFitRate:
         with pytest.raises(DegenerateWindow):
             dg.fit_rate(curve, (1.0, 3.0))
 
-    def test_envelope_constant(self):
-        taus = np.arange(1.0, 6.0)
-        curve = dg.DecayCurve(taus=taus, values=2.0 * np.exp(-0.7 * taus),
-                              stderrs=np.zeros(5), p=2.0, phi_id="x",
-                              engine_id="synthetic")
-        m_env = dg.envelope_constant(curve, -0.5)
-        assert np.all(curve.values <= m_env * np.exp(-0.5 * taus) + 1e-15)
-
 
 class TestFitBattery:
     """The one rate-fit path returns a refusal instead of raising it."""

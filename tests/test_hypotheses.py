@@ -1,12 +1,15 @@
 """Hypothesis checkers against closed-form and brute-force oracles."""
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from periodiclab import fields as fl
 from periodiclab import hypotheses as hyp
-from periodiclab.errors import NonPositiveDefinite
+from periodiclab.errors import MissingGradient, NonPositiveDefinite, UnboundedDrift
 
 
 def _const_matrix_field(mat):
@@ -32,8 +35,8 @@ def _const_matrix_field(mat):
 def test_ellipticity_constant_diagonal():
     field = _const_matrix_field(np.diag([2.0, 3.0]))
     plan = fl.build_plan(2, 1.0, r_max=3.0, n_times=8, n_axis=5)
-    eta0, lam = hyp.ellipticity_bounds(field, plan)
-    assert eta0 == 2.0 and lam == 3.0
+    report = hyp.check_hypotheses(field, plan)
+    assert report.eta0_hat == 2.0 and report.lambda_hat == 3.0
 
 
 def test_ellipticity_oscillating_vs_dense_grid_oracle():
@@ -45,15 +48,15 @@ def test_ellipticity_oscillating_vs_dense_grid_oracle():
     oracle = (vals.min(), vals.max())
     assert oracle == (0.75, 1.25)
     plan = fl.build_plan(1, 1.0, r_max=5.0, n_times=64, n_axis=9)
-    eta0, lam = hyp.ellipticity_bounds(field, plan)
-    assert (eta0, lam) == oracle
+    report = hyp.check_hypotheses(field, plan)
+    assert (report.eta0_hat, report.lambda_hat) == oracle
 
 
 def test_ellipticity_degenerate_raises():
     field = _const_matrix_field([[0.0]])
     plan = fl.build_plan(1, 1.0, r_max=2.0, n_times=4, n_axis=5)
     with pytest.raises(NonPositiveDefinite):
-        hyp.ellipticity_bounds(field, plan)
+        hyp.check_hypotheses(field, plan)
 
 
 def test_lyapunov_linear_drift_certificate():
@@ -80,19 +83,20 @@ def test_lyapunov_antidissipative_violations():
 def test_lyapunov_grad1d_accepts(grad_field, grad_plan):
     res = hyp.lyapunov_check(grad_field, grad_plan)
     assert res.accepted and res.a > 0 and res.c > 0
-    # brute oracle on the same samples: the certificate must actually hold
-    pts = grad_plan.points
+    # brute oracle on the same samples: the certificate must actually hold,
+    # with L V = 2 q + 2 b x in one dimension
+    x = grad_plan.points
     for t in grad_plan.times[::8]:
-        av, v = hyp._lyapunov_terms(grad_field, t, pts)
-        assert np.all(av <= res.a - res.c * v + 1e-9)
+        av = 2.0 * grad_field.q(t, x)[:, 0, 0] + 2.0 * grad_field.b(t, x)[:, 0] * x[:, 0]
+        assert np.all(av <= res.a - res.c * (1.0 + x[:, 0] ** 2) + 1e-9)
 
 
 def test_dissipativity_examples(grad_field, grad_plan):
     lin = fl.polynomial_field(1, 1.0, q_const=0.5, drift_terms=(fl.DriftTerm(1, -1.0),))
     plan1 = fl.build_plan(1, 1.0, r_max=4.0, n_times=8, n_axis=9)
-    assert hyp.dissipativity_r0(lin, plan1) == -1.0
+    assert hyp.check_hypotheses(lin, plan1).r0_hat == -1.0
     # grad1d: max over t, x of -3x^2 - 1 - 0.5 cos(2 pi t) = -0.5
-    assert hyp.dissipativity_r0(grad_field, grad_plan) == -0.5
+    assert hyp.check_hypotheses(grad_field, grad_plan).r0_hat == -0.5
 
 
 def test_dissipativity_matrix_drift_fd():
@@ -108,7 +112,7 @@ def test_dissipativity_matrix_drift_fd():
                                         q_independent_of_x=True)
     plan = fl.build_plan(2, 1.0, r_max=3.0, n_times=4, n_axis=5)
     # largest eigenvalue of sym [[-1, 1], [0, -1]] is -1 + 1/2
-    assert abs(hyp.dissipativity_r0(field, plan) - (-0.5)) < 1e-9
+    assert abs(hyp.check_hypotheses(field, plan).r0_hat - (-0.5)) < 1e-9
 
 
 def _synthetic_zeta_field(zeta=0.1):
@@ -139,18 +143,19 @@ def test_ell_p_formula_arithmetic():
     field = _synthetic_zeta_field(0.1)
     plan = fl.build_plan(2, 1.0, r_max=3.0, n_times=4, n_axis=5)
     # r + d^3 zeta^2 eta / (4 min(p-1, 1)) = -1 + 8 * 0.01 / 4
-    assert abs(hyp.ell_p(field, plan, 2.0) - (-0.98)) < 1e-12
+    ell_2 = hyp.check_hypotheses(field, plan, p_values=(2.0,)).ell_p_hat[2.0]
+    assert abs(ell_2 - (-0.98)) < 1e-12
 
 
 def test_ell_p_zero_case():
     field = fl.polynomial_field(1, 1.0, q_const=1.0)  # b = 0, zeta = 0
     plan = fl.build_plan(1, 1.0, r_max=3.0, n_times=4, n_axis=9)
-    assert hyp.ell_p(field, plan, 2.0) == 0.0
+    assert hyp.check_hypotheses(field, plan, p_values=(2.0,)).ell_p_hat[2.0] == 0.0
 
 
 def test_ell_p_grad1d_equals_r0(grad_field, grad_plan):
-    for p in (1.5, 2.0, 4.0, 7.0):
-        assert hyp.ell_p(grad_field, grad_plan, p) == -0.5
+    ells = hyp.check_hypotheses(grad_field, grad_plan, p_values=(1.5, 2.0, 4.0, 7.0)).ell_p_hat
+    assert ells == {1.5: -0.5, 2.0: -0.5, 4.0: -0.5, 7.0: -0.5}
 
 
 @settings(max_examples=20, deadline=None)
@@ -159,17 +164,18 @@ def test_ell_p_monotone_in_p(p_small, delta):
     field = _synthetic_zeta_field(0.1)
     plan = fl.build_plan(2, 1.0, r_max=3.0, n_times=4, n_axis=5)
     p_large = p_small + delta
-    assert hyp.ell_p(field, plan, p_small) >= hyp.ell_p(field, plan, p_large) - 1e-12
+    ells = hyp.check_hypotheses(field, plan, p_values=(p_small, p_large, 2.0, 2.0 + delta)).ell_p_hat
+    assert ells[p_small] >= ells[p_large] - 1e-12
     # constant on [2, infinity)
-    assert abs(hyp.ell_p(field, plan, 2.0) - hyp.ell_p(field, plan, 2.0 + delta)) < 1e-12
+    assert abs(ells[2.0] - ells[2.0 + delta]) < 1e-12
 
 
-def test_ell_p_dominates_r0(gen_field, gen_plan):
-    r0 = hyp.dissipativity_r0(gen_field, gen_plan)
+def test_ell_p_dominates_r0(gen_report):
+    r0 = gen_report.r0_hat
     for p in (1.5, 2.0, 4.0):
-        assert hyp.ell_p(gen_field, gen_plan, p) >= r0
+        assert gen_report.ell_p_hat[p] >= r0
     # strict inequality since zeta > 0 for the x-dependent diffusion
-    assert hyp.ell_p(gen_field, gen_plan, 2.0) > r0
+    assert gen_report.ell_p_hat[2.0] > r0
 
 
 def test_refinement_stability(grad_field, grad_plan, gen_field, gen_plan):
@@ -200,11 +206,76 @@ def test_report_serialization(grad_report):
 
 
 def test_zeta_requires_diffusion_gradient():
-    from periodiclab.errors import MissingGradient
-
     base = fl.gen_field()
     bare = fl.PeriodicCoefficientField(dim=2, period=1.0, q=base.q, b=base.b,
                                        grad_b=base.grad_b, name="bare-gen")
     plan = fl.build_plan(2, 1.0, r_max=3.0, n_times=4, n_axis=5)
     with pytest.raises(MissingGradient):
-        hyp.ell_p(bare, plan, 2.0)
+        hyp.check_hypotheses(bare, plan, p_values=(2.0,))
+
+
+def _counted(field):
+    """The field with every coefficient callable it has wrapped in a call counter."""
+    calls = Counter()
+
+    def wrap(name, fn):
+        def counted(t, X):
+            calls[name] += 1
+            return fn(t, X)
+        return counted
+
+    names = [n for n in ("q", "b", "grad_b", "grad_q") if getattr(field, n) is not None]
+    return dataclasses.replace(field, **{n: wrap(n, getattr(field, n)) for n in names}), calls
+
+
+def test_one_pass_reads_each_coefficient_once_per_time(gen_field, gen_plan, grad_field, grad_plan):
+    counted, calls = _counted(gen_field)
+    hyp.check_hypotheses(counted, gen_plan)
+    nt = len(gen_plan.times)
+    assert dict(calls) == {"q": nt, "b": nt, "grad_b": nt, "grad_q": nt}
+    # x-independent Q: a diffusion gradient, even when present, is never read
+    spy = dataclasses.replace(grad_field, grad_q=lambda t, X: np.zeros((len(X), 1, 1, 1)))
+    counted, calls = _counted(spy)
+    hyp.check_hypotheses(counted, grad_plan)
+    nt = len(grad_plan.times)
+    assert dict(calls) == {"q": nt, "b": nt, "grad_b": nt}
+
+
+def test_faults_raise_in_order():
+    """Indefinite Q first, then a missing diffusion gradient, then p <= 1 with
+    zeta > 0, then drift overflow, whichever other faults the field has."""
+
+    def q(t, X):
+        # diag(1, 1 - |x|^2 / 2): x-dependent, indefinite beyond |x| = sqrt 2
+        X = np.atleast_2d(X)
+        out = np.zeros((len(X), 2, 2))
+        out[:, 0, 0] = 1.0
+        out[:, 1, 1] = 1.0 - 0.5 * np.sum(X * X, axis=1)
+        return out
+
+    def b(t, X):
+        # overflows on the x-axis far out
+        X = np.atleast_2d(X)
+        out = -X.copy()
+        out[np.abs(X[:, 0]) > 2.5, 0] = np.inf
+        return out
+
+    def grad_b(t, X):
+        return np.broadcast_to(-np.eye(2), (len(X), 2, 2)).copy()
+
+    plan = fl.build_plan(2, 1.0, r_max=3.0, n_times=4, n_axis=5)
+    faulty = fl.PeriodicCoefficientField(dim=2, period=1.0, q=q, b=b, grad_b=grad_b)
+    with pytest.raises(NonPositiveDefinite) as exc:
+        hyp.check_hypotheses(faulty, plan, p_values=(1.0,))
+    # reported at the smallest eigenvalue over the plan: a lattice corner
+    assert exc.value.smallest_eigenvalue == -8.0
+    assert np.abs(exc.value.x).tolist() == [3.0, 3.0]
+    gen = fl.gen_field()
+    elliptic = dataclasses.replace(gen, b=b, grad_b=grad_b, grad_q=None)
+    with pytest.raises(MissingGradient):
+        hyp.check_hypotheses(elliptic, plan, p_values=(1.0,))
+    with pytest.raises(ValueError, match="p > 1"):
+        hyp.check_hypotheses(dataclasses.replace(elliptic, grad_q=gen.grad_q), plan,
+                             p_values=(2.0, 1.0))
+    with pytest.raises(UnboundedDrift, match="drift overflow"):
+        hyp.check_hypotheses(dataclasses.replace(elliptic, grad_q=gen.grad_q), plan)

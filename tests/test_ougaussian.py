@@ -6,7 +6,7 @@ from scipy.integrate import quad, quad_vec, solve_ivp
 
 from periodiclab import ougaussian as ou
 from periodiclab.errors import DimensionTooLarge, NotDissipative
-from periodiclab.hypotheses import dissipativity_r0, ell_p
+from periodiclab.hypotheses import check_hypotheses
 from periodiclab.fields import build_plan
 
 TOL = 10 * ou.DEFAULT_TOL
@@ -253,12 +253,12 @@ class TestAsField:
         model = ou.fourier_matrix_model(1, 1.0, a0=[[-1.0]])
         field = ou.as_field(model)
         plan = build_plan(1, 1.0, r_max=4.0, n_times=8, n_axis=9)
-        assert dissipativity_r0(field, plan) == -1.0
+        assert check_hypotheses(field, plan).r0_hat == -1.0
 
     def test_ell_p_worst_phase(self, ou_field):
         plan = build_plan(1, 1.0, r_max=4.0, n_times=64, n_axis=9)
         # sup over t of a(t) = -1 + 0.5 max sin = -0.5
-        assert ell_p(ou_field, plan, 2.0) == -0.5
+        assert check_hypotheses(ou_field, plan, p_values=(2.0,)).ell_p_hat[2.0] == -0.5
         assert ou_field.q_independent_of_x
 
     def test_degenerate_diffusion_flagged(self):

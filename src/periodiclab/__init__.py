@@ -39,7 +39,6 @@ from .hypotheses import (
     HypothesisReport,
     LyapunovResult,
     check_hypotheses,
-    lyapunov_check,
 )
 from .montecarlo import (
     ParticleEnsemble,

@@ -362,7 +362,6 @@ def phase_lp(engine, fn, s: float, p: float):
 
 
 def poincare_ratio(
-    field: PeriodicCoefficientField,
     u: SpaceTimeFunction,
     measures: PhaseMeasures,
     lam: float,

@@ -48,6 +48,7 @@ from . import montecarlo as mc
 from . import ougaussian as ou
 from .errors import QNotXIndependent
 from .fields import PeriodicCoefficientField
+from .hypotheses import LyapunovResult
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ class TestFunction:
         return np.linalg.norm(self.grad_at(points), axis=1)
 
 
-def battery(dim: int) -> list[TestFunction]:
+def battery() -> list[TestFunction]:
     """The documented test-function battery (ids are stable report keys)."""
     fns = [
         TestFunction("const", lambda X: np.ones(len(X)), lambda X: np.zeros_like(X)),
@@ -125,7 +126,7 @@ class SpaceTimeFunction:
         return np.asarray(self.grad(s, np.atleast_2d(points)))
 
 
-def st_battery(dim: int, period: float) -> list[SpaceTimeFunction]:
+def st_battery(period: float) -> list[SpaceTimeFunction]:
     """Space-time battery for the inequality checks."""
     w = 2.0 * np.pi / period
 
@@ -148,7 +149,7 @@ def st_battery(dim: int, period: float) -> list[SpaceTimeFunction]:
     ]
 
 
-def positive_battery(dim: int) -> list[SpaceTimeFunction]:
+def positive_battery() -> list[SpaceTimeFunction]:
     """Strictly positive bounded functions for the entropy inequality."""
     return [
         SpaceTimeFunction("pos-const", lambda s, X: np.full(len(X), 1.5), lambda s, X: np.zeros_like(X)),
@@ -233,9 +234,9 @@ class MonteCarloEngine:
         self,
         field: PeriodicCoefficientField,
         config: mc.SimConfig,
+        certificate: LyapunovResult,
         n_outer: int = 192,
         n_inner: int = 4096,
-        certificate=None,
     ):
         self.field = field
         self.period = field.period

@@ -176,15 +176,15 @@ class DriftTerm:
     """One odd-power drift monomial g(t) * x * |x|^(power-1)."""
 
     power: int
-    const: float
+    const: float = 0.0
     sin: float = 0.0
     cos: float = 0.0
 
 
 def polynomial_field(
-    dim: int,
-    period: float,
-    q_const: float,
+    dim: int = 1,
+    period: float = 1.0,
+    q_const: float = 1.0,
     q_sin: float = 0.0,
     q_cos: float = 0.0,
     drift_terms: tuple[DriftTerm, ...] = (),

@@ -124,16 +124,6 @@ def _lyapunov_fit(lv: np.ndarray, v: np.ndarray, plan: SamplePlan) -> LyapunovRe
     return LyapunovResult(accepted=False, a=None, c=None, violations=violations)
 
 
-def lyapunov_check(field: PeriodicCoefficientField, plan: SamplePlan) -> LyapunovResult:
-    """The Lyapunov certificate for V = 1 + |x|^2 alone, from Q and b on the plan."""
-    pts = plan.points
-    lv = np.stack([
-        _generator_of_v(t, pts, np.asarray(field.q(t, pts)), np.asarray(field.b(t, pts)))
-        for t in plan.times
-    ])
-    return _lyapunov_fit(lv, 1.0 + np.sum(pts * pts, axis=1), plan)
-
-
 def check_hypotheses(
     field: PeriodicCoefficientField,
     plan: SamplePlan,

@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import Blowup, NonPositiveDefinite, NotDissipative, QNotXIndependent
 from .fields import PeriodicCoefficientField
-from .hypotheses import LyapunovResult, lyapunov_check
-from . import fields as _fields
+from .hypotheses import LyapunovResult
 
 OVERFLOW_GUARD = 1e8
 _DRAW_STEPS = 8  # steps of normals each block generator draws per call ...
@@ -289,20 +288,17 @@ def sample_periodic_measure(
     field: PeriodicCoefficientField,
     s: float,
     config: SimConfig,
-    certificate: LyapunovResult | None = None,
+    certificate: LyapunovResult,
     stream: int = 2,
 ) -> ParticleEnsemble:
     """Far-past approximation of the periodic invariant measure at phase s.
 
     A point mass at the origin is evolved over ``horizon_periods`` full
     periods ending at the canonical phase of s; dissipativity erases the
-    initialization.  A Lyapunov certificate is required (one is computed on a
-    default plan when not supplied).
+    initialization.  The Lyapunov ``certificate`` (``check_hypotheses(field,
+    plan).lyapunov``) must be accepted.
     """
     config.validated_for(field)
-    if certificate is None:
-        plan = _fields.build_plan(field.dim, field.period, r_max=8.0, n_times=16, n_axis=9)
-        certificate = lyapunov_check(field, plan)
     if not certificate.accepted:
         raise NotDissipative(f"no Lyapunov certificate for field {field.name!r}")
     phase = field.phase(s)

@@ -55,9 +55,9 @@ class OUModel:
 
 
 def fourier_matrix_model(
-    dim: int,
-    period: float,
-    a0,
+    dim: int = 1,
+    period: float = 1.0,
+    a0=None,
     a_sin=None,
     a_cos=None,
     b0=None,

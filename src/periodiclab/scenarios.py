@@ -5,7 +5,10 @@ engine sizes, and a list of experiments.  Validation is strict, and a run
 validates after applying its overrides: unknown keys anywhere, values of the
 wrong type or range, and bad experiment/field pairings (the entropy inequality
 needs x-independent diffusion, the exact engine needs a linear-drift model,
-and so on) are rejected up front with their JSON path.
+and so on) are rejected up front with their JSON path.  Each experiment key
+has its default in one table, ``_EXPERIMENTS``; a run fills the unset keys of
+every experiment once, after validation, and the runners read only those
+filled-in specs.
 
 Each experiment writes ``<name>.json`` and ``<name>.csv`` into the output
 directory and contributes pass/fail check lines; ``summary.json`` aggregates
@@ -14,6 +17,7 @@ them.  All artifacts are byte-deterministic for a fixed scenario and seed.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, replace
@@ -48,19 +52,25 @@ _SIM_DEFAULTS = {"particles": 20000, "dt": 0.004, "horizon_periods": 16, "antith
                  "n_outer": 128, "n_inner": 2048}
 _GRID_DEFAULTS = {"half_width": 4.5, "points_per_axis": 63, "time_slices": 33,
                   "time_scheme": "spectral", "substeps": 2}
-_DECAY_HORIZONS = [1, 2, 3, 4, 5, 6, 7, 8]
-_EXPERIMENT_KEYS = {
-    "hypothesis-check": {"name", "moment_phases"},
-    "decay": {"name", "engine", "ps", "horizons", "window", "rate_bounds",
-              "contraction_gaps", "contraction_ps"},
-    "gradient-decay": {"name", "engine", "ps", "horizons", "window", "rate_bounds",
-                       "pointwise_samples"},
-    "rate-equivalence": {"name", "engine", "p", "horizons", "window", "tolerance"},
-    "poincare": {"name", "n_phases"},
-    "logsob": {"name", "ps", "n_phases"},
-    "spectrum": {"name", "k", "cluster_tol", "gap_cap", "refine", "carre", "solvability"},
-    "spectral-mapping": {"name", "tol", "substeps"},
-    "core-consistency": {"name", "tol"},
+# Each experiment's keys besides "name", at the value its runner reads when the
+# key is unset.  A None engine or window is resolved from the other values: the
+# rate-equivalence engine by field kind, the fit window as [1, max(horizons)].
+# A None gap_cap means no gap check.
+_EXPERIMENTS = {
+    "hypothesis-check": {"moment_phases": 8},
+    "decay": {"engine": "montecarlo", "ps": [2.0], "horizons": [1, 2, 3, 4, 5, 6, 7, 8],
+              "window": None, "rate_bounds": {}, "contraction_gaps": [],
+              "contraction_ps": [1, 2, 4]},
+    "gradient-decay": {"engine": "montecarlo", "ps": [2.0], "horizons": [1, 2, 3, 4],
+                       "window": None, "rate_bounds": {}, "pointwise_samples": 0},
+    "rate-equivalence": {"engine": None, "p": 2.0, "horizons": [1, 2, 3, 4, 5, 6],
+                         "window": None, "tolerance": 0.1},
+    "poincare": {"n_phases": 8},
+    "logsob": {"ps": [1.0, 2.0], "n_phases": 8},
+    "spectrum": {"k": 40, "cluster_tol": 1e-3, "gap_cap": None, "refine": False,
+                 "carre": False, "solvability": False},
+    "spectral-mapping": {"tol": 1e-3, "substeps": 4},
+    "core-consistency": {"tol": 5e-2},
 }
 
 
@@ -135,7 +145,21 @@ def _check_values(doc: dict):
         _number(term.get("power"), f"{path}.power", 1, integer=True)
         _require(term["power"] % 2 == 1, f"must be odd, got {term['power']}", f"{path}.power")
         for key in ("const", "sin", "cos"):
-            _number(term.get(key, 0.0), f"{path}.{key}", -math.inf)
+            if key in term:
+                _number(term[key], f"{path}.{key}", -math.inf)
+    if field["kind"] == "ou":
+        try:
+            build_field(field)[1].check_ellipticity()
+        except ValueError as exc:
+            raise ConfigError(str(exc), "$.field") from None
+    elif field["kind"] != "grad1d":
+        # Q = q I with inf q = q_const - |(q_sin, q_cos)| + min(q_bump, 0) over (t, x);
+        # an unset coefficient takes its builder's default
+        builder = fl.gen_field if field["kind"] == "gen" else fl.polynomial_field
+        q = {**{k: v.default for k, v in inspect.signature(builder).parameters.items()}, **field}
+        floor = q["q_const"] - math.hypot(q.get("q_sin", 0.0), q.get("q_cos", 0.0)) \
+            + min(q.get("q_bump", 0.0), 0.0)
+        _require(floor > 0.0, f"the diffusion infimum {floor:g} must be > 0", "$.field.q_const")
     plan = _section(doc, "plan")
     _number(plan["r_max"], "$.plan.r_max", 0.0, above=True)
     for key in ("n_times", "n_axis", "n_shell_dirs"):
@@ -167,7 +191,16 @@ def _check_values(doc: dict):
 
 def validate_scenario(doc: dict) -> dict:
     """Strict validation of keys, value types and ranges, and experiment/field
-    pairings; returns the document unchanged."""
+    pairings; returns the document unchanged.  Each experiment's values are
+    checked as given, and its cross-key rules read the spec with every unset
+    key at its ``_EXPERIMENTS`` default, as its runner does."""
+    _resolved_experiments(doc)
+    return doc
+
+
+def _resolved_experiments(doc: dict) -> list[dict]:
+    """Validate ``doc``; returns new experiment specs with every unset key at
+    the value its runner reads."""
     _check_keys(doc, _TOP_KEYS, "$")
     _require(doc.get("schema") == SCHEMA_VERSION, f"schema must be {SCHEMA_VERSION}", "$.schema")
     _require(isinstance(doc.get("id"), str) and doc["id"], "id must be a nonempty string", "$.id")
@@ -184,34 +217,47 @@ def validate_scenario(doc: dict) -> dict:
     exps = doc.get("experiments")
     _require(isinstance(exps, list) and exps, "experiments must be a nonempty list", "$.experiments")
     q_varies = kind == "gen"
+    resolved = []
     for i, spec in enumerate(exps):
         path = f"$.experiments[{i}]"
         _require(isinstance(spec, dict), "experiment entries must be objects", path)
         name = spec.get("name")
-        _require(name in _EXPERIMENT_KEYS, f"unknown experiment {name!r}", f"{path}.name")
-        _check_keys(spec, _EXPERIMENT_KEYS[name], path)
-        if name == "logsob":
-            _require(not q_varies,
-                     "the entropy inequality needs diffusion independent of x", path)
-        if spec.get("pointwise_samples"):
-            _require(not q_varies, "pathwise gradients need diffusion independent of x",
-                     f"{path}.pointwise_samples")
-        if name in ("decay", "gradient-decay", "rate-equivalence"):
-            engine = _engine_name(name, spec, kind)
-            _require(engine in ("montecarlo", "grid", "ou-exact"),
-                     f"unknown engine {engine!r}", f"{path}.engine")
-            if engine == "ou-exact":
-                _require(kind == "ou", "the exact engine needs a linear-drift field",
-                         f"{path}.engine")
-            if name != "decay" and engine == "montecarlo":
-                _require(not q_varies,
-                         "pathwise gradients need diffusion independent of x", path)
+        _require(name in _EXPERIMENTS, f"unknown experiment {name!r}", f"{path}.name")
+        _check_keys(spec, {"name", *_EXPERIMENTS[name]}, path)
         _check_experiment_values(name, spec, path)
-    return doc
+        params = {**_EXPERIMENTS[name], **spec}
+        if "window" in params:           # a rate fit
+            if params["engine"] is None:
+                params["engine"] = "ou-exact" if kind == "ou" else "grid"
+            if params["window"] is None:
+                params["window"] = [1.0, max(params["horizons"])]
+        if q_varies:
+            _require(name != "logsob",
+                     "the entropy inequality needs diffusion independent of x", path)
+            _require(not params.get("pointwise_samples"),
+                     "pathwise gradients need diffusion independent of x",
+                     f"{path}.pointwise_samples")
+            _require(name == "decay" or params.get("engine") != "montecarlo",
+                     "pathwise gradients need diffusion independent of x", path)
+        if params.get("engine") == "ou-exact":
+            _require(kind == "ou", "the exact engine needs a linear-drift field", f"{path}.engine")
+        if "rate_bounds" in params:
+            ps = {f"{float(p):g}" for p in params["ps"]}
+            for key in params["rate_bounds"]:
+                _require(key in ps, f"no exponent {key!r} among ps", f"{path}.rate_bounds.{key}")
+        if "contraction_gaps" in params:
+            for j, gap in enumerate(params["contraction_gaps"]):
+                _require(gap in params["horizons"], "contraction gaps must be decay horizons",
+                         f"{path}.contraction_gaps[{j}]")
+        resolved.append(params)
+    return resolved
 
 
 def _check_experiment_values(name: str, spec: dict, path: str):
     """Types and ranges of the experiment values the runners read."""
+    if "engine" in spec:
+        _require(spec["engine"] in ("montecarlo", "grid", "ou-exact"),
+                 f"unknown engine {spec['engine']!r}", f"{path}.engine")
     if "horizons" in spec:
         # gradient envelopes start at unit separation
         gradient = name in ("gradient-decay", "rate-equivalence")
@@ -245,73 +291,31 @@ def _check_experiment_values(name: str, spec: dict, path: str):
     if "rate_bounds" in spec:
         bounds = spec["rate_bounds"]
         _require(isinstance(bounds, dict), "expected an object", f"{path}.rate_bounds")
-        ps = {f"{float(p):g}" for p in spec.get("ps", [2.0])}
         for key, pair in bounds.items():
             key_path = f"{path}.rate_bounds.{key}"
-            _require(key in ps, f"no exponent {key!r} among ps", key_path)
             _require(isinstance(pair, list) and len(pair) == 2,
                      f"expected [lo|null, hi|null], got {pair!r}", key_path)
             for j, end in enumerate(pair):
                 if end is not None:
                     _number(end, f"{key_path}[{j}]", -math.inf)
     if "contraction_gaps" in spec:
-        gaps_path = f"{path}.contraction_gaps"
-        _numbers(spec["contraction_gaps"], gaps_path, 0, above=True)
-        horizons = spec.get("horizons", _DECAY_HORIZONS)
-        for j, gap in enumerate(spec["contraction_gaps"]):
-            _require(gap in horizons, "contraction gaps must be decay horizons",
-                     f"{gaps_path}[{j}]")
-
-
-def _engine_name(experiment: str, params: dict, field_kind: str) -> str:
-    """The engine an experiment runs on: its ``engine`` key, else the default,
-    which is the exact or grid engine for rate equivalence and Monte Carlo otherwise."""
-    if experiment == "rate-equivalence":
-        default = "ou-exact" if field_kind == "ou" else "grid"
-    else:
-        default = "montecarlo"
-    return params.get("engine", default)
+        _numbers(spec["contraction_gaps"], f"{path}.contraction_gaps", 0, above=True)
 
 
 def build_field(field_spec: dict):
-    """Instantiate (field, model-or-None) from the field section."""
+    """Instantiate (field, model-or-None) from the field section; an unset
+    coefficient takes its builder's default."""
     kind = field_spec["kind"]
+    kwargs = {key: value for key, value in field_spec.items() if key != "kind"}
     if kind == "ou":
-        model = ou.fourier_matrix_model(
-            dim=field_spec.get("dim", 1),
-            period=field_spec.get("period", 1.0),
-            a0=field_spec.get("a0"),
-            a_sin=field_spec.get("a_sin"),
-            a_cos=field_spec.get("a_cos"),
-            b0=field_spec.get("b0"),
-            b_sin=field_spec.get("b_sin"),
-            b_cos=field_spec.get("b_cos"),
-            f0=field_spec.get("f0"),
-            f_sin=field_spec.get("f_sin"),
-            f_cos=field_spec.get("f_cos"),
-            name="ou",
-        )
-        model.check_ellipticity()
+        model = ou.fourier_matrix_model(**kwargs)
         return ou.as_field(model), model
     if kind == "grad1d":
-        return fl.grad1d_field(field_spec.get("period", 1.0)), None
+        return fl.grad1d_field(**kwargs), None
     if kind == "gen":
-        gen_kwargs = {k: field_spec[k] for k in field_spec if k != "kind"}
-        return fl.gen_field(**gen_kwargs), None
-    terms = tuple(
-        fl.DriftTerm(power=t["power"], const=t.get("const", 0.0),
-                     sin=t.get("sin", 0.0), cos=t.get("cos", 0.0))
-        for t in field_spec.get("drift_terms", [])
-    )
-    poly = fl.polynomial_field(
-        dim=field_spec.get("dim", 1),
-        period=field_spec.get("period", 1.0),
-        q_const=field_spec.get("q_const", 1.0),
-        q_sin=field_spec.get("q_sin", 0.0),
-        q_cos=field_spec.get("q_cos", 0.0),
-        drift_terms=terms,
-    )
-    return poly, None
+        return fl.gen_field(**kwargs), None
+    terms = tuple(fl.DriftTerm(**term) for term in kwargs.pop("drift_terms", []))
+    return fl.polynomial_field(drift_terms=terms, **kwargs), None
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +448,7 @@ def _fit_check(rule: str, fits: list, verdict) -> dict:
 
 def _rate_check(params: dict, rule: str, p: float, fitted, detail: str) -> list:
     """The ``rate_bounds`` check of exponent p, if it has bounds (null ends open)."""
-    bounds = params.get("rate_bounds", {}).get(f"{p:g}")
+    bounds = params["rate_bounds"].get(f"{p:g}")
     if bounds is None:
         return []
     lo = -math.inf if bounds[0] is None else bounds[0]
@@ -474,7 +478,7 @@ def _run_hypothesis_check(ctx: RunContext, params: dict) -> ExperimentResult:
         {"metric": "lyapunov_a", "value": report.lyapunov.a},
         {"metric": "lyapunov_c", "value": report.lyapunov.c},
     ]
-    n_phases = params.get("moment_phases", 8)
+    n_phases = params["moment_phases"]
     if report.lyapunov.accepted:
         bound = report.lyapunov.moment_bound()
         mc_engine = ctx.engine("montecarlo")
@@ -495,35 +499,30 @@ def _run_hypothesis_check(ctx: RunContext, params: dict) -> ExperimentResult:
     return ExperimentResult(payload, ["metric", "value"], rows, checks)
 
 
-# per rate-fit experiment: its default horizons and the battery ids it fits
-_FIT_DEFAULTS = {
-    "decay": (_DECAY_HORIZONS, ("coord0", "tanh", "sin", "bump", "ratio")),
-    "gradient-decay": ([1, 2, 3, 4], ("coord0", "tanh", "sin", "ratio")),
-    "rate-equivalence": ([1, 2, 3, 4, 5, 6], ("tanh", "sin", "ratio")),
+# the battery ids each rate-fit experiment fits
+_FIT_IDS = {
+    "decay": ("coord0", "tanh", "sin", "bump", "ratio"),
+    "gradient-decay": ("coord0", "tanh", "sin", "ratio"),
+    "rate-equivalence": ("tanh", "sin", "ratio"),
 }
 _CURVE_HEADER = ["tau", "value", "stderr", "p", "phi", "engine", "kind"]
 
 
-def _fit_setup(ctx: RunContext, experiment: str, params: dict):
-    """Engine, horizons, fit window and battery of a rate-fit experiment."""
-    default_horizons, ids = _FIT_DEFAULTS[experiment]
-    engine = ctx.engine(_engine_name(experiment, params, ctx.doc["field"]["kind"]))
-    horizons = params.get("horizons", default_horizons)
-    window = tuple(params.get("window", [1.0, max(horizons)]))
-    phis = [phi for phi in eng.battery(ctx.field.dim) if phi.fid in ids]
-    return engine, horizons, window, phis
+def _fit_setup(ctx: RunContext, params: dict):
+    """Engine and battery of a rate-fit experiment."""
+    phis = [phi for phi in eng.battery() if phi.fid in _FIT_IDS[params["name"]]]
+    return ctx.engine(params["engine"]), phis
 
 
-def _battery_fits(ctx: RunContext, experiment: str, params: dict, gradient: bool,
-                  references: dict | None = None):
+def _battery_fits(ctx: RunContext, params: dict, gradient: bool, references: dict | None = None):
     """What decay and gradient-decay share: one transfer profile from s = 0, per
     exponent of ``ps`` (p, curves, fit), a payload of fit records, and CSV rows."""
-    engine, horizons, window, phis = _fit_setup(ctx, experiment, params)
-    profile = engine.transfer_profile(phis, 0.0, horizons, gradients=gradient)
+    engine, phis = _fit_setup(ctx, params)
+    profile = engine.transfer_profile(phis, 0.0, params["horizons"], gradients=gradient)
     fits = []
-    for p in [float(p) for p in params.get("ps", [2.0])]:
+    for p in [float(p) for p in params["ps"]]:
         curves = [dg.decay_curve(engine, phi, 0.0, p, profile, gradient=gradient) for phi in phis]
-        fits.append((p, curves, dg.fit_battery(curves, window, references)))
+        fits.append((p, curves, dg.fit_battery(curves, tuple(params["window"]), references)))
     payload = {"engine": engine.name, "fits": {f"p={p:g}": f.to_jsonable() for p, _, f in fits}}
     rows = [row for _, curves, _ in fits for curve in curves for row in curve.rows()]
     return engine, phis, profile, fits, payload, rows
@@ -533,18 +532,17 @@ def _run_decay(ctx: RunContext, params: dict) -> ExperimentResult:
     refs = {"ell_2": ctx.hypothesis_report.ell_p_hat.get(2.0)}
     if ctx.model is not None:
         refs["omega0"] = ctx.engine("ou-exact").system.growth_bound
-    engine, phis, profile, fits, payload, rows = _battery_fits(ctx, "decay", params, False, refs)
+    engine, phis, profile, fits, payload, rows = _battery_fits(ctx, params, False, refs)
     payload["monotone_envelope"] = {f"{c.phi_id}:p={p:g}": c.eventually_decreasing()
                                     for p, curves, _ in fits for c in curves}
     checks = []
     for p, _, fitted in fits:
         checks += _rate_check(params, "decay-rate", p, fitted,
                               "omega_hat={fit.rate:.4f} in [{lo}, {hi}] R2={fit.r_squared:.3f}")
-    gaps = params.get("contraction_gaps", [])
+    gaps = params["contraction_gaps"]
     if gaps:
         report = dg.contraction_invariance_report(
-            engine, phis, 0.0, gaps, [float(p) for p in params.get("contraction_ps", [1, 2, 4])],
-            profile)
+            engine, phis, 0.0, gaps, [float(p) for p in params["contraction_ps"]], profile)
         payload["contraction"] = report
         for rule in ("contraction", "invariance"):
             passed = [r[f"{rule}_ok"] for r in report]
@@ -553,15 +551,15 @@ def _run_decay(ctx: RunContext, params: dict) -> ExperimentResult:
 
 
 def _run_gradient_decay(ctx: RunContext, params: dict) -> ExperimentResult:
-    _, _, _, fits, payload, rows = _battery_fits(ctx, "gradient-decay", params, True)
+    _, _, _, fits, payload, rows = _battery_fits(ctx, params, True)
     checks = [check for p, _, fitted in fits for check in _rate_check(
         params, "gradient-rate", p, fitted, "gamma_hat={fit.rate:.4f} in [{lo}, {hi}]")]
-    n_point = params.get("pointwise_samples", 0)
+    n_point = params["pointwise_samples"]
     if n_point:
         rng = np.random.default_rng(ctx.seed)
         r0 = ctx.hypothesis_report.r0_hat
         config = replace(ctx.sim_config(), n_particles=4000)
-        tanh = next(phi for phi in eng.battery(ctx.field.dim) if phi.fid == "tanh")
+        tanh = next(phi for phi in eng.battery() if phi.fid == "tanh")
         results = []
         for i in range(n_point):
             s = float(rng.uniform(0.0, ctx.field.period))
@@ -577,10 +575,10 @@ def _run_gradient_decay(ctx: RunContext, params: dict) -> ExperimentResult:
 
 
 def _run_rate_equivalence(ctx: RunContext, params: dict) -> ExperimentResult:
-    engine, horizons, window, phis = _fit_setup(ctx, "rate-equivalence", params)
-    p = float(params.get("p", 2.0))
-    tol = params.get("tolerance", 0.1)
-    report = dg.rate_equivalence_check(engine, phis, 0.0, p, horizons, window, tol)
+    engine, phis = _fit_setup(ctx, params)
+    p, tol = float(params["p"]), params["tolerance"]
+    report = dg.rate_equivalence_check(engine, phis, 0.0, p, params["horizons"],
+                                       tuple(params["window"]), tol)
     fits = [report["omega_fit"], report["gamma_fit"]]
     checks = [_fit_check("rate-equivalence", fits, lambda: (
         report["agree"], f"|omega-gamma|={report['difference']:.4f} <= {tol}"))]
@@ -592,13 +590,13 @@ def _run_rate_equivalence(ctx: RunContext, params: dict) -> ExperimentResult:
 
 def _run_poincare(ctx: RunContext, params: dict) -> ExperimentResult:
     report_h = ctx.hypothesis_report
-    measures = dg.PhaseMeasures.from_engine(ctx.engine("montecarlo"), params.get("n_phases", 8))
+    measures = dg.PhaseMeasures.from_engine(ctx.engine("montecarlo"), params["n_phases"])
     lam = report_h.lambda_hat
     ell2 = report_h.ell_p_hat[2.0]
     rows, checks = [], []
     payload = {"constant": lam / abs(ell2), "reports": {}}
-    for u in eng.st_battery(ctx.field.dim, ctx.field.period):
-        rep = dg.poincare_ratio(ctx.field, u, measures, lam, ell2)
+    for u in eng.st_battery(ctx.field.period):
+        rep = dg.poincare_ratio(u, measures, lam, ell2)
         payload["reports"][u.fid] = rep.to_jsonable()
         rows.append({"fid": u.fid, "left": rep.left, "right": rep.right,
                      "residual": rep.residual, "stderr": rep.stderr})
@@ -610,13 +608,13 @@ def _run_poincare(ctx: RunContext, params: dict) -> ExperimentResult:
 
 def _run_logsob(ctx: RunContext, params: dict) -> ExperimentResult:
     report_h = ctx.hypothesis_report
-    measures = dg.PhaseMeasures.from_engine(ctx.engine("montecarlo"), params.get("n_phases", 8))
+    measures = dg.PhaseMeasures.from_engine(ctx.engine("montecarlo"), params["n_phases"])
     lam = report_h.lambda_hat
     r0 = report_h.r0_hat
     rows, checks = [], []
     payload = {"reports": {}}
-    for p in [float(q) for q in params.get("ps", [1.0, 2.0])]:
-        for u in eng.positive_battery(ctx.field.dim):
+    for p in [float(q) for q in params["ps"]]:
+        for u in eng.positive_battery():
             rep = dg.logsob_ratio(ctx.field, u, p, measures, lam, r0)
             key = f"{u.fid}:p={p:g}"
             payload["reports"][key] = rep.to_jsonable()
@@ -630,8 +628,8 @@ def _run_logsob(ctx: RunContext, params: dict) -> ExperimentResult:
 
 def _run_spectrum(ctx: RunContext, params: dict) -> ExperimentResult:
     gen = ctx.generator
-    cluster_tol = params.get("cluster_tol", 1e-3)
-    report = gridmod.spectrum(gen, k=params.get("k", 40), cluster_tol=cluster_tol,
+    cluster_tol = params["cluster_tol"]
+    report = gridmod.spectrum(gen, k=params["k"], cluster_tol=cluster_tol,
                               with_residuals=True)
     cluster = {k: z for k, z in report.axis_cluster}
     w0 = 2.0 * math.pi / ctx.field.period
@@ -647,12 +645,12 @@ def _run_spectrum(ctx: RunContext, params: dict) -> ExperimentResult:
         _check("rho-invariance", gen.rho_residual <= 1e-8,
                f"rho residual {gen.rho_residual:.2e}"),
     ]
-    gap_cap = params.get("gap_cap")
+    gap_cap = params["gap_cap"]
     if gap_cap is not None:
         checks.append(_check("spectrum-gap", report.gap_estimate <= gap_cap,
                              f"gap {report.gap_estimate:.4f} <= {gap_cap}"))
     payload = {"spectrum": report.to_jsonable(), "rho_residual": gen.rho_residual}
-    refine, carre = params.get("refine", False), params.get("carre", False)
+    refine, carre = params["refine"], params["carre"]
     fine = (gridmod.build_generator(ctx.field, gen.grid.refined(), gen.time_scheme)
             if refine or carre else None)
     if refine:
@@ -680,7 +678,7 @@ def _run_spectrum(ctx: RunContext, params: dict) -> ExperimentResult:
         payload["carre_residuals"] = [res, res_fine]
         checks.append(_check("carre-du-champ", 3.5 <= ratio <= 4.5,
                              f"halving ratio {ratio:.3f}"))
-    if params.get("solvability", False):
+    if params["solvability"]:
         w = 2.0 * math.pi / ctx.field.period
 
         def f_raw(s, X):
@@ -706,8 +704,8 @@ def _run_spectral_mapping(ctx: RunContext, params: dict) -> ExperimentResult:
     gen = ctx.generator
     report = gridmod.spectrum(gen, k=40)
     result = gridmod.spectral_mapping_check(gen, ctx.field, report,
-                                            substeps=params.get("substeps", 4))
-    tol = params.get("tol", 1e-3)
+                                            substeps=params["substeps"])
+    tol = params["tol"]
     checks = [_check("spectral-mapping", result["worst_mismatch"] <= tol,
                      f"worst mismatch {result['worst_mismatch']:.2e} <= {tol}")]
     rows = [{"re": r["lambda"].real, "im": r["lambda"].imag, "kind": r["kind"],
@@ -720,8 +718,8 @@ def _run_spectral_mapping(ctx: RunContext, params: dict) -> ExperimentResult:
 def _run_core_consistency(ctx: RunContext, params: dict) -> ExperimentResult:
     period = ctx.field.period
     alpha = dg.BumpWindow(0.1 * period, 0.9 * period)
-    chi = next(phi for phi in eng.battery(ctx.field.dim) if phi.fid == "bump")
-    tol = params.get("tol", 5e-2)
+    chi = next(phi for phi in eng.battery() if phi.fid == "bump")
+    tol = params["tol"]
     gen = ctx.generator
     u_fn, image = dg.core_on_grid(ctx.field, gen.grid, period, chi, alpha,
                                   substeps=_section(ctx.doc, "grid")["substeps"])
@@ -793,15 +791,15 @@ def run_scenario(doc: dict, out_dir: str | Path, jobs: int = 1,
                             ("horizon", "horizon_periods")):
             if overrides.get(key) is not None:
                 sim[target] = overrides[key]
-    doc = validate_scenario(doc)
+    # the runners read the resolved specs, and ctx.doc holds those very objects
+    specs = _resolved_experiments(doc)
     seed = overrides.get("seed")
     if seed is None:
         seed = doc.get("seed", 0)
-    ctx = RunContext(doc=doc, seed=int(seed))
+    ctx = RunContext(doc={**doc, "experiments": specs}, seed=int(seed))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    specs = doc["experiments"]
     names = _unique_names(specs)
     results: list[ExperimentResult | None] = [None] * len(specs)
 

@@ -97,7 +97,7 @@ def gen_mc(gen_field, gen_report):
 
 @pytest.fixture(scope="session")
 def battery1():
-    return eng.battery(1)
+    return eng.battery()
 
 
 @pytest.fixture(scope="session")

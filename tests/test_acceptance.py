@@ -155,8 +155,7 @@ class TestAC6ContractionInvariance:
         total = 0
         for engine, gaps in ((ou_mc, [1.0, 2.0, 4.0]), (grad_mc, [1.0, 2.0, 4.0]),
                              (gen_mc, [1.0, 2.0])):
-            dim = engine.field.dim
-            phis = eng.battery(dim)
+            phis = eng.battery()
             profile = engine.transfer_profile(phis, 0.0, gaps)
             rows = dg.contraction_invariance_report(engine, phis, 0.0, gaps,
                                                     [1.0, 2.0, 4.0], profile)
@@ -183,13 +182,13 @@ class TestAC7MomentBound:
 
 
 class TestAC8FunctionalInequalities:
-    def test_poincare_battery(self, grad_field, grad_mc, grad_report):
+    def test_poincare_battery(self, grad_mc, grad_report):
         measures = dg.PhaseMeasures.from_engine(grad_mc, 8)
         lam, ell2 = grad_report.lambda_hat, grad_report.ell_p_hat[2.0]
         assert abs(lam / abs(ell2) - 2.5) < 1e-12
         worst = math.inf
-        for u in eng.st_battery(1, 1.0):
-            rep = dg.poincare_ratio(grad_field, u, measures, lam, ell2)
+        for u in eng.st_battery(1.0):
+            rep = dg.poincare_ratio(u, measures, lam, ell2)
             assert rep.holds(), (u.fid, rep.residual, rep.stderr)
             worst = min(worst, rep.residual)
         _report("AC8", f"variance inequality with constant 2.5: min residual {worst:.3f}")
@@ -198,7 +197,7 @@ class TestAC8FunctionalInequalities:
         measures = dg.PhaseMeasures.from_engine(grad_mc, 8)
         lam, r0 = grad_report.lambda_hat, grad_report.r0_hat
         for p, expected_const in ((1.0, 1.25), (2.0, 5.0)):
-            for u in eng.positive_battery(1):
+            for u in eng.positive_battery():
                 rep = dg.logsob_ratio(grad_field, u, p, measures, lam, r0)
                 assert abs(rep.constant - expected_const) < 1e-12
                 assert rep.holds(), (u.fid, p, rep.residual, rep.stderr)

@@ -1,5 +1,6 @@
 """Decay curves, rate fits, inequality residuals, and core elements."""
 
+import functools
 import math
 
 import numpy as np
@@ -234,31 +235,44 @@ def test_engine_protocol(kind, ou_model, ou_field, ou_generator, ou_report, batt
     assert dg.PhaseMeasures.from_engine(engine, 4).stochastic is engine.stochastic
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_battery_gradients_match_central_differences(dim):
+    """Every test function's gradient, the space-time ones at phases 0, 0.3
+    and 0.7, agrees with central differences of step 1e-6."""
+    X = np.random.default_rng(dim).uniform(-2.0, 2.0, size=(32, dim))
+    members = [(phi.fid, phi, phi.grad_at) for phi in eng.battery()]
+    members += [(f"{u.fid}@{s}", functools.partial(u, s), functools.partial(u.grad_at, s))
+                for u in eng.st_battery(1.0) + eng.positive_battery() for s in (0.0, 0.3, 0.7)]
+    h = 1e-6
+    for fid, fn, grad in members:
+        fd = np.stack([(fn(X + h * e) - fn(X - h * e)) / (2.0 * h) for e in np.eye(dim)], axis=1)
+        assert np.max(np.abs(grad(X) - fd)) <= 1e-6, fid
+
+
 class TestPoincare:
-    def test_x_independent_function_trivial(self, grad_field, grad_mc):
+    def test_x_independent_function_trivial(self, grad_mc):
         measures = dg.PhaseMeasures.from_engine(grad_mc, 4)
         u = eng.SpaceTimeFunction("flat", lambda s, X: np.full(len(X), 2.0),
                                  lambda s, X: np.zeros_like(X))
-        rep = dg.poincare_ratio(grad_field, u, measures, 1.25, -0.5)
+        rep = dg.poincare_ratio(u, measures, 1.25, -0.5)
         assert rep.left <= 1e-24 and rep.right == 0.0 and abs(rep.residual) <= 1e-24
         assert rep.holds()
 
-    def test_grad1d_coordinate(self, grad_field, grad_mc, grad_report):
+    def test_grad1d_coordinate(self, grad_mc, grad_report):
         measures = dg.PhaseMeasures.from_engine(grad_mc, 8)
-        u = eng.st_battery(1, 1.0)[0]
+        u = eng.st_battery(1.0)[0]
         lam = grad_report.lambda_hat
         ell2 = grad_report.ell_p_hat[2.0]
-        rep = dg.poincare_ratio(grad_field, u, measures, lam, ell2)
+        rep = dg.poincare_ratio(u, measures, lam, ell2)
         assert abs(rep.constant - 2.5) < 1e-12
         assert abs(rep.right - 2.5) < 1e-12      # |grad u| = 1 exactly
         assert rep.holds()
         assert rep.left < 1.0                     # variance well below the bound
 
-    def test_modulated_battery(self, grad_field, grad_mc, grad_report):
+    def test_modulated_battery(self, grad_mc, grad_report):
         measures = dg.PhaseMeasures.from_engine(grad_mc, 8)
-        for u in eng.st_battery(1, 1.0):
-            rep = dg.poincare_ratio(grad_field, u, measures,
-                                    grad_report.lambda_hat, grad_report.ell_p_hat[2.0])
+        for u in eng.st_battery(1.0):
+            rep = dg.poincare_ratio(u, measures, grad_report.lambda_hat, grad_report.ell_p_hat[2.0])
             assert rep.holds(), (u.fid, rep.residual, rep.stderr)
 
 
@@ -284,11 +298,10 @@ class TestPhaseAverageStderr:
     def engine(self):
         return OneEnsembleEngine(np.random.default_rng(11).standard_normal((1000, 1)))
 
-    def test_poincare_copies_report_the_single_phase_stderr(self, grad_field, engine):
-        u = eng.st_battery(1, 1.0)[0]              # u = x, |grad u| = 1
-        one = dg.poincare_ratio(grad_field, u, dg.PhaseMeasures.from_engine(engine, 1), 2.0, -1.0)
-        eight = dg.poincare_ratio(grad_field, u, dg.PhaseMeasures.from_engine(engine, 8),
-                                  2.0, -1.0)
+    def test_poincare_copies_report_the_single_phase_stderr(self, engine):
+        u = eng.st_battery(1.0)[0]              # u = x, |grad u| = 1
+        one = dg.poincare_ratio(u, dg.PhaseMeasures.from_engine(engine, 1), 2.0, -1.0)
+        eight = dg.poincare_ratio(u, dg.PhaseMeasures.from_engine(engine, 8), 2.0, -1.0)
         x = engine.positions[:, 0]
         m = x.mean()
         want = math.hypot(mc.mean_and_stderr((x - m) ** 2, True, len(x))[1],
@@ -297,7 +310,7 @@ class TestPhaseAverageStderr:
         assert eight.stderr == pytest.approx(want, rel=1e-12)   # not want / sqrt(8)
 
     def test_logsob_copies_report_the_single_phase_stderr(self, grad_field, engine):
-        u = next(f for f in eng.positive_battery(1) if f.fid == "pos-sin")
+        u = next(f for f in eng.positive_battery() if f.fid == "pos-sin")
         one, eight = (dg.logsob_ratio(grad_field, u, 1.0, dg.PhaseMeasures.from_engine(engine, k),
                                       1.0, -1.0) for k in (1, 8))
         assert one.stderr > 0.0
@@ -307,7 +320,7 @@ class TestPhaseAverageStderr:
 class TestLogSob:
     def test_constant_equality(self, grad_field, grad_mc, grad_report):
         measures = dg.PhaseMeasures.from_engine(grad_mc, 4)
-        u = eng.positive_battery(1)[0]
+        u = eng.positive_battery()[0]
         rep = dg.logsob_ratio(grad_field, u, 2.0, measures,
                               grad_report.lambda_hat, grad_report.r0_hat)
         assert abs(rep.residual) < 1e-12
@@ -315,7 +328,7 @@ class TestLogSob:
 
     def test_grad1d_p2_constant_five(self, grad_field, grad_mc, grad_report):
         measures = dg.PhaseMeasures.from_engine(grad_mc, 8)
-        u = next(f for f in eng.positive_battery(1) if f.fid == "pos-bump")
+        u = next(f for f in eng.positive_battery() if f.fid == "pos-bump")
         rep = dg.logsob_ratio(grad_field, u, 2.0, measures,
                               grad_report.lambda_hat, grad_report.r0_hat)
         assert abs(rep.constant - 5.0) < 1e-12
@@ -323,7 +336,7 @@ class TestLogSob:
 
     def test_grad1d_p1_positive_sine(self, grad_field, grad_mc, grad_report):
         measures = dg.PhaseMeasures.from_engine(grad_mc, 8)
-        u = next(f for f in eng.positive_battery(1) if f.fid == "pos-sin")
+        u = next(f for f in eng.positive_battery() if f.fid == "pos-sin")
         rep = dg.logsob_ratio(grad_field, u, 1.0, measures,
                               grad_report.lambda_hat, grad_report.r0_hat)
         assert abs(rep.constant - 1.25) < 1e-12
@@ -332,7 +345,7 @@ class TestLogSob:
     def test_rejects_x_dependent_diffusion(self, gen_field, gen_mc, gen_report):
         measures = dg.PhaseMeasures.from_engine(gen_mc, 2)
         with pytest.raises(NotApplicable):
-            dg.logsob_ratio(gen_field, eng.positive_battery(2)[0], 2.0, measures,
+            dg.logsob_ratio(gen_field, eng.positive_battery()[0], 2.0, measures,
                             gen_report.lambda_hat, gen_report.r0_hat)
 
 
@@ -448,7 +461,7 @@ class TestCoreElement:
 class TestRateConsistency:
     def test_gen2d_rate_below_ell2(self, gen_mc, gen_report):
         """Bounded-diffusion scenarios decay at least as fast as ell_2."""
-        phis = [p for p in eng.battery(2) if p.fid in ("tanh", "sin", "coord0", "bump")]
+        phis = [p for p in eng.battery() if p.fid in ("tanh", "sin", "coord0", "bump")]
         horizons = [1, 1.25, 1.5, 1.75, 2, 2.25, 2.5]
         profile = gen_mc.transfer_profile(phis, 0.0, horizons)
         curves = [dg.decay_curve(gen_mc, phi, 0.0, 2.0, profile) for phi in phis]

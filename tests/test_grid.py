@@ -48,7 +48,7 @@ class TestStepForward:
         reversed one (for the linear phi above the two agree)."""
         g = gr.SpaceTimeGrid(half_width=5.0, points_per_axis=191, time_slices=32, period=1.0)
         x = g.nodes()[:, 0]
-        tanh = next(phi for phi in eng.battery(1) if phi.fid == "tanh")
+        tanh = next(phi for phi in eng.battery() if phi.fid == "tanh")
         out = gr.transition_matrix(ou_field, g, 0.2, 0.7, tanh(g.nodes()), substeps=4)
         exact = ou.apply(ou_model, tanh, 0.7, 0.2, g.nodes(), order=80)
         assert np.abs(out - exact)[np.abs(x) < 2.0].max() < 1e-3

@@ -63,7 +63,7 @@ def test_lyapunov_linear_drift_certificate():
     # Q = 1/2, b = -x: L(1 + x^2) = 1 - 2 x^2 = 3 - 2 V exactly
     field = fl.polynomial_field(1, 1.0, q_const=0.5, drift_terms=(fl.DriftTerm(1, -1.0),))
     plan = fl.build_plan(1, 1.0, r_max=5.0, n_times=8, n_axis=21)
-    res = hyp.lyapunov_check(field, plan)
+    res = hyp.check_hypotheses(field, plan).lyapunov
     assert res.accepted
     assert res.c == 2.0
     assert abs(res.a - 3.0) < 1e-12
@@ -73,7 +73,7 @@ def test_lyapunov_linear_drift_certificate():
 def test_lyapunov_antidissipative_violations():
     field = fl.polynomial_field(1, 1.0, q_const=0.5, drift_terms=(fl.DriftTerm(1, 1.0),))
     plan = fl.build_plan(1, 1.0, r_max=5.0, n_times=8, n_axis=21)
-    res = hyp.lyapunov_check(field, plan)
+    res = hyp.check_hypotheses(field, plan).lyapunov
     assert not res.accepted
     assert res.violations
     t, x, quantity, value = res.violations[0]
@@ -81,7 +81,7 @@ def test_lyapunov_antidissipative_violations():
 
 
 def test_lyapunov_grad1d_accepts(grad_field, grad_plan):
-    res = hyp.lyapunov_check(grad_field, grad_plan)
+    res = hyp.check_hypotheses(grad_field, grad_plan).lyapunov
     assert res.accepted and res.a > 0 and res.c > 0
     # brute oracle on the same samples: the certificate must actually hold,
     # with L V = 2 q + 2 b x in one dimension

@@ -9,6 +9,7 @@ import pytest
 from periodiclab import diagnostics as dg
 from periodiclab import engines as eng
 from periodiclab import fields as fl
+from periodiclab import hypotheses as hyp
 from periodiclab import montecarlo as mc
 from periodiclab import ougaussian as ou
 from periodiclab.errors import Blowup, NotDissipative, QNotXIndependent
@@ -371,20 +372,26 @@ class TestEstimateP:
         assert abs(value - expected) <= 4 * se + 2e-3
 
 
+def _certificate(field):
+    """The Lyapunov certificate of a 1-d field on a radius-8 plan."""
+    return hyp.check_hypotheses(field, fl.build_plan(1, field.period, r_max=8.0, n_times=16,
+                                                     n_axis=9)).lyapunov
+
+
 class TestPeriodicMeasure:
     def test_constant_ou_variance(self):
         model = ou.fourier_matrix_model(1, 1.0, a0=[[-1.0]])
         field = ou.as_field(model)
         config = mc.SimConfig(n_particles=40000, dt=0.005, seed=5, horizon_periods=15)
-        ens = mc.sample_periodic_measure(field, 0.0, config)
+        ens = mc.sample_periodic_measure(field, 0.0, config, _certificate(field))
         var = ens.positions[:, 0].var(ddof=1)
         se = math.sqrt(2.0) * 0.5 / math.sqrt(ens.n)
         assert abs(var - 0.5) <= 5 * se
 
-    def test_period_shift_bit_identity(self, grad_field):
+    def test_period_shift_bit_identity(self, grad_field, grad_report):
         config = mc.SimConfig(n_particles=1000, dt=0.005, seed=6, horizon_periods=6)
-        a = mc.sample_periodic_measure(grad_field, 0.25, config)
-        b = mc.sample_periodic_measure(grad_field, 1.25, config)
+        a = mc.sample_periodic_measure(grad_field, 0.25, config, grad_report.lyapunov)
+        b = mc.sample_periodic_measure(grad_field, 1.25, config, grad_report.lyapunov)
         assert np.array_equal(a.positions, b.positions)
 
     def test_moment_bound_certificate(self, grad_field, grad_report):
@@ -399,8 +406,10 @@ class TestPeriodicMeasure:
         field = fl.polynomial_field(1, 1.0, q_const=0.5,
                                     drift_terms=(fl.DriftTerm(1, 1.0),), name="bad")
         config = mc.SimConfig(n_particles=200, dt=0.01, seed=0)
+        certificate = _certificate(field)
+        assert not certificate.accepted
         with pytest.raises(NotDissipative):
-            mc.sample_periodic_measure(field, 0.0, config)
+            mc.sample_periodic_measure(field, 0.0, config, certificate)
 
 
 def _pathwise_gradient(field, phi_grad, t, s, x, config):
@@ -434,7 +443,7 @@ class TestTangentFlow:
 
     def test_pointwise_gradient_bound_grad1d(self, grad_field, grad_report):
         config = mc.SimConfig(n_particles=4000, dt=0.008, seed=14, antithetic=True)
-        sin_phi = next(p for p in eng.battery(1) if p.fid == "sin")
+        sin_phi = next(p for p in eng.battery() if p.fid == "sin")
         rng = np.random.default_rng(15)
         for i in range(5):
             s = float(rng.uniform(0, 1))
@@ -449,7 +458,7 @@ class TestTangentFlow:
         # both sides average even functions of x, so pairs are the units
         field = fl.polynomial_field(1, 1.0, q_const=0.5, drift_terms=(fl.DriftTerm(1, -1.0),))
         config = mc.SimConfig(n_particles=2000, dt=0.01, seed=8, antithetic=True)
-        tanh = next(p for p in eng.battery(1) if p.fid == "tanh")
+        tanh = next(p for p in eng.battery() if p.fid == "tanh")
         out = dg.pointwise_gradient_check(field, tanh, 1.0, 0.0, [0.0], config, -1.0, stream=5)
         ens = mc.evolve_tangent(field, mc.TangentEnsemble.identity(0.0, np.zeros((2000, 1))),
                                 0.0, 1.0, config, stream=5)
@@ -577,7 +586,7 @@ class TestTransportChecks:
         engine.phase_ensemble(0.0)
         marches.clear()
         horizons = [1, 1.25, 1.5, 1.75, 2, 2.25, 2.5, 3, 4, 6, 8]
-        profile = engine.transfer_profile(eng.battery(1)[1:3], 0.0, horizons)
+        profile = engine.transfer_profile(eng.battery()[1:3], 0.0, horizons)
         assert len(marches) == 1 and list(marches[0]) == horizons
         assert [len(profile.values[fid]) for fid in profile.values] == [11, 11]
 

@@ -6,6 +6,7 @@ import inspect
 import json
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,36 +252,64 @@ def test_mutated_numbers_fail_validation_or_build(sid, where, value):
     ctx.space_time_grid()
 
 
-def _params_keys(func, param: str, seen: set) -> set:
-    """String keys a function reads from its dict argument ``param``.
+def _params_keys(func, param: str, seen: set) -> tuple[set, set]:
+    """String keys a function reads from its dict argument ``param``: those it
+    subscripts, and those it reads with ``.get``.
 
     Follows module-level helpers of ``scenarios`` that receive the dict.
     """
     tree = ast.parse(inspect.getsource(func).lstrip())
-    keys = set()
+    read, got = set(), set()
     for node in ast.walk(tree):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "get" and isinstance(node.func.value, ast.Name)
                 and node.func.value.id == param and isinstance(node.args[0], ast.Constant)):
-            keys.add(node.args[0].value)
+            got.add(node.args[0].value)
         elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
               and node.value.id == param and isinstance(node.slice, ast.Constant)):
-            keys.add(node.slice.value)
+            read.add(node.slice.value)
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             helper = getattr(sc, node.func.id, None)
             for pos, arg in enumerate(node.args):
                 if (isinstance(arg, ast.Name) and arg.id == param and inspect.isfunction(helper)
                         and helper not in seen):
                     name = list(inspect.signature(helper).parameters)[pos]
-                    keys |= _params_keys(helper, name, seen | {helper})
-    return keys
+                    helper_read, helper_got = _params_keys(helper, name, seen | {helper})
+                    read |= helper_read
+                    got |= helper_got
+    return read, got
 
 
 @pytest.mark.parametrize("name", sorted(sc._RUNNERS))
 def test_every_accepted_experiment_key_is_read(name):
+    """A runner subscripts every key of its ``_EXPERIMENTS`` entry and reads
+    none with ``.get``: run_scenario hands it the spec with every default set."""
+    assert set(sc._RUNNERS) == set(sc._EXPERIMENTS)
     runner = sc._RUNNERS[name]
     params = list(inspect.signature(runner).parameters)[1]
-    assert _params_keys(runner, params, {runner}) == sc._EXPERIMENT_KEYS[name] - {"name"}
+    read, got = _params_keys(runner, params, {runner})
+    assert read - {"name"} == set(sc._EXPERIMENTS[name])
+    assert not got
+
+
+def test_readme_lists_every_experiment_key_default():
+    """The README's table of experiment keys matches ``_EXPERIMENTS``: each
+    default is its JSON value, and a null default is followed by what it means."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| experiment | key | default |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        experiment, key, default = (cell.strip() for cell in line.strip("|").split("|"))
+        rows.append((experiment.strip("`"), key.strip("`"), default))
+    want = [(experiment, key, value) for experiment, defaults in sc._EXPERIMENTS.items()
+            for key, value in defaults.items()]
+    assert [row[:2] for row in rows] == [row[:2] for row in want]
+    for (experiment, key, default), (_, _, value) in zip(rows, want):
+        code = f"`{json.dumps(value)}`"
+        ok = default.startswith(code + ": ") if value is None else default == code
+        assert ok, (experiment, key, default)
 
 
 class TestCli:
@@ -311,6 +340,20 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "$.experiments[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sid, field, path", [
+        ("ou1d", {"b0": [[0.0]]}, "$.field"),
+        ("grad1d", {"kind": "custom-polynomial", "q_const": 0.1, "q_sin": 0.5,
+                    "drift_terms": [{"power": 1, "const": -1.0}]}, "$.field.q_const"),
+        ("gen2d", {"q_bump": -0.95}, "$.field.q_const"),
+    ])
+    def test_degenerate_diffusion_exits_2(self, tmp_path, capsys, sid, field, path):
+        doc = json.loads(json.dumps(sc.load_scenario(sid)))
+        doc["field"] = field if "kind" in field else {**doc["field"], **field}
+        scenario = tmp_path / "degenerate.json"
+        scenario.write_text(json.dumps(doc))
+        assert cli.main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        assert f"configuration error: {path}:" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -553,7 +596,7 @@ def test_solvability_check_fails_when_rho_is_not_invariant():
             gen = ctx.generator
             rho = gen.rho * (1.0 + scale * np.sin(np.arange(gen.size)))
             ctx.__dict__["generator"] = dataclasses.replace(gen, rho=rho / rho.sum())
-            result = sc._run_spectrum(ctx, {"k": 40, "solvability": True})
+            result = sc._run_spectrum(ctx, {**sc._EXPERIMENTS["spectrum"], "solvability": True})
             verdicts += [c["passed"] for c in result.checks
                          if c["rule"] == "mean-zero-solvability"]
         assert verdicts == [True, False], sid

@@ -44,7 +44,6 @@ from .montecarlo import (
     ParticleEnsemble,
     SimConfig,
     TangentEnsemble,
-    estimate_P,
     evolve,
     sample_periodic_measure,
 )
@@ -52,15 +51,9 @@ from .ougaussian import (
     GaussianMeasure,
     OUModel,
     PeriodicGaussianSystem,
-    apply_to_exponential,
     as_field,
-    covariance,
     fourier_matrix_model,
-    gaussian_expectation,
-    growth_bound,
-    ou1d_model,
     periodic_system,
-    propagator,
 )
 
 __version__ = "0.1.0"

@@ -61,14 +61,6 @@ class DecayCurve:
         if np.any(self.values < 0):
             raise ValueError("curve values must be nonnegative")
 
-    def eventually_decreasing(self) -> bool:
-        """Monotone-envelope flag: values + 2 stderr decrease from some index on."""
-        env = self.values + 2.0 * self.stderrs
-        for start in range(len(env) - 1):
-            if np.all(np.diff(env[start:]) <= 0):
-                return True
-        return len(env) <= 1
-
     def rows(self):
         for tau, v, se in zip(self.taus, self.values, self.stderrs):
             yield {"tau": tau, "value": v, "stderr": se, "p": self.p,

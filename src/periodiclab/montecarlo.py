@@ -256,34 +256,6 @@ def evolve(
     return ParticleEnsemble(t_out, pos)
 
 
-def point_mass(x, n: int, t: float = 0.0) -> ParticleEnsemble:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return ParticleEnsemble(t, np.tile(x, (n, 1)))
-
-
-def estimate_P(
-    field: PeriodicCoefficientField,
-    phi,
-    t: float,
-    s: float,
-    x,
-    config: SimConfig,
-    stream: int = 1,
-):
-    """Monte Carlo transition expectation started from the point mass at x.
-
-    Returns (value, stderr); complex-valued test functions are supported and
-    the standard error then combines both components.
-    """
-    ens = evolve(field, point_mass(x, config.n_particles, s), s, t, config, stream)
-    vals = np.asarray(phi(ens.positions))
-    value = vals.mean()
-    if np.iscomplexobj(vals):
-        se = math.sqrt(vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / math.sqrt(len(vals))
-        return complex(value), se
-    return float(value), float(vals.std(ddof=1) / math.sqrt(len(vals)))
-
-
 def sample_periodic_measure(
     field: PeriodicCoefficientField,
     s: float,

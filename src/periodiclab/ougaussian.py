@@ -6,9 +6,10 @@ transition law started at (s, x) is Gaussian,
     N( U(t,s) x + m(t,s),  S(t,s) ),
 
 where U solves dU/dt = A(t) U, U(s,s) = I, and the shift and covariance solve
-the companion linear equations.  Everything downstream (closed-form action
-on exponentials, Gauss-Hermite expectations) is built from one adaptive
-high-order ODE solve per (t, s) pair.  The periodic system of measures is
+the companion linear equations.  Everything downstream (the periodic
+measures, and transition expectations by Gauss-Hermite quadrature over
+``transition_cloud``) is built from one adaptive high-order ODE solve per
+(t, s) pair.  The periodic system of measures is
 exact at every phase: mu_s is the fixed point of the one-period map from s,
 one ODE solve plus a discrete Lyapunov equation, with no interpolation.  So
 this module serves as the reference oracle against which the stochastic and
@@ -48,10 +49,19 @@ class OUModel:
         return np.asarray(self.f(t), dtype=float)
 
     def check_ellipticity(self, n_times: int = 64) -> None:
-        """det B(t) != 0 on a dense phase grid, else the model is degenerate."""
-        for t in self.period * np.arange(n_times) / n_times:
-            if abs(np.linalg.det(np.asarray(self.B(t)))) < 1e-14:
-                raise ValueError(f"det B(t) vanishes at t={t}: degenerate diffusion")
+        """det B(t) != 0 on a dense phase grid, else the model is degenerate.
+
+        B is continuous, so a sign change of det B between consecutive
+        samples (wrapping round the period) also proves a zero.
+        """
+        step = self.period / n_times
+        dets = [np.linalg.det(np.asarray(self.B(k * step))) for k in range(n_times)]
+        for k, det in enumerate(dets):
+            if abs(det) < 1e-14:
+                raise ValueError(f"det B(t) vanishes at t={k * step}: degenerate diffusion")
+            if det * dets[(k + 1) % n_times] < 0:
+                raise ValueError(f"det B(t) changes sign between t={k * step} and "
+                                 f"t={(k + 1) * step}: degenerate diffusion")
 
 
 def fourier_matrix_model(
@@ -93,11 +103,6 @@ def fourier_matrix_model(
         f=vec(f0, f_sin, f_cos),
         name=name,
     )
-
-
-def ou1d_model(period: float = 1.0) -> OUModel:
-    """The scalar benchmark a(t) = -1 + 0.5 sin(2 pi t), B = 1."""
-    return fourier_matrix_model(1, period, a0=[[-1.0]], a_sin=[[0.5]], name="ou1d")
 
 
 @dataclass(frozen=True)
@@ -157,27 +162,6 @@ def _transition_ode(model: OUModel, t: float, s: float, tol: float):
     return u, 0.5 * (sig + sig.T), y[2 * d * d :]
 
 
-def propagator(model: OUModel, t: float, s: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Linear-flow matrix U(t, s) with dU/dt = A(t) U, U(s, s) = I."""
-    return _transition_ode(model, t, s, tol)[0]
-
-
-def covariance(model: OUModel, t: float, s: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Transition covariance  S(t,s) = int_s^t U(t,r) B(r) B(r)^T U(t,r)^T dr.
-
-    Computed as the unique solution of the matrix equation
-    dS/dt = A(t) S + S A(t)^T + B(t) B(t)^T, S(s)=0, integrated with the same
-    adaptive tolerance; the quadrature form above is its variation-of-constants
-    representation and is used as the independent oracle in the test suite.
-    """
-    return _transition_ode(model, t, s, tol)[1]
-
-
-def growth_bound(model: OUModel, tol: float = DEFAULT_TOL) -> float:
-    """Floquet growth bound: log spectral radius of the monodromy over T."""
-    return _floquet_exponent(propagator(model, model.period, 0.0, tol), model.period)
-
-
 def _floquet_exponent(mono: np.ndarray, period: float) -> float:
     return float(np.log(np.abs(np.linalg.eigvals(mono)).max()) / period)
 
@@ -225,18 +209,6 @@ def periodic_system(model: OUModel, tol: float = DEFAULT_TOL) -> PeriodicGaussia
     return PeriodicGaussianSystem(model, tol)
 
 
-def apply_to_exponential(model: OUModel, h, t: float, s: float, x, tol: float = DEFAULT_TOL) -> complex:
-    """Closed-form action of the transition operator on exp(i <., h>).
-
-    Returns exp(-<S(t,s) h, h>/2 + i <U(t,s) x + m(t,s), h>); the modulus
-    tends to the stationary characteristic function as t - s grows.
-    """
-    h = np.atleast_1d(np.asarray(h, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u, sig, m = _transition_ode(model, t, s, tol)
-    return complex(np.exp(-0.5 * h @ sig @ h + 1j * np.dot(u @ x + m, h)))
-
-
 def hermite_nodes(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensorized Gauss-Hermite nodes/weights for the standard normal, d <= 3."""
     if dim > 3:
@@ -253,19 +225,6 @@ def hermite_nodes(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
         wg = np.meshgrid(*([weights1] * dim), indexing="ij")[axis].ravel()
         w = w * wg
     return pts, w
-
-
-def gaussian_nodes(measure: GaussianMeasure, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes/weights for integrating against a Gaussian measure."""
-    z, w = hermite_nodes(measure.dim, order)
-    return measure.mean + z @ measure.sqrt_cov().T, w
-
-
-def gaussian_expectation(measure: GaussianMeasure, phi, order: int = 40) -> float:
-    """Gauss-Hermite expectation of phi (exact for degree <= 2*order - 1)."""
-    pts, w = gaussian_nodes(measure, order)
-    vals = np.asarray(phi(pts))
-    return complex(w @ vals) if np.iscomplexobj(vals) else float(w @ vals)
 
 
 def transition_cloud(xs, u, sig, m, z) -> np.ndarray:

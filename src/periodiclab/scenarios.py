@@ -533,8 +533,6 @@ def _run_decay(ctx: RunContext, params: dict) -> ExperimentResult:
     if ctx.model is not None:
         refs["omega0"] = ctx.engine("ou-exact").system.growth_bound
     engine, phis, profile, fits, payload, rows = _battery_fits(ctx, params, False, refs)
-    payload["monotone_envelope"] = {f"{c.phi_id}:p={p:g}": c.eventually_decreasing()
-                                    for p, curves, _ in fits for c in curves}
     checks = []
     for p, _, fitted in fits:
         checks += _rate_check(params, "decay-rate", p, fitted,

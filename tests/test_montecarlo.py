@@ -14,6 +14,8 @@ from periodiclab import montecarlo as mc
 from periodiclab import ougaussian as ou
 from periodiclab.errors import Blowup, NotDissipative, QNotXIndependent
 
+import reference as ref
+
 
 def brownian_field():
     return fl.polynomial_field(1, 1.0, q_const=0.5, name="bm")
@@ -127,16 +129,16 @@ def random_spd_2x2(n, seed):
 class TestEvolve:
     def test_brownian_variance(self):
         config = mc.SimConfig(n_particles=40000, dt=0.005, seed=7)
-        ens = mc.evolve(brownian_field(), mc.point_mass(0.0, 40000), 0.0, 1.0, config)
+        ens = mc.evolve(brownian_field(), ref.point_mass(0.0, 40000), 0.0, 1.0, config)
         var = ens.positions[:, 0].var(ddof=1)
         se = math.sqrt(2.0 / ens.n)  # stderr of the variance of a unit normal
         assert abs(var - 1.0) <= 4 * se
 
     def test_ou_mean_against_propagator(self, ou_model, ou_field):
         config = mc.SimConfig(n_particles=40000, dt=0.0025, seed=8, antithetic=True)
-        ens = mc.evolve(ou_field, mc.point_mass(2.0, 40000), 0.0, 1.0, config)
+        ens = mc.evolve(ou_field, ref.point_mass(2.0, 40000), 0.0, 1.0, config)
         mean, se = mc.mean_and_stderr(ens.positions[:, 0], True, config.block_size)
-        expected = 2.0 * ou.propagator(ou_model, 1.0, 0.0)[0, 0]
+        expected = 2.0 * ref.propagator(ou_model, 1.0, 0.0)[0, 0]
         assert abs(mean - expected) <= 4 * se + 2e-3
 
     def test_blowup_guard(self):
@@ -146,9 +148,9 @@ class TestEvolve:
         config = mc.SimConfig(n_particles=200, dt=0.02, seed=0)
         for field, x0 in ((explode, 3.0), (explode, -3.0), (nan_drift_field(), 0.0)):
             with pytest.raises(Blowup) as got:
-                mc.evolve(field, mc.point_mass(x0, 200), 0.0, 5.0, config)
+                mc.evolve(field, ref.point_mass(x0, 200), 0.0, 5.0, config)
             with pytest.raises(Blowup) as want:
-                reference_march(field, mc.point_mass(x0, 200).positions, None, 0.0, [5.0],
+                reference_march(field, ref.point_mass(x0, 200).positions, None, 0.0, [5.0],
                                 config, 0)
             assert got.value.t == want.value.t
             assert np.array_equal(got.value.max_abs, want.value.max_abs, equal_nan=True)
@@ -163,7 +165,7 @@ class TestEvolve:
         field = fl.polynomial_field(1, 1.0, q_const=0.9, q_sin=1.0, name="q-dips")
         config = mc.SimConfig(n_particles=100, dt=0.01, seed=0)
         with np.errstate(invalid="ignore"), pytest.raises(Blowup) as got:
-            mc.evolve(field, mc.point_mass(0.0, 100), 0.0, 1.0, config)
+            mc.evolve(field, ref.point_mass(0.0, 100), 0.0, 1.0, config)
         assert 0.68 < got.value.t < 0.83 and math.isnan(got.value.max_abs)
 
     def test_q_indefinite_2d_between_spd_checks(self):
@@ -174,7 +176,7 @@ class TestEvolve:
         field = tilted_field(lambda t, r2: 0.9 + math.sin(2.0 * math.pi * t) + 0.05 / (1.0 + r2))
         config = mc.SimConfig(n_particles=100, dt=0.01, seed=0)
         with np.errstate(invalid="ignore"), pytest.raises(Blowup) as got:
-            mc.evolve(field, mc.point_mass([0.3, -0.2], 100), 0.0, 1.0, config)
+            mc.evolve(field, ref.point_mass([0.3, -0.2], 100), 0.0, 1.0, config)
         assert 0.68 < got.value.t < 0.83 and math.isnan(got.value.max_abs)
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -197,28 +199,28 @@ class TestEvolve:
                                             q_independent_of_x=dim == 3, name="q-last-dips")
         config = mc.SimConfig(n_particles=100, dt=0.01, seed=0)
         with np.errstate(invalid="ignore"), pytest.raises(Blowup) as got:
-            mc.evolve(field, mc.point_mass(np.full(dim, 0.3), 100), 0.0, 1.0, config)
+            mc.evolve(field, ref.point_mass(np.full(dim, 0.3), 100), 0.0, 1.0, config)
         assert 0.68 < got.value.t < 0.83 and math.isnan(got.value.max_abs)
 
     def test_time_stamp_mismatch(self, ou_field):
         config = mc.SimConfig(n_particles=100, dt=0.01, seed=0)
         with pytest.raises(ValueError):
-            mc.evolve(ou_field, mc.point_mass(0.0, 100, t=0.5), 0.0, 1.0, config)
+            mc.evolve(ou_field, ref.point_mass(0.0, 100, t=0.5), 0.0, 1.0, config)
 
     def test_dt_guard(self, ou_field):
         config = mc.SimConfig(n_particles=100, dt=0.05, seed=0)
         with pytest.raises(ValueError):
-            mc.evolve(ou_field, mc.point_mass(0.0, 100), 0.0, 1.0, config)
+            mc.evolve(ou_field, ref.point_mass(0.0, 100), 0.0, 1.0, config)
 
     def test_seeded_determinism(self, ou_field):
         config = mc.SimConfig(n_particles=500, dt=0.01, seed=42)
-        a = mc.evolve(ou_field, mc.point_mass(1.0, 500), 0.0, 0.7, config)
-        b = mc.evolve(ou_field, mc.point_mass(1.0, 500), 0.0, 0.7, config)
+        a = mc.evolve(ou_field, ref.point_mass(1.0, 500), 0.0, 0.7, config)
+        b = mc.evolve(ou_field, ref.point_mass(1.0, 500), 0.0, 0.7, config)
         assert np.array_equal(a.positions, b.positions)
 
     def test_partial_final_step(self, ou_field):
         config = mc.SimConfig(n_particles=200, dt=0.01, seed=1)
-        ens = mc.evolve(ou_field, mc.point_mass(0.0, 200), 0.0, 0.105, config)
+        ens = mc.evolve(ou_field, ref.point_mass(0.0, 200), 0.0, 0.105, config)
         assert ens.t == 0.105
 
 
@@ -343,7 +345,7 @@ class TestNoiseFactor2d:
         n, dt, x0 = 40000, 0.01, np.array([0.8, -0.6])
         field = tilted_field()
         config = mc.SimConfig(n_particles=n, dt=dt, seed=29)
-        ens = mc.evolve(field, mc.point_mass(x0, n, 0.1), 0.1, 0.1 + dt, config)
+        ens = mc.evolve(field, ref.point_mass(x0, n, 0.1), 0.1, 0.1 + dt, config)
         want = 2.0 * dt * field.q(0.1, x0[None])[0]
         assert abs(want[0, 1]) > 0.1 * dt
         got = np.cov(ens.positions, rowvar=False)
@@ -354,21 +356,21 @@ class TestNoiseFactor2d:
 class TestEstimateP:
     def test_constant(self, ou_field):
         config = mc.SimConfig(n_particles=1000, dt=0.01, seed=2)
-        value, se = mc.estimate_P(ou_field, lambda X: np.full(len(X), 3.5),
-                                  1.0, 0.0, [0.0], config)
+        value, se = ref.estimate_P(ou_field, lambda X: np.full(len(X), 3.5),
+                                   1.0, 0.0, [0.0], config)
         assert value == 3.5 and se == 0.0
 
     def test_ou_coordinate(self, ou_model, ou_field):
         config = mc.SimConfig(n_particles=30000, dt=0.0025, seed=3, antithetic=True)
-        value, se = mc.estimate_P(ou_field, lambda X: X[:, 0], 1.0, 0.0, [1.0], config)
-        expected = ou.propagator(ou_model, 1.0, 0.0)[0, 0]
+        value, se = ref.estimate_P(ou_field, lambda X: X[:, 0], 1.0, 0.0, [1.0], config)
+        expected = ref.propagator(ou_model, 1.0, 0.0)[0, 0]
         assert abs(value - expected) <= 4 * se + 2e-3
 
     def test_ou_exponential(self, ou_model, ou_field):
         config = mc.SimConfig(n_particles=30000, dt=0.0025, seed=4)
-        value, se = mc.estimate_P(ou_field, lambda X: np.exp(1j * X[:, 0]),
-                                  1.0, 0.0, [0.0], config)
-        expected = ou.apply_to_exponential(ou_model, 1.0, 1.0, 0.0, [0.0])
+        value, se = ref.estimate_P(ou_field, lambda X: np.exp(1j * X[:, 0]),
+                                   1.0, 0.0, [0.0], config)
+        expected = ref.apply_to_exponential(ou_model, 1.0, 1.0, 0.0, [0.0])
         assert abs(value - expected) <= 4 * se + 2e-3
 
 
@@ -432,7 +434,7 @@ class TestTangentFlow:
         config = mc.SimConfig(n_particles=2000, dt=0.0025, seed=13)
         grad, _ = _pathwise_gradient(ou_field, lambda X: np.ones((len(X), 1)),
                                      1.0, 0.0, [0.5], config)
-        expected = ou.propagator(ou_model, 1.0, 0.0)[0, 0]
+        expected = ref.propagator(ou_model, 1.0, 0.0)[0, 0]
         assert abs(grad[0] - expected) < 3e-3  # deterministic Jacobian, Euler bias only
 
     def test_refuses_x_dependent_diffusion(self, gen_field):

@@ -346,6 +346,11 @@ class TestCli:
         ("grad1d", {"kind": "custom-polynomial", "q_const": 0.1, "q_sin": 0.5,
                     "drift_terms": [{"power": 1, "const": -1.0}]}, "$.field.q_const"),
         ("gen2d", {"q_bump": -0.95}, "$.field.q_const"),
+        # det B(t) changes sign between the sampled phases, so it vanishes there
+        ("ou1d", {"b0": [[0.4]], "b_sin": [[0.5]], "b_cos": [[0.2]]}, "$.field"),
+        ("ou1d", {"kind": "ou", "dim": 2, "period": 1.0, "a0": [[-1.0, 0.0], [0.0, -1.0]],
+                  "b0": [[1.0, 0.0], [0.0, 0.4]], "b_sin": [[0.0, 0.0], [0.0, 0.5]]},
+         "$.field"),
     ])
     def test_degenerate_diffusion_exits_2(self, tmp_path, capsys, sid, field, path):
         doc = json.loads(json.dumps(sc.load_scenario(sid)))

@@ -22,7 +22,8 @@ space-time mass, which is what the stochastic engine samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 import scipy.linalg
@@ -235,25 +236,52 @@ def time_derivative_matrix(n_t: int, period: float, scheme: str = "spectral") ->
         np.fill_diagonal(mat, -mat.sum(axis=1))
         return mat
     if scheme == "upwind":
+        # forward difference (u_{j+1} - u_j) / dt: +d/dt, upwind for the
+        # terminal-value flow, which carries information from later slices
         dt = period / n_t
-        mat = (-np.eye(n_t) + np.roll(np.eye(n_t), -1, axis=1)) / dt
-        return mat
+        return (-np.eye(n_t) + np.roll(np.eye(n_t), 1, axis=1)) / dt
     raise ValueError(f"unknown time scheme {scheme!r}")
 
 
 @dataclass(frozen=True)
 class DiscreteGenerator:
-    """Sparse space-time generator with its invariant mass vector."""
+    """Sparse space-time generator with its invariant mass vector.
+
+    Its dense eigenvalues are solved once, on first request, under a lock
+    shared by concurrent callers; every dense :func:`spectrum` of the
+    generator reads them.
+    """
 
     grid: SpaceTimeGrid
     matrix: sp.csr_matrix
     rho: np.ndarray                 # (n_t * n_space,), nonnegative, sums to 1
     time_scheme: str
     rho_residual: float             # ||rho^T G||_2 / ||G||_fro
+    _dense_lock: threading.Lock = dataclass_field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False)
+    _dense_eigs: np.ndarray | None = dataclass_field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def dense_eigenvalues(self) -> np.ndarray:
+        """Every eigenvalue of the generator, unsorted and read-only.
+
+        Raises :class:`EigSolverFailure` when the dense solve fails; a failure
+        is not cached, so the next request solves again.
+        """
+        with self._dense_lock:
+            if self._dense_eigs is None:
+                try:
+                    eigs = scipy.linalg.eigvals(self.matrix.toarray())
+                except Exception as exc:
+                    raise EigSolverFailure(str(exc)) from exc
+                eigs.setflags(write=False)
+                object.__setattr__(self, "_dense_eigs", eigs)
+            return self._dense_eigs
 
     def rho_slices(self) -> np.ndarray:
         return self.rho.reshape(self.grid.time_slices, self.grid.n_space)
@@ -369,19 +397,18 @@ def spectrum(
 ) -> SpectrumReport:
     """Right-most eigenvalues of the generator and the axis-cluster split.
 
-    Dense solves below ``dense_cutoff`` unknowns; otherwise shift-inverted
-    Arnoldi around 0 and +-2 pi i / T.  The cluster is matched against the
-    expected axis points ``2 pi i k / T`` for every resolvable k; the
-    spectral-gap estimate is the largest real part outside the matched
-    cluster.
+    Dense below ``dense_cutoff`` unknowns, reading ``gen.dense_eigenvalues``,
+    which solves the generator once however often it is asked; otherwise
+    shift-inverted Arnoldi around 0 and +-2 pi i / T.  Sorting, cluster
+    matching, the gap and the residuals run on every call.  The cluster is
+    matched against the expected axis points ``2 pi i k / T`` for every
+    resolvable k; the spectral-gap estimate is the largest real part outside
+    the matched cluster.
     """
     g_mat = gen.matrix
     n = gen.size
     if n <= dense_cutoff:
-        try:
-            eigs = scipy.linalg.eigvals(g_mat.toarray())
-        except Exception as exc:
-            raise EigSolverFailure(str(exc)) from exc
+        eigs = gen.dense_eigenvalues
         method = "dense"
     else:
         w = 2.0 * np.pi / gen.grid.period

@@ -9,7 +9,7 @@ from periodiclab import engines as eng
 from periodiclab import fields as fl
 from periodiclab import grid as gr
 from periodiclab import ougaussian as ou
-from periodiclab.errors import PerronFailure
+from periodiclab.errors import EigSolverFailure, PerronFailure
 
 HEAT = fl.polynomial_field(1, 1.0, q_const=0.5, name="heat")
 
@@ -104,6 +104,13 @@ class TestTimeDerivative:
         with pytest.raises(ValueError):
             gr.time_derivative_matrix(16, 1.0, "spectral")
 
+    def test_upwind_differentiates_forward_in_time(self):
+        n = 256
+        t = np.arange(n) / n
+        mat = gr.time_derivative_matrix(n, 1.0, "upwind")
+        deriv = 2 * np.pi * np.cos(2 * np.pi * t)
+        assert np.abs(mat @ np.sin(2 * np.pi * t) - deriv).max() < 0.1
+
     def test_upwind_left_half_plane(self):
         mat = gr.time_derivative_matrix(24, 1.0, "upwind")
         assert np.linalg.eigvals(mat).real.max() <= 1e-12
@@ -173,6 +180,19 @@ class TestGenerator:
         ev = np.linalg.eigvals(gen.matrix.toarray())
         assert ev.real.max() <= 1e-8
 
+    def test_upwind_rho_matches_gaussian_variance(self, ou_model, ou_field):
+        """An upwind generator's mass has the exact variance at every slice, to
+        the first-order time error (a backward difference misses by 0.14)."""
+        g = gr.SpaceTimeGrid(half_width=4.5, points_per_axis=63, time_slices=65, period=1.0)
+        gen = gr.build_generator(ou_field, g, "upwind")
+        system = ou.periodic_system(ou_model)
+        x = g.nodes()[:, 0]
+        weights = gen.rho_slices() / gen.rho_slices().sum(axis=1, keepdims=True)
+        variances = weights @ x**2 - (weights @ x) ** 2
+        exact = [system.measure(s).cov[0, 0] for s in g.slice_times()]
+        assert np.abs(variances - exact).max() <= 5e-3
+
+
 class TestSpectrum:
     def test_ou_axis_cluster_and_gap(self, ou_spectrum):
         cluster = dict(ou_spectrum.axis_cluster)
@@ -202,6 +222,51 @@ class TestSpectrum:
         rep = gr.spectrum(ou_generator, k=6, with_residuals=True)
         assert len(rep.residuals) > 0
         assert np.nanmax(rep.residuals) < 1e-6
+
+
+class TestDenseSolvedOnce:
+    """The dense eigenvalues belong to the generator: one solve serves every
+    report, whatever its k, cluster tolerance or residuals."""
+
+    @staticmethod
+    def small_generator(ou_field):
+        g = gr.SpaceTimeGrid(half_width=4.5, points_per_axis=31, time_slices=17, period=1.0)
+        return gr.build_generator(ou_field, g, "spectral")
+
+    def test_two_reports_one_solve(self, ou_field, monkeypatch):
+        eigvals, solves = gr.scipy.linalg.eigvals, []
+
+        def counted(a):
+            solves.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(gr.scipy.linalg, "eigvals", counted)
+        gen = self.small_generator(ou_field)
+        asks = [{"k": 40}, {"k": 6, "cluster_tol": 1e-2, "with_residuals": True}]
+        reports = [gr.spectrum(gen, **kwargs) for kwargs in asks]
+        assert len(solves) == 1
+        for report, kwargs in zip(reports, asks):
+            fresh = gr.spectrum(self.small_generator(ou_field), **kwargs)
+            assert report.to_jsonable() == fresh.to_jsonable()
+        assert len(reports[1].residuals) > 0
+        with pytest.raises(ValueError):
+            gen.dense_eigenvalues[0] = 0.0
+
+    def test_failure_is_not_cached(self, ou_field, monkeypatch):
+        solves = []
+
+        def failing(a):
+            solves.append(a.shape)
+            raise np.linalg.LinAlgError("did not converge")
+
+        gen = self.small_generator(ou_field)
+        with monkeypatch.context() as patch:
+            patch.setattr(gr.scipy.linalg, "eigvals", failing)
+            for _ in range(2):
+                with pytest.raises(EigSolverFailure, match="did not converge"):
+                    gr.spectrum(gen)
+        assert len(solves) == 2
+        assert gr.spectrum(gen).method == "dense"
 
 
 class TestSpectralMapping:

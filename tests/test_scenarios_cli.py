@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from periodiclab import cli
 from periodiclab import engines as eng
+from periodiclab import grid as gr
 from periodiclab import montecarlo as mc
 from periodiclab import ougaussian as ou
 from periodiclab import scenarios as sc
@@ -551,6 +552,34 @@ def test_jobs_solve_each_exact_phase_once(tmp_path, monkeypatch):
     periods.clear()
     sc.run_scenario(doc, tmp_path / "serial", jobs=1)
     assert sum(periods) == pytest.approx(parallel)
+    names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "par").iterdir())
+    for name in names:
+        assert (tmp_path / "par" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+def test_jobs_solve_the_dense_spectrum_once(tmp_path, monkeypatch):
+    """ou1d's spectrum and spectral-mapping on two workers share one dense
+    eigensolve of the generator, and give the bytes of a serial run."""
+    eigvals, solves = gr.scipy.linalg.eigvals, []
+
+    def slow_eigvals(a):
+        solves.append(a.shape)
+        time.sleep(0.2)    # holds the solve open while the other worker asks
+        return eigvals(a)
+
+    monkeypatch.setattr(gr.scipy.linalg, "eigvals", slow_eigvals)
+    doc = json.loads(json.dumps(sc.load_scenario("ou1d")))
+    doc["grid"] = {"half_width": 4.5, "points_per_axis": 31, "time_slices": 17,
+                   "time_scheme": "spectral", "substeps": 1}
+    doc["plan"] = {"r_max": 6.0, "n_times": 8, "n_axis": 9, "n_shells": 2, "n_shell_dirs": 2}
+    doc["experiments"] = [dict(spec, refine=False) if spec["name"] == "spectrum" else spec
+                          for spec in doc["experiments"]
+                          if spec["name"] in ("spectrum", "spectral-mapping")]
+    sc.run_scenario(doc, tmp_path / "par", jobs=2)
+    assert solves == [(31 * 17, 31 * 17)]
+    sc.run_scenario(doc, tmp_path / "serial", jobs=1)
+    assert len(solves) == 2
     names = sorted(p.name for p in (tmp_path / "serial").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "par").iterdir())
     for name in names:

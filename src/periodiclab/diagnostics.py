@@ -8,7 +8,11 @@ Conventions shared by every diagnostic:
   mean-zero under that measure at every horizon.  Engines only transport;
   every integral against a phase measure (``phase_mean``, ``phase_lp``, the
   centering) is taken here from the engine's ``phase_nodes``, with the one
-  stderr rule of ``PhaseMeasures.phase_means``;
+  stderr rule of ``PhaseMeasures.phase_means``.  The integrals of a transfer
+  profile over its outer points take theirs by two other rules: an L^p norm
+  from the weighted spread of its debiased p-th powers
+  (``debiased_power_mean``), and the contraction rows' transported mean from
+  that spread plus the inner standard errors;
 * contraction and invariance rows are read from the decay experiment's own
   transfer profile at any of its horizons, so they cost no extra transport;
 * inequality checks are one-sided with a ``5 x stderr`` statistical slack:
@@ -115,8 +119,10 @@ def debiased_power_mean(g, se, weights, p: float, stochastic: bool):
 
     For p in {2, 4} the leading Monte Carlo bias of |g_hat|^p is subtracted
     using the per-point standard errors; other exponents use the plain
-    estimator.  Returns (value, stderr) with a delta-method stderr; for
-    deterministic quadrature data (``stochastic=False``) the stderr is zero."""
+    estimator.  Returns (value, stderr) with a delta-method stderr; a mean
+    that debiasing leaves at or below zero reads 0 with stderr ``se_y^(1/p)``,
+    the p-th root of the power mean's own.  For deterministic quadrature data
+    (``stochastic=False``) the stderr is zero."""
     g = np.asarray(g, dtype=float)
     se = np.asarray(se, dtype=float)
     if g.ndim == 1:
@@ -141,7 +147,7 @@ def debiased_power_mean(g, se, weights, p: float, stochastic: bool):
     if mean_y > 0.0:
         stderr = math.sqrt(var_y) / (p * mean_y ** (1.0 - 1.0 / p))
     else:
-        stderr = math.sqrt(math.sqrt(var_y)) if var_y > 0 else 0.0
+        stderr = math.sqrt(var_y) ** (1.0 / p)
     return value, stderr
 
 
@@ -296,7 +302,8 @@ class PhaseMeasures:
     """Phase-indexed quadrature for the space-time invariant measure.
 
     ``phase_means`` holds the one stderr rule of every phase integral here,
-    ``phase_mean`` and ``phase_lp`` included.  Stochastic phase nodes are one
+    ``phase_mean`` and ``phase_lp`` included (a transfer profile's integrals
+    over its outer points are not phase integrals; see the module docstring).  Stochastic phase nodes are one
     ensemble carried forward (node i of every phase descends from the same
     particle), so a phase average takes its standard error per node: each
     node's contribution is averaged over the phases first, then the spread is

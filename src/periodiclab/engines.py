@@ -235,8 +235,8 @@ class MonteCarloEngine:
         field: PeriodicCoefficientField,
         config: mc.SimConfig,
         certificate: LyapunovResult,
-        n_outer: int = 192,
-        n_inner: int = 4096,
+        n_outer: int,
+        n_inner: int,
     ):
         self.field = field
         self.period = field.period

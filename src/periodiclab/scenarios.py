@@ -5,10 +5,11 @@ engine sizes, and a list of experiments.  Validation is strict, and a run
 validates after applying its overrides: unknown keys anywhere, values of the
 wrong type or range, and bad experiment/field pairings (the entropy inequality
 needs x-independent diffusion, the exact engine needs a linear-drift model,
-and so on) are rejected up front with their JSON path.  Each experiment key
-has its default in one table, ``_EXPERIMENTS``; a run fills the unset keys of
-every experiment once, after validation, and the runners read only those
-filled-in specs.
+and so on) are rejected up front with their JSON path.  Each plan, sim, grid
+and experiment key is one entry of ``_SECTIONS`` or ``_EXPERIMENTS``, holding
+its default and the rule of a written value; a field kind accepts its
+builder's parameters.  A run fills the unset keys of every experiment once,
+after validation, and the runners read only those filled-in specs.
 
 Each experiment writes ``<name>.json`` and ``<name>.csv`` into the output
 directory and contributes pass/fail check lines; ``summary.json`` aggregates
@@ -17,9 +18,12 @@ them.  All artifacts are byte-deterministic for a fixed scenario and seed.
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import json
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -34,44 +38,15 @@ from . import hypotheses as hyp
 from . import montecarlo as mc
 from . import ougaussian as ou
 from .errors import ConfigError
-import hashlib
 
 SCHEMA_VERSION = 1
 
 _TOP_KEYS = {"schema", "id", "description", "seed", "field", "plan", "sim", "grid",
              "experiments", "output"}
-_FIELD_KEYS = {
-    "ou": {"kind", "dim", "period", "a0", "a_sin", "a_cos", "b0", "b_sin", "b_cos",
-           "f0", "f_sin", "f_cos"},
-    "grad1d": {"kind", "period"},
-    "gen": {"kind", "dim", "period", "rate_const", "rate_cos", "q_const", "q_sin", "q_bump"},
-    "custom-polynomial": {"kind", "dim", "period", "q_const", "q_sin", "q_cos", "drift_terms"},
-}
-_PLAN_DEFAULTS = {"r_max": 6.0, "n_times": 64, "n_axis": 21, "n_shells": 6, "n_shell_dirs": 16}
-_SIM_DEFAULTS = {"particles": 20000, "dt": 0.004, "horizon_periods": 16, "antithetic": False,
-                 "n_outer": 128, "n_inner": 2048}
-_GRID_DEFAULTS = {"half_width": 4.5, "points_per_axis": 63, "time_slices": 33,
-                  "time_scheme": "spectral", "substeps": 2}
-# Each experiment's keys besides "name", at the value its runner reads when the
-# key is unset.  A None engine or window is resolved from the other values: the
-# rate-equivalence engine by field kind, the fit window as [1, max(horizons)].
-# A None gap_cap means no gap check.
-_EXPERIMENTS = {
-    "hypothesis-check": {"moment_phases": 8},
-    "decay": {"engine": "montecarlo", "ps": [2.0], "horizons": [1, 2, 3, 4, 5, 6, 7, 8],
-              "window": None, "rate_bounds": {}, "contraction_gaps": [],
-              "contraction_ps": [1, 2, 4]},
-    "gradient-decay": {"engine": "montecarlo", "ps": [2.0], "horizons": [1, 2, 3, 4],
-                       "window": None, "rate_bounds": {}, "pointwise_samples": 0},
-    "rate-equivalence": {"engine": None, "p": 2.0, "horizons": [1, 2, 3, 4, 5, 6],
-                         "window": None, "tolerance": 0.1},
-    "poincare": {"n_phases": 8},
-    "logsob": {"ps": [1.0, 2.0], "n_phases": 8},
-    "spectrum": {"k": 40, "cluster_tol": 1e-3, "gap_cap": None, "refine": False,
-                 "carre": False, "solvability": False},
-    "spectral-mapping": {"tol": 1e-3, "substeps": 4},
-    "core-consistency": {"tol": 5e-2},
-}
+# The builder of each field kind; a kind accepts "kind" and its builder's
+# parameters but "name", and an unset coefficient takes the builder's default.
+_FIELD_BUILDERS = {"ou": ou.fourier_matrix_model, "grad1d": fl.grad1d_field,
+                   "gen": fl.gen_field, "custom-polynomial": fl.polynomial_field}
 
 
 def _require(cond: bool, message: str, path: str):
@@ -86,14 +61,16 @@ def _check_keys(obj, allowed: set, path: str):
             raise ConfigError(f"unknown key {key!r}", f"{path}.{key}")
 
 
-def _number(value, path: str, low: float, integer: bool = False, above: bool = False):
+def _number(value, path: str, low: float, integer: bool = False, above: bool = False,
+            high: float = math.inf):
     """Require a finite JSON number (an integer with ``integer``) that is at
-    least ``low``, or greater than it with ``above``."""
+    least ``low``, or greater than it with ``above``, and at most ``high``."""
     typed = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
     _require(typed and (isinstance(value, int) or math.isfinite(value)),
              f"expected {'an integer' if integer else 'a number'}, got {value!r}", path)
     _require(value > low if above else value >= low,
              f"must be {'>' if above else '>='} {low:g}, got {value!r}", path)
+    _require(value <= high, f"must be <= {high:g}, got {value!r}", path)
 
 
 def _numbers(values, path: str, low: float, above: bool = False):
@@ -114,15 +91,118 @@ def _array(value, path: str, shape: tuple):
         _array(entry, f"{path}[{j}]", shape[1:])
 
 
+# Value rules: each is called as rule(value, path) on a value a document writes.
+def _int(low, high=math.inf):
+    return lambda value, path: _number(value, path, low, integer=True, high=high)
+
+
+def _real(low, above=False):
+    return lambda value, path: _number(value, path, low, above=above)
+
+
+def _list(low, above=False):
+    return lambda values, path: _numbers(values, path, low, above=above)
+
+
+def _choice(what: str, choices: tuple):
+    return lambda value, path: _require(value in choices, f"unknown {what} {value!r}", path)
+
+
+def _flag(value, path: str):
+    _require(isinstance(value, bool), "expected true or false", path)
+
+
+def _window(window, path: str):
+    _require(isinstance(window, list) and len(window) == 2,
+             f"expected [lo, hi], got {window!r}", path)
+    _number(window[0], f"{path}[0]", -math.inf)
+    _number(window[1], f"{path}[1]", window[0], above=True)
+
+
+def _rate_bounds(bounds, path: str):
+    _require(isinstance(bounds, dict), "expected an object", path)
+    for key, pair in bounds.items():
+        key_path = f"{path}.{key}"
+        _require(isinstance(pair, list) and len(pair) == 2,
+                 f"expected [lo|null, hi|null], got {pair!r}", key_path)
+        for j, end in enumerate(pair):
+            if end is not None:
+                _number(end, f"{key_path}[{j}]", -math.inf)
+
+
+# each engine name and the RunContext member that builds it
+_ENGINE_MEMBERS = {"montecarlo": "_mc_engine", "grid": "_grid_engine", "ou-exact": "_ou_engine"}
+_ENGINE = _choice("engine", tuple(_ENGINE_MEMBERS))
+_POSITIVE = _real(0, above=True)
+
+# Every plan, sim and grid key: (the value its reader takes when the key is
+# unset, its value rule).
+_SECTIONS = {
+    "plan": {"r_max": (6.0, _POSITIVE), "n_times": (64, _int(1)), "n_axis": (21, _int(1)),
+             # the radial growth test compares the two outermost shells
+             "n_shells": (6, _int(2)), "n_shell_dirs": (16, _int(1))},
+    "sim": {"particles": (20000, _int(100)), "dt": (0.004, _POSITIVE),
+            "horizon_periods": (16, _int(1)), "antithetic": (False, _flag),
+            "n_outer": (128, _int(1)),
+            # at least two antithetic units per outer point, for a standard error
+            "n_inner": (2048, _int(4))},
+    "grid": {"half_width": (4.5, _POSITIVE), "points_per_axis": (63, _int(16)),
+             "time_slices": (33, _int(16)),
+             "time_scheme": ("spectral", _choice("time scheme", ("spectral", "upwind"))),
+             "substeps": (2, _int(1))},
+}
+# Each experiment's keys besides "name", as (the value its runner reads when the
+# key is unset, its value rule).  A None engine or window is resolved from the
+# other values: the rate-equivalence engine by field kind, the fit window as
+# [1, max(horizons)].  A None gap_cap means no gap check.  Gradient horizons
+# start at 1, since gradient envelopes start at unit separation.
+_EXPERIMENTS = {
+    "hypothesis-check": {"moment_phases": (8, _int(1))},
+    "decay": {"engine": ("montecarlo", _ENGINE), "ps": ([2.0], _list(1)),
+              "horizons": ([1, 2, 3, 4, 5, 6, 7, 8], _list(0, above=True)),
+              "window": (None, _window), "rate_bounds": ({}, _rate_bounds),
+              "contraction_gaps": ([], _list(0, above=True)),
+              "contraction_ps": ([1, 2, 4], _list(1))},
+    "gradient-decay": {"engine": ("montecarlo", _ENGINE), "ps": ([2.0], _list(1)),
+                       "horizons": ([1, 2, 3, 4], _list(1)), "window": (None, _window),
+                       "rate_bounds": ({}, _rate_bounds),
+                       # sample i marches on RNG stream 200 + i, below the phase ensembles' 1000
+                       "pointwise_samples": (0, _int(0, high=800))},
+    "rate-equivalence": {"engine": (None, _ENGINE), "p": (2.0, _real(2)),
+                         "horizons": ([1, 2, 3, 4, 5, 6], _list(1)),
+                         "window": (None, _window), "tolerance": (0.1, _POSITIVE)},
+    "poincare": {"n_phases": (8, _int(1))},
+    "logsob": {"ps": ([1.0, 2.0], _list(1)), "n_phases": (8, _int(1))},
+    "spectrum": {"k": (40, _int(1)), "cluster_tol": (1e-3, _POSITIVE),
+                 "gap_cap": (None, _real(-math.inf)), "refine": (False, _flag),
+                 "carre": (False, _flag), "solvability": (False, _flag)},
+    "spectral-mapping": {"tol": (1e-3, _POSITIVE), "substeps": (4, _int(1))},
+    "core-consistency": {"tol": (5e-2, _POSITIVE)},
+}
+
+
+def _defaults(table: dict) -> dict:
+    return {key: default for key, (default, _) in table.items()}
+
+
+def _check_entries(obj, table: dict, path: str, fixed: tuple = ()):
+    """``obj`` has only ``fixed`` and ``table`` keys, and each value of a
+    ``table`` key passes its rule."""
+    _check_keys(obj, {*fixed, *table}, path)
+    for key, value in obj.items():
+        if key in table:
+            table[key][1](value, f"{path}.{key}")
+
+
 def _section(doc: dict, name: str) -> dict:
     """The ``plan``, ``sim`` or ``grid`` section with every unset key at its default."""
-    defaults = {"plan": _PLAN_DEFAULTS, "sim": _SIM_DEFAULTS, "grid": _GRID_DEFAULTS}[name]
-    return {**defaults, **doc.get(name, {})}
+    return {**_defaults(_SECTIONS[name]), **doc.get(name, {})}
 
 
-def _check_values(doc: dict):
-    """Types and ranges of the field, plan, sim and grid values the engines read."""
-    field = doc["field"]
+def _check_field(field: dict) -> float:
+    """Keys, types, shapes and ellipticity of the field values; returns the period."""
+    params = inspect.signature(_FIELD_BUILDERS[field["kind"]]).parameters
+    _check_keys(field, {"kind", *params} - {"name"}, "$.field")
     period = field.get("period", 1.0)
     _number(period, "$.field.period", 0.0, above=True)
     if "dim" in field:
@@ -155,38 +235,11 @@ def _check_values(doc: dict):
     elif field["kind"] != "grad1d":
         # Q = q I with inf q = q_const - |(q_sin, q_cos)| + min(q_bump, 0) over (t, x);
         # an unset coefficient takes its builder's default
-        builder = fl.gen_field if field["kind"] == "gen" else fl.polynomial_field
-        q = {**{k: v.default for k, v in inspect.signature(builder).parameters.items()}, **field}
+        q = {**{k: v.default for k, v in params.items()}, **field}
         floor = q["q_const"] - math.hypot(q.get("q_sin", 0.0), q.get("q_cos", 0.0)) \
             + min(q.get("q_bump", 0.0), 0.0)
         _require(floor > 0.0, f"the diffusion infimum {floor:g} must be > 0", "$.field.q_const")
-    plan = _section(doc, "plan")
-    _number(plan["r_max"], "$.plan.r_max", 0.0, above=True)
-    for key in ("n_times", "n_axis", "n_shell_dirs"):
-        _number(plan[key], f"$.plan.{key}", 1, integer=True)
-    # the radial growth test compares the two outermost shells
-    _number(plan["n_shells"], "$.plan.n_shells", 2, integer=True)
-    sim = _section(doc, "sim")
-    _number(sim["particles"], "$.sim.particles", 100, integer=True)
-    _number(sim["dt"], "$.sim.dt", 0.0, above=True)
-    _require(sim["dt"] <= period / 50.0, f"must be <= period/50 = {period / 50.0:g}", "$.sim.dt")
-    _number(sim["horizon_periods"], "$.sim.horizon_periods", 1, integer=True)
-    _require(isinstance(sim["antithetic"], bool), "expected true or false", "$.sim.antithetic")
-    _number(sim["n_outer"], "$.sim.n_outer", 1, integer=True)
-    _require(sim["n_outer"] <= sim["particles"],
-             f"n_outer {sim['n_outer']} exceeds the {sim['particles']} particles it is drawn from",
-             "$.sim.n_outer")
-    # at least two antithetic units per outer point, for a standard error
-    _number(sim["n_inner"], "$.sim.n_inner", 4, integer=True)
-    grid = _section(doc, "grid")
-    _number(grid["half_width"], "$.grid.half_width", 0.0, above=True)
-    _number(grid["points_per_axis"], "$.grid.points_per_axis", 16, integer=True)
-    _require(grid["time_scheme"] in ("spectral", "upwind"),
-             f"unknown time scheme {grid['time_scheme']!r}", "$.grid.time_scheme")
-    _number(grid["time_slices"], "$.grid.time_slices", 16, integer=True)
-    _require(grid["time_scheme"] != "spectral" or grid["time_slices"] % 2 == 1,
-             "spectral time differencing needs an odd slice count", "$.grid.time_slices")
-    _number(grid["substeps"], "$.grid.substeps", 1, integer=True)
+    return period
 
 
 def validate_scenario(doc: dict) -> dict:
@@ -207,13 +260,18 @@ def _resolved_experiments(doc: dict) -> list[dict]:
     field = doc.get("field")
     _require(isinstance(field, dict), "field section required", "$.field")
     kind = field.get("kind")
-    _require(kind in _FIELD_KEYS, f"unknown field kind {kind!r}", "$.field.kind")
-    _check_keys(field, _FIELD_KEYS[kind], "$.field")
-    for section, keys in (("plan", _PLAN_DEFAULTS), ("sim", _SIM_DEFAULTS),
-                          ("grid", _GRID_DEFAULTS)):
-        if section in doc:
-            _check_keys(doc[section], keys, f"$.{section}")
-    _check_values(doc)
+    _require(kind in _FIELD_BUILDERS, f"unknown field kind {kind!r}", "$.field.kind")
+    period = _check_field(field)
+    for name, table in _SECTIONS.items():
+        _check_entries(doc.get(name, {}), table, f"$.{name}")
+    sim = _section(doc, "sim")
+    _require(sim["dt"] <= period / 50.0, f"must be <= period/50 = {period / 50.0:g}", "$.sim.dt")
+    _require(sim["n_outer"] <= sim["particles"],
+             f"n_outer {sim['n_outer']} exceeds the {sim['particles']} particles it is drawn from",
+             "$.sim.n_outer")
+    grid = _section(doc, "grid")
+    _require(grid["time_scheme"] != "spectral" or grid["time_slices"] % 2 == 1,
+             "spectral time differencing needs an odd slice count", "$.grid.time_slices")
     exps = doc.get("experiments")
     _require(isinstance(exps, list) and exps, "experiments must be a nonempty list", "$.experiments")
     q_varies = kind == "gen"
@@ -223,9 +281,8 @@ def _resolved_experiments(doc: dict) -> list[dict]:
         _require(isinstance(spec, dict), "experiment entries must be objects", path)
         name = spec.get("name")
         _require(name in _EXPERIMENTS, f"unknown experiment {name!r}", f"{path}.name")
-        _check_keys(spec, {"name", *_EXPERIMENTS[name]}, path)
-        _check_experiment_values(name, spec, path)
-        params = {**_EXPERIMENTS[name], **spec}
+        _check_entries(spec, _EXPERIMENTS[name], path, fixed=("name",))
+        params = {**_defaults(_EXPERIMENTS[name]), **spec}
         if "window" in params:           # a rate fit
             if params["engine"] is None:
                 params["engine"] = "ou-exact" if kind == "ou" else "grid"
@@ -253,69 +310,14 @@ def _resolved_experiments(doc: dict) -> list[dict]:
     return resolved
 
 
-def _check_experiment_values(name: str, spec: dict, path: str):
-    """Types and ranges of the experiment values the runners read."""
-    if "engine" in spec:
-        _require(spec["engine"] in ("montecarlo", "grid", "ou-exact"),
-                 f"unknown engine {spec['engine']!r}", f"{path}.engine")
-    if "horizons" in spec:
-        # gradient envelopes start at unit separation
-        gradient = name in ("gradient-decay", "rate-equivalence")
-        _numbers(spec["horizons"], f"{path}.horizons", 1 if gradient else 0, above=not gradient)
-    for key in ("ps", "contraction_ps"):
-        if key in spec:
-            _numbers(spec[key], f"{path}.{key}", 1)
-    if "p" in spec:
-        _number(spec["p"], f"{path}.p", 2)
-    if name == "spectral-mapping" and "substeps" in spec:
-        _number(spec["substeps"], f"{path}.substeps", 1, integer=True)
-    for key in ("n_phases", "moment_phases", "k"):
-        if key in spec:
-            _number(spec[key], f"{path}.{key}", 1, integer=True)
-    if "pointwise_samples" in spec:
-        _number(spec["pointwise_samples"], f"{path}.pointwise_samples", 0, integer=True)
-    for key in ("refine", "carre", "solvability"):
-        if key in spec:
-            _require(isinstance(spec[key], bool), "expected true or false", f"{path}.{key}")
-    for key in ("tol", "tolerance", "cluster_tol"):
-        if key in spec:
-            _number(spec[key], f"{path}.{key}", 0, above=True)
-    if "gap_cap" in spec:
-        _number(spec["gap_cap"], f"{path}.gap_cap", -math.inf)
-    if "window" in spec:
-        window = spec["window"]
-        _require(isinstance(window, list) and len(window) == 2,
-                 f"expected [lo, hi], got {window!r}", f"{path}.window")
-        _number(window[0], f"{path}.window[0]", -math.inf)
-        _number(window[1], f"{path}.window[1]", window[0], above=True)
-    if "rate_bounds" in spec:
-        bounds = spec["rate_bounds"]
-        _require(isinstance(bounds, dict), "expected an object", f"{path}.rate_bounds")
-        for key, pair in bounds.items():
-            key_path = f"{path}.rate_bounds.{key}"
-            _require(isinstance(pair, list) and len(pair) == 2,
-                     f"expected [lo|null, hi|null], got {pair!r}", key_path)
-            for j, end in enumerate(pair):
-                if end is not None:
-                    _number(end, f"{key_path}[{j}]", -math.inf)
-    if "contraction_gaps" in spec:
-        _numbers(spec["contraction_gaps"], f"{path}.contraction_gaps", 0, above=True)
-
-
 def build_field(field_spec: dict):
     """Instantiate (field, model-or-None) from the field section; an unset
     coefficient takes its builder's default."""
-    kind = field_spec["kind"]
     kwargs = {key: value for key, value in field_spec.items() if key != "kind"}
-    if kind == "ou":
-        model = ou.fourier_matrix_model(**kwargs)
-        return ou.as_field(model), model
-    if kind == "grad1d":
-        return fl.grad1d_field(**kwargs), None
-    if kind == "gen":
-        return fl.gen_field(**kwargs), None
-    terms = tuple(fl.DriftTerm(**term) for term in kwargs.pop("drift_terms", []))
-    return fl.polynomial_field(drift_terms=terms, **kwargs), None
+    if "drift_terms" in kwargs:
+        kwargs["drift_terms"] = tuple(fl.DriftTerm(**term) for term in kwargs["drift_terms"])
+    built = _FIELD_BUILDERS[field_spec["kind"]](**kwargs)
+    return (ou.as_field(built), built) if field_spec["kind"] == "ou" else (built, None)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +325,26 @@ def build_field(field_spec: dict):
 # ---------------------------------------------------------------------------
 
 
+class _built_once(cached_property):
+    """``functools.cached_property`` whose build holds its attribute's lock, as
+    before Python 3.12, so threads that ask at once build the value once; it is
+    cached in the instance ``__dict__``, where assignment can also put one."""
+
+    def __init__(self, func):
+        super().__init__(func)
+        self.build_lock = threading.RLock()
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        with self.build_lock:
+            return super().__get__(instance, owner)
+
+
 @dataclass
 class RunContext:
-    """Lazily built shared state for one scenario run."""
+    """Lazily built shared state for one scenario run; each lazy member is
+    built once, also under ``--jobs``."""
 
     doc: dict
     seed: int
@@ -339,7 +358,7 @@ class RunContext:
             sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
-    @cached_property
+    @_built_once
     def _field_and_model(self):
         return build_field(self.doc["field"])
 
@@ -351,12 +370,12 @@ class RunContext:
     def model(self):
         return self._field_and_model[1]
 
-    @cached_property
+    @_built_once
     def plan(self):
         return fl.build_plan(dim=self.field.dim, period=self.field.period,
                              **_section(self.doc, "plan"))
 
-    @cached_property
+    @_built_once
     def hypothesis_report(self) -> hyp.HypothesisReport:
         return hyp.check_hypotheses(self.field, self.plan)
 
@@ -371,32 +390,21 @@ class RunContext:
         )
 
     def engine(self, name: str):
-        if name == "montecarlo":
-            return self._mc_engine
-        if name == "ou-exact":
-            return self._ou_engine
-        if name == "grid":
-            return self._grid_engine
-        raise ConfigError(f"unknown engine {name!r}", "$.experiments")
+        return getattr(self, _ENGINE_MEMBERS[name])
 
-    @cached_property
+    @_built_once
     def _mc_engine(self):
         s = _section(self.doc, "sim")
-        return eng.MonteCarloEngine(
-            self.field,
-            self.sim_config(),
-            n_outer=s["n_outer"],
-            n_inner=s["n_inner"],
-            certificate=self.hypothesis_report.lyapunov,
-        )
+        return eng.MonteCarloEngine(self.field, self.sim_config(), self.hypothesis_report.lyapunov,
+                                    n_outer=s["n_outer"], n_inner=s["n_inner"])
 
-    @cached_property
+    @_built_once
     def _ou_engine(self):
         if self.model is None:
             raise ConfigError("ou-exact engine needs a linear-drift field", "$.field")
         return eng.OUExactEngine(self.model)
 
-    @cached_property
+    @_built_once
     def _grid_engine(self):
         return eng.GridEngine(self.field, self.generator,
                               substeps=_section(self.doc, "grid")["substeps"])
@@ -412,7 +420,7 @@ class RunContext:
             dim=self.field.dim,
         )
 
-    @cached_property
+    @_built_once
     def generator(self) -> gridmod.DiscreteGenerator:
         """The space-time generator, the one source of the grid for every grid experiment."""
         return gridmod.build_generator(self.field, self.space_time_grid(),
@@ -422,8 +430,7 @@ class RunContext:
 @dataclass
 class ExperimentResult:
     payload: dict
-    csv_header: list
-    csv_rows: list
+    csv_rows: list                    # dicts; the CSV columns are their keys, first seen first
     checks: list                      # [{"rule", "passed", "detail"}], also written to the payload
 
 
@@ -496,7 +503,7 @@ def _run_hypothesis_check(ctx: RunContext, params: dict) -> ExperimentResult:
         checks.append(_check("moment-bound", ok,
                              f"bound={bound:.4g} worst_excess={worst:.4g}"))
     payload = report.to_jsonable()
-    return ExperimentResult(payload, ["metric", "value"], rows, checks)
+    return ExperimentResult(payload, rows, checks)
 
 
 # the battery ids each rate-fit experiment fits
@@ -505,7 +512,6 @@ _FIT_IDS = {
     "gradient-decay": ("coord0", "tanh", "sin", "ratio"),
     "rate-equivalence": ("tanh", "sin", "ratio"),
 }
-_CURVE_HEADER = ["tau", "value", "stderr", "p", "phi", "engine", "kind"]
 
 
 def _fit_setup(ctx: RunContext, params: dict):
@@ -545,7 +551,7 @@ def _run_decay(ctx: RunContext, params: dict) -> ExperimentResult:
         for rule in ("contraction", "invariance"):
             passed = [r[f"{rule}_ok"] for r in report]
             checks.append(_check(rule, all(passed), f"{sum(passed)}/{len(passed)} rows"))
-    return ExperimentResult(payload, _CURVE_HEADER, rows, checks)
+    return ExperimentResult(payload, rows, checks)
 
 
 def _run_gradient_decay(ctx: RunContext, params: dict) -> ExperimentResult:
@@ -569,7 +575,7 @@ def _run_gradient_decay(ctx: RunContext, params: dict) -> ExperimentResult:
         checks.append(_check(
             "gradient-pointwise", all(r["holds"] for r in results),
             f"{sum(r['holds'] for r in results)}/{len(results)} samples"))
-    return ExperimentResult(payload, _CURVE_HEADER, rows, checks)
+    return ExperimentResult(payload, rows, checks)
 
 
 def _run_rate_equivalence(ctx: RunContext, params: dict) -> ExperimentResult:
@@ -583,7 +589,7 @@ def _run_rate_equivalence(ctx: RunContext, params: dict) -> ExperimentResult:
     row = {key: report[key] for key in ("omega_hat", "gamma_hat", "difference")}
     payload = {**row, "engine": engine.name, "omega_fit": fits[0].to_jsonable(),
                "gamma_fit": fits[1].to_jsonable()}
-    return ExperimentResult(payload, [*row, "p"], [{**row, "p": p}], checks)
+    return ExperimentResult(payload, [{**row, "p": p}], checks)
 
 
 def _run_poincare(ctx: RunContext, params: dict) -> ExperimentResult:
@@ -600,8 +606,7 @@ def _run_poincare(ctx: RunContext, params: dict) -> ExperimentResult:
                      "residual": rep.residual, "stderr": rep.stderr})
         checks.append(_check(f"poincare-{u.fid}", rep.holds(),
                              f"residual={rep.residual:.4g} stderr={rep.stderr:.3g}"))
-    return ExperimentResult(payload,
-                            ["fid", "left", "right", "residual", "stderr"], rows, checks)
+    return ExperimentResult(payload, rows, checks)
 
 
 def _run_logsob(ctx: RunContext, params: dict) -> ExperimentResult:
@@ -620,8 +625,7 @@ def _run_logsob(ctx: RunContext, params: dict) -> ExperimentResult:
                          "residual": rep.residual, "stderr": rep.stderr})
             checks.append(_check(f"logsob-{key}", rep.holds(),
                                  f"residual={rep.residual:.4g} stderr={rep.stderr:.3g}"))
-    return ExperimentResult(payload,
-                            ["fid", "p", "left", "right", "residual", "stderr"], rows, checks)
+    return ExperimentResult(payload, rows, checks)
 
 
 def _run_spectrum(ctx: RunContext, params: dict) -> ExperimentResult:
@@ -695,7 +699,7 @@ def _run_spectrum(ctx: RunContext, params: dict) -> ExperimentResult:
     for i, z in enumerate(report.eigenvalues[:50]):
         res = report.residuals[i] if i < len(report.residuals) else ""
         rows.append({"re": z.real, "im": z.imag, "residual": res})
-    return ExperimentResult(payload, ["re", "im", "residual"], rows, checks)
+    return ExperimentResult(payload, rows, checks)
 
 
 def _run_spectral_mapping(ctx: RunContext, params: dict) -> ExperimentResult:
@@ -709,8 +713,7 @@ def _run_spectral_mapping(ctx: RunContext, params: dict) -> ExperimentResult:
     rows = [{"re": r["lambda"].real, "im": r["lambda"].imag, "kind": r["kind"],
              "mismatch": r["mismatch"]} for r in result["rows"]]
     payload = {"worst_mismatch": result["worst_mismatch"], "rows": rows}
-    return ExperimentResult(payload,
-                            ["re", "im", "kind", "mismatch"], rows, checks)
+    return ExperimentResult(payload, rows, checks)
 
 
 def _run_core_consistency(ctx: RunContext, params: dict) -> ExperimentResult:
@@ -728,7 +731,7 @@ def _run_core_consistency(ctx: RunContext, params: dict) -> ExperimentResult:
     payload = {"grid_residual": {"abs": err, "rel": rel}}
     checks = [_check("core-generator", rel <= tol, f"relative residual {rel:.3e}")]
     rows = [{"metric": "grid_rel_residual", "value": rel}]
-    return ExperimentResult(payload, ["metric", "value"], rows, checks)
+    return ExperimentResult(payload, rows, checks)
 
 
 _RUNNERS = {
@@ -759,7 +762,8 @@ def _unique_names(specs: list[dict]) -> list[str]:
     return out
 
 
-def _write_csv(path: Path, header: list, rows: list):
+def _write_csv(path: Path, rows: list):
+    header = list(dict.fromkeys(key for row in rows for key in row))
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(row.get(col, "")) for col in header))
@@ -798,42 +802,27 @@ def run_scenario(doc: dict, out_dir: str | Path, jobs: int = 1,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    names = _unique_names(specs)
-    results: list[ExperimentResult | None] = [None] * len(specs)
-
-    def run_one(i: int):
-        spec = specs[i]
-        runner = _RUNNERS[spec["name"]]
-        results[i] = runner(ctx, spec)
+    def run(spec: dict) -> ExperimentResult:
+        return _RUNNERS[spec["name"]](ctx, spec)
 
     if jobs > 1:
-        # shared lazy state is built eagerly to keep workers read-only
-        _ = ctx.hypothesis_report
-        if any(s["name"] in ("spectrum", "spectral-mapping", "core-consistency")
-               for s in specs):
-            _ = ctx.generator
-        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(run_one, range(len(specs))))
+            results = list(pool.map(run, specs))
     else:
-        for i in range(len(specs)):
-            run_one(i)
+        results = [run(spec) for spec in specs]
 
     summary = {"scenario": doc["id"], "seed": int(seed), "schema": SCHEMA_VERSION,
                "config_hash": ctx.config_hash(), "experiments": {}, "checks": [],
                "pass": True}
-    for name, result in zip(names, results):
+    for name, result in zip(_unique_names(specs), results):
         result.payload.update(checks=result.checks, config_hash=ctx.config_hash())
         (out / f"{name}.json").write_text(
             json.dumps(result.payload, indent=2, sort_keys=True, cls=_ComplexEncoder))
-        _write_csv(out / f"{name}.csv", result.csv_header, result.csv_rows)
-        summary["experiments"][name] = {
-            "checks": result.checks,
-            "pass": all(c["passed"] for c in result.checks),
-        }
-        summary["checks"].extend(
-            {**c, "experiment": name} for c in result.checks)
-        summary["pass"] = summary["pass"] and all(c["passed"] for c in result.checks)
+        _write_csv(out / f"{name}.csv", result.csv_rows)
+        passed = all(c["passed"] for c in result.checks)
+        summary["experiments"][name] = {"checks": result.checks, "pass": passed}
+        summary["checks"].extend({**c, "experiment": name} for c in result.checks)
+        summary["pass"] = summary["pass"] and passed
     (out / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True, cls=_ComplexEncoder))
     return summary

@@ -85,6 +85,20 @@ class TestDecayCurve:
             dg.decay_curve(ou_engine, battery1[0], 0.0, 2.0, profile, gradient=True)
 
 
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_clipped_power_mean_stderr_is_the_pth_root(p):
+    """A debiased mean of |g|^p at or below zero reads 0, and its stderr is
+    the p-th root of the power mean's own stderr."""
+    g = np.array([1.0, 1.2, 0.9, 1.1])
+    se = np.full(4, 1.3)
+    w = np.full(4, 0.25)
+    sq, se_sq = g * g, se * se
+    y = sq - se_sq if p == 2 else sq * sq - 6.0 * sq * se_sq + 3.0 * se_sq**2
+    assert np.dot(w, y) < 0.0
+    se_y = math.sqrt(np.dot(w**2, (y - np.dot(w, y)) ** 2))
+    assert dg.debiased_power_mean(g, se, w, p, True) == (0.0, pytest.approx(se_y ** (1.0 / p)))
+
+
 class TestFitRate:
     def test_exact_exponential(self):
         taus = np.arange(1.0, 9.0)

@@ -293,24 +293,100 @@ def test_every_accepted_experiment_key_is_read(name):
     assert not got
 
 
+def _readme_table(header: str) -> list[tuple[str, str, str]]:
+    """The rows of the README table under ``header``, with the first two cells
+    unquoted."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    rows = []
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            break
+        owner, key, default = (cell.strip() for cell in line.strip("|").split("|"))
+        rows.append((owner.strip("`"), key.strip("`"), default))
+    return rows
+
+
+def test_readme_lists_every_section_key_default():
+    """The README's table of plan, sim and grid keys matches ``_SECTIONS``."""
+    want = [(section, key, f"`{json.dumps(default)}`") for section, table in sc._SECTIONS.items()
+            for key, (default, _) in table.items()]
+    assert _readme_table("| section | key | default |") == want
+
+
 def test_readme_lists_every_experiment_key_default():
     """The README's table of experiment keys matches ``_EXPERIMENTS``: each
     default is its JSON value, and a null default is followed by what it means."""
-    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
-    start = lines.index("| experiment | key | default |") + 2
-    rows = []
-    for line in lines[start:]:
-        if not line.startswith("|"):
-            break
-        experiment, key, default = (cell.strip() for cell in line.strip("|").split("|"))
-        rows.append((experiment.strip("`"), key.strip("`"), default))
-    want = [(experiment, key, value) for experiment, defaults in sc._EXPERIMENTS.items()
-            for key, value in defaults.items()]
+    rows = _readme_table("| experiment | key | default |")
+    want = [(experiment, key, value) for experiment, table in sc._EXPERIMENTS.items()
+            for key, (value, _) in table.items()]
     assert [row[:2] for row in rows] == [row[:2] for row in want]
     for (experiment, key, default), (_, _, value) in zip(rows, want):
         code = f"`{json.dumps(value)}`"
         ok = default.startswith(code + ": ") if value is None else default == code
         assert ok, (experiment, key, default)
+
+
+_TABLE_KEYS = ([(section, None, key) for section, table in sc._SECTIONS.items() for key in table]
+               + [("experiments", name, key) for name, table in sc._EXPERIMENTS.items()
+                  for key in table])
+
+
+@pytest.mark.parametrize("section, name, key", _TABLE_KEYS,
+                         ids=[f"{name or section}.{key}" for section, name, key in _TABLE_KEYS])
+def test_every_table_key_rejects_a_wrong_type_at_its_path(section, name, key):
+    """The string "x" written for any plan, sim, grid or experiment key is a
+    ConfigError at exactly that key's path."""
+    doc = json.loads(json.dumps(sc.load_scenario("grad1d")))
+    if name is None:
+        doc.setdefault(section, {})[key] = "x"
+        path = f"$.{section}.{key}"
+    else:
+        doc["experiments"].append({"name": name, key: "x"})
+        path = f"$.experiments[{len(doc['experiments']) - 1}].{key}"
+    with pytest.raises(ConfigError) as err:
+        sc.validate_scenario(doc)
+    assert err.value.path == path
+
+
+def test_pointwise_samples_stay_below_the_burn_in_streams(tmp_path, capsys):
+    """Pointwise sample i marches on RNG stream 200 + i and the Monte Carlo
+    phase ensembles start at stream 1000, so 800 samples validate and 801
+    exit 2 at their path."""
+    doc = json.loads(json.dumps(sc.load_scenario("grad1d")))
+    doc["sim"].update(particles=200, dt=0.02, horizon_periods=2, n_outer=8, n_inner=16)
+    doc["grid"].update(points_per_axis=31, time_slices=17)
+    doc["experiments"] = [{"name": "gradient-decay", "engine": "grid", "pointwise_samples": 800}]
+    sc.validate_scenario(doc)
+    doc["experiments"][0]["pointwise_samples"] = 801
+    path = tmp_path / "grad1d.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "$.experiments[0].pointwise_samples" in capsys.readouterr().err
+
+
+def test_jobs_build_the_generator_once_for_grid_rate_fits(tmp_path, monkeypatch):
+    """Two grid-engine rate fits under --jobs 2 share one generator build, and
+    their reports are the serial run's bytes."""
+    builds = []
+    build = gr.build_generator
+
+    def slow_build(*args, **kwargs):
+        builds.append(args)
+        time.sleep(0.2)    # holds the build open while the other worker asks
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(gr, "build_generator", slow_build)
+    doc = json.loads(json.dumps(sc.load_scenario("grad1d")))
+    doc["grid"].update(points_per_axis=31, time_slices=17, substeps=1)
+    doc["experiments"] = [{"name": "rate-equivalence"}, {"name": "decay", "engine": "grid"}]
+    sc.run_scenario(doc, tmp_path / "par", jobs=2)
+    assert len(builds) == 1
+    sc.run_scenario(doc, tmp_path / "serial", jobs=1)
+    names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "par").iterdir())
+    for name in names:
+        assert (tmp_path / "par" / name).read_bytes() == \
+            (tmp_path / "serial" / name).read_bytes(), name
 
 
 class TestCli:
@@ -502,8 +578,8 @@ class TestRun:
 
 
 def test_jobs_parallel_same_bytes_grid_scenario(tmp_path):
-    """ou1d at toy sizes: the generator built before the workers start gives
-    the same bytes as a serial run."""
+    """ou1d at toy sizes: the generator built once, by the first worker that
+    asks, gives the same bytes as a serial run."""
     doc = json.loads(json.dumps(sc.load_scenario("ou1d")))
     doc["sim"] = {"particles": 200, "dt": 0.02, "horizon_periods": 2, "n_outer": 8,
                   "n_inner": 16, "antithetic": True}
@@ -630,7 +706,8 @@ def test_solvability_check_fails_when_rho_is_not_invariant():
             gen = ctx.generator
             rho = gen.rho * (1.0 + scale * np.sin(np.arange(gen.size)))
             ctx.__dict__["generator"] = dataclasses.replace(gen, rho=rho / rho.sum())
-            result = sc._run_spectrum(ctx, {**sc._EXPERIMENTS["spectrum"], "solvability": True})
+            spec = {**sc._defaults(sc._EXPERIMENTS["spectrum"]), "solvability": True}
+            result = sc._run_spectrum(ctx, spec)
             verdicts += [c["passed"] for c in result.checks
                          if c["rule"] == "mean-zero-solvability"]
         assert verdicts == [True, False], sid

@@ -35,6 +35,11 @@ class PeriodicCoefficientField:
         Time period T > 0.
     q : callable
         ``q(t, X) -> (n, d, d)`` symmetric diffusion matrices.
+    q_scalar : callable or None
+        Set when the diffusion is isotropic: ``q_scalar(t, X) -> (n,)`` with
+        ``q(t, X) == q_scalar(t, X)[:, None, None] * I`` bit for bit.  The
+        Monte Carlo engine then draws x-dependent noise with one root per
+        particle instead of a matrix factor.
     b : callable
         ``b(t, X) -> (n, d)`` drift vectors.
     grad_q : callable or None
@@ -54,6 +59,7 @@ class PeriodicCoefficientField:
     b: Coefficient
     grad_q: Coefficient | None = None
     grad_b: Coefficient | None = None
+    q_scalar: Coefficient | None = None
     q_independent_of_x: bool = False
     name: str = "custom"
 
@@ -289,15 +295,19 @@ def gen_field(
     w = 2.0 * np.pi / period
     eye = np.eye(dim)
 
-    def q(t, X):
-        # column by column: numpy's reductions over a short axis and
-        # broadcasting against eye cost several times more per point
+    def q_scalar(t, X):
+        # column by column: numpy's reductions over a short axis cost several
+        # times more per point
         X = np.atleast_2d(X)
         r2 = X[:, 0] * X[:, 0]
         for i in range(1, dim):
             r2 += X[:, i] * X[:, i]
-        scalar = q_const + q_sin * math.sin(w * t) + q_bump / (1.0 + r2)
-        out = np.zeros((len(X), dim, dim))
+        return q_const + q_sin * math.sin(w * t) + q_bump / (1.0 + r2)
+
+    def q(t, X):
+        # broadcasting against eye costs several times more per point
+        scalar = q_scalar(t, X)
+        out = np.zeros((len(scalar), dim, dim))
         for i in range(dim):
             out[:, i, i] = scalar
         return out
@@ -325,6 +335,7 @@ def gen_field(
         b=b,
         grad_q=grad_q,
         grad_b=grad_b,
+        q_scalar=q_scalar,
         q_independent_of_x=False,
         name=name,
     )

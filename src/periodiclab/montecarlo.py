@@ -4,7 +4,9 @@ Particles follow  X <- X + b(r, X) dt + sigma(r, X) sqrt(dt) xi  with
 sigma sigma^T = 2 Q (the operator carries Q, not Q/2, on second derivatives).
 The law of the walk depends on sigma only through sigma sigma^T, so sigma is
 sqrt(2 Q) in d = 1, the lower Cholesky factor of 2 Q in d = 2 and the
-symmetric square root in d >= 3.
+symmetric square root in d >= 3.  A field that declares its diffusion
+isotropic (``q_scalar``, Q = q I) gets sigma = sqrt(2 q) I: one root per
+particle scales its normals, with no matrix built or factored.
 Noise is drawn from counter-based Philox streams keyed by
 (seed, stream, block), so ensembles are bit-reproducible for a fixed
 schedule regardless of how particle blocks are traversed; reductions are
@@ -164,8 +166,11 @@ def _noise_increment(field, r, positions, normals, sqrt_dt):
     """sqrt(dt) sigma(r, x) xi with sigma sigma^T = 2 Q; ``normals`` may be overwritten.
 
     Only sigma sigma^T enters the law of the walk, so sigma is whichever
-    factor is cheapest: sqrt(2 Q) in d = 1, the lower Cholesky factor of 2 Q
-    in d = 2 (applied in place) and the symmetric root in d >= 3.
+    factor is cheapest: sqrt(2 q) I for an x-dependent isotropic Q (one root
+    per particle, applied in place), sqrt(2 Q) in d = 1, the lower Cholesky
+    factor of 2 Q in d = 2 (applied in place) and the symmetric root in
+    d >= 3.  The isotropic path keeps the Cholesky path's operation order
+    (its l10 is 0 and l11 = l00), so it gives the same numbers bit for bit.
     """
     d = field.dim
     if field.q_independent_of_x:
@@ -177,6 +182,12 @@ def _noise_increment(field, r, positions, normals, sqrt_dt):
         if d == 2:
             return _lower_factor_2x2(q, normals)
         return normals @ _sqrt_spd_batch(2.0 * q)[0].T
+    if field.q_scalar is not None:
+        root = np.asarray(field.q_scalar(r, positions)) * 2.0
+        np.sqrt(root, out=root)
+        normals *= root[:, None]
+        normals *= sqrt_dt
+        return normals
     q = np.asarray(field.q(r, positions))
     if d == 2:
         normals = _lower_factor_2x2(q, normals)
@@ -186,11 +197,15 @@ def _noise_increment(field, r, positions, normals, sqrt_dt):
 
 
 def _check_spd(field, r, positions):
+    """Raise ``NonPositiveDefinite`` at the least eigenvalue of Q on a sample of positions."""
     sample = positions[:: max(1, len(positions) // 16)]
-    w = np.linalg.eigvalsh(np.asarray(field.q(r, sample)))
-    if w[:, 0].min() <= 0.0:
-        bad = int(np.argmin(w[:, 0]))
-        raise NonPositiveDefinite(r, sample[bad], float(w[bad, 0]))
+    if field.q_scalar is not None:
+        low = np.asarray(field.q_scalar(r, sample))
+    else:
+        low = np.linalg.eigvalsh(np.asarray(field.q(r, sample)))[:, 0]
+    if low.min() <= 0.0:
+        bad = int(np.argmin(low))
+        raise NonPositiveDefinite(r, sample[bad], float(low[bad]))
 
 
 def _march(field, positions, jacobians, s, capture_times, config, stream):

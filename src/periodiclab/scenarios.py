@@ -260,7 +260,8 @@ def _resolved_experiments(doc: dict) -> list[dict]:
     field = doc.get("field")
     _require(isinstance(field, dict), "field section required", "$.field")
     kind = field.get("kind")
-    _require(kind in _FIELD_BUILDERS, f"unknown field kind {kind!r}", "$.field.kind")
+    _require(isinstance(kind, str) and kind in _FIELD_BUILDERS, f"unknown field kind {kind!r}",
+             "$.field.kind")
     period = _check_field(field)
     for name, table in _SECTIONS.items():
         _check_entries(doc.get(name, {}), table, f"$.{name}")
@@ -280,7 +281,8 @@ def _resolved_experiments(doc: dict) -> list[dict]:
         path = f"$.experiments[{i}]"
         _require(isinstance(spec, dict), "experiment entries must be objects", path)
         name = spec.get("name")
-        _require(name in _EXPERIMENTS, f"unknown experiment {name!r}", f"{path}.name")
+        _require(isinstance(name, str) and name in _EXPERIMENTS, f"unknown experiment {name!r}",
+                 f"{path}.name")
         _check_entries(spec, _EXPERIMENTS[name], path, fixed=("name",))
         params = {**_defaults(_EXPERIMENTS[name]), **spec}
         if "window" in params:           # a rate fit

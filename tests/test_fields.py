@@ -89,6 +89,18 @@ def test_gen_field_q_matches_broadcast_formula(dim):
         assert np.array_equal(f.q(t, X), scalar[:, None, None] * np.eye(dim))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gen_field_q_is_q_scalar_times_identity(dim):
+    """The isotropy contract: q(t, X) == q_scalar(t, X)[:, None, None] * I, bit for bit."""
+    rng = np.random.default_rng(30 + dim)
+    f = fl.gen_field(dim=dim, q_const=1.3, q_sin=0.4, q_bump=-0.2)
+    for t in rng.uniform(-2.0, 2.0, 5):
+        X = 4.0 * rng.standard_normal((300, dim))
+        scalar = f.q_scalar(t, X)
+        assert scalar.shape == (300,)
+        assert np.array_equal(f.q(t, X), scalar[:, None, None] * np.eye(dim))
+
+
 def per_term_drift(field_dim, terms, t, X):
     """b and D b summed term by term, as ``polynomial_field`` once evaluated them.
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from periodiclab import diagnostics as dg
 from periodiclab import engines as eng
@@ -12,7 +13,7 @@ from periodiclab import fields as fl
 from periodiclab import hypotheses as hyp
 from periodiclab import montecarlo as mc
 from periodiclab import ougaussian as ou
-from periodiclab.errors import Blowup, NotDissipative, QNotXIndependent
+from periodiclab.errors import Blowup, NonPositiveDefinite, NotDissipative, QNotXIndependent
 
 import reference as ref
 
@@ -202,6 +203,44 @@ class TestEvolve:
             mc.evolve(field, ref.point_mass(np.full(dim, 0.3), 100), 0.0, 1.0, config)
         assert 0.68 < got.value.t < 0.83 and math.isnan(got.value.max_abs)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_isotropic_q_negative_between_spd_checks(self, dim):
+        # q = 0.9 + sin(2 pi t) + 0.05 / (1 + |x|^2) is negative only inside
+        # (0.68, 0.82), between the SPD checks at t = 0 and 0.63: the root per
+        # particle turns NaN and the march ends as Blowup, as on the matrix path
+        field = fl.gen_field(dim=dim, q_const=0.9, q_sin=1.0, q_bump=0.05)
+        config = mc.SimConfig(n_particles=100, dt=0.01, seed=0)
+        x0 = ref.point_mass(np.full(dim, 0.3), 100)
+        ends = []
+        for f in (field, dataclasses.replace(field, q_scalar=None)):
+            with np.errstate(invalid="ignore"), pytest.raises(Blowup) as got:
+                mc.evolve(f, x0, 0.0, 1.0, config)
+            ends.append(got.value)
+        scalar, matrix = ends
+        assert 0.68 < scalar.t < 0.83 and math.isnan(scalar.max_abs)
+        assert scalar.t == matrix.t and math.isnan(matrix.max_abs)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_isotropic_q_negative_at_spd_check(self, dim):
+        # q = 0.7 + sin(2 pi t) + 0.01 / (1 + |x|^2) is positive at every step
+        # up to r = 0.62 and negative at the step-64 check, r = 0.63: the check
+        # names the sampled point and its q, as the eigenvalue check does
+        field = fl.gen_field(dim=dim, q_const=0.7, q_sin=1.0, q_bump=0.01)
+        config = mc.SimConfig(n_particles=100, dt=0.01, seed=0)
+        x0 = ref.point_mass(np.full(dim, 0.3), 100)
+        errors = []
+        for f in (field, dataclasses.replace(field, q_scalar=None)):
+            with pytest.raises(NonPositiveDefinite) as got:
+                mc.evolve(f, x0, 0.0, 1.0, config)
+            errors.append(got.value)
+        scalar, matrix = errors
+        assert 0.625 < scalar.t < 0.635
+        value = scalar.smallest_eigenvalue
+        assert value < 0.0 and value == field.q_scalar(scalar.t, scalar.x[None])[0]
+        assert (scalar.t, value) == (matrix.t, matrix.smallest_eigenvalue)
+        assert np.array_equal(scalar.x, matrix.x)
+        assert f"x={scalar.x}" in str(scalar) and f"lambda_min={value:.3e}" in str(scalar)
+
     def test_time_stamp_mismatch(self, ou_field):
         config = mc.SimConfig(n_particles=100, dt=0.01, seed=0)
         with pytest.raises(ValueError):
@@ -260,6 +299,43 @@ class TestMarchMatchesReference:
         config = mc.SimConfig(n_particles=800, dt=0.01, seed=24, block_size=512)
         x0 = np.random.default_rng(4).standard_normal((800, dim))
         self.assert_same(fl.gen_field(dim=dim), x0, None, 0.0, [0.5, 1.0], config)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(dim=st.integers(1, 3), floor=st.floats(0.05, 1.0), q_sin=st.floats(-1.0, 1.0),
+           q_bump=st.floats(-0.5, 1.0), antithetic=st.booleans(), n=st.integers(100, 400),
+           block_size=st.integers(16, 128),
+           offsets=st.lists(st.floats(0.0, 0.4), min_size=1, max_size=3))
+    def test_isotropic_march_property(self, dim, floor, q_sin, q_bump, antithetic, n,
+                                      block_size, offsets):
+        # the one-root-per-particle noise of an isotropic Q reproduces the
+        # reference's Cholesky (d = 2) and eigh (d = 3) arithmetic bit for bit;
+        # q_const keeps Q elliptic, blocks are ragged, captures land anywhere
+        assume(n % block_size)
+        field = fl.gen_field(dim=dim, q_const=floor + abs(q_sin) - min(q_bump, 0.0),
+                             q_sin=q_sin, q_bump=q_bump)
+        config = mc.SimConfig(n_particles=n, dt=0.01, seed=31, antithetic=antithetic,
+                              block_size=block_size)
+        x0 = np.random.default_rng(9).standard_normal((n, dim))
+        self.assert_same(field, x0, None, 0.2, [0.2 + off for off in offsets], config)
+
+    def test_isotropic_march_builds_no_matrix(self, gen_field):
+        # one period at dt 0.01: the matrix path calls q once per step and
+        # once per SPD check (t = 0 and step 64); the isotropic path never
+        calls = []
+
+        def q(t, X):
+            calls.append(t)
+            return gen_field.q(t, X)
+
+        config = mc.SimConfig(n_particles=500, dt=0.01, seed=29)
+        x0 = np.random.default_rng(8).standard_normal((500, 2))
+        counts = []
+        for field in (dataclasses.replace(gen_field, q=q),
+                      dataclasses.replace(gen_field, q=q, q_scalar=None)):
+            calls.clear()
+            list(mc._march(field, x0, None, 0.0, [1.0], config, stream=5))
+            counts.append(len(calls))
+        assert counts == [0, 100 + 2]
 
     def test_x_dependent_off_diagonal_q(self):
         config = mc.SimConfig(n_particles=1001, dt=0.01, seed=28, antithetic=True, block_size=256)

@@ -437,6 +437,23 @@ class TestCli:
         assert cli.main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
         assert f"configuration error: {path}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [["decay"], {"decay": 1}])
+    @pytest.mark.parametrize("where, path", [
+        (("field", "kind"), "$.field.kind"),
+        (("experiments", 1, "name"), "$.experiments[1].name"),
+    ])
+    def test_unhashable_kind_or_name_exits_2(self, tmp_path, capsys, where, path, value):
+        # a JSON list or object is unhashable: it must fail validation, not the lookup
+        doc = json.loads(json.dumps(TINY))
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        scenario = tmp_path / "unhashable.json"
+        scenario.write_text(json.dumps(doc))
+        assert cli.main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        assert f"configuration error: {path}:" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):

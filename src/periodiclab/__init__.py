@@ -23,6 +23,7 @@ from .errors import (
     NotDissipative,
     PerronFailure,
     QNotXIndependent,
+    SingularSystem,
     SolverDivergence,
     UnboundedDrift,
 )

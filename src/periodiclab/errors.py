@@ -68,6 +68,10 @@ class SolverDivergence(LabError):
     """The implicit time stepper produced non-finite values."""
 
 
+class SingularSystem(LabError):
+    """A sparse LU factorization met an exactly singular matrix."""
+
+
 class PerronFailure(LabError):
     """The discrete invariant density has sign changes above tolerance."""
 

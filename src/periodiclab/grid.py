@@ -17,6 +17,11 @@ The generator is assembled as spatial part plus time derivative, i.e. the
 generator of the semigroup that composes the transition operator with the
 periodic time shift; its left Perron vector is the forward-invariant
 space-time mass, which is what the stochastic engine samples.
+
+Lattice nodes come from centred indices, so the box is point symmetric bit
+for bit.  A field with odd drift and even diffusion then assembles to a
+generator that commutes exactly with x -> -x, and its dense spectrum is the
+union of the spectra of its even and odd blocks, each about half the size.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import EigSolverFailure, PerronFailure, SolverDivergence
+from .errors import EigSolverFailure, PerronFailure, SingularSystem, SolverDivergence
 from .fields import PeriodicCoefficientField
 
 
@@ -63,8 +68,9 @@ class SpaceTimeGrid:
         return self.points_per_axis**self.dim
 
     def axis(self) -> np.ndarray:
-        i = np.arange(1, self.points_per_axis + 1)
-        return -self.half_width + i * self.h
+        """Interior nodes from centred indices: nodes k and n-1-k are exact negatives."""
+        n = self.points_per_axis
+        return self.h * (np.arange(1, n + 1) - (n + 1) / 2)
 
     def nodes(self) -> np.ndarray:
         ax = self.axis()
@@ -243,6 +249,32 @@ def time_derivative_matrix(n_t: int, period: float, scheme: str = "spectral") ->
     raise ValueError(f"unknown time scheme {scheme!r}")
 
 
+def _parity_blocks(g_mat: sp.csr_matrix, n_space: int) -> list[np.ndarray] | None:
+    """The dense even and odd blocks of a generator that commutes with x -> -x.
+
+    The reflection maps flat spatial index k to n_space - 1 - k within each
+    time slice, which is x -> -x in any dimension on a centred lattice.  When
+    it commutes with ``g_mat`` exactly, ``G P_e = P_e G_e`` and
+    ``G P_o = P_o G_o`` for the bases ``e_k +- e_{m-1-k}`` (the centre node
+    alone in the even basis when m is odd), and each block is the top-half
+    rows of ``G P``: ``G[i, j] +- G[i, m-1-j]``, and ``G[i, c]`` once for the
+    centre column c.  The union of the block spectra is the spectrum of
+    ``g_mat``.  Returns None when the reflection does not commute exactly.
+    """
+    flat = np.arange(g_mat.shape[0])
+    k = flat % n_space
+    mirror = flat + (n_space - 1 - 2 * k)
+    if (g_mat[mirror][:, mirror] != g_mat).nnz:
+        return None
+    blocks = []
+    for sign, top in ((1.0, flat[2 * k <= n_space - 1]), (-1.0, flat[2 * k < n_space - 1])):
+        rows = g_mat[top]
+        block = (rows[:, top] + sign * rows[:, mirror[top]]).toarray()
+        block[:, top == mirror[top]] /= 2.0     # the centre node pairs with itself
+        blocks.append(block)
+    return blocks
+
+
 @dataclass(frozen=True)
 class DiscreteGenerator:
     """Sparse space-time generator with its invariant mass vector.
@@ -270,13 +302,22 @@ class DiscreteGenerator:
     def dense_eigenvalues(self) -> np.ndarray:
         """Every eigenvalue of the generator, unsorted and read-only.
 
+        A generator that commutes bit for bit with the reflection x -> -x
+        (odd drift and even diffusion on the centred lattice) is solved as its
+        even and odd blocks, of sizes n_t * ceil(m/2) and n_t * floor(m/2),
+        and their eigenvalues are concatenated; any other generator is solved
+        whole.  Either way the result is the whole spectrum.
+
         Raises :class:`EigSolverFailure` when the dense solve fails; a failure
         is not cached, so the next request solves again.
         """
         with self._dense_lock:
             if self._dense_eigs is None:
+                blocks = _parity_blocks(self.matrix, self.grid.n_space)
+                if blocks is None:
+                    blocks = [self.matrix.toarray()]
                 try:
-                    eigs = scipy.linalg.eigvals(self.matrix.toarray())
+                    eigs = np.concatenate([scipy.linalg.eigvals(b) for b in blocks])
                 except Exception as exc:
                     raise EigSolverFailure(str(exc)) from exc
                 eigs.setflags(write=False)
@@ -399,8 +440,9 @@ def spectrum(
 
     Dense below ``dense_cutoff`` unknowns, reading ``gen.dense_eigenvalues``,
     which solves the generator once however often it is asked; otherwise
-    shift-inverted Arnoldi around 0 and +-2 pi i / T.  Sorting, cluster
-    matching, the gap and the residuals run on every call.  The cluster is
+    shift-inverted Arnoldi around 0.25 and 0.25 + 2 pi i / T, with the
+    conjugates of the second solve standing for the one at 0.25 - 2 pi i / T.
+    Sorting, cluster matching, the gap and the residuals run on every call.  The cluster is
     matched against the expected axis points ``2 pi i k / T`` for every
     resolvable k; the spectral-gap estimate is the largest real part outside
     the matched cluster.
@@ -412,14 +454,13 @@ def spectrum(
         method = "dense"
     else:
         w = 2.0 * np.pi / gen.grid.period
-        targets = [0.25, 0.25 + 1j * w, 0.25 - 1j * w]
         g_complex = g_mat.astype(complex)
         # a fixed pseudo-random Arnoldi start vector: without one ARPACK seeds
         # it from OS entropy, and a structured one (such as constants, which the
         # generator annihilates) can miss eigenvectors it is orthogonal to
         start = np.random.default_rng(7).standard_normal(n) + 0j
         found = []
-        for sigma in targets:
+        for sigma in (0.25, 0.25 + 1j * w):
             try:
                 vals = spla.eigs(
                     g_complex, k=min(k, n - 2), sigma=sigma, v0=start,
@@ -428,6 +469,9 @@ def spectrum(
             except Exception as exc:
                 raise EigSolverFailure(f"shift-invert at {sigma}: {exc}") from exc
             found.append(vals)
+        # G and the start vector are real, so the solve at 0.25 - i w would
+        # return the conjugates of the one at 0.25 + i w, bit for bit
+        found.append(np.conj(found[1]))
         eigs = np.concatenate(found)
         keep = []
         for z in eigs:
@@ -482,11 +526,15 @@ def spectral_mapping_check(
     Checks the 5 right-most generator eigenvalues of ``report`` plus the 3
     right-most eigenvalues outside the axis cluster (the axis points all map
     to the multiplier 1, so the non-axis rows carry the information).
-    Returns the worst relative mismatch and per-row details.
+    Returns the worst relative mismatch and per-row details; raises
+    :class:`EigSolverFailure` when the eigensolve of the map fails.
     """
     grid = gen.grid
     mono = transition_matrix(field, grid, 0.0, grid.period, np.eye(grid.n_space), substeps)
-    mults = np.linalg.eigvals(mono)
+    try:
+        mults = np.linalg.eigvals(mono)
+    except np.linalg.LinAlgError as exc:
+        raise EigSolverFailure(f"one-period map: {exc}") from exc
     cluster_set = [z for _, z in report.axis_cluster]
 
     def mismatch(lam: complex) -> float:
@@ -554,11 +602,16 @@ def solvability_residual(gen: DiscreteGenerator, f: np.ndarray) -> dict:
     ``||u|| <~ ||f0|| / |gap|`` for mean-zero data, while a unit mean excites
     the near-null invariant direction.  Returns the L^2(rho) norms ``data`` of
     f0 and ``zero_mean``, ``unit_mean`` of the solutions, and the relative
-    L^2(rho) ``residual`` of the mean-zero solve.
+    L^2(rho) ``residual`` of the mean-zero solve.  Raises
+    :class:`SingularSystem` when the LU meets an exactly singular generator.
     """
     f = np.asarray(f, dtype=float).ravel()
     f_zero = f - float(np.dot(gen.rho, f))
-    u = spla.splu(sp.csc_matrix(gen.matrix)).solve(np.column_stack([f_zero, f_zero + 1.0]))
+    try:
+        lu = spla.splu(sp.csc_matrix(gen.matrix))
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        raise SingularSystem(f"solvability LU of the generator: {exc}") from exc
+    u = lu.solve(np.column_stack([f_zero, f_zero + 1.0]))
     u_zero, u_one = np.sqrt(gen.rho @ u**2)
     data = math.sqrt(float(gen.rho @ f_zero**2))
     misfit = gen.matrix @ u[:, 0] - f_zero

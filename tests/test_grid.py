@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from periodiclab import engines as eng
 from periodiclab import fields as fl
@@ -81,6 +82,17 @@ class TestStepForward:
         mask = r2 < 4.0
         # coarser 2-d lattice than the pinned 1-d case: second-order in h
         assert np.abs(out - exact)[mask].max() < 3e-3
+
+
+@pytest.mark.parametrize("half_width", [3.0, 3.3, 4.5, 5.0, 6.0])
+@pytest.mark.parametrize("n", [16, 17, 31, 32, 40, 41, 63, 127])
+def test_axis_is_point_symmetric(n, half_width):
+    """Node k and node n-1-k are exact negatives, so x -> -x maps the lattice
+    onto itself bit for bit."""
+    ax = gr.SpaceTimeGrid(half_width, n, 17, 1.0).axis()
+    assert np.array_equal(ax, -ax[::-1])
+    assert np.allclose(ax, -half_width + np.arange(1, n + 1) * 2 * half_width / (n + 1),
+                       rtol=0, atol=1e-14)
 
 
 class TestTimeDerivative:
@@ -218,6 +230,21 @@ class TestSpectrum:
         assert abs(cluster_s[0] - cluster_d[0]) < 1e-8
         assert abs(sparse_rep.gap_estimate - ou_spectrum.gap_estimate) < 1e-5
 
+    def test_shift_invert_solves_two_targets(self, ou_generator, monkeypatch):
+        """The solve at 0.25 - 2 pi i / T is the conjugate of the one at
+        0.25 + 2 pi i / T, so it is not made; the set stays conjugation-closed."""
+        eigs, sigmas = gr.spla.eigs, []
+
+        def counted(*args, **kwargs):
+            sigmas.append(kwargs["sigma"])
+            return eigs(*args, **kwargs)
+
+        monkeypatch.setattr(gr.spla, "eigs", counted)
+        rep = gr.spectrum(ou_generator, k=8, dense_cutoff=0)
+        assert sigmas == [0.25, 0.25 + 2j * np.pi]
+        for z in rep.eigenvalues:
+            assert np.abs(rep.eigenvalues - z.conjugate()).min() <= 1e-8 * (1 + abs(z))
+
     def test_residuals_reported(self, ou_generator):
         rep = gr.spectrum(ou_generator, k=6, with_residuals=True)
         assert len(rep.residuals) > 0
@@ -244,7 +271,7 @@ class TestDenseSolvedOnce:
         gen = self.small_generator(ou_field)
         asks = [{"k": 40}, {"k": 6, "cluster_tol": 1e-2, "with_residuals": True}]
         reports = [gr.spectrum(gen, **kwargs) for kwargs in asks]
-        assert len(solves) == 1
+        assert solves == [(16 * 17, 16 * 17), (15 * 17, 15 * 17)]  # the even and odd blocks
         for report, kwargs in zip(reports, asks):
             fresh = gr.spectrum(self.small_generator(ou_field), **kwargs)
             assert report.to_jsonable() == fresh.to_jsonable()
@@ -267,6 +294,98 @@ class TestDenseSolvedOnce:
                     gr.spectrum(gen)
         assert len(solves) == 2
         assert gr.spectrum(gen).method == "dense"
+
+
+def recorded_eigvals(monkeypatch, solve=True):
+    """Record each array ``scipy.linalg.eigvals`` is given in the grid module;
+    without ``solve`` return zeros in place of its eigenvalues."""
+    eigvals, inputs = gr.scipy.linalg.eigvals, []
+
+    def recorded(a):
+        inputs.append(a)
+        return eigvals(a) if solve else np.zeros(len(a), dtype=complex)
+
+    monkeypatch.setattr(gr.scipy.linalg, "eigvals", recorded)
+    return inputs
+
+
+ROTATING_OU = ou.as_field(ou.fourier_matrix_model(
+    dim=2, a0=[[-1.0, 1.5], [-1.5, -1.0]], a_sin=[[0.5, 0.0], [0.0, 0.0]],
+    b0=[[1.0, 0.0], [0.3, 0.8]], name="ou2d"))
+
+
+class TestParitySplit:
+    """A generator that commutes with x -> -x is solved as its even and odd
+    blocks; the union of their eigenvalues is the whole spectrum."""
+
+    @pytest.mark.parametrize("n", [31, 32])
+    @pytest.mark.parametrize("which", ["ou", "grad"])
+    def test_split_matches_one_full_solve(self, which, n, ou_field, grad_field, monkeypatch):
+        field, half_width = (ou_field, 4.5) if which == "ou" else (grad_field, 3.0)
+        g = gr.SpaceTimeGrid(half_width=half_width, points_per_axis=n, time_slices=17,
+                             period=1.0)
+        with monkeypatch.context() as patch:
+            inputs = recorded_eigvals(patch)
+            split = gr.spectrum(gr.build_generator(field, g, "spectral"), k=40)
+        assert [a.shape for a in inputs] == [(17 * ((n + 1) // 2),) * 2, (17 * (n // 2),) * 2]
+        with monkeypatch.context() as patch:
+            patch.setattr(gr, "_parity_blocks", lambda *args: None)
+            inputs = recorded_eigvals(patch)
+            full = gr.spectrum(gr.build_generator(field, g, "spectral"), k=40)
+        assert [a.shape for a in inputs] == [(17 * n, 17 * n)]
+        assert len(split.eigenvalues) == len(full.eigenvalues) == 17 * n
+        # the far-left tail is ill-conditioned, so only the right-most 40 are compared
+        for z in split.eigenvalues[:40]:
+            assert np.abs(full.eigenvalues - z).min() <= 1e-9 * (1 + abs(z))
+        for z in full.eigenvalues[:40]:
+            assert np.abs(split.eigenvalues - z).min() <= 1e-9 * (1 + abs(z))
+        assert abs(split.gap_estimate - full.gap_estimate) <= 1e-10
+        assert [k for k, _ in split.axis_cluster] == [k for k, _ in full.axis_cluster]
+        for (_, a), (_, b) in zip(split.axis_cluster, full.axis_cluster):
+            assert abs(a - b) <= 1e-10
+
+    def test_field_without_parity_is_solved_whole(self, monkeypatch):
+        forced = ou.as_field(ou.fourier_matrix_model(
+            dim=1, a0=[[-1.0]], a_sin=[[0.5]], f0=[0.5], name="forced"))
+        g = gr.SpaceTimeGrid(half_width=4.5, points_per_axis=31, time_slices=17, period=1.0)
+        gen = gr.build_generator(forced, g, "spectral")
+        inputs = recorded_eigvals(monkeypatch)
+        assert len(gen.dense_eigenvalues) == gen.size
+        assert len(inputs) == 1
+        assert np.array_equal(inputs[0], gen.matrix.toarray())
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_2d_blocks_intertwine_with_the_generator(self, n, monkeypatch):
+        """On the rotating 2-d OU field (mixed-derivative stencil included),
+        G P = P B holds exactly for the even and the odd basis."""
+        g = gr.SpaceTimeGrid(half_width=4.5, points_per_axis=n, time_slices=17, period=1.0,
+                             dim=2)
+        m = g.n_space
+        a_part = sp.block_diag([gr.spatial_operator(ROTATING_OU, s, g) for s in g.slice_times()])
+        d_time = sp.kron(gr.time_derivative_matrix(17, 1.0), sp.identity(m))
+        # the coarse rotating stencil has no positive Perron vector, so the
+        # generator is assembled here with a placeholder mass
+        mat = (a_part + d_time).tocsr()
+        gen = gr.DiscreteGenerator(g, mat, np.full(mat.shape[0], 1.0 / mat.shape[0]),
+                                   "spectral", 0.0)
+        blocks = recorded_eigvals(monkeypatch, solve=False)
+        assert len(gen.dense_eigenvalues) == gen.size
+        assert [b.shape[0] for b in blocks] == [17 * ((m + 1) // 2), 17 * (m // 2)]
+        assert sum(b.shape[0] for b in blocks) == gen.size
+        for sign, block in zip((1.0, -1.0), blocks):
+            rows, cols, vals = [], [], []
+            for t in range(17):
+                for k in range((m + 1) // 2 if sign > 0 else m // 2):
+                    col = t * ((m + 1) // 2 if sign > 0 else m // 2) + k
+                    rows.append(t * m + k)
+                    cols.append(col)
+                    vals.append(1.0)
+                    if k != m - 1 - k:
+                        rows.append(t * m + m - 1 - k)
+                        cols.append(col)
+                        vals.append(sign)
+            basis = sp.csr_matrix((vals, (rows, cols)), shape=(gen.size, len(block)))
+            assert (mat @ basis != basis @ sp.csr_matrix(block)).nnz == 0
 
 
 class TestSpectralMapping:

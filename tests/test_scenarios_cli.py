@@ -653,7 +653,8 @@ def test_jobs_solve_each_exact_phase_once(tmp_path, monkeypatch):
 
 def test_jobs_solve_the_dense_spectrum_once(tmp_path, monkeypatch):
     """ou1d's spectrum and spectral-mapping on two workers share one dense
-    eigensolve of the generator, and give the bytes of a serial run."""
+    eigensolve of the generator (one LAPACK call per parity block), and give
+    the bytes of a serial run."""
     eigvals, solves = gr.scipy.linalg.eigvals, []
 
     def slow_eigvals(a):
@@ -670,13 +671,57 @@ def test_jobs_solve_the_dense_spectrum_once(tmp_path, monkeypatch):
                           for spec in doc["experiments"]
                           if spec["name"] in ("spectrum", "spectral-mapping")]
     sc.run_scenario(doc, tmp_path / "par", jobs=2)
-    assert solves == [(31 * 17, 31 * 17)]
+    assert solves == [(16 * 17, 16 * 17), (15 * 17, 15 * 17)]  # the even and odd blocks
     sc.run_scenario(doc, tmp_path / "serial", jobs=1)
-    assert len(solves) == 2
+    assert len(solves) == 4
     names = sorted(p.name for p in (tmp_path / "serial").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "par").iterdir())
     for name in names:
         assert (tmp_path / "par" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+def grid_only_ou1d(tmp_path, experiment: dict) -> Path:
+    """ou1d at toy grid size running one grid experiment, written to a file."""
+    doc = json.loads(json.dumps(sc.load_scenario("ou1d")))
+    doc["grid"] = {"half_width": 4.5, "points_per_axis": 31, "time_slices": 17,
+                   "time_scheme": "spectral", "substeps": 1}
+    doc["experiments"] = [experiment]
+    path = tmp_path / "ou1d.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_failed_monodromy_eigensolve_exits_3(tmp_path, capsys, monkeypatch):
+    """A LAPACK failure on the one-period map is a numerical failure (exit 3),
+    not a traceback."""
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    path = grid_only_ou1d(tmp_path, {"name": "spectral-mapping"})
+    monkeypatch.setattr(gr.np.linalg, "eigvals", failing)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "one-period map: Eigenvalues did not converge" in capsys.readouterr().err
+
+
+def test_singular_solvability_lu_exits_3(tmp_path, capsys, monkeypatch):
+    """An exactly singular LU in the solvability check is a numerical failure
+    (exit 3), not a traceback."""
+    splu, real_factors = gr.spla.splu, []
+
+    def singular_after_build(mat):
+        # the generator's own Perron solve factors G^T first; every later real
+        # factorization (the solvability LU of G) meets a singular matrix
+        if mat.dtype.kind == "f":
+            if real_factors:
+                raise RuntimeError("Factor is exactly singular")
+            real_factors.append(mat.shape)
+        return splu(mat)
+
+    path = grid_only_ou1d(tmp_path, {"name": "spectrum", "solvability": True})
+    monkeypatch.setattr(gr.spla, "splu", singular_after_build)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert real_factors == [(31 * 17, 31 * 17)]
+    assert "solvability LU of the generator: Factor is exactly singular" in capsys.readouterr().err
 
 
 def test_refused_rate_equivalence_fit_is_a_failed_check(tmp_path, capsys):

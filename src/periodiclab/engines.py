@@ -13,10 +13,10 @@ Every engine exposes the same five members:
   horizons, with per-point standard errors (zero for the deterministic
   engines).
 
-The exact Gaussian engine reads each phase measure from the fixed point of
-its one-period map, solved once per phase, and builds a profile's laws by
-composing one transition solve per horizon increment, so a profile over
-horizons 1..8 integrates 8 periods.
+The exact Gaussian engine reads its phase measures and transition laws from
+one ``PeriodicGaussianSystem``, which solves each law once per (phase,
+length), so a profile over horizons 1..8 from phase 0 reads the period map
+that mu_0 solved.
 
 The Monte Carlo engine runs one burn-in per run: its phase-0 ensemble is
 sampled from the far past, and every other phase ensemble is that ensemble
@@ -37,7 +37,6 @@ the inequality checks) live here too.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -49,6 +48,7 @@ from . import ougaussian as ou
 from .errors import QNotXIndependent
 from .fields import PeriodicCoefficientField
 from .hypotheses import LyapunovResult
+from .once import Once
 
 
 @dataclass(frozen=True)
@@ -194,11 +194,11 @@ class OUExactEngine:
         return measure.mean + self._z @ measure.sqrt_cov().T, self._weights
 
     def transfer_profile(self, phis: Sequence[TestFunction], s: float, horizons, gradients=False):
-        """Transport by the exact Gaussian law from s, one ODE solve per horizon increment.
+        """Transport by the exact Gaussian law from s, one system law per horizon increment.
 
         Each horizon's law (U, S, m) is the previous one composed with the
         law over the increment: U <- U_inc U, S <- U_inc S U_inc^T + S_inc,
-        m <- U_inc m + m_inc, so the profile integrates its longest horizon once.
+        m <- U_inc m + m_inc.
         """
         horizons = np.asarray(sorted(horizons), dtype=float)
         pts, w = self.phase_nodes(s)
@@ -210,7 +210,7 @@ class OUExactEngine:
         grads = {phi.fid: [] for phi in phis} if gradients else {}
         for tau in horizons:
             t = s + tau
-            u_inc, s_inc, m_inc = ou._transition_ode(self.model, t, t_prev, ou.DEFAULT_TOL)
+            u_inc, s_inc, m_inc = self.system.law(t_prev, t)
             u_mat, sig, shift = u_inc @ u_mat, u_inc @ sig @ u_inc.T + s_inc, u_inc @ shift + m_inc
             t_prev = t
             flat = ou.transition_cloud(pts, u_mat, sig, shift, z).reshape(-1, d)
@@ -244,14 +244,7 @@ class MonteCarloEngine:
         self.n_outer = n_outer
         self.n_inner = n_inner
         self.certificate = certificate
-        self._phase_cache: dict[float, mc.ParticleEnsemble] = {}
-        # one lock per phase: concurrent experiments build each ensemble once
-        self._phase_locks: dict[float, threading.Lock] = {}
-        self._locks_lock = threading.Lock()
-
-    def _ensemble_config(self) -> mc.SimConfig:
-        # one RNG block per ensemble keeps antithetic pairs globally aligned
-        return replace(self.config, block_size=self.config.n_particles)
+        self._ensembles = Once()
 
     def phase_ensemble(self, phase: float) -> mc.ParticleEnsemble:
         """The cached particle ensemble of the periodic invariant measure at a phase.
@@ -265,20 +258,18 @@ class MonteCarloEngine:
         descends from particle i at phase 0, and antithetic pairs stay pairs.
         """
         key = self.field.phase(phase)
-        with self._locks_lock:
-            lock = self._phase_locks.setdefault(key, threading.Lock())
-        with lock:
-            if key not in self._phase_cache:
-                config = self._ensemble_config()
-                if key == 0.0:
-                    ens = mc.sample_periodic_measure(self.field, 0.0, config, self.certificate,
-                                                     stream=1000)
-                else:
-                    stream = 1000 + max(1, round(4096 * key / self.field.period))
-                    ens = mc.evolve(self.field, self.phase_ensemble(0.0), 0.0, key, config,
-                                    stream=stream)
-                self._phase_cache[key] = ens
-        return self._phase_cache[key]
+
+        def build():
+            # one RNG block per ensemble keeps antithetic pairs globally aligned
+            config = replace(self.config, block_size=self.config.n_particles)
+            if key == 0.0:
+                return mc.sample_periodic_measure(self.field, 0.0, config, self.certificate,
+                                                  stream=1000)
+            stream = 1000 + max(1, round(4096 * key / self.field.period))
+            return mc.evolve(self.field, self.phase_ensemble(0.0), 0.0, key, config,
+                             stream=stream)
+
+        return self._ensembles.get(key, build)
 
     def phase_nodes(self, phase: float):
         ens = self.phase_ensemble(phase)

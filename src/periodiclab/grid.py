@@ -16,7 +16,9 @@ Two deterministic engines live here:
 The generator is assembled as spatial part plus time derivative, i.e. the
 generator of the semigroup that composes the transition operator with the
 periodic time shift; its left Perron vector is the forward-invariant
-space-time mass, which is what the stochastic engine samples.
+space-time mass, which is what the stochastic engine samples.  The sparse LU
+that finds that vector is kept with the generator and serves every later
+solve, so a generator is factored once.
 
 Lattice nodes come from centred indices, so the box is point symmetric bit
 for bit.  A field with odd drift and even diffusion then assembles to a
@@ -27,7 +29,6 @@ union of the spectra of its even and odd blocks, each about half the size.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -37,6 +38,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import EigSolverFailure, PerronFailure, SingularSystem, SolverDivergence
 from .fields import PeriodicCoefficientField
+from .once import Once
 
 
 @dataclass(frozen=True)
@@ -279,9 +281,9 @@ def _parity_blocks(g_mat: sp.csr_matrix, n_space: int) -> list[np.ndarray] | Non
 class DiscreteGenerator:
     """Sparse space-time generator with its invariant mass vector.
 
-    Its dense eigenvalues are solved once, on first request, under a lock
-    shared by concurrent callers; every dense :func:`spectrum` of the
-    generator reads them.
+    ``adjoint_lu``, the sparse LU of G^T that found rho, serves every later
+    solve with G or G^T.  The dense eigenvalues are solved once, on first
+    request, also for concurrent callers; every dense :func:`spectrum` reads them.
     """
 
     grid: SpaceTimeGrid
@@ -289,10 +291,8 @@ class DiscreteGenerator:
     rho: np.ndarray                 # (n_t * n_space,), nonnegative, sums to 1
     time_scheme: str
     rho_residual: float             # ||rho^T G||_2 / ||G||_fro
-    _dense_lock: threading.Lock = dataclass_field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False)
-    _dense_eigs: np.ndarray | None = dataclass_field(
-        default=None, init=False, repr=False, compare=False)
+    adjoint_lu: spla.SuperLU = dataclass_field(repr=False, compare=False)
+    _memo: Once = dataclass_field(default_factory=Once, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -311,18 +311,18 @@ class DiscreteGenerator:
         Raises :class:`EigSolverFailure` when the dense solve fails; a failure
         is not cached, so the next request solves again.
         """
-        with self._dense_lock:
-            if self._dense_eigs is None:
-                blocks = _parity_blocks(self.matrix, self.grid.n_space)
-                if blocks is None:
-                    blocks = [self.matrix.toarray()]
-                try:
-                    eigs = np.concatenate([scipy.linalg.eigvals(b) for b in blocks])
-                except Exception as exc:
-                    raise EigSolverFailure(str(exc)) from exc
-                eigs.setflags(write=False)
-                object.__setattr__(self, "_dense_eigs", eigs)
-            return self._dense_eigs
+        def solve():
+            blocks = _parity_blocks(self.matrix, self.grid.n_space)
+            if blocks is None:
+                blocks = [self.matrix.toarray()]
+            try:
+                eigs = np.concatenate([scipy.linalg.eigvals(b) for b in blocks])
+            except Exception as exc:
+                raise EigSolverFailure(str(exc)) from exc
+            eigs.setflags(write=False)
+            return eigs
+
+        return self._memo.get("dense", solve)
 
     def rho_slices(self) -> np.ndarray:
         return self.rho.reshape(self.grid.time_slices, self.grid.n_space)
@@ -338,9 +338,10 @@ def build_generator(
     The invariant vector is computed by inverse iteration on the adjoint (the
     truncated problem is nonsingular because mass leaks through the Dirichlet
     boundary, so the eigenvalue nearest zero is a well-defined target).
-    Raises :class:`PerronFailure` when the iteration does not converge in 200
-    steps, or when the computed vector changes sign beyond rounding, which
-    signals a discretization too coarse for positivity.
+    Raises :class:`SingularSystem` when the LU meets an exactly singular
+    generator, and :class:`PerronFailure` when the iteration does not converge
+    in 200 steps, or when the computed vector changes sign beyond rounding,
+    which signals a discretization too coarse for positivity.
     """
     if grid.dim > 2:
         raise ValueError("generator assembly is limited to d <= 2")
@@ -350,12 +351,10 @@ def build_generator(
     d_time = sp.csr_matrix(time_derivative_matrix(n_t, grid.period, time_scheme))
     g_mat = (a_part + sp.kron(d_time, sp.identity(grid.n_space, format="csr"), format="csr")).tocsr()
 
-    gt = sp.csc_matrix(g_mat.T)
     try:
-        lu = spla.splu(gt)
-    except RuntimeError as exc:  # exactly singular: shift by a tiny multiple
-        shift = 1e-12 * abs(g_mat.diagonal()).max()
-        lu = spla.splu(sp.csc_matrix(gt - shift * sp.identity(gt.shape[0])))
+        lu = spla.splu(sp.csc_matrix(g_mat.T))
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        raise SingularSystem(f"LU of the generator: {exc}") from exc
     v = np.full(g_mat.shape[0], 1.0 / g_mat.shape[0])
     for _ in range(200):
         w = lu.solve(v)
@@ -384,6 +383,7 @@ def build_generator(
         rho=v,
         time_scheme=time_scheme,
         rho_residual=residual,
+        adjoint_lu=lu,
     )
 
 
@@ -595,23 +595,18 @@ def carre_du_champ_residual(
 
 
 def solvability_residual(gen: DiscreteGenerator, f: np.ndarray) -> dict:
-    """Solve G u = f0 and G u = f0 + 1 with one sparse LU, f0 the rho-mean-zero part of f.
+    """Solve G u = f0 and G u = f0 + 1 by ``gen.adjoint_lu``, f0 the rho-mean-zero part of f.
 
     The truncated generator leaks mass through the boundary, so it is
     nonsingular, and the Fredholm dichotomy shows in the solution sizes:
     ``||u|| <~ ||f0|| / |gap|`` for mean-zero data, while a unit mean excites
     the near-null invariant direction.  Returns the L^2(rho) norms ``data`` of
     f0 and ``zero_mean``, ``unit_mean`` of the solutions, and the relative
-    L^2(rho) ``residual`` of the mean-zero solve.  Raises
-    :class:`SingularSystem` when the LU meets an exactly singular generator.
+    L^2(rho) ``residual`` of the mean-zero solve.
     """
     f = np.asarray(f, dtype=float).ravel()
     f_zero = f - float(np.dot(gen.rho, f))
-    try:
-        lu = spla.splu(sp.csc_matrix(gen.matrix))
-    except RuntimeError as exc:  # "Factor is exactly singular"
-        raise SingularSystem(f"solvability LU of the generator: {exc}") from exc
-    u = lu.solve(np.column_stack([f_zero, f_zero + 1.0]))
+    u = gen.adjoint_lu.solve(np.column_stack([f_zero, f_zero + 1.0]), trans="T")
     u_zero, u_one = np.sqrt(gen.rho @ u**2)
     data = math.sqrt(float(gen.rho @ f_zero**2))
     misfit = gen.matrix @ u[:, 0] - f_zero

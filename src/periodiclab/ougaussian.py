@@ -8,17 +8,16 @@ transition law started at (s, x) is Gaussian,
 where U solves dU/dt = A(t) U, U(s,s) = I, and the shift and covariance solve
 the companion linear equations.  Everything downstream (the periodic
 measures, and transition expectations by Gauss-Hermite quadrature over
-``transition_cloud``) is built from one adaptive high-order ODE solve per
-(t, s) pair.  The periodic system of measures is
-exact at every phase: mu_s is the fixed point of the one-period map from s,
-one ODE solve plus a discrete Lyapunov equation, with no interpolation.  So
-this module serves as the reference oracle against which the stochastic and
-grid engines are validated.
+``transition_cloud``) is built from adaptive high-order ODE solves; the data
+are T-periodic, so ``PeriodicGaussianSystem`` solves one per canonical phase
+of s and length t - s.  The periodic system of measures is exact at every
+phase: mu_s is the fixed point of the one-period map from s, plus a discrete
+Lyapunov equation, with no interpolation.  So this module serves as the
+reference oracle against which the stochastic and grid engines are validated.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,6 +27,7 @@ from scipy.linalg import solve_discrete_lyapunov
 
 from .errors import DimensionTooLarge, IntegratorFailure, NotDissipative
 from .fields import PeriodicCoefficientField
+from .once import Once
 
 DEFAULT_TOL = 1e-10
 
@@ -173,8 +173,8 @@ class PeriodicGaussianSystem:
     solves the discrete Lyapunov equation Sigma = M Sigma M^T + S_per, with M
     the one-period flow from s and S_per the one-period transition
     covariance, and its mean solves (I - M) m = shift.  Both solutions are
-    unique because the growth bound is negative.  Each canonical phase is
-    solved once, on first request, under a lock shared by concurrent callers.
+    unique because the growth bound is negative.  Each law and each measure is
+    solved once, on first request, also for concurrent callers.
     ``growth_bound`` is the Floquet exponent of the phase-0 monodromy.
     """
 
@@ -182,25 +182,26 @@ class PeriodicGaussianSystem:
         self.model = model
         self.period = model.period
         self.tol = tol
-        self._lock = threading.Lock()
-        law = _transition_ode(model, model.period, 0.0, tol)
-        self.growth_bound = _floquet_exponent(law[0], model.period)
+        self._memo = Once()
+        self.growth_bound = _floquet_exponent(self.law(0.0, model.period)[0], model.period)
         if self.growth_bound >= 0.0:
             raise NotDissipative(f"growth bound {self.growth_bound:.4f} is not negative")
-        self._measures = {0.0: self._fixed_point(*law)}
 
     def _fixed_point(self, mono, s_per, shift) -> GaussianMeasure:
         mean = np.linalg.solve(np.eye(self.model.dim) - mono, shift)
         return GaussianMeasure(mean, solve_discrete_lyapunov(mono, s_per))
 
+    def law(self, s: float, t: float):
+        """(U(t,s), S(t,s), m(t,s)), solved once per canonical phase of s and length t - s."""
+        phase, length = s % self.period, t - s
+        return self._memo.get(("law", phase, length), lambda: _transition_ode(
+            self.model, phase + length, phase, self.tol))
+
     def measure(self, s: float) -> GaussianMeasure:
         """The invariant law of the one-period map at the canonical phase of s."""
         key = s % self.period
-        with self._lock:
-            if key not in self._measures:
-                law = _transition_ode(self.model, key + self.period, key, self.tol)
-                self._measures[key] = self._fixed_point(*law)
-            return self._measures[key]
+        return self._memo.get(("measure", key), lambda: self._fixed_point(
+            *self.law(key, key + self.period)))
 
 
 def periodic_system(model: OUModel, tol: float = DEFAULT_TOL) -> PeriodicGaussianSystem:

@@ -9,7 +9,9 @@ and so on) are rejected up front with their JSON path.  Each plan, sim, grid
 and experiment key is one entry of ``_SECTIONS`` or ``_EXPERIMENTS``, holding
 its default and the rule of a written value; a field kind accepts its
 builder's parameters.  A run fills the unset keys of every experiment once,
-after validation, and the runners read only those filled-in specs.
+after validation, and the runners read only those filled-in specs.  The
+members they share (field, plan, hypothesis report, engines, generator) are
+built once per run through ``once.Once``, also under ``--jobs``.
 
 Each experiment writes ``<name>.json`` and ``<name>.csv`` into the output
 directory and contributes pass/fail check lines; ``summary.json`` aggregates
@@ -22,10 +24,8 @@ import hashlib
 import inspect
 import json
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,7 @@ from . import hypotheses as hyp
 from . import montecarlo as mc
 from . import ougaussian as ou
 from .errors import ConfigError
+from .once import Once
 
 SCHEMA_VERSION = 1
 
@@ -130,6 +131,8 @@ def _rate_bounds(bounds, path: str):
                 _number(end, f"{key_path}[{j}]", -math.inf)
 
 
+# the experiments that run on the grid whatever their keys say
+_GRID_ONLY = ("spectrum", "spectral-mapping", "core-consistency")
 # each engine name and the RunContext member that builds it
 _ENGINE_MEMBERS = {"montecarlo": "_mc_engine", "grid": "_grid_engine", "ou-exact": "_ou_engine"}
 _ENGINE = _choice("engine", tuple(_ENGINE_MEMBERS))
@@ -276,6 +279,7 @@ def _resolved_experiments(doc: dict) -> list[dict]:
     exps = doc.get("experiments")
     _require(isinstance(exps, list) and exps, "experiments must be a nonempty list", "$.experiments")
     q_varies = kind == "gen"
+    dim = field.get("dim", 1)
     resolved = []
     for i, spec in enumerate(exps):
         path = f"$.experiments[{i}]"
@@ -300,6 +304,11 @@ def _resolved_experiments(doc: dict) -> list[dict]:
                      "pathwise gradients need diffusion independent of x", path)
         if params.get("engine") == "ou-exact":
             _require(kind == "ou", "the exact engine needs a linear-drift field", f"{path}.engine")
+            # its order-60 tensor rule has 60^d nodes per measure point
+            _require(dim <= 2, "the exact engine is limited to d <= 2", f"{path}.engine")
+        if name in _GRID_ONLY or params.get("engine") == "grid":
+            _require(dim <= 2, "grid experiments are limited to d <= 2",
+                     f"{path}.{'name' if name in _GRID_ONLY else 'engine'}")
         if "rate_bounds" in params:
             ps = {f"{float(p):g}" for p in params["ps"]}
             for key in params["rate_bounds"]:
@@ -327,20 +336,10 @@ def build_field(field_spec: dict):
 # ---------------------------------------------------------------------------
 
 
-class _built_once(cached_property):
-    """``functools.cached_property`` whose build holds its attribute's lock, as
-    before Python 3.12, so threads that ask at once build the value once; it is
-    cached in the instance ``__dict__``, where assignment can also put one."""
-
-    def __init__(self, func):
-        super().__init__(func)
-        self.build_lock = threading.RLock()
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        with self.build_lock:
-            return super().__get__(instance, owner)
+def _built_once(build):
+    """A read-only member that ``build`` makes once per context, also under ``--jobs``."""
+    return property(lambda ctx: ctx._memo.get(build.__name__, lambda: build(ctx)),
+                    doc=build.__doc__)
 
 
 @dataclass
@@ -350,6 +349,7 @@ class RunContext:
 
     doc: dict
     seed: int
+    _memo: Once = dataclass_field(default_factory=Once, init=False, repr=False, compare=False)
 
     def config_hash(self) -> str:
         """Digest of everything that determines the numbers in a report."""

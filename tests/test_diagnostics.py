@@ -193,21 +193,24 @@ class TestRateEquivalence:
 
 
 def test_exact_engine_integrates_each_period_once(ou_model, battery1, monkeypatch):
-    """Construction solves phase 0's period map, and a profile over horizons
-    1..8 composes one solve per increment: 1 and 8 periods integrated."""
-    periods = []
+    """Construction solves phase 0's period map; a profile over horizons 1..8
+    from phase 0 reads that law and integrates no further period, and each
+    distinct (phase, length) is integrated once."""
+    spans = []
     transition = ou._transition_ode
 
     def counted(model, t, s, tol):
-        periods.append((t - s) / model.period)
+        spans.append((s, t - s))
         return transition(model, t, s, tol)
 
     monkeypatch.setattr(ou, "_transition_ode", counted)
     engine = eng.OUExactEngine(ou_model)
-    assert sum(periods) == pytest.approx(1.0)
-    periods.clear()
+    assert spans == [(0.0, 1.0)]
     engine.transfer_profile(battery1[:2], 0.0, range(1, 9), gradients=True)
-    assert sum(periods) == pytest.approx(8.0)
+    assert spans == [(0.0, 1.0)]
+    # mu_0.25, then increments from phases 0.25, 0.75, 0.25 (read) and 0.75
+    engine.transfer_profile(battery1[:2], 0.25, [0.5, 1.0, 1.5, 2.5], gradients=True)
+    assert spans == [(0.0, 1.0), (0.25, 1.0), (0.25, 0.5), (0.75, 0.5), (0.75, 1.0)]
 
 
 @pytest.mark.parametrize("kind", ["ou-exact", "grid", "montecarlo"])

@@ -364,10 +364,10 @@ class TestParitySplit:
         a_part = sp.block_diag([gr.spatial_operator(ROTATING_OU, s, g) for s in g.slice_times()])
         d_time = sp.kron(gr.time_derivative_matrix(17, 1.0), sp.identity(m))
         # the coarse rotating stencil has no positive Perron vector, so the
-        # generator is assembled here with a placeholder mass
+        # generator is assembled here with a placeholder mass and no LU
         mat = (a_part + d_time).tocsr()
         gen = gr.DiscreteGenerator(g, mat, np.full(mat.shape[0], 1.0 / mat.shape[0]),
-                                   "spectral", 0.0)
+                                   "spectral", 0.0, None)
         blocks = recorded_eigvals(monkeypatch, solve=False)
         assert len(gen.dense_eigenvalues) == gen.size
         assert [b.shape[0] for b in blocks] == [17 * ((m + 1) // 2), 17 * (m // 2)]

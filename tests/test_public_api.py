@@ -89,6 +89,18 @@ def test_every_public_function_has_a_caller_in_src():
     assert uncalled_public_functions() == sorted(UNCALLED_BY_DESIGN)
 
 
+def test_only_the_memo_module_imports_threading():
+    """Every value the lab keeps for concurrent callers goes through ``once.Once``."""
+    importers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "threading" for name in names):
+                importers.add(path.stem)
+    assert importers == {"once"}
+
+
 def test_readme_library_sketch_runs():
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library sketch", 1)[1]

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from periodiclab import cli
 from periodiclab import engines as eng
 from periodiclab import grid as gr
+from periodiclab import hypotheses as hyp
 from periodiclab import montecarlo as mc
 from periodiclab import ougaussian as ou
 from periodiclab import scenarios as sc
@@ -37,6 +38,8 @@ TINY = {
         {"name": "poincare", "n_phases": 4},
     ],
 }
+
+OU3D = {"kind": "ou", "dim": 3, "a0": [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]}
 
 
 class TestValidation:
@@ -437,6 +440,32 @@ class TestCli:
         assert cli.main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
         assert f"configuration error: {path}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment, path", [
+        ({"name": "spectrum"}, "$.experiments[0].name"),
+        ({"name": "decay", "engine": "grid"}, "$.experiments[0].engine"),
+    ])
+    def test_grid_experiment_on_3d_field_exits_2(self, tmp_path, capsys, experiment, path):
+        doc = json.loads(json.dumps(sc.load_scenario("ou1d")))
+        doc["field"] = OU3D
+        doc["experiments"] = [experiment]
+        scenario = tmp_path / "ou3d.json"
+        scenario.write_text(json.dumps(doc))
+        assert cli.main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        assert f"configuration error: {path}: grid experiments are limited to d <= 2" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", [
+        {"name": "decay", "engine": "ou-exact"},
+        {"name": "rate-equivalence"},          # the engine resolves to ou-exact on ou
+    ])
+    def test_exact_engine_on_3d_field_fails_validation(self, experiment):
+        # validation only: a run would need ~1 TB of quadrature points per horizon
+        doc = json.loads(json.dumps(sc.load_scenario("ou1d")))
+        doc["field"] = OU3D
+        doc["experiments"] = [experiment]
+        with pytest.raises(ConfigError, match=r"\$\.experiments\[0\]\.engine: the exact engine"):
+            sc.validate_scenario(doc)
+
     @pytest.mark.parametrize("value", [["decay"], {"decay": 1}])
     @pytest.mark.parametrize("where, path", [
         (("field", "kind"), "$.field.kind"),
@@ -553,21 +582,21 @@ class TestRun:
                 (tmp_path / "serial" / name).read_bytes(), name
 
     @pytest.mark.parametrize("naive_multiple, passed", [(5.0, True), (6.0, False)])
-    def test_moment_bound_slack_uses_pair_units(self, naive_multiple, passed):
+    def test_moment_bound_slack_uses_pair_units(self, naive_multiple, passed, monkeypatch):
         # exact mirror pairs (x, -x): 1 + |x|^2 has one independent value per
         # pair, so its stderr is about sqrt(2) times the per-particle one
         ctx = sc.RunContext(doc=sc.validate_scenario(json.loads(json.dumps(TINY))), seed=7)
         half = np.random.default_rng(4).standard_normal((750, 1))
         ens = mc.ParticleEnsemble(0.0, np.concatenate([half, -half]))
-        ctx.engine("montecarlo")._phase_cache[0.0] = ens
+        monkeypatch.setattr(mc, "sample_periodic_measure", lambda *args, **kwargs: ens)
         v = 1.0 + ens.positions[:, 0] ** 2
         naive = v.std(ddof=1) / np.sqrt(len(v))
         paired = mc.mean_and_stderr(v, True, len(v))[1]
         assert 5.0 * naive < 4.0 * paired < 6.0 * naive
-        report = ctx.hypothesis_report
+        report = hyp.check_hypotheses(ctx.field, ctx.plan)
         bound = v.mean() - naive_multiple * naive
-        ctx.hypothesis_report = dataclasses.replace(report, lyapunov=dataclasses.replace(
-            report.lyapunov, a=bound - 1.0, c=1.0))
+        monkeypatch.setattr(hyp, "check_hypotheses", lambda field, plan: dataclasses.replace(
+            report, lyapunov=dataclasses.replace(report.lyapunov, a=bound - 1.0, c=1.0)))
         result = sc._run_hypothesis_check(ctx, {"moment_phases": 1})
         assert next(c["passed"] for c in result.checks if c["rule"] == "moment-bound") is passed
 
@@ -704,24 +733,22 @@ def test_failed_monodromy_eigensolve_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_singular_solvability_lu_exits_3(tmp_path, capsys, monkeypatch):
-    """An exactly singular LU in the solvability check is a numerical failure
-    (exit 3), not a traceback."""
+    """An exactly singular generator is a numerical failure (exit 3), not a
+    traceback: its one LU, factored at build and read by the solvability
+    check, meets the singular matrix."""
     splu, real_factors = gr.spla.splu, []
 
-    def singular_after_build(mat):
-        # the generator's own Perron solve factors G^T first; every later real
-        # factorization (the solvability LU of G) meets a singular matrix
+    def singular(mat):
         if mat.dtype.kind == "f":
-            if real_factors:
-                raise RuntimeError("Factor is exactly singular")
             real_factors.append(mat.shape)
+            raise RuntimeError("Factor is exactly singular")
         return splu(mat)
 
     path = grid_only_ou1d(tmp_path, {"name": "spectrum", "solvability": True})
-    monkeypatch.setattr(gr.spla, "splu", singular_after_build)
+    monkeypatch.setattr(gr.spla, "splu", singular)
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     assert real_factors == [(31 * 17, 31 * 17)]
-    assert "solvability LU of the generator: Factor is exactly singular" in capsys.readouterr().err
+    assert "LU of the generator: Factor is exactly singular" in capsys.readouterr().err
 
 
 def test_refused_rate_equivalence_fit_is_a_failed_check(tmp_path, capsys):
@@ -756,18 +783,22 @@ def test_refused_rate_equivalence_fit_is_a_failed_check(tmp_path, capsys):
     assert "[FAIL] rate-equivalence/rate-equivalence: fit refused" in capsys.readouterr().out
 
 
-def test_solvability_check_fails_when_rho_is_not_invariant():
+def test_solvability_check_fails_when_rho_is_not_invariant(monkeypatch):
     """A perturbed mass vector puts mean-zero data on the near-null direction;
     the dichotomy on solution norms sees it."""
+    build = gr.build_generator
     for sid in ("ou1d", "grad1d"):
         doc = json.loads(json.dumps(sc.load_scenario(sid)))
         doc["grid"].update(points_per_axis=31, time_slices=17)
         verdicts = []
         for scale in (0.0, 0.2):
+            def perturbed(*args, scale=scale):
+                gen = build(*args)
+                rho = gen.rho * (1.0 + scale * np.sin(np.arange(gen.size)))
+                return dataclasses.replace(gen, rho=rho / rho.sum())
+
+            monkeypatch.setattr(gr, "build_generator", perturbed)
             ctx = sc.RunContext(doc=doc, seed=1)
-            gen = ctx.generator
-            rho = gen.rho * (1.0 + scale * np.sin(np.arange(gen.size)))
-            ctx.__dict__["generator"] = dataclasses.replace(gen, rho=rho / rho.sum())
             spec = {**sc._defaults(sc._EXPERIMENTS["spectrum"]), "solvability": True}
             result = sc._run_spectrum(ctx, spec)
             verdicts += [c["passed"] for c in result.checks

@@ -122,7 +122,9 @@ class GridFunction:
 def spatial_operator(field: PeriodicCoefficientField, t: float, grid: SpaceTimeGrid) -> sp.csr_matrix:
     """Second-order FD discretization of L(t) with hybrid upwinding.
 
-    Interior row sums vanish exactly (diagonals are assembled as the negative
+    Along each axis the first-order term is centred while ``|b| h / (2 q) <= 1``,
+    where both central couplings ``q/h^2 -+ b/(2h)`` are nonnegative, and
+    upwinded beyond, where one of them would turn negative.  Interior row sums vanish exactly (diagonals are assembled as the negative
     sum of the off-diagonal couplings), so constants are annihilated away
     from the Dirichlet boundary.
     """
@@ -149,7 +151,7 @@ def spatial_operator(field: PeriodicCoefficientField, t: float, grid: SpaceTimeG
         qa = q[:, axis, axis]
         ba = b[:, axis]
         pe = np.abs(ba) * h / (2.0 * qa)
-        central = pe <= 2.0
+        central = pe <= 1.0
         conv_low = np.where(central, -ba / (2.0 * h), np.where(ba < 0.0, -ba / h, 0.0))
         conv_up = np.where(central, ba / (2.0 * h), np.where(ba > 0.0, ba / h, 0.0))
         lower = qa / h**2 + conv_low

@@ -10,6 +10,7 @@ from periodiclab import engines as eng
 from periodiclab import fields as fl
 from periodiclab import grid as gr
 from periodiclab import ougaussian as ou
+from periodiclab import scenarios as sc
 from periodiclab.errors import EigSolverFailure, PerronFailure
 
 HEAT = fl.polynomial_field(1, 1.0, q_const=0.5, name="heat")
@@ -93,6 +94,22 @@ def test_axis_is_point_symmetric(n, half_width):
     assert np.array_equal(ax, -ax[::-1])
     assert np.allclose(ax, -half_width + np.arange(1, n + 1) * 2 * half_width / (n + 1),
                        rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("points", [41, 63])     # benchmark and shipped sizes
+@pytest.mark.parametrize("sid", ["ou1d", "grad1d"])
+def test_spatial_couplings_are_nonnegative(sid, points):
+    """Every off-diagonal of the spatial operator is >= 0 on each slice of a
+    builtin grid: the convection switch upwinds before a central coupling
+    turns negative."""
+    doc = sc.load_scenario(sid)
+    field, _ = sc.build_field(doc["field"])
+    g = gr.SpaceTimeGrid(half_width=doc["grid"]["half_width"], points_per_axis=points,
+                         time_slices=doc["grid"]["time_slices"], period=field.period)
+    for s in g.slice_times():
+        couplings = gr.spatial_operator(field, s, g).tocoo()
+        off = couplings.row != couplings.col
+        assert couplings.data[off].min() >= 0.0, f"negative coupling at s = {s}"
 
 
 class TestTimeDerivative:

@@ -8,6 +8,7 @@ spectral-gap and spectral-mapping checks, and Poincare / entropy inequality
 residuals.
 """
 
+from .blas import pin_openblas_threads
 from .errors import (
     Blowup,
     ConfigError,
@@ -58,3 +59,6 @@ from .ougaussian import (
 )
 
 __version__ = "0.1.0"
+
+# after every import above, so numpy's and scipy's OpenBLAS are both mapped
+pin_openblas_threads()

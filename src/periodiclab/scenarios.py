@@ -786,7 +786,9 @@ class _ComplexEncoder(json.JSONEncoder):
 def run_scenario(doc: dict, out_dir: str | Path, jobs: int = 1,
                  overrides: dict | None = None) -> dict:
     """Execute every experiment of a scenario, validated with the overrides
-    applied; returns the summary."""
+    applied; returns the summary.  ``jobs`` below 1 is a :class:`ConfigError`."""
+    if jobs < 1:
+        raise ConfigError(f"must be at least 1, got {jobs}", "--jobs")
     overrides = overrides or {}
     if overrides:
         doc = json.loads(json.dumps(doc))  # deep copy before mutating

@@ -1,9 +1,11 @@
 """Finite-difference engine: stepping oracles, generator, spectrum, projections."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from periodiclab import engines as eng
@@ -278,17 +280,18 @@ class TestDenseSolvedOnce:
         return gr.build_generator(ou_field, g, "spectral")
 
     def test_two_reports_one_solve(self, ou_field, monkeypatch):
-        eigvals, solves = gr.scipy.linalg.eigvals, []
+        eigvals, solves = np.linalg.eigvals, []
 
         def counted(a):
             solves.append(a.shape)
             return eigvals(a)
 
-        monkeypatch.setattr(gr.scipy.linalg, "eigvals", counted)
+        monkeypatch.setattr(gr.np.linalg, "eigvals", counted)
         gen = self.small_generator(ou_field)
         asks = [{"k": 40}, {"k": 6, "cluster_tol": 1e-2, "with_residuals": True}]
         reports = [gr.spectrum(gen, **kwargs) for kwargs in asks]
-        assert solves == [(16 * 17, 16 * 17), (15 * 17, 15 * 17)]  # the even and odd blocks
+        # the odd and even blocks, solved side by side, so in either order
+        assert sorted(solves) == [(15 * 17, 15 * 17), (16 * 17, 16 * 17)]
         for report, kwargs in zip(reports, asks):
             fresh = gr.spectrum(self.small_generator(ou_field), **kwargs)
             assert report.to_jsonable() == fresh.to_jsonable()
@@ -305,24 +308,41 @@ class TestDenseSolvedOnce:
 
         gen = self.small_generator(ou_field)
         with monkeypatch.context() as patch:
-            patch.setattr(gr.scipy.linalg, "eigvals", failing)
+            patch.setattr(gr.np.linalg, "eigvals", failing)
             for _ in range(2):
                 with pytest.raises(EigSolverFailure, match="did not converge"):
                     gr.spectrum(gen)
-        assert len(solves) == 2
+        # both blocks start together, so each request fails in both
+        assert sorted(solves) == 2 * [(15 * 17, 15 * 17)] + 2 * [(16 * 17, 16 * 17)]
         assert gr.spectrum(gen).method == "dense"
+
+    def test_blocks_are_solved_side_by_side(self, ou_field, monkeypatch):
+        """Each block's solve waits at a barrier for the other's: solved one
+        after the other, the first would break the barrier and the request
+        would raise."""
+        gen = self.small_generator(ou_field)
+        eigvals, both = np.linalg.eigvals, threading.Barrier(2, timeout=5.0)
+
+        def paired(a):
+            both.wait()
+            return eigvals(a)
+
+        # whichever of the two eigensolvers the grid calls
+        monkeypatch.setattr(gr.np.linalg, "eigvals", paired)
+        monkeypatch.setattr(scipy.linalg, "eigvals", paired)
+        assert len(gen.dense_eigenvalues) == gen.size
 
 
 def recorded_eigvals(monkeypatch, solve=True):
-    """Record each array ``scipy.linalg.eigvals`` is given in the grid module;
-    without ``solve`` return zeros in place of its eigenvalues."""
-    eigvals, inputs = gr.scipy.linalg.eigvals, []
+    """Record each array ``np.linalg.eigvals`` is given, in the order the
+    calls arrive; without ``solve`` return zeros in place of its eigenvalues."""
+    eigvals, inputs = np.linalg.eigvals, []
 
     def recorded(a):
         inputs.append(a)
         return eigvals(a) if solve else np.zeros(len(a), dtype=complex)
 
-    monkeypatch.setattr(gr.scipy.linalg, "eigvals", recorded)
+    monkeypatch.setattr(gr.np.linalg, "eigvals", recorded)
     return inputs
 
 
@@ -344,7 +364,8 @@ class TestParitySplit:
         with monkeypatch.context() as patch:
             inputs = recorded_eigvals(patch)
             split = gr.spectrum(gr.build_generator(field, g, "spectral"), k=40)
-        assert [a.shape for a in inputs] == [(17 * ((n + 1) // 2),) * 2, (17 * (n // 2),) * 2]
+        assert sorted(a.shape for a in inputs) == [(17 * (n // 2),) * 2,
+                                                   (17 * ((n + 1) // 2),) * 2]
         with monkeypatch.context() as patch:
             patch.setattr(gr, "_parity_blocks", lambda *args: None)
             inputs = recorded_eigvals(patch)
@@ -387,9 +408,10 @@ class TestParitySplit:
                                    "spectral", 0.0, None)
         blocks = recorded_eigvals(monkeypatch, solve=False)
         assert len(gen.dense_eigenvalues) == gen.size
-        assert [b.shape[0] for b in blocks] == [17 * ((m + 1) // 2), 17 * (m // 2)]
+        assert sorted(b.shape[0] for b in blocks) == [17 * (m // 2), 17 * ((m + 1) // 2)]
         assert sum(b.shape[0] for b in blocks) == gen.size
-        for sign, block in zip((1.0, -1.0), blocks):
+
+        def basis(sign):
             rows, cols, vals = [], [], []
             for t in range(17):
                 for k in range((m + 1) // 2 if sign > 0 else m // 2):
@@ -401,8 +423,16 @@ class TestParitySplit:
                         rows.append(t * m + m - 1 - k)
                         cols.append(col)
                         vals.append(sign)
-            basis = sp.csr_matrix((vals, (rows, cols)), shape=(gen.size, len(block)))
-            assert (mat @ basis != basis @ sp.csr_matrix(block)).nnz == 0
+            width = 17 * ((m + 1) // 2 if sign > 0 else m // 2)
+            return sp.csr_matrix((vals, (rows, cols)), shape=(gen.size, width))
+
+        # the blocks arrive in either order: each intertwines with exactly one
+        # basis, and each basis with one of them
+        bases = {sign: basis(sign) for sign in (1.0, -1.0)}
+        matched = sorted([sign for sign, p in bases.items() if p.shape[1] == len(block)
+                          and (mat @ p != p @ sp.csr_matrix(block)).nnz == 0]
+                         for block in blocks)
+        assert matched == [[-1.0], [1.0]]
 
 
 class TestSpectralMapping:

@@ -408,6 +408,12 @@ class TestCli:
         assert cli.main(["describe", "nope"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_a_config_error(self, tmp_path, capsys, jobs):
+        assert cli.main(["run", "ou1d", "--out", str(tmp_path), "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "ou1d").exists()
+
     def test_bad_override_is_a_config_error(self, tmp_path, capsys):
         argv = ["run", "ou1d", "--out", str(tmp_path), "--particles", "50"]
         assert cli.main(argv) == 2
@@ -684,14 +690,15 @@ def test_jobs_solve_the_dense_spectrum_once(tmp_path, monkeypatch):
     """ou1d's spectrum and spectral-mapping on two workers share one dense
     eigensolve of the generator (one LAPACK call per parity block), and give
     the bytes of a serial run."""
-    eigvals, solves = gr.scipy.linalg.eigvals, []
+    eigvals, solves = np.linalg.eigvals, []
 
     def slow_eigvals(a):
-        solves.append(a.shape)
-        time.sleep(0.2)    # holds the solve open while the other worker asks
+        if len(a) > 31:    # a generator block, not a one-period map of 31 or 1 rows
+            solves.append(a.shape)
+            time.sleep(0.2)    # holds the solve open while the other worker asks
         return eigvals(a)
 
-    monkeypatch.setattr(gr.scipy.linalg, "eigvals", slow_eigvals)
+    monkeypatch.setattr(gr.np.linalg, "eigvals", slow_eigvals)
     doc = json.loads(json.dumps(sc.load_scenario("ou1d")))
     doc["grid"] = {"half_width": 4.5, "points_per_axis": 31, "time_slices": 17,
                    "time_scheme": "spectral", "substeps": 1}
@@ -700,7 +707,8 @@ def test_jobs_solve_the_dense_spectrum_once(tmp_path, monkeypatch):
                           for spec in doc["experiments"]
                           if spec["name"] in ("spectrum", "spectral-mapping")]
     sc.run_scenario(doc, tmp_path / "par", jobs=2)
-    assert solves == [(16 * 17, 16 * 17), (15 * 17, 15 * 17)]  # the even and odd blocks
+    # the odd and even blocks, solved side by side, so in either order
+    assert sorted(solves) == [(15 * 17, 15 * 17), (16 * 17, 16 * 17)]
     sc.run_scenario(doc, tmp_path / "serial", jobs=1)
     assert len(solves) == 4
     names = sorted(p.name for p in (tmp_path / "serial").iterdir())
@@ -723,7 +731,11 @@ def grid_only_ou1d(tmp_path, experiment: dict) -> Path:
 def test_failed_monodromy_eigensolve_exits_3(tmp_path, capsys, monkeypatch):
     """A LAPACK failure on the one-period map is a numerical failure (exit 3),
     not a traceback."""
+    eigvals = np.linalg.eigvals
+
     def failing(a):
+        if len(a) != 31:    # the generator's blocks solve; the 31-node map fails
+            return eigvals(a)
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     path = grid_only_ou1d(tmp_path, {"name": "spectral-mapping"})

@@ -21,9 +21,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a scenario file or builtin id")
     run_p.add_argument("scenario", help="path to a scenario JSON file or a builtin id")
-    run_p.add_argument("--jobs", type=int, default=1, help="concurrent experiments, at least 1; BLAS stays at one "
-                       "thread per lab thread, and the dense spectrum solves its "
-                       "two parity blocks on two threads whatever this is")
+    run_p.add_argument("--jobs", type=int, default=1,
+                       help="concurrent experiments, at least 1; BLAS runs one thread per "
+                            "lab thread, and the dense spectrum solves its two parity "
+                            "blocks on two threads whatever this is")
     run_p.add_argument("--out", default=None, help="output directory root")
     run_p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     run_p.add_argument("--particles", type=int, default=None, help="override particle count")

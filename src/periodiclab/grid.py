@@ -127,9 +127,10 @@ def spatial_operator(field: PeriodicCoefficientField, t: float, grid: SpaceTimeG
 
     Along each axis the first-order term is centred while ``|b| h / (2 q) <= 1``,
     where both central couplings ``q/h^2 -+ b/(2h)`` are nonnegative, and
-    upwinded beyond, where one of them would turn negative.  Interior row sums vanish exactly (diagonals are assembled as the negative
-    sum of the off-diagonal couplings), so constants are annihilated away
-    from the Dirichlet boundary.
+    upwinded beyond, where one of them would turn negative.  Interior row
+    sums vanish exactly (diagonals are assembled as the negative sum of the
+    off-diagonal couplings), so constants are annihilated away from the
+    Dirichlet boundary.
     """
     n = grid.points_per_axis
     d = grid.dim

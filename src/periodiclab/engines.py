@@ -197,30 +197,28 @@ class OUExactEngine:
         """Transport by the exact Gaussian law from s, one system law per horizon increment.
 
         Each horizon's law (U, S, m) is the previous one composed with the
-        law over the increment: U <- U_inc U, S <- U_inc S U_inc^T + S_inc,
-        m <- U_inc m + m_inc.
+        law over the increment.
         """
         horizons = np.asarray(sorted(horizons), dtype=float)
         pts, w = self.phase_nodes(s)
         z, zw = self._z, self._weights
         d = self.model.dim
-        u_mat, sig, shift = np.eye(d), np.zeros((d, d)), np.zeros(d)
+        law = np.eye(d), np.zeros((d, d)), np.zeros(d)
         t_prev = s
         values = {phi.fid: [] for phi in phis}
         grads = {phi.fid: [] for phi in phis} if gradients else {}
         for tau in horizons:
             t = s + tau
-            u_inc, s_inc, m_inc = self.system.law(t_prev, t)
-            u_mat, sig, shift = u_inc @ u_mat, u_inc @ sig @ u_inc.T + s_inc, u_inc @ shift + m_inc
+            law = ou.compose_laws(law, self.system.law(t_prev, t))
             t_prev = t
-            flat = ou.transition_cloud(pts, u_mat, sig, shift, z).reshape(-1, d)
+            flat = ou.transition_cloud(pts, *law, z).reshape(-1, d)
             for phi in phis:
                 vals = np.asarray(phi(flat)).reshape(len(zw), len(pts))
                 values[phi.fid].append((zw @ vals, np.zeros(len(pts))))
                 if gradients:
                     gv = np.asarray(phi.grad_at(flat)).reshape(len(zw), len(pts), -1)
                     inner = np.einsum("q,qmd->md", zw, gv)
-                    grads[phi.fid].append((inner @ u_mat, np.zeros(len(pts))))
+                    grads[phi.fid].append((inner @ law[0], np.zeros(len(pts))))
         return TransferProfile(horizons, w, values, grads)
 
 

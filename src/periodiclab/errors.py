@@ -40,7 +40,8 @@ class MissingGradient(LabError):
 
 
 class IntegratorFailure(LabError):
-    """Adaptive ODE/quadrature step control collapsed."""
+    """A transition law could not be solved: a model coefficient turned
+    non-finite, or collocation did not converge on the interval."""
 
 
 class NotDissipative(LabError):

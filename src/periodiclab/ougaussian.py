@@ -6,14 +6,19 @@ transition law started at (s, x) is Gaussian,
     N( U(t,s) x + m(t,s),  S(t,s) ),
 
 where U solves dU/dt = A(t) U, U(s,s) = I, and the shift and covariance solve
-the companion linear equations.  Everything downstream (the periodic
-measures, and transition expectations by Gauss-Hermite quadrature over
-``transition_cloud``) is built from adaptive high-order ODE solves; the data
-are T-periodic, so ``PeriodicGaussianSystem`` solves one per canonical phase
-of s and length t - s.  The periodic system of measures is exact at every
-phase: mu_s is the fixed point of the one-period map from s, plus a discrete
-Lyapunov equation, with no interpolation.  So this module serves as the
-reference oracle against which the stochastic and grid engines are validated.
+the companion linear equations.  The three are one linear system, solved
+without iteration by Chebyshev-Lobatto collocation: one dense solve on 16,
+32, ... nodes until two in a row agree to the tolerance, with the interval
+halved when that would outgrow a dense solve.  Everything downstream (the
+periodic measures, and transition expectations by Gauss-Hermite quadrature
+over ``transition_cloud``) is built from these laws; the data are
+T-periodic, so ``PeriodicGaussianSystem`` solves one per canonical phase of s
+and length t - s up to one period, and raises the one-period law to the
+number of whole periods by squaring, so a law's cost grows like the log of
+its length.  The periodic system of measures is exact at every phase: mu_s
+is the fixed point of the one-period map from s, plus a discrete Lyapunov
+equation, with no interpolation.  So this module serves as the reference
+oracle against which the stochastic and grid engines are validated.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import solve_discrete_lyapunov
 
 from .errors import DimensionTooLarge, IntegratorFailure, NotDissipative
@@ -30,6 +34,8 @@ from .fields import PeriodicCoefficientField
 from .once import Once
 
 DEFAULT_TOL = 1e-10
+_MAX_UNKNOWNS = 2000     # of one dense collocation system
+_MAX_SPLITS = 12         # halvings of a law's interval before it counts as unresolved
 
 
 @dataclass(frozen=True)
@@ -132,34 +138,109 @@ class GaussianMeasure:
         return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 
+def _chebyshev(n: int):
+    """Chebyshev-Lobatto points cos(pi j / n), j = 0..n, and their differentiation
+    matrix (Trefethen, Spectral Methods in MATLAB, SIAM 2000, ``cheb.m``), with
+    the node differences taken as products of sines, which keeps them accurate
+    where two nodes crowd together at large n."""
+    j = np.arange(n + 1)
+    x = np.cos(np.pi * j / n)
+    c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
+    half = 0.5 * np.pi / n
+    dx = -2.0 * np.sin((j[:, None] + j) * half) * np.sin((j[:, None] - j) * half)
+    diff = np.outer(c, 1.0 / c) / (dx + np.eye(n + 1))
+    return x, diff - np.diag(diff.sum(axis=1))
+
+
+def _collocate(model: OUModel, s: float, t: float, n: int) -> np.ndarray:
+    """(vec U, vec S, m) at t from one collocation solve on n + 1 nodes of [s, t].
+
+    The stacked state y obeys y' = L(r) y + g(r), block by block U' = A U,
+    S' = A S + S A^T + B B^T and m' = A m + f, with U and S raveled row-major.
+    Its equations at the nodes, with those of the first node (r = s) replaced
+    by the initial condition U = I, S = 0, m = 0, are one dense linear system.
+    """
+    d, dd = model.dim, model.dim * model.dim
+    size = 2 * dd + d
+    x, diff = _chebyshev(n)
+    nodes = s + 0.5 * (t - s) * (1.0 - x)           # nodes[0] = s, nodes[n] = t
+    a = np.array([model.A(r) for r in nodes], dtype=float).reshape(n + 1, d, d)
+    b = np.array([model.B(r) for r in nodes], dtype=float).reshape(n + 1, d, d)
+    f = np.array([model.forcing(r) for r in nodes], dtype=float).reshape(n + 1, d)
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(f).all()):
+        raise IntegratorFailure(f"non-finite model coefficient on [{s}, {t}]")
+    eye = np.eye(d)
+    a_left = np.einsum("nil,km->niklm", a, eye).reshape(n + 1, dd, dd)   # vec(A X)
+    a_right = np.einsum("il,nkm->niklm", eye, a).reshape(n + 1, dd, dd)  # vec(X A^T)
+    op = np.zeros((n + 1, size, size))
+    op[:, :dd, :dd] = a_left
+    op[:, dd:2 * dd, dd:2 * dd] = a_left + a_right
+    op[:, 2 * dd:, 2 * dd:] = a
+    rhs = np.concatenate([np.zeros((n + 1, dd)), (b @ b.transpose(0, 2, 1)).reshape(n + 1, dd), f],
+                         axis=1)
+    system = np.kron(diff * (-2.0 / (t - s)), np.eye(size))    # d/dr, as x runs from 1 to -1
+    at_node = np.arange(n + 1)
+    system.reshape(n + 1, size, n + 1, size)[at_node, :, at_node, :] -= op
+    system[:size] = np.eye(size, (n + 1) * size)
+    rhs[0] = np.concatenate([eye.ravel(), np.zeros(dd + d)])
+    try:
+        y = np.linalg.solve(system, rhs.ravel())[-size:]
+    except np.linalg.LinAlgError as exc:
+        raise IntegratorFailure(f"singular collocation system on [{s}, {t}]") from exc
+    if not np.isfinite(y).all():
+        raise IntegratorFailure(f"non-finite law on [{s}, {t}]")
+    return y
+
+
+def compose_laws(first, then):
+    """The law over [r0, r2] from the laws over [r0, r1] (first) and [r1, r2] (then):
+    (U2 U1, U2 S1 U2^T + S2, U2 m1 + m2)."""
+    u1, s1, m1 = first
+    u2, s2, m2 = then
+    return u2 @ u1, u2 @ s1 @ u2.T + s2, u2 @ m1 + m2
+
+
+def _law_power(law, k: int):
+    """The law composed with itself k >= 1 times, by repeated squaring: the law
+    over k periods when ``law`` is a one-period law."""
+    power = None
+    while True:
+        if k & 1:
+            power = law if power is None else compose_laws(power, law)
+        k >>= 1
+        if not k:
+            return power
+        law = compose_laws(law, law)
+
+
+def _collocated_law(model: OUModel, s: float, t: float, tol: float, depth: int = 0):
+    """Collocation solves on 16, 32, ... nodes until two in a row agree within
+    tol * max(1, |y|); an interval whose dense system would outgrow
+    ``_MAX_UNKNOWNS`` before that is split in two, at most ``_MAX_SPLITS`` deep."""
+    d, dd = model.dim, model.dim * model.dim
+    size = 2 * dd + d
+    previous, n = None, 16
+    while size * (n + 1) <= _MAX_UNKNOWNS:
+        y = _collocate(model, s, t, n)
+        if previous is not None and np.abs(y - previous).max() <= tol * max(1.0, np.abs(y).max()):
+            return y[:dd].reshape(d, d), y[dd:2 * dd].reshape(d, d), y[2 * dd:]
+        previous, n = y, 2 * n
+    if depth == _MAX_SPLITS:
+        raise IntegratorFailure(f"collocation does not resolve the law on [{s}, {t}]")
+    mid = 0.5 * (s + t)
+    return compose_laws(_collocated_law(model, s, mid, tol, depth + 1),
+                        _collocated_law(model, mid, t, tol, depth + 1))
+
+
 def _transition_ode(model: OUModel, t: float, s: float, tol: float):
-    """One DOP853 solve for (U(t,s), S(t,s), m(t,s)) jointly."""
+    """(U(t,s), S(t,s), m(t,s)) jointly, by Chebyshev collocation on [s, t]."""
     d = model.dim
     if t == s:
         return np.eye(d), np.zeros((d, d)), np.zeros(d)
     if t < s:
         raise ValueError("transition requires t >= s")
-
-    def rhs(r, y):
-        u = y[: d * d].reshape(d, d)
-        sig = y[d * d : 2 * d * d].reshape(d, d)
-        m = y[2 * d * d :]
-        a = np.asarray(model.A(r))
-        bbt = np.asarray(model.B(r))
-        bbt = bbt @ bbt.T
-        du = a @ u
-        dsig = a @ sig + sig @ a.T + bbt
-        dm = a @ m + model.forcing(r)
-        return np.concatenate([du.ravel(), dsig.ravel(), dm])
-
-    y0 = np.concatenate([np.eye(d).ravel(), np.zeros(d * d), np.zeros(d)])
-    sol = solve_ivp(rhs, (s, t), y0, method="DOP853", rtol=tol, atol=tol * 1e-2)
-    if not sol.success:
-        raise IntegratorFailure(f"propagator solve failed on [{s}, {t}]: {sol.message}")
-    y = sol.y[:, -1]
-    u = y[: d * d].reshape(d, d)
-    sig = y[d * d : 2 * d * d].reshape(d, d)
-    return u, 0.5 * (sig + sig.T), y[2 * d * d :]
+    u, sig, m = _collocated_law(model, s, t, tol)
+    return u, 0.5 * (sig + sig.T), m
 
 
 def _floquet_exponent(mono: np.ndarray, period: float) -> float:
@@ -193,9 +274,20 @@ class PeriodicGaussianSystem:
 
     def law(self, s: float, t: float):
         """(U(t,s), S(t,s), m(t,s)), solved once per canonical phase of s and length t - s."""
-        phase, length = s % self.period, t - s
-        return self._memo.get(("law", phase, length), lambda: _transition_ode(
-            self.model, phase + length, phase, self.tol))
+        return self._law(s % self.period, t - s)
+
+    def _law(self, phase: float, length: float):
+        return self._memo.get(("law", phase, length), lambda: self._solve_law(phase, length))
+
+    def _solve_law(self, phase: float, length: float):
+        """A law over at most one period is one solve; a longer one is the
+        one-period law from its phase raised to the number of whole periods by
+        squaring, then composed with the law over the remainder."""
+        periods, rest = divmod(length, self.period)
+        if periods == 0 or length == self.period:
+            return _transition_ode(self.model, phase + length, phase, self.tol)
+        law = _law_power(self._law(phase, self.period), int(periods))
+        return law if rest == 0 else compose_laws(law, self._law(phase, rest))
 
     def measure(self, s: float) -> GaussianMeasure:
         """The invariant law of the one-period map at the canonical phase of s."""

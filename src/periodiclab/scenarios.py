@@ -154,13 +154,16 @@ _SECTIONS = {
              "time_scheme": ("spectral", _choice("time scheme", ("spectral", "upwind"))),
              "substeps": (2, _int(1))},
 }
+# Phase k/n carries forward on RNG stream 1000 + round(4096 k / n): distinct
+# streams for every k only while n <= 4096.
+_PHASE_COUNT = _int(1, high=4096)
 # Each experiment's keys besides "name", as (the value its runner reads when the
 # key is unset, its value rule).  A None engine or window is resolved from the
 # other values: the rate-equivalence engine by field kind, the fit window as
 # [1, max(horizons)].  A None gap_cap means no gap check.  Gradient horizons
 # start at 1, since gradient envelopes start at unit separation.
 _EXPERIMENTS = {
-    "hypothesis-check": {"moment_phases": (8, _int(1))},
+    "hypothesis-check": {"moment_phases": (8, _PHASE_COUNT)},
     "decay": {"engine": ("montecarlo", _ENGINE), "ps": ([2.0], _list(1)),
               "horizons": ([1, 2, 3, 4, 5, 6, 7, 8], _list(0, above=True)),
               "window": (None, _window), "rate_bounds": ({}, _rate_bounds),
@@ -174,8 +177,8 @@ _EXPERIMENTS = {
     "rate-equivalence": {"engine": (None, _ENGINE), "p": (2.0, _real(2)),
                          "horizons": ([1, 2, 3, 4, 5, 6], _list(1)),
                          "window": (None, _window), "tolerance": (0.1, _POSITIVE)},
-    "poincare": {"n_phases": (8, _int(1))},
-    "logsob": {"ps": ([1.0, 2.0], _list(1)), "n_phases": (8, _int(1))},
+    "poincare": {"n_phases": (8, _PHASE_COUNT)},
+    "logsob": {"ps": ([1.0, 2.0], _list(1)), "n_phases": (8, _PHASE_COUNT)},
     "spectrum": {"k": (40, _int(1)), "cluster_tol": (1e-3, _POSITIVE),
                  "gap_cap": (None, _real(-math.inf)), "refine": (False, _flag),
                  "carre": (False, _flag), "solvability": (False, _flag)},

@@ -1,14 +1,15 @@
 """Reference instruments of the acceptance gate (AC1-AC11) and the unit tests.
 
 These are independent oracles the tests compare the lab against: a point-mass
-Monte Carlo transition estimate, the linear flow U(t, s), the transition
-covariance S(t, s), the Floquet growth bound, the closed-form action on
-exponentials and Gauss-Hermite expectations against a Gaussian measure.  No
+Monte Carlo transition estimate, the Gaussian transition law (U, S, m) by an
+adaptive DOP853 solve, and from it the linear flow U(t, s), the transition
+covariance S(t, s), the Floquet growth bound and the closed-form action on
+exponentials, and Gauss-Hermite expectations against a Gaussian measure.  No
 lab code calls them; the engines reach the same numbers through
 ``engines.OUExactEngine``, ``engines.MonteCarloEngine`` and
-``ougaussian.PeriodicGaussianSystem``.  Their bodies are kept as they were
-when they lived in ``periodiclab``, so that the gate's instruments stay
-bit-identical.
+``ougaussian.PeriodicGaussianSystem``, whose laws come from Chebyshev
+collocation.  Their bodies are kept as they were when they lived in
+``periodiclab``, so that the gate's instruments stay bit-identical.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
+from periodiclab.errors import IntegratorFailure
 from periodiclab.fields import PeriodicCoefficientField
 from periodiclab.montecarlo import ParticleEnsemble, SimConfig, evolve
 from periodiclab.ougaussian import (
@@ -24,7 +27,6 @@ from periodiclab.ougaussian import (
     GaussianMeasure,
     OUModel,
     _floquet_exponent,
-    _transition_ode,
     hermite_nodes,
 )
 
@@ -57,9 +59,39 @@ def estimate_P(
     return float(value), float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
+def dop853_law(model: OUModel, t: float, s: float, tol: float = DEFAULT_TOL):
+    """One DOP853 solve for (U(t,s), S(t,s), m(t,s)) jointly."""
+    d = model.dim
+    if t == s:
+        return np.eye(d), np.zeros((d, d)), np.zeros(d)
+    if t < s:
+        raise ValueError("transition requires t >= s")
+
+    def rhs(r, y):
+        u = y[: d * d].reshape(d, d)
+        sig = y[d * d : 2 * d * d].reshape(d, d)
+        m = y[2 * d * d :]
+        a = np.asarray(model.A(r))
+        bbt = np.asarray(model.B(r))
+        bbt = bbt @ bbt.T
+        du = a @ u
+        dsig = a @ sig + sig @ a.T + bbt
+        dm = a @ m + model.forcing(r)
+        return np.concatenate([du.ravel(), dsig.ravel(), dm])
+
+    y0 = np.concatenate([np.eye(d).ravel(), np.zeros(d * d), np.zeros(d)])
+    sol = solve_ivp(rhs, (s, t), y0, method="DOP853", rtol=tol, atol=tol * 1e-2)
+    if not sol.success:
+        raise IntegratorFailure(f"propagator solve failed on [{s}, {t}]: {sol.message}")
+    y = sol.y[:, -1]
+    u = y[: d * d].reshape(d, d)
+    sig = y[d * d : 2 * d * d].reshape(d, d)
+    return u, 0.5 * (sig + sig.T), y[2 * d * d :]
+
+
 def propagator(model: OUModel, t: float, s: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Linear-flow matrix U(t, s) with dU/dt = A(t) U, U(s, s) = I."""
-    return _transition_ode(model, t, s, tol)[0]
+    return dop853_law(model, t, s, tol)[0]
 
 
 def covariance(model: OUModel, t: float, s: float, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -67,10 +99,10 @@ def covariance(model: OUModel, t: float, s: float, tol: float = DEFAULT_TOL) -> 
 
     Computed as the unique solution of the matrix equation
     dS/dt = A(t) S + S A(t)^T + B(t) B(t)^T, S(s)=0, integrated with the same
-    adaptive tolerance; the quadrature form above is its variation-of-constants
+    DOP853 tolerance; the quadrature form above is its variation-of-constants
     representation and is used as the independent oracle in the test suite.
     """
-    return _transition_ode(model, t, s, tol)[1]
+    return dop853_law(model, t, s, tol)[1]
 
 
 def growth_bound(model: OUModel, tol: float = DEFAULT_TOL) -> float:
@@ -86,7 +118,7 @@ def apply_to_exponential(model: OUModel, h, t: float, s: float, x, tol: float = 
     """
     h = np.atleast_1d(np.asarray(h, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    u, sig, m = _transition_ode(model, t, s, tol)
+    u, sig, m = dop853_law(model, t, s, tol)
     return complex(np.exp(-0.5 * h @ sig @ h + 1j * np.dot(u @ x + m, h)))
 
 

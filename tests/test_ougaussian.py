@@ -1,5 +1,7 @@
 """Exact Gaussian engine against quadrature and closed-form oracles."""
 
+import time
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, quad_vec, solve_ivp
@@ -171,6 +173,56 @@ class TestPeriodicSystem:
             u, _, shift = ou._transition_ode(model, s + 1.0, s, 1e-10)
             mean = system.measure(s).mean
             assert abs(mean - (u[0, 0] * mean + shift[0])) < 1e-8
+
+
+COLLOCATION_MODELS = {
+    "ou1d": dict(dim=1, a0=[[-1.0]], a_sin=[[0.5]], b0=[[1.0]]),
+    "rotating-2d-forced": dict(dim=2, a0=[[-1.0, 1.5], [-1.5, -1.0]], a_sin=[[0.5, 0.0], [0.0, 0.0]],
+                               b0=[[1.0, 0.0], [0.3, 0.8]], f0=[0.2, -0.1], f_sin=[0.3, 0.0],
+                               f_cos=[0.0, 0.4]),
+    "stiff": dict(dim=1, a0=[[-500.0]], a_sin=[[100.0]], b0=[[1.0]], b_sin=[[0.3]], f0=[1.0],
+                  f_cos=[2.0]),
+}
+
+
+class TestCollocation:
+    @pytest.mark.parametrize("name", sorted(COLLOCATION_MODELS))
+    @pytest.mark.parametrize("length", [0.25, 1.0, 2.5])
+    @pytest.mark.parametrize("s", [0.0, 0.3])
+    def test_matches_dop853(self, name, length, s):
+        """(U, S, m) against a DOP853 solve at rtol 1e-12."""
+        model = ou.fourier_matrix_model(period=1.0, **COLLOCATION_MODELS[name])
+        got = ou._transition_ode(model, s + length, s, ou.DEFAULT_TOL)
+        want = ref.dop853_law(model, s + length, s, 1e-12)
+        for x, y in zip(got, want):
+            assert np.all(np.abs(x - y) <= 1e-10 * np.maximum(1.0, np.abs(y)))
+
+
+class TestLongLaws:
+    def test_a_million_periods_in_under_a_second(self, ou_model):
+        system = ou.periodic_system(ou_model)
+        start = time.perf_counter()
+        u, sig, m = system.law(0.0, 1e6 * ou_model.period)
+        assert time.perf_counter() - start < 1.0
+        assert u[0, 0] == 0.0 and m[0] == 0.0
+        assert abs(sig[0, 0] - system.measure(0.0).cov[0, 0]) < 1e-12
+
+    @pytest.mark.parametrize("name", ["ou1d", "rotating-2d-forced"])
+    def test_whole_periods_are_the_period_law_composed(self, name):
+        """The law over k periods plus a remainder, squared up from one period,
+        equals the one-period law composed k times, then the remainder."""
+        model = ou.fourier_matrix_model(period=1.0, **COLLOCATION_MODELS[name])
+        system = ou.periodic_system(model)
+        s = 0.3
+        period = system.law(s, s + 1.0)
+        rest = system.law(s, s + 0.4)
+        composed = period
+        for k in range(2, 10):
+            composed = ou.compose_laws(composed, period)
+            for length, want in ((k, composed), (k + 0.4, ou.compose_laws(composed, rest))):
+                got = system.law(s, s + length)
+                for x, y in zip(got, want):
+                    assert np.all(np.abs(x - y) <= 1e-12 * np.maximum(1.0, np.abs(y))), (k, length)
 
 
 class TestExponentials:

@@ -6,7 +6,10 @@ Every public module-level function in ``src/periodiclab`` is called from
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -99,6 +102,17 @@ def test_only_the_memo_module_imports_threading():
             if any(name.split(".")[0] == "threading" for name in names):
                 importers.add(path.stem)
     assert importers == {"once"}
+
+
+def test_import_loads_only_numpy_scipy_sparse_and_linalg():
+    """A fresh ``import periodiclab`` (and its CLI) loads no ODE solver, optimizer
+    or special functions: each would add set-up time and memory to every run."""
+    probe = ("import sys, periodiclab, periodiclab.cli; print(' '.join(sorted(m for m in "
+             "('scipy.integrate', 'scipy.optimize', 'scipy.special') if m in sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == []
 
 
 def test_readme_library_sketch_runs():

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import inspect
 import json
 import time
@@ -365,6 +366,55 @@ def test_pointwise_samples_stay_below_the_burn_in_streams(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "$.experiments[0].pointwise_samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, key", [("hypothesis-check", "moment_phases"),
+                                       ("poincare", "n_phases"), ("logsob", "n_phases")])
+def test_phase_counts_stay_on_distinct_streams(name, key, tmp_path, capsys):
+    """Phase k/n carries forward on RNG stream 1000 + round(4096 k / n), so 4096
+    phases validate and 4097, which would put two phases on one stream, exit 2
+    at their path."""
+    doc = json.loads(json.dumps(sc.load_scenario("grad1d")))
+    doc["experiments"] = [{"name": name, key: 4096}]
+    sc.validate_scenario(doc)
+    doc["experiments"][0][key] = 4097
+    path = tmp_path / "grad1d.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"$.experiments[0].{key}" in capsys.readouterr().err
+
+
+def test_exact_law_over_a_million_periods_ends(tmp_path):
+    """A decay horizon of a million periods squares the one-period law up
+    instead of integrating each period."""
+    doc = json.loads(json.dumps(sc.load_scenario("ou1d")))
+    doc["experiments"] = [{"name": "decay", "engine": "ou-exact", "horizons": [1, 1e6]}]
+    path = tmp_path / "ou1d.json"
+    path.write_text(json.dumps(doc))
+    start = time.monotonic()
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) in (0, 1)
+    assert time.monotonic() - start < 10.0
+
+
+def test_unresolvable_exact_law_exits_3(tmp_path, monkeypatch, capsys):
+    """An ou coefficient that turns infinite partway through the period ends
+    the exact engine's law solve in IntegratorFailure, a numerical failure."""
+    build = sc._FIELD_BUILDERS["ou"]
+
+    @functools.wraps(build)
+    def poisoned(**kwargs):
+        model = build(**kwargs)
+        return dataclasses.replace(model, A=lambda t: (
+            model.A(t) if t % model.period < 0.5 else np.full((model.dim, model.dim), np.inf)))
+
+    monkeypatch.setitem(sc._FIELD_BUILDERS, "ou", poisoned)
+    doc = json.loads(json.dumps(sc.load_scenario("ou1d")))
+    doc["plan"]["n_times"] = 1    # the hypothesis checker samples t = 0 only
+    doc["experiments"] = [{"name": "decay", "engine": "ou-exact", "horizons": [1, 2, 3, 4, 5]}]
+    path = tmp_path / "ou1d.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "non-finite model coefficient" in capsys.readouterr().err
 
 
 def test_jobs_build_the_generator_once_for_grid_rate_fits(tmp_path, monkeypatch):

@@ -60,5 +60,5 @@ from .ougaussian import (
 
 __version__ = "0.1.0"
 
-# after every import above, so numpy's and scipy's OpenBLAS are both mapped
+# after every import above, so numpy's OpenBLAS is mapped; grid pins scipy's
 pin_openblas_threads()

@@ -4,11 +4,12 @@ OpenBLAS starts a pool of one thread per core.  At the lab's dense sizes
 (parity blocks of a few hundred rows) that pool buys no wall time: it burns
 a second core, makes the reports depend on the core count, and collapses
 when another process shares the cores.  The lab's parallelism is its own
-threads (``--jobs``, and the dense spectrum's two parity blocks), so
-importing ``periodiclab`` sets every OpenBLAS mapped into the process,
-numpy's and scipy's alike, to one thread through that library's own entry
-point.  Where no OpenBLAS is loaded (or ``/proc`` is absent) there is
-nothing to pin.
+threads (``--jobs``, and the dense spectrum's two parity blocks), so each
+OpenBLAS is set to one thread, through that library's own entry point, when
+the lab maps it: importing ``periodiclab`` pins numpy's (and scipy's, if the
+host process already loaded scipy), and importing ``periodiclab.grid``, the
+only module that imports scipy, pins scipy's.  Where no OpenBLAS is loaded
+(or ``/proc`` is absent) there is nothing to pin.
 """
 
 import ctypes

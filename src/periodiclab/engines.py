@@ -38,17 +38,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from . import grid as gridmod
 from . import montecarlo as mc
 from . import ougaussian as ou
 from .errors import QNotXIndependent
 from .fields import PeriodicCoefficientField
 from .hypotheses import LyapunovResult
 from .once import Once
+
+if TYPE_CHECKING:
+    from . import grid as gridmod
 
 
 @dataclass(frozen=True)
@@ -344,6 +346,8 @@ class GridEngine:
         return self.grid.nodes(), self._rho_at(phase)
 
     def transfer_profile(self, phis: Sequence[TestFunction], s: float, horizons, gradients=False):
+        from . import grid as gridmod
+
         horizons = np.asarray(sorted(horizons), dtype=float)
         values = {phi.fid: [] for phi in phis}
         grads = {phi.fid: [] for phi in phis} if gradients else {}

@@ -25,8 +25,13 @@ for bit.  A field with odd drift and even diffusion then assembles to a
 generator that commutes exactly with x -> -x, and its dense spectrum is the
 union of the spectra of its even and odd blocks, each about half the size.
 The two blocks are solved side by side on two threads, whatever ``--jobs``
-is; importing the package leaves each OpenBLAS at one thread (see
-:mod:`periodiclab.blas`), so the eigenvalues do not depend on the core count.
+is; each OpenBLAS runs one thread (see :mod:`periodiclab.blas`), so the
+eigenvalues do not depend on the core count.
+
+This is the only module of the package that imports scipy, and the package
+imports it only when a document first needs a grid object, so a run that
+never touches the grid never loads scipy.  Importing ``scipy.sparse.linalg``
+maps scipy's own OpenBLAS, so this module pins it to one thread right after.
 """
 
 from __future__ import annotations
@@ -39,9 +44,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .blas import pin_openblas_threads
 from .errors import EigSolverFailure, PerronFailure, SingularSystem, SolverDivergence
 from .fields import PeriodicCoefficientField
 from .once import Once
+
+pin_openblas_threads()     # scipy's OpenBLAS is mapped by now
 
 
 @dataclass(frozen=True)

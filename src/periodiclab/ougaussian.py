@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
 from .errors import DimensionTooLarge, IntegratorFailure, NotDissipative
 from .fields import PeriodicCoefficientField
@@ -241,6 +240,14 @@ def _transition_ode(model: OUModel, t: float, s: float, tol: float):
         raise ValueError("transition requires t >= s")
     u, sig, m = _collocated_law(model, s, t, tol)
     return u, 0.5 * (sig + sig.T), m
+
+
+def solve_discrete_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """X with X = A X A^T + Q, by one dense solve of (I - A kron A) vec X = vec Q
+    (vec stacks rows).  At the lab's d <= 3, at most 9 unknowns, this is the
+    method ``scipy.linalg.solve_discrete_lyapunov`` picks too."""
+    lhs = np.eye(a.size) - np.kron(a, a)
+    return np.linalg.solve(lhs, q.flatten()).reshape(q.shape)
 
 
 def _floquet_exponent(mono: np.ndarray, period: float) -> float:

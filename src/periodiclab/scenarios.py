@@ -27,18 +27,21 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import diagnostics as dg
 from . import engines as eng
 from . import fields as fl
-from . import grid as gridmod
 from . import hypotheses as hyp
 from . import montecarlo as mc
 from . import ougaussian as ou
 from .errors import ConfigError
 from .once import Once
+
+if TYPE_CHECKING:
+    from . import grid as gridmod
 
 SCHEMA_VERSION = 1
 
@@ -416,6 +419,8 @@ class RunContext:
 
     def space_time_grid(self) -> gridmod.SpaceTimeGrid:
         """The lattice of the grid section for this field."""
+        from . import grid as gridmod
+
         g = _section(self.doc, "grid")
         return gridmod.SpaceTimeGrid(
             half_width=g["half_width"],
@@ -428,6 +433,8 @@ class RunContext:
     @_built_once
     def generator(self) -> gridmod.DiscreteGenerator:
         """The space-time generator, the one source of the grid for every grid experiment."""
+        from . import grid as gridmod
+
         return gridmod.build_generator(self.field, self.space_time_grid(),
                                        _section(self.doc, "grid")["time_scheme"])
 
@@ -459,12 +466,14 @@ def _fit_check(rule: str, fits: list, verdict) -> dict:
 
 
 def _rate_check(params: dict, rule: str, p: float, fitted, detail: str) -> list:
-    """The ``rate_bounds`` check of exponent p, if it has bounds (null ends open)."""
+    """The ``rate_bounds`` check of exponent p (null ends open); without bounds,
+    a check only if the fit was refused, which fails it."""
     bounds = params["rate_bounds"].get(f"{p:g}")
-    if bounds is None:
+    if bounds is None and fitted.fit is not None:
         return []
-    lo = -math.inf if bounds[0] is None else bounds[0]
-    hi = math.inf if bounds[1] is None else bounds[1]
+    lo, hi = bounds or (None, None)
+    lo = -math.inf if lo is None else lo
+    hi = math.inf if hi is None else hi
     return [_fit_check(f"{rule}-p{p:g}", [fitted], lambda: (
         lo <= fitted.fit.rate <= hi, detail.format(fit=fitted.fit, lo=lo, hi=hi)))]
 
@@ -634,6 +643,8 @@ def _run_logsob(ctx: RunContext, params: dict) -> ExperimentResult:
 
 
 def _run_spectrum(ctx: RunContext, params: dict) -> ExperimentResult:
+    from . import grid as gridmod
+
     gen = ctx.generator
     cluster_tol = params["cluster_tol"]
     report = gridmod.spectrum(gen, k=params["k"], cluster_tol=cluster_tol,
@@ -708,6 +719,8 @@ def _run_spectrum(ctx: RunContext, params: dict) -> ExperimentResult:
 
 
 def _run_spectral_mapping(ctx: RunContext, params: dict) -> ExperimentResult:
+    from . import grid as gridmod
+
     gen = ctx.generator
     report = gridmod.spectrum(gen, k=40)
     result = gridmod.spectral_mapping_check(gen, ctx.field, report,

@@ -4,7 +4,8 @@ These are independent oracles the tests compare the lab against: a point-mass
 Monte Carlo transition estimate, the Gaussian transition law (U, S, m) by an
 adaptive DOP853 solve, and from it the linear flow U(t, s), the transition
 covariance S(t, s), the Floquet growth bound and the closed-form action on
-exponentials, and Gauss-Hermite expectations against a Gaussian measure.  No
+exponentials, Gauss-Hermite expectations against a Gaussian measure, and
+scipy's discrete Lyapunov solve (the oracle of the lab's numpy one).  No
 lab code calls them; the engines reach the same numbers through
 ``engines.OUExactEngine``, ``engines.MonteCarloEngine`` and
 ``ougaussian.PeriodicGaussianSystem``, whose laws come from Chebyshev
@@ -18,6 +19,7 @@ import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import solve_discrete_lyapunov  # noqa: F401  (an oracle)
 
 from periodiclab.errors import IntegratorFailure
 from periodiclab.fields import PeriodicCoefficientField

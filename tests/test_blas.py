@@ -1,12 +1,17 @@
-"""Importing the lab leaves every OpenBLAS in the process at one thread."""
+"""Every OpenBLAS the lab maps into a process runs one thread: numpy's once
+``periodiclab`` is imported, scipy's once ``periodiclab.grid`` (the only module
+that imports scipy) is, and both when the host process loaded scipy first."""
 
 import ctypes
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-import periodiclab  # noqa: F401  (the import is what pins BLAS)
-
+ROOT = Path(__file__).resolve().parents[1]
 GETTERS = [f"{prefix}_get_num_threads{suffix}"
            for prefix in ("openblas", "scipy_openblas") for suffix in ("", "64_")]
 
@@ -22,14 +27,43 @@ def mapped_openblas() -> list:
                    if len(f) == 6 and "openblas" in os.path.basename(f[5])})
 
 
-def test_every_openblas_runs_one_thread():
-    paths = mapped_openblas()
-    if not paths:
-        pytest.skip("no OpenBLAS is mapped into this process")
+def thread_counts() -> dict:
+    """The thread count of each OpenBLAS mapped into this process, by file name."""
     threads = {}
-    for path in paths:
+    for path in mapped_openblas():
         lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
         getter = next(getattr(lib, name) for name in GETTERS if hasattr(lib, name))
         getter.restype = ctypes.c_int
         threads[os.path.basename(path)] = getter()
+    return threads
+
+
+def thread_counts_after(code: str) -> dict:
+    """``thread_counts()`` of a fresh interpreter after it runs ``code``."""
+    probe = f"{code}\nimport json, test_blas\nprint(json.dumps(test_blas.thread_counts()))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def assert_one_thread_each(threads: dict):
+    if not threads:
+        pytest.skip("no OpenBLAS is mapped into the process")
     assert set(threads.values()) == {1}, threads
+
+
+def test_every_openblas_runs_one_thread():
+    import periodiclab.grid  # noqa: F401  (the imports are what pin BLAS)
+
+    assert_one_thread_each(thread_counts())
+
+
+@pytest.mark.parametrize("code", [
+    "import periodiclab",
+    "import periodiclab.grid",
+    "import scipy.sparse.linalg; import periodiclab",
+], ids=["package", "grid", "scipy-first"])
+def test_a_fresh_process_pins_every_openblas_it_maps(code):
+    assert_one_thread_each(thread_counts_after(code))
+

@@ -225,6 +225,28 @@ class TestLongLaws:
                     assert np.all(np.abs(x - y) <= 1e-12 * np.maximum(1.0, np.abs(y))), (k, length)
 
 
+class TestDiscreteLyapunov:
+    """The numpy Kronecker solve against scipy's, to 1e-12 relative."""
+
+    @staticmethod
+    def assert_matches_scipy(a, q):
+        got, want = ou.solve_discrete_lyapunov(a, q), ref.solve_discrete_lyapunov(a, q)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("name", ["ou1d", "rotating-2d-forced"])
+    def test_one_period_maps(self, name):
+        model = ou.fourier_matrix_model(period=1.0, **COLLOCATION_MODELS[name])
+        system = ou.periodic_system(model)
+        for s in (0.0, 0.3):
+            mono, s_per, _ = system.law(s, s + 1.0)
+            self.assert_matches_scipy(mono, s_per)
+
+    def test_stable_3x3(self):
+        a = np.array([[0.5, 0.3, -0.2], [0.1, -0.4, 0.6], [0.0, 0.2, 0.7]])   # spectral radius 0.80
+        b = np.array([[1.0, 0.0, 0.0], [0.4, 0.9, 0.0], [-0.3, 0.2, 0.5]])
+        self.assert_matches_scipy(a, b @ b.T)
+
+
 class TestExponentials:
     def test_zero_frequency(self, ou_model):
         assert ref.apply_to_exponential(ou_model, 0.0, 2.0, 0.0, [1.3]) == 1.0

@@ -2,7 +2,9 @@
 
 Every public module-level function in ``src/periodiclab`` is called from
 ``src/`` outside its own body; the oracles only the tests use live in
-``tests/reference.py``.  The README's library sketch runs as written.
+``tests/reference.py``.  Only ``grid`` imports scipy, and a document that
+needs no grid object never loads it.  The README's library sketch runs as
+written.
 """
 
 import ast
@@ -11,6 +13,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "periodiclab"
@@ -92,27 +96,72 @@ def test_every_public_function_has_a_caller_in_src():
     assert uncalled_public_functions() == sorted(UNCALLED_BY_DESIGN)
 
 
-def test_only_the_memo_module_imports_threading():
-    """Every value the lab keeps for concurrent callers goes through ``once.Once``."""
+def _importers(top: str) -> set:
+    """Modules of the package with an import statement of package ``top``
+    (anywhere in the module, so imports inside functions count too)."""
     importers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                      else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
-            if any(name.split(".")[0] == "threading" for name in names):
+            if any(name.split(".")[0] == top for name in names):
                 importers.add(path.stem)
-    assert importers == {"once"}
+    return importers
 
 
-def test_import_loads_only_numpy_scipy_sparse_and_linalg():
-    """A fresh ``import periodiclab`` (and its CLI) loads no ODE solver, optimizer
-    or special functions: each would add set-up time and memory to every run."""
-    probe = ("import sys, periodiclab, periodiclab.cli; print(' '.join(sorted(m for m in "
-             "('scipy.integrate', 'scipy.optimize', 'scipy.special') if m in sys.modules)))")
+def test_only_the_memo_module_imports_threading():
+    """Every value the lab keeps for concurrent callers goes through ``once.Once``."""
+    assert _importers("threading") == {"once"}
+
+
+def test_only_the_grid_module_imports_scipy():
+    """scipy serves the sparse grid engine alone, so only a document that
+    needs a grid object pays for loading it."""
+    assert _importers("scipy") == {"grid"}
+
+
+def scipy_after(code: str, cwd: Path) -> list:
+    """The scipy modules a fresh interpreter has loaded after running ``code``."""
+    probe = code + ("\nimport sys\nprint(' '.join(sorted("
+                    "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.split() == []
+    out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=cwd, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.splitlines()[-1].split()
+
+
+def reduced(scenario: str, experiments: list) -> str:
+    """Code that runs a builtin scenario at toy sizes with ``experiments``."""
+    return f"""
+from periodiclab import scenarios as sc
+doc = sc.load_scenario({scenario!r})
+doc["sim"] = {{"particles": 200, "dt": 0.02, "horizon_periods": 2, "n_outer": 8,
+              "n_inner": 16, "antithetic": True}}
+doc["plan"] = {{"r_max": 5.0, "n_times": 8, "n_axis": 9, "n_shells": 2, "n_shell_dirs": 2}}
+doc["grid"] = {{"half_width": 4.5, "points_per_axis": 31, "time_slices": 17,
+               "time_scheme": "spectral", "substeps": 1}}
+doc["experiments"] = {experiments!r}
+sc.run_scenario(doc, "out")
+"""
+
+
+@pytest.mark.parametrize("code", [
+    "import periodiclab, periodiclab.cli, periodiclab.scenarios",
+    "from periodiclab import cli; cli.main(['list'])",
+    "from periodiclab import cli; cli.main(['describe', 'gen2d'])",
+    reduced("gen2d", [{"name": "hypothesis-check", "moment_phases": 2},
+                      {"name": "decay", "horizons": [1, 1.25, 1.5, 1.75, 2],
+                       "window": [1, 2], "contraction_gaps": [1]},
+                      {"name": "poincare", "n_phases": 2}]),
+], ids=["import", "list", "describe", "gen2d-run"])
+def test_documents_without_a_grid_load_no_scipy(code, tmp_path):
+    assert scipy_after(code, tmp_path) == []
+
+
+def test_a_grid_experiment_loads_scipy(tmp_path):
+    loaded = scipy_after(reduced("ou1d", [{"name": "spectrum"}]), tmp_path)
+    assert "scipy.sparse.linalg" in loaded
+    assert (tmp_path / "out" / "spectrum.json").exists()
 
 
 def test_readme_library_sketch_runs():

@@ -561,7 +561,11 @@ class TestRun:
 
     def test_summary_cites_rules(self, tiny_run):
         _, summary = tiny_run
-        assert summary["pass"] is True
+        # three horizons cannot hold a rate fit, and the refusal is the one failed check
+        failed = [c for c in summary["checks"] if not c["passed"]]
+        assert failed == [{"rule": "decay-rate-p2", "passed": False, "experiment": "decay",
+                           "detail": "fit refused: window [1.0, 3] selects 3 < 5 points"}]
+        assert summary["pass"] is False
         assert all("rule" in c and "experiment" in c for c in summary["checks"])
         rules = {c["rule"] for c in summary["checks"]}
         assert {"hyp-ellipticity", "moment-bound", "contraction", "invariance"} <= rules
@@ -595,7 +599,7 @@ class TestRun:
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps(TINY))
         monkeypatch.setenv("LAB_DATA_DIR", str(tmp_path / "envroot"))
-        assert cli.main(["run", str(path)]) == 0
+        assert cli.main(["run", str(path)]) == 1     # the refused decay fit
         assert (tmp_path / "envroot" / "tiny" / "summary.json").exists()
         out = capsys.readouterr().out
         assert "checks passed" in out
@@ -843,6 +847,21 @@ def test_refused_rate_equivalence_fit_is_a_failed_check(tmp_path, capsys):
     assert report["omega_fit"] == report["gamma_fit"] == {"refused": refusal}
     assert (out / "rate-equivalence.csv").read_text().splitlines()[1] == ",,,2.0"
     assert "[FAIL] rate-equivalence/rate-equivalence: fit refused" in capsys.readouterr().out
+
+
+def test_refused_decay_fit_without_bounds_is_a_failed_check(tmp_path, capsys):
+    """A decay with no rate bounds and no contraction rows still reports a fit
+    it refused: one failing check, exit 1, never "0/0 checks passed"."""
+    doc = json.loads(json.dumps(sc.load_scenario("ou1d")))
+    doc["experiments"] = [{"name": "decay", "engine": "ou-exact", "horizons": [1, 1e6]}]
+    path = tmp_path / "ou1d.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    summary = json.loads((tmp_path / "out" / "ou1d" / "summary.json").read_text())
+    refusal = "window [1.0, 1000000.0] selects 2 < 5 points"
+    assert summary["checks"] == [{"experiment": "decay", "rule": "decay-rate-p2",
+                                  "passed": False, "detail": f"fit refused: {refusal}"}]
+    assert "0/1 checks passed" in capsys.readouterr().out
 
 
 def test_solvability_check_fails_when_rho_is_not_invariant(monkeypatch):

@@ -5,15 +5,23 @@ OpenBLAS starts a pool of one thread per core.  At the lab's dense sizes
 a second core, makes the reports depend on the core count, and collapses
 when another process shares the cores.  The lab's parallelism is its own
 threads (``--jobs``, and the dense spectrum's two parity blocks), so each
-OpenBLAS is set to one thread, through that library's own entry point, when
-the lab maps it: importing ``periodiclab`` pins numpy's (and scipy's, if the
-host process already loaded scipy), and importing ``periodiclab.grid``, the
-only module that imports scipy, pins scipy's.  Where no OpenBLAS is loaded
-(or ``/proc`` is absent) there is nothing to pin.
+OpenBLAS runs one thread.  Importing this module, the package's first
+import, sets ``OPENBLAS_NUM_THREADS=1`` in the environment: an OpenBLAS
+loaded afterwards (numpy's, or scipy's through ``periodiclab.grid``) then
+starts no worker thread, so no worker spins at start-up.  A library the host
+process mapped before that is set to one thread through its own entry point
+when the lab maps it: importing ``periodiclab`` pins numpy's (and scipy's,
+if the host process already loaded scipy), and importing
+``periodiclab.grid``, the only module that imports scipy, pins scipy's.
+Where no OpenBLAS is loaded (or ``/proc`` is absent) there is nothing to
+pin.
 """
 
 import ctypes
 import os
+
+# read by each OpenBLAS when it loads; set before the package imports numpy
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 # the C entry points of plain and scipy-prefixed, 32- and 64-bit-integer builds
 _SETTERS = [f"{prefix}_set_num_threads{suffix}"

@@ -452,12 +452,13 @@ def pointwise_gradient_check(
     x,
     config: mc.SimConfig,
     r0: float,
-    stream: int = 9,
+    stream: tuple,
 ) -> dict:
     """One sample of |grad_x P phi| <= exp(r0 (t-s)) P |grad phi| + 4 stderr.
 
-    Both sides are estimated on the same tangent ensemble, so the pathwise
-    inequality transfers to the estimators up to time-discretization error.
+    Both sides are estimated on the same tangent ensemble, marched on the
+    stream named ``stream``, so the pathwise inequality transfers to the
+    estimators up to time-discretization error.
     """
     ens = mc.TangentEnsemble.identity(s, np.tile(np.atleast_1d(x), (config.n_particles, 1)))
     out = mc.evolve_tangent(field, ens, s, t, config, stream=stream)

@@ -22,6 +22,9 @@ The Monte Carlo engine runs one burn-in per run: its phase-0 ensemble is
 sampled from the far past, and every other phase ensemble is that ensemble
 carried forward, so particle i of every phase shares one ancestor and
 diagnostics that average over phases take standard errors per particle.
+Each of its marches names its noise stream by what it estimates (the
+burn-in, a phase, a profile), and ``montecarlo.generator`` keys Philox by
+that name.
 
 Engines only transport.  A profile evaluates the transported test function,
 for every horizon, at one set of points distributed like the measure at the
@@ -250,11 +253,10 @@ class MonteCarloEngine:
         """The cached particle ensemble of the periodic invariant measure at a phase.
 
         Phase 0 is the one burn-in: ``sample_periodic_measure`` over
-        ``horizon_periods`` periods on stream 1000.  Every other canonical
-        phase s in (0, T) is the phase-0 ensemble carried forward from 0 to s
-        on stream ``1000 + max(1, round(4096 s / T))``, since the measures form
-        an evolution system (mu_s = mu_0 P_{0,s}); the floor of 1 keeps a phase
-        below T/8192 off the burn-in's stream.  So particle i of every phase
+        ``horizon_periods`` periods on the stream ("burn-in",).  Every other
+        canonical phase s in (0, T) is the phase-0 ensemble carried forward
+        from 0 to s on the stream ("phase", s), since the measures form an
+        evolution system (mu_s = mu_0 P_{0,s}).  So particle i of every phase
         descends from particle i at phase 0, and antithetic pairs stay pairs.
         """
         key = self.field.phase(phase)
@@ -264,10 +266,9 @@ class MonteCarloEngine:
             config = replace(self.config, block_size=self.config.n_particles)
             if key == 0.0:
                 return mc.sample_periodic_measure(self.field, 0.0, config, self.certificate,
-                                                  stream=1000)
-            stream = 1000 + max(1, round(4096 * key / self.field.period))
+                                                  stream=("burn-in",))
             return mc.evolve(self.field, self.phase_ensemble(0.0), 0.0, key, config,
-                             stream=stream)
+                             stream=("phase", key))
 
         return self._ensembles.get(key, build)
 
@@ -281,8 +282,10 @@ class MonteCarloEngine:
         One joint ensemble starts at time s from outer points spread evenly
         through the phase-s ensemble and is marched once through every
         horizon, so every decay norm integrates against points distributed
-        like the measure at the starting time.  Each snapshot is reduced to
-        per-point means and standard errors as the march yields it.
+        like the measure at the starting time.  The march's stream is named by
+        its kind (value or tangent), s and the horizons, so two profiles
+        share noise only when they are the same estimate.  Each snapshot is
+        reduced to per-point means and standard errors as the march yields it.
         """
         if gradients and not self.field.q_independent_of_x:
             raise QNotXIndependent("pathwise gradients need x-independent diffusion")
@@ -295,8 +298,9 @@ class MonteCarloEngine:
         d = self.field.dim
         jac0 = np.broadcast_to(np.eye(d), (len(x0), d, d)).copy() if gradients else None
         march_config = replace(self.config, block_size=self.n_inner)
+        name = ("profile", "tangent" if gradients else "value", float(s), *horizons)
         for _, pos, jac in mc._march(self.field, x0, jac0, s, s + horizons, march_config,
-                                     stream=53):
+                                     stream=name):
             for phi in phis:
                 vals = np.asarray(phi(pos)).reshape(self.n_outer, self.n_inner)
                 values[phi.fid].append(mc.mean_and_stderr(

@@ -7,18 +7,24 @@ sqrt(2 Q) in d = 1, the lower Cholesky factor of 2 Q in d = 2 and the
 symmetric square root in d >= 3.  A field that declares its diffusion
 isotropic (``q_scalar``, Q = q I) gets sigma = sqrt(2 q) I: one root per
 particle scales its normals, with no matrix built or factored.
-Noise is drawn from counter-based Philox streams keyed by
-(seed, stream, block), so ensembles are bit-reproducible for a fixed
-schedule regardless of how particle blocks are traversed; reductions are
-plain fixed-order sums.  Each block's generator draws the normals of several
-steps in one call; a Philox stream is a pure function of its key and
-counter, so this yields exactly the numbers of one call per step.  The state
-is updated in place, one step at a time.
+Noise is drawn from counter-based Philox streams, one per RNG block.  This
+module is the one place that keys them: a caller names what a stream
+estimates, a tuple such as ("phase", 0.375), and ``generator`` turns the
+seed and the name plus its block index into a Philox key (after Salmon et
+al., SC'11), so two estimates share a stream only if they share a name.
+Ensembles are bit-reproducible for a fixed schedule regardless of how
+particle blocks are traversed; reductions are plain fixed-order sums.  Each
+block's generator draws the normals of several steps in one call; a Philox
+stream is a pure function of its key and counter, so this yields exactly
+the numbers of one call per step.  The state is updated in place, one step
+at a time.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,8 +105,33 @@ class TangentEnsemble(ParticleEnsemble):
         return TangentEnsemble(t, pos, np.broadcast_to(np.eye(d), (n, d, d)).copy())
 
 
-def _block_normals(seed: int, stream: int, n: int, dim: int, block_size: int, antithetic: bool):
-    """Endless iterator of per-step (n, dim) normals from per-block Philox streams.
+def _word(part) -> int:
+    """One part of a stream name as a nonnegative integer: a string's UTF-8
+    bytes read little-endian, a float's IEEE-754 bits, an integer itself."""
+    if isinstance(part, str):
+        return int.from_bytes(part.encode(), "little")
+    if isinstance(part, float):
+        return struct.unpack("<Q", struct.pack("<d", part))[0]
+    return operator.index(part)
+
+
+def generator(seed: int, *name) -> np.random.Generator:
+    """The Philox generator of the stream ``name`` under ``seed``.
+
+    A name is a tuple of strings, integers and floats that says what the
+    stream estimates.  The 128-bit key is ``generate_state(2, uint64)`` of
+    ``SeedSequence(seed mod 2**64, spawn_key=words)``, with each part of the
+    name as one word (``_word``), and the counter starts at 0; so distinct
+    names give independent streams, and no stream id is chosen by hand.
+    """
+    words = tuple(_word(part) for part in name)
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF, spawn_key=words)))
+
+
+def _block_normals(seed: int, name: tuple, n: int, dim: int, block_size: int, antithetic: bool):
+    """Endless iterator of per-step (n, dim) normals; block b of the particles
+    draws from the stream ``name + (b,)``.
 
     Each block's generator fills up to ``_DRAW_STEPS`` steps in one call,
     fewer for large ensembles (where the per-call overhead is negligible), so
@@ -110,11 +141,7 @@ def _block_normals(seed: int, stream: int, n: int, dim: int, block_size: int, an
     buffer: it may be overwritten in place and is valid until the next step.
     """
     n_blocks = (n + block_size - 1) // block_size
-    gens = [
-        np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF,
-                                                  ((stream & 0xFFFFFFFF) << 32) | blk]))
-        for blk in range(n_blocks)
-    ]
+    gens = [generator(seed, *name, blk) for blk in range(n_blocks)]
     steps = min(_DRAW_STEPS, max(1, _DRAW_FLOATS // (n * dim)))
     buf = np.empty((steps, n, dim))
     while True:
@@ -209,7 +236,8 @@ def _check_spd(field, r, positions):
 
 
 def _march(field, positions, jacobians, s, capture_times, config, stream):
-    """Shared Euler-Maruyama loop; yields a state copy at each requested time.
+    """Shared Euler-Maruyama loop on the noise of the stream named ``stream``;
+    yields a state copy at each requested time.
 
     Each segment from r to the next capture takes
     ``floor((target - r)/dt + 1e-9)`` full steps of config.dt, then one
@@ -259,9 +287,9 @@ def evolve(
     s: float,
     t: float,
     config: SimConfig,
-    stream: int = 0,
+    stream: tuple = ("evolve",),
 ) -> ParticleEnsemble:
-    """Push an ensemble from its time stamp s to t >= s."""
+    """Push an ensemble from its time stamp s to t >= s on the stream ``stream``."""
     if not math.isclose(ensemble.t, s, rel_tol=0.0, abs_tol=1e-12):
         raise ValueError(f"ensemble time stamp {ensemble.t} does not match s={s}")
     if t < s:
@@ -276,14 +304,14 @@ def sample_periodic_measure(
     s: float,
     config: SimConfig,
     certificate: LyapunovResult,
-    stream: int = 2,
+    stream: tuple = ("periodic-measure",),
 ) -> ParticleEnsemble:
     """Far-past approximation of the periodic invariant measure at phase s.
 
     A point mass at the origin is evolved over ``horizon_periods`` full
-    periods ending at the canonical phase of s; dissipativity erases the
-    initialization.  The Lyapunov ``certificate`` (``check_hypotheses(field,
-    plan).lyapunov``) must be accepted.
+    periods ending at the canonical phase of s, on the stream ``stream``;
+    dissipativity erases the initialization.  The Lyapunov ``certificate``
+    (``check_hypotheses(field, plan).lyapunov``) must be accepted.
     """
     config.validated_for(field)
     if not certificate.accepted:
@@ -341,9 +369,9 @@ def evolve_tangent(
     s: float,
     t: float,
     config: SimConfig,
-    stream: int = 0,
+    stream: tuple = ("evolve-tangent",),
 ) -> TangentEnsemble:
-    """Joint particle/Jacobian flow; needs x-independent diffusion."""
+    """Joint particle/Jacobian flow on the stream ``stream``; needs x-independent diffusion."""
     if not field.q_independent_of_x:
         raise QNotXIndependent(
             "tangent flow requires diffusion independent of x; use finite differences instead"

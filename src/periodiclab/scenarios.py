@@ -65,16 +65,14 @@ def _check_keys(obj, allowed: set, path: str):
             raise ConfigError(f"unknown key {key!r}", f"{path}.{key}")
 
 
-def _number(value, path: str, low: float, integer: bool = False, above: bool = False,
-            high: float = math.inf):
+def _number(value, path: str, low: float, integer: bool = False, above: bool = False):
     """Require a finite JSON number (an integer with ``integer``) that is at
-    least ``low``, or greater than it with ``above``, and at most ``high``."""
+    least ``low``, or greater than it with ``above``."""
     typed = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
     _require(typed and (isinstance(value, int) or math.isfinite(value)),
              f"expected {'an integer' if integer else 'a number'}, got {value!r}", path)
     _require(value > low if above else value >= low,
              f"must be {'>' if above else '>='} {low:g}, got {value!r}", path)
-    _require(value <= high, f"must be <= {high:g}, got {value!r}", path)
 
 
 def _numbers(values, path: str, low: float, above: bool = False):
@@ -96,8 +94,8 @@ def _array(value, path: str, shape: tuple):
 
 
 # Value rules: each is called as rule(value, path) on a value a document writes.
-def _int(low, high=math.inf):
-    return lambda value, path: _number(value, path, low, integer=True, high=high)
+def _int(low):
+    return lambda value, path: _number(value, path, low, integer=True)
 
 
 def _real(low, above=False):
@@ -157,16 +155,13 @@ _SECTIONS = {
              "time_scheme": ("spectral", _choice("time scheme", ("spectral", "upwind"))),
              "substeps": (2, _int(1))},
 }
-# Phase k/n carries forward on RNG stream 1000 + round(4096 k / n): distinct
-# streams for every k only while n <= 4096.
-_PHASE_COUNT = _int(1, high=4096)
 # Each experiment's keys besides "name", as (the value its runner reads when the
 # key is unset, its value rule).  A None engine or window is resolved from the
 # other values: the rate-equivalence engine by field kind, the fit window as
 # [1, max(horizons)].  A None gap_cap means no gap check.  Gradient horizons
 # start at 1, since gradient envelopes start at unit separation.
 _EXPERIMENTS = {
-    "hypothesis-check": {"moment_phases": (8, _PHASE_COUNT)},
+    "hypothesis-check": {"moment_phases": (8, _int(1))},
     "decay": {"engine": ("montecarlo", _ENGINE), "ps": ([2.0], _list(1)),
               "horizons": ([1, 2, 3, 4, 5, 6, 7, 8], _list(0, above=True)),
               "window": (None, _window), "rate_bounds": ({}, _rate_bounds),
@@ -174,14 +169,12 @@ _EXPERIMENTS = {
               "contraction_ps": ([1, 2, 4], _list(1))},
     "gradient-decay": {"engine": ("montecarlo", _ENGINE), "ps": ([2.0], _list(1)),
                        "horizons": ([1, 2, 3, 4], _list(1)), "window": (None, _window),
-                       "rate_bounds": ({}, _rate_bounds),
-                       # sample i marches on RNG stream 200 + i, below the phase ensembles' 1000
-                       "pointwise_samples": (0, _int(0, high=800))},
+                       "rate_bounds": ({}, _rate_bounds), "pointwise_samples": (0, _int(0))},
     "rate-equivalence": {"engine": (None, _ENGINE), "p": (2.0, _real(2)),
                          "horizons": ([1, 2, 3, 4, 5, 6], _list(1)),
                          "window": (None, _window), "tolerance": (0.1, _POSITIVE)},
-    "poincare": {"n_phases": (8, _PHASE_COUNT)},
-    "logsob": {"ps": ([1.0, 2.0], _list(1)), "n_phases": (8, _PHASE_COUNT)},
+    "poincare": {"n_phases": (8, _int(1))},
+    "logsob": {"ps": ([1.0, 2.0], _list(1)), "n_phases": (8, _int(1))},
     "spectrum": {"k": (40, _int(1)), "cluster_tol": (1e-3, _POSITIVE),
                  "gap_cap": (None, _real(-math.inf)), "refine": (False, _flag),
                  "carre": (False, _flag), "solvability": (False, _flag)},
@@ -266,6 +259,13 @@ def _resolved_experiments(doc: dict) -> list[dict]:
     _check_keys(doc, _TOP_KEYS, "$")
     _require(doc.get("schema") == SCHEMA_VERSION, f"schema must be {SCHEMA_VERSION}", "$.schema")
     _require(isinstance(doc.get("id"), str) and doc["id"], "id must be a nonempty string", "$.id")
+    if "seed" in doc:
+        _number(doc["seed"], "$.seed", -math.inf, integer=True)
+    if "description" in doc:
+        _require(isinstance(doc["description"], str), "expected a string", "$.description")
+    if "output" in doc:
+        _require(isinstance(doc["output"], str) and doc["output"], "expected a nonempty string",
+                 "$.output")
     field = doc.get("field")
     _require(isinstance(field, dict), "field section required", "$.field")
     kind = field.get("kind")
@@ -574,7 +574,7 @@ def _run_gradient_decay(ctx: RunContext, params: dict) -> ExperimentResult:
         params, "gradient-rate", p, fitted, "gamma_hat={fit.rate:.4f} in [{lo}, {hi}]")]
     n_point = params["pointwise_samples"]
     if n_point:
-        rng = np.random.default_rng(ctx.seed)
+        rng = mc.generator(ctx.seed, "pointwise-locations")
         r0 = ctx.hypothesis_report.r0_hat
         config = replace(ctx.sim_config(), n_particles=4000)
         tanh = next(phi for phi in eng.battery() if phi.fid == "tanh")
@@ -584,7 +584,7 @@ def _run_gradient_decay(ctx: RunContext, params: dict) -> ExperimentResult:
             t = s + float(rng.uniform(0.1, 3.0))
             x = rng.uniform(-2.0, 2.0, size=ctx.field.dim)
             results.append(dg.pointwise_gradient_check(
-                ctx.field, tanh, t, s, x, config, r0, stream=200 + i))
+                ctx.field, tanh, t, s, x, config, r0, stream=("pointwise", i)))
         payload["pointwise"] = results
         checks.append(_check(
             "gradient-pointwise", all(r["holds"] for r in results),
@@ -871,7 +871,9 @@ def load_scenario(ref: str | Path) -> dict:
         else:
             raise ConfigError(f"no scenario file or builtin id {ref!r}", "$")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}", str(path)) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read the scenario file: {exc}", str(path)) from exc
     return validate_scenario(doc)

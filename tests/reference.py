@@ -45,7 +45,7 @@ def estimate_P(
     s: float,
     x,
     config: SimConfig,
-    stream: int = 1,
+    stream: tuple = ("transition",),
 ):
     """Monte Carlo transition expectation started from the point mass at x.
 

@@ -39,15 +39,15 @@ class TestAC1OUExactness:
             phi_kind = i % 3
             if phi_kind == 0:
                 value, se = ref.estimate_P(ou_field, lambda X: X[:, 0], t, s, [x],
-                                           config, stream=300 + i)
+                                           config, stream=("transition", i))
                 exact = u[0, 0] * x
             elif phi_kind == 1:
                 value, se = ref.estimate_P(ou_field, lambda X: X[:, 0] ** 2, t, s, [x],
-                                           config, stream=300 + i)
+                                           config, stream=("transition", i))
                 exact = (u[0, 0] * x) ** 2 + sig[0, 0]
             else:
                 value, se = ref.estimate_P(ou_field, lambda X: np.exp(1j * X[:, 0]),
-                                           t, s, [x], config, stream=300 + i)
+                                           t, s, [x], config, stream=("transition", i))
                 exact = ref.apply_to_exponential(ou_model, 1.0, t, s, [x])
             err = abs(value - exact)
             assert err <= 4.0 * se, (i, err, se)
@@ -145,7 +145,7 @@ class TestAC5PointwiseGradient:
             x = rng.uniform(-2.0, 2.0, size=1)
             phi = tanh if i % 2 == 0 else sin_phi
             out = dg.pointwise_gradient_check(grad_field, phi, t, s, x, config, r0,
-                                              stream=400 + i)
+                                              stream=("pointwise", i))
             if not out["holds"]:
                 hard_violations += 1
         assert hard_violations == 0

@@ -1,6 +1,11 @@
 """Every OpenBLAS the lab maps into a process runs one thread: numpy's once
 ``periodiclab`` is imported, scipy's once ``periodiclab.grid`` (the only module
-that imports scipy) is, and both when the host process loaded scipy first."""
+that imports scipy) is, and both when the host process loaded scipy first.
+An OpenBLAS loaded after ``periodiclab`` starts no worker thread at all.
+
+Each fresh interpreter runs without ``OPENBLAS_NUM_THREADS``, which importing
+``periodiclab`` sets in this process, so a library loaded before the package
+is pinned by the package and not by an inherited variable."""
 
 import ctypes
 import json
@@ -38,10 +43,11 @@ def thread_counts() -> dict:
     return threads
 
 
-def thread_counts_after(code: str) -> dict:
-    """``thread_counts()`` of a fresh interpreter after it runs ``code``."""
-    probe = f"{code}\nimport json, test_blas\nprint(json.dumps(test_blas.thread_counts()))"
+def printed_after(code: str, expression: str):
+    """The JSON value of ``expression`` in a fresh interpreter after it runs ``code``."""
+    probe = f"{code}\nimport json, os, test_blas\nprint(json.dumps({expression}))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True)
     return json.loads(out.stdout.splitlines()[-1])
@@ -65,5 +71,11 @@ def test_every_openblas_runs_one_thread():
     "import scipy.sparse.linalg; import periodiclab",
 ], ids=["package", "grid", "scipy-first"])
 def test_a_fresh_process_pins_every_openblas_it_maps(code):
-    assert_one_thread_each(thread_counts_after(code))
+    assert_one_thread_each(printed_after(code, "test_blas.thread_counts()"))
+
+
+def test_openblas_loaded_after_the_package_starts_no_worker():
+    tasks = printed_after("import periodiclab, periodiclab.grid",
+                          "os.listdir('/proc/self/task')")
+    assert len(tasks) == 1, tasks
 

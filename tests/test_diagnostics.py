@@ -493,6 +493,6 @@ class TestCrossEngineConsistency:
         config = mc.SimConfig(n_particles=40000, dt=0.004, seed=77)
         for probe in probes:
             value, se = ref.estimate_P(grad_field, lambda X: np.tanh(X[:, 0]),
-                                       t, s, probe, config, stream=600)
+                                       t, s, probe, config, stream=("transition",))
             on_grid = float(np.interp(probe[0], x_nodes, g_grid))
             assert abs(value - on_grid) <= 4 * se + 2e-3, (probe, value, on_grid, se)

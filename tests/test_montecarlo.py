@@ -22,19 +22,37 @@ def brownian_field():
     return fl.polynomial_field(1, 1.0, q_const=0.5, name="bm")
 
 
+def stream_key(seed, name):
+    """The Philox key of the stream ``name`` by the documented rule, derived
+    here without ``mc.generator``: each part of the name is one spawn-key
+    word (a string's UTF-8 bytes read little-endian, a float's IEEE-754
+    bits, an integer itself), and the key is the first two 64-bit words the
+    ``SeedSequence`` of the seed mod 2**64 and those words generates."""
+    words = []
+    for part in name:
+        if isinstance(part, str):
+            words.append(sum(byte << (8 * j) for j, byte in enumerate(part.encode("utf-8"))))
+        elif isinstance(part, float):
+            words.append(int(np.array(part, dtype="<f8").view("<u8")))
+        else:
+            words.append(int(part))
+    return np.random.SeedSequence(seed % 2**64, spawn_key=words).generate_state(2, np.uint64)
+
+
 def reference_march(field, positions, jacobians, s, capture_times, config, stream):
     """Plain Euler-Maruyama loop with the arithmetic ``mc._march`` must reproduce.
 
-    One Philox call per block and step, out-of-place ``x + dt*b + noise``,
-    the 2x2 noise factor as a lower Cholesky (n, 2, 2) stack, einsum noise
-    and an einsum Jacobian update.  Each segment takes
+    Block b draws from the stream ``stream + (b,)``.  One Philox call per
+    block and step, out-of-place ``x + dt*b + noise``, the 2x2 noise factor
+    as a lower Cholesky (n, 2, 2) stack, einsum noise and an einsum Jacobian
+    update.  Each segment takes
     ``floor((target - r)/dt + 1e-9)`` full steps and then one partial step
     when more than ``1e-9 dt`` is left.  The SPD sampling check is left out:
     it changes no number.
     """
     n, d = positions.shape
     bs = config.block_size
-    gens = [np.random.Generator(np.random.Philox(key=[config.seed, (stream << 32) | blk]))
+    gens = [np.random.Generator(np.random.Philox(key=stream_key(config.seed, (*stream, blk))))
             for blk in range((n + bs - 1) // bs)]
 
     def draw():
@@ -152,7 +170,7 @@ class TestEvolve:
                 mc.evolve(field, ref.point_mass(x0, 200), 0.0, 5.0, config)
             with pytest.raises(Blowup) as want:
                 reference_march(field, ref.point_mass(x0, 200).positions, None, 0.0, [5.0],
-                                config, 0)
+                                config, ("evolve",))
             assert got.value.t == want.value.t
             assert np.array_equal(got.value.max_abs, want.value.max_abs, equal_nan=True)
             if field is explode:
@@ -267,7 +285,7 @@ class TestMarchMatchesReference:
     """``_march`` keeps the Philox streams, draw order and arithmetic of the plain loop."""
 
     @staticmethod
-    def assert_same(field, x0, jac0, s, captures, config, stream=5):
+    def assert_same(field, x0, jac0, s, captures, config, stream=("march",)):
         got = list(mc._march(field, x0, jac0, s, captures, config, stream))
         want = reference_march(field, x0, jac0, s, captures, config, stream)
         assert len(got) == len(want)
@@ -333,7 +351,7 @@ class TestMarchMatchesReference:
         for field in (dataclasses.replace(gen_field, q=q),
                       dataclasses.replace(gen_field, q=q, q_scalar=None)):
             calls.clear()
-            list(mc._march(field, x0, None, 0.0, [1.0], config, stream=5))
+            list(mc._march(field, x0, None, 0.0, [1.0], config, stream=("march",)))
             counts.append(len(calls))
         assert counts == [0, 100 + 2]
 
@@ -351,7 +369,8 @@ class TestMarchMatchesReference:
         config = mc.SimConfig(n_particles=n, dt=0.01, seed=25, antithetic=True, block_size=256)
         x0 = np.random.default_rng(5).standard_normal((n, d))
         jac0 = np.ones((n, 1, 1)) if case == "grad-tangent" else None
-        self.assert_same(field, x0, jac0, 0.2, [0.2, 0.5237, 0.6111, 1.0049], config, stream=53)
+        name = ("profile", "tangent", 0.2, 0.5)
+        self.assert_same(field, x0, jac0, 0.2, [0.2, 0.5237, 0.6111, 1.0049], config, stream=name)
 
     @pytest.mark.parametrize("cap", [1, 3 * 1001])
     def test_capped_draw_buffer(self, cap, grad_field, monkeypatch):
@@ -374,7 +393,8 @@ class TestMarchMatchesReference:
                 return grad_field.b(t, X)
 
             field = dataclasses.replace(grad_field, b=b)
-            *_, (t, x, _) = mc._march(field, x0, None, 0.0, captures, config, stream=5)
+            *_, (t, x, _) = mc._march(field, x0, None, 0.0, captures, config,
+                                      stream=("march",))
             assert t == 4.0
             calls.append(len(times))
             finals.append(x)
@@ -385,7 +405,7 @@ class TestMarchMatchesReference:
     def test_draw_buffer_bounded(self):
         # a large ensemble buffers at most _DRAW_FLOATS normals, or one step
         for n in (1000, 200_000, 2 * mc._DRAW_FLOATS):
-            z = next(mc._block_normals(0, 0, n, 1, 16384, False))
+            z = next(mc._block_normals(0, ("march",), n, 1, 16384, False))
             assert z.shape == (n, 1)
             assert z.base.size <= max(mc._DRAW_FLOATS, n)
 
@@ -493,7 +513,7 @@ class TestPeriodicMeasure:
 def _pathwise_gradient(field, phi_grad, t, s, x, config):
     """Mean and scalar stderr of J^T grad phi(X_t) over a tangent flow started at x."""
     ens = mc.TangentEnsemble.identity(s, np.tile(x, (config.n_particles, 1)))
-    out = mc.evolve_tangent(field, ens, s, t, config, stream=3)
+    out = mc.evolve_tangent(field, ens, s, t, config, stream=("pathwise-gradient",))
     pulled = np.einsum("nij,ni->nj", out.jacobians, phi_grad(out.positions))
     se = float(np.linalg.norm(pulled.std(axis=0, ddof=1)) / math.sqrt(out.n))
     return pulled.mean(axis=0), se
@@ -528,7 +548,7 @@ class TestTangentFlow:
             t = s + float(rng.uniform(0.2, 2.0))
             x = rng.uniform(-1.5, 1.5, size=1)
             out = dg.pointwise_gradient_check(grad_field, sin_phi, t, s, x, config,
-                                              grad_report.r0_hat, stream=40 + i)
+                                              grad_report.r0_hat, stream=("pointwise", i))
             assert out["holds"], out
 
     def test_pointwise_stderr_uses_pair_units(self):
@@ -537,9 +557,10 @@ class TestTangentFlow:
         field = fl.polynomial_field(1, 1.0, q_const=0.5, drift_terms=(fl.DriftTerm(1, -1.0),))
         config = mc.SimConfig(n_particles=2000, dt=0.01, seed=8, antithetic=True)
         tanh = next(p for p in eng.battery() if p.fid == "tanh")
-        out = dg.pointwise_gradient_check(field, tanh, 1.0, 0.0, [0.0], config, -1.0, stream=5)
+        out = dg.pointwise_gradient_check(field, tanh, 1.0, 0.0, [0.0], config, -1.0,
+                                          stream=("pointwise", 0))
         ens = mc.evolve_tangent(field, mc.TangentEnsemble.identity(0.0, np.zeros((2000, 1))),
-                                0.0, 1.0, config, stream=5)
+                                0.0, 1.0, config, stream=("pointwise", 0))
         assert np.array_equal(ens.positions[1000:], -ens.positions[:1000])
         lhs_vals = ens.jacobians[:, 0, 0] * tanh.grad_at(ens.positions)[:, 0]
         rhs_vals = math.exp(-1.0) * tanh.grad_norm(ens.positions)
@@ -562,7 +583,7 @@ class TestPhaseEnsembles:
         engine = self.engine(grad_field, grad_report)
         config = dataclasses.replace(engine.config, block_size=engine.config.n_particles)
         want = mc.sample_periodic_measure(grad_field, 0.0, config, grad_report.lyapunov,
-                                          stream=1000)
+                                          stream=("burn-in",))
         assert np.array_equal(engine.phase_ensemble(0.0).positions, want.positions)
 
     def test_other_phases_carry_phase_zero_forward(self, grad_field, grad_report):
@@ -583,21 +604,15 @@ class TestPhaseEnsembles:
         assert len(calls) == want == 278
         config = dataclasses.replace(engine.config, block_size=engine.config.n_particles)
         moved = mc.evolve(grad_field, engine.phase_ensemble(0.0), 0.0, 0.375, config,
-                          stream=1000 + 1536)
+                          stream=("phase", 0.375))
         assert np.array_equal(engine.phase_ensemble(0.375).positions, moved.positions)
 
-    def test_tiny_phase_stays_off_the_burn_in_stream(self, grad_field, grad_report,
-                                                     monkeypatch):
-        streams, evolve = [], mc.evolve
-
-        def spied(*args, **kwargs):
-            streams.append(kwargs["stream"])
-            return evolve(*args, **kwargs)
-
-        monkeypatch.setattr(mc, "evolve", spied)
+    def test_nearby_phases_walk_apart(self, grad_field, grad_report):
+        # two phases T/20000 apart are two estimates, so they march two streams
         engine = self.engine(grad_field, grad_report)
-        engine.phase_ensemble(1e-5 * grad_field.period)      # 4096 s / T rounds to 0
-        assert streams == [1001]
+        near, far = engine.phase_ensemble(0.1), engine.phase_ensemble(0.10005)
+        steps = np.abs(far.positions - near.positions)
+        assert np.median(steps) > 0.1, np.median(steps)
 
 
 class TestEnsembleIO:
@@ -667,6 +682,25 @@ class TestTransportChecks:
         profile = engine.transfer_profile(eng.battery()[1:3], 0.0, horizons)
         assert len(marches) == 1 and list(marches[0]) == horizons
         assert [len(profile.values[fid]) for fid in profile.values] == [11, 11]
+
+    def test_value_and_tangent_profiles_march_apart(self, grad_field, grad_report, monkeypatch):
+        # the same horizons from the same start are two estimates when one carries gradients
+        captured, march = [], mc._march
+
+        def kept(*args, **kwargs):
+            for t, pos, jac in march(*args, **kwargs):
+                captured.append(pos)
+                yield t, pos, jac
+
+        config = mc.SimConfig(n_particles=200, dt=0.02, seed=3, horizon_periods=2)
+        engine = eng.MonteCarloEngine(grad_field, config, n_outer=8, n_inner=16,
+                                      certificate=grad_report.lyapunov)
+        engine.phase_ensemble(0.0)
+        monkeypatch.setattr(mc, "_march", kept)
+        for gradients in (False, True):
+            engine.transfer_profile(eng.battery()[1:2], 0.0, [1.0], gradients=gradients)
+        value, tangent = captured
+        assert not np.array_equal(value, tangent)
 
     def test_gap_missing_from_profile_rejected(self, ou_engine, battery1):
         profile = ou_engine.transfer_profile(battery1[:1], 0.0, [1.0])

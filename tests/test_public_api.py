@@ -3,8 +3,8 @@
 Every public module-level function in ``src/periodiclab`` is called from
 ``src/`` outside its own body; the oracles only the tests use live in
 ``tests/reference.py``.  Only ``grid`` imports scipy, and a document that
-needs no grid object never loads it.  The README's library sketch runs as
-written.
+needs no grid object never loads it.  Only ``montecarlo`` keys random
+streams.  The README's library sketch runs as written.
 """
 
 import ast
@@ -118,6 +118,45 @@ def test_only_the_grid_module_imports_scipy():
     """scipy serves the sparse grid engine alone, so only a document that
     needs a grid object pays for loading it."""
     assert _importers("scipy") == {"grid"}
+
+
+def _top_level_owners(tree: ast.Module):
+    """(node, name of the enclosing module-level function or class, or None)
+    for every node of ``tree``."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            yield node, owner
+
+
+def test_only_montecarlo_keys_random_streams():
+    """``montecarlo.generator`` turns each stream's name into its Philox key:
+    only ``montecarlo`` builds a Philox or SeedSequence, no call passes an
+    integer literal as a stream and no stream parameter defaults to one, and
+    ``default_rng`` serves only the grid's two fixed eigensolver start vectors."""
+    builders, literal_streams, default_rngs = set(), [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node, owner in _top_level_owners(ast.parse(path.read_text())):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            if name in ("Philox", "SeedSequence"):
+                builders.add(path.stem)
+            elif name == "default_rng":
+                default_rngs.append((path.stem, owner))
+            streams = []
+            if isinstance(node, ast.Call):
+                streams = [kw.value for kw in node.keywords if kw.arg == "stream"]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args.posonlyargs + node.args.args
+                streams = [default for arg, default in zip(args[::-1], node.args.defaults[::-1])
+                           if arg.arg == "stream"]
+            for value in streams:
+                if any(isinstance(part, ast.Constant) and type(part.value) is int
+                       for part in ast.walk(value)):
+                    literal_streams.append((path.stem, owner, ast.unparse(value)))
+    assert builders == {"montecarlo"}
+    assert literal_streams == []
+    assert sorted(default_rngs) == [("grid", "_eig_residuals"), ("grid", "spectrum")]
 
 
 def scipy_after(code: str, cwd: Path) -> list:

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import functools
+import hashlib
 import inspect
 import json
 import time
@@ -352,36 +353,40 @@ def test_every_table_key_rejects_a_wrong_type_at_its_path(section, name, key):
     assert err.value.path == path
 
 
-def test_pointwise_samples_stay_below_the_burn_in_streams(tmp_path, capsys):
-    """Pointwise sample i marches on RNG stream 200 + i and the Monte Carlo
-    phase ensembles start at stream 1000, so 800 samples validate and 801
-    exit 2 at their path."""
+@pytest.mark.parametrize("name, key, count", [
+    ("hypothesis-check", "moment_phases", 5000), ("poincare", "n_phases", 5000),
+    ("logsob", "n_phases", 5000), ("gradient-decay", "pointwise_samples", 801)])
+def test_phase_and_sample_counts_have_no_cap(name, key, count):
+    """Every phase and every pointwise sample has a stream of its own name, so
+    no count is capped to keep hand-numbered streams apart."""
     doc = json.loads(json.dumps(sc.load_scenario("grad1d")))
-    doc["sim"].update(particles=200, dt=0.02, horizon_periods=2, n_outer=8, n_inner=16)
-    doc["grid"].update(points_per_axis=31, time_slices=17)
-    doc["experiments"] = [{"name": "gradient-decay", "engine": "grid", "pointwise_samples": 800}]
+    doc["experiments"] = [{"name": name, key: count}]
     sc.validate_scenario(doc)
-    doc["experiments"][0]["pointwise_samples"] = 801
-    path = tmp_path / "grad1d.json"
-    path.write_text(json.dumps(doc))
-    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert "$.experiments[0].pointwise_samples" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name, key", [("hypothesis-check", "moment_phases"),
-                                       ("poincare", "n_phases"), ("logsob", "n_phases")])
-def test_phase_counts_stay_on_distinct_streams(name, key, tmp_path, capsys):
-    """Phase k/n carries forward on RNG stream 1000 + round(4096 k / n), so 4096
-    phases validate and 4097, which would put two phases on one stream, exit 2
-    at their path."""
+def test_decay_and_gradient_profiles_march_apart(tmp_path, monkeypatch):
+    """At benchmark sizes on grad1d, seed 1, the Monte Carlo decay (value) and
+    gradient-decay (tangent) profiles march different positions at every
+    horizon they share, so their rate fits are separate estimates."""
+    captures, march = {}, mc._march
+
+    def hashed(field, positions, jacobians, *args, **kwargs):
+        kind = "value" if jacobians is None else "tangent"
+        for t, pos, jac in march(field, positions, jacobians, *args, **kwargs):
+            captures.setdefault(kind, {})[t] = hashlib.sha256(pos.tobytes()).hexdigest()
+            yield t, pos, jac
+
+    monkeypatch.setattr(mc, "_march", hashed)
     doc = json.loads(json.dumps(sc.load_scenario("grad1d")))
-    doc["experiments"] = [{"name": name, key: 4096}]
-    sc.validate_scenario(doc)
-    doc["experiments"][0][key] = 4097
-    path = tmp_path / "grad1d.json"
-    path.write_text(json.dumps(doc))
-    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert f"$.experiments[0].{key}" in capsys.readouterr().err
+    doc["sim"].update(particles=2000, dt=0.01, n_inner=256)
+    doc["experiments"] = [{**spec, "pointwise_samples": 0} if spec["name"] == "gradient-decay"
+                          else spec for spec in doc["experiments"]
+                          if spec["name"] in ("decay", "gradient-decay")]
+    sc.run_scenario(doc, tmp_path, overrides={"seed": 1})
+    value, tangent = captures["value"], captures["tangent"]
+    shared = sorted(value.keys() & tangent.keys())
+    assert shared == [1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0]
+    assert all(value[t] != tangent[t] for t in shared)
 
 
 def test_exact_law_over_a_million_periods_ends(tmp_path):
@@ -538,6 +543,26 @@ class TestCli:
         scenario.write_text(json.dumps(doc))
         assert cli.main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
         assert f"configuration error: {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("output", 5), ("output", ""), ("seed", "abc"), ("seed", True), ("seed", 1.5),
+        ("description", 5)])
+    def test_bad_top_level_value_exits_2(self, tmp_path, capsys, key, value):
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps({**TINY, key: value}))
+        assert cli.main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        assert f"configuration error: $.{key}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_scenario_file_exits_2(self, tmp_path, capsys, kind):
+        scenario = tmp_path / "scenario.json"
+        if kind == "directory":
+            scenario.mkdir()
+        else:
+            scenario.write_bytes(json.dumps(TINY).encode("utf-8").replace(b"plumbing", b"\xff"))
+        assert cli.main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        assert f"configuration error: {scenario}:" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

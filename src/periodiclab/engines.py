@@ -293,14 +293,17 @@ class MonteCarloEngine:
         values = {phi.fid: [] for phi in phis}
         grads = {phi.fid: [] for phi in phis} if gradients else {}
         ens = self.phase_ensemble(s)
-        x0 = np.repeat(ens.positions[np.arange(self.n_outer) * (ens.n // self.n_outer)],
-                       self.n_inner, axis=0)
-        d = self.field.dim
-        jac0 = np.broadcast_to(np.eye(d), (len(x0), d, d)).copy() if gradients else None
-        march_config = replace(self.config, block_size=self.n_inner)
-        name = ("profile", "tangent" if gradients else "value", float(s), *horizons)
-        for _, pos, jac in mc._march(self.field, x0, jac0, s, s + horizons, march_config,
-                                     stream=name):
+        n, d = self.n_outer * self.n_inner, self.field.dim
+        # the march copies its start and lets go of it: no name here keeps
+        # the replicated points alive, and the identity Jacobians are a view
+        march = mc._march(
+            self.field,
+            np.repeat(ens.positions[np.arange(self.n_outer) * (ens.n // self.n_outer)],
+                      self.n_inner, axis=0),
+            np.broadcast_to(np.eye(d), (n, d, d)) if gradients else None,
+            s, s + horizons, replace(self.config, block_size=self.n_inner),
+            stream=("profile", "tangent" if gradients else "value", float(s), *horizons))
+        for _, pos, jac in march:
             for phi in phis:
                 vals = np.asarray(phi(pos)).reshape(self.n_outer, self.n_inner)
                 values[phi.fid].append(mc.mean_and_stderr(

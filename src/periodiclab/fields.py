@@ -219,17 +219,19 @@ def polynomial_field(
 
     def q(t, X):
         X = np.atleast_2d(X)
-        return qt(t) * np.broadcast_to(eye, (X.shape[0], dim, dim)).copy()
+        return np.multiply(qt(t), eye, out=np.empty((X.shape[0], dim, dim)))
 
     def radial(t, X, slope):
-        # c(t, |x|^2) and, when asked, dc/d|x|^2, by Horner in |x|^2
+        # c(t, |x|^2) and, when asked, dc/d|x|^2, by Horner in |x|^2; the
+        # slope starts at the leading coefficient, as 0 |x|^2 + c would for
+        # the finite positions the march keeps
         r2 = X[:, 0] * X[:, 0]
         for i in range(1, dim):
             r2 += X[:, i] * X[:, i]
         c, dc = gks[0](t), 0.0
-        for gk in gks[1:]:
+        for k, gk in enumerate(gks[1:]):
             if slope:
-                dc = dc * r2 + c
+                dc = dc * r2 + c if k else c
             c = c * r2
             c += gk(t)
         return np.asarray(c), np.asarray(dc)
@@ -296,13 +298,17 @@ def gen_field(
     eye = np.eye(dim)
 
     def q_scalar(t, X):
-        # column by column: numpy's reductions over a short axis cost several
-        # times more per point
+        # column by column (numpy's reductions over a short axis cost several
+        # times more per point), then in place in the order of
+        # q_const + q_sin sin(w t) + q_bump / (1 + |x|^2)
         X = np.atleast_2d(X)
-        r2 = X[:, 0] * X[:, 0]
+        out = X[:, 0] * X[:, 0]
         for i in range(1, dim):
-            r2 += X[:, i] * X[:, i]
-        return q_const + q_sin * math.sin(w * t) + q_bump / (1.0 + r2)
+            out += X[:, i] * X[:, i]
+        out += 1.0
+        np.divide(q_bump, out, out=out)
+        out += q_const + q_sin * math.sin(w * t)
+        return out
 
     def q(t, X):
         # broadcasting against eye costs several times more per point

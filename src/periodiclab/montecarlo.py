@@ -16,12 +16,18 @@ Ensembles are bit-reproducible for a fixed schedule regardless of how
 particle blocks are traversed; reductions are plain fixed-order sums.  Each
 block's generator draws the normals of several steps in one call; a Philox
 stream is a pure function of its key and counter, so this yields exactly
-the numbers of one call per step.  The state is updated in place, one step
-at a time.
+the numbers of one call per step, however the draws are buffered.
+A march holds one copy of its state, updated in place one step at a time
+and yielded live at each capture; a draw buffer with only the drawn half
+of each antithetic block; one (n, d) step array that the mirrored halves
+are written into and the noise factor scales in place; and drift, work and
+Jacobian-step arrays reused across steps.  The arrays the field callables
+return are only read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import struct
@@ -35,7 +41,7 @@ from .hypotheses import LyapunovResult
 
 OVERFLOW_GUARD = 1e8
 _DRAW_STEPS = 8  # steps of normals each block generator draws per call ...
-_DRAW_FLOATS = 1 << 19  # ... unless that buffers more than 4 MiB of normals
+_DRAW_FLOATS = 1 << 19  # ... unless that many unpaired normals pass 4 MiB
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,8 @@ class SimConfig:
             raise ValueError("n_particles must be >= 100")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if self.block_size < 1:
+            raise ValueError("block_size must be >= 1")
 
     def validated_for(self, field: PeriodicCoefficientField) -> "SimConfig":
         if self.dt > field.period / 50.0:
@@ -133,39 +141,59 @@ def _block_normals(seed: int, name: tuple, n: int, dim: int, block_size: int, an
     """Endless iterator of per-step (n, dim) normals; block b of the particles
     draws from the stream ``name + (b,)``.
 
-    Each block's generator fills up to ``_DRAW_STEPS`` steps in one call,
-    fewer for large ensembles (where the per-call overhead is negligible), so
-    the buffer holds at most ``_DRAW_FLOATS`` numbers or one step.  A Philox
-    stream is a pure function of its key and counter, so the numbers equal
-    those of one call per step.  Each yielded array is a view into a reused
-    buffer: it may be overwritten in place and is valid until the next step.
+    Each block's generator draws up to ``_DRAW_STEPS`` steps in one call,
+    fewer for large ensembles (where the per-call overhead is negligible),
+    so that unpaired normals would fill at most ``_DRAW_FLOATS`` numbers or
+    one step.  The draw buffer holds only what is drawn: under antithetic
+    pairing the first half (rounded up) of each block, else the whole block.
+    Blocks of one size lie side by side, each a contiguous (steps, half, dim)
+    slab that its generator fills in place in one call; a Philox stream is
+    a pure function of its key and counter, so the numbers equal those of
+    one call per step.  Each step copies the drawn halves into one reused
+    (n, dim) array and writes their mirrors with one negation per block
+    size; at one step per call the generators draw straight into that
+    array.  The yielded array is the reused one: it may be overwritten in
+    place and is valid until the next step.
     """
-    n_blocks = (n + block_size - 1) // block_size
-    gens = [generator(seed, *name, blk) for blk in range(n_blocks)]
+    gens = [generator(seed, *name, blk) for blk in range((n + block_size - 1) // block_size)]
     steps = min(_DRAW_STEPS, max(1, _DRAW_FLOATS // (n * dim)))
-    buf = np.empty((steps, n, dim))
+    # (count, size, drawn) of the whole blocks and of a ragged last block
+    groups = [(count, m, (m + 1) // 2 if antithetic else m)
+              for count, m in ((n // block_size, block_size), (1, n % block_size)) if count and m]
+    z = np.empty((n, dim))
+    rows, lo = [], 0
+    for count, m, _ in groups:
+        rows.append(z[lo : lo + count * m].reshape(count, m, dim))
+        lo += count * m
+    if steps == 1:
+        slabs = [row[:, None, :half] for row, (_, _, half) in zip(rows, groups)]
+    else:
+        buf = np.empty(steps * dim * sum(count * half for count, _, half in groups))
+        slabs, off = [], 0
+        for count, _, half in groups:
+            size = count * steps * half * dim
+            slabs.append(buf[off : off + size].reshape(count, steps, half, dim))
+            off += size
     while True:
-        for blk, gen in enumerate(gens):
-            lo = blk * block_size
-            hi = min(lo + block_size, n)
-            m = hi - lo
-            if antithetic:
-                half = (m + 1) // 2
-                z = gen.standard_normal((steps, half, dim))
-                buf[:, lo : lo + half] = z
-                np.negative(z[:, : m - half], out=buf[:, lo + half : hi])
-            else:
-                buf[:, lo:hi] = gen.standard_normal((steps, m, dim))
-        yield from buf
+        for gen, block in zip(gens, (block for slab in slabs for block in slab)):
+            gen.standard_normal(out=block)
+        for k in range(steps):
+            for (_, m, half), slab, row in zip(groups, slabs, rows):
+                if steps > 1:
+                    row[:, :half] = slab[:, k]
+                np.negative(slab[:, k, : m - half], out=row[:, half:])
+            yield z
 
 
-def _lower_factor_2x2(q: np.ndarray, normals: np.ndarray) -> np.ndarray:
+def _lower_factor_2x2(q: np.ndarray, normals: np.ndarray, work: np.ndarray | None = None
+                      ) -> np.ndarray:
     """Overwrite (n, 2) ``normals`` z by L z, with L the lower Cholesky factor of 2 q.
 
     ``q`` is an (m, 2, 2) stack with m = n or 1; L is applied row by row on
     (n,) columns: l00 = sqrt(2 q00), l10 = 2 q10 / l00 and
     l11 = sqrt(2 q11 - l10^2).  A Q that is not positive semidefinite makes a
-    negative q00 or 2 q11 - l10^2, so the noise turns NaN.
+    negative q00 or 2 q11 - l10^2, so the noise turns NaN.  ``work`` is an
+    optional (n,) scratch array for l10 z0.
     """
     l00 = q[:, 0, 0] * 2.0
     np.sqrt(l00, out=l00)
@@ -176,7 +204,7 @@ def _lower_factor_2x2(q: np.ndarray, normals: np.ndarray) -> np.ndarray:
     np.sqrt(l11, out=l11)
     z0, z1 = normals.T
     z1 *= l11
-    z1 += l10 * z0
+    z1 += np.multiply(l10, z0, out=work)
     z0 *= l00
     return normals
 
@@ -189,15 +217,16 @@ def _sqrt_spd_batch(mats: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)[:, None, :]) @ np.swapaxes(v, -1, -2)
 
 
-def _noise_increment(field, r, positions, normals, sqrt_dt):
+def _noise_increment(field, r, positions, normals, sqrt_dt, work=None):
     """sqrt(dt) sigma(r, x) xi with sigma sigma^T = 2 Q; ``normals`` may be overwritten.
 
     Only sigma sigma^T enters the law of the walk, so sigma is whichever
     factor is cheapest: sqrt(2 q) I for an x-dependent isotropic Q (one root
-    per particle, applied in place), sqrt(2 Q) in d = 1, the lower Cholesky
-    factor of 2 Q in d = 2 (applied in place) and the symmetric root in
-    d >= 3.  The isotropic path keeps the Cholesky path's operation order
-    (its l10 is 0 and l11 = l00), so it gives the same numbers bit for bit.
+    per particle, applied in place one column at a time), sqrt(2 Q) in
+    d = 1, the lower Cholesky factor of 2 Q in d = 2 (applied in place) and
+    the symmetric root in d >= 3.  The isotropic path keeps the Cholesky
+    path's operation order (its l10 is 0 and l11 = l00), so it gives the
+    same numbers bit for bit.  ``work`` is an optional (n,) scratch array.
     """
     d = field.dim
     if field.q_independent_of_x:
@@ -207,17 +236,18 @@ def _noise_increment(field, r, positions, normals, sqrt_dt):
             normals *= np.sqrt(2.0 * q[0, 0, 0])
             return normals
         if d == 2:
-            return _lower_factor_2x2(q, normals)
+            return _lower_factor_2x2(q, normals, work)
         return normals @ _sqrt_spd_batch(2.0 * q)[0].T
     if field.q_scalar is not None:
-        root = np.asarray(field.q_scalar(r, positions)) * 2.0
+        root = np.multiply(field.q_scalar(r, positions), 2.0, out=work)
         np.sqrt(root, out=root)
-        normals *= root[:, None]
+        for j in range(d):
+            normals[:, j] *= root
         normals *= sqrt_dt
         return normals
     q = np.asarray(field.q(r, positions))
     if d == 2:
-        normals = _lower_factor_2x2(q, normals)
+        normals = _lower_factor_2x2(q, normals, work)
         normals *= sqrt_dt
         return normals
     return sqrt_dt * np.einsum("nij,nj->ni", _sqrt_spd_batch(2.0 * q), normals)
@@ -237,23 +267,30 @@ def _check_spd(field, r, positions):
 
 def _march(field, positions, jacobians, s, capture_times, config, stream):
     """Shared Euler-Maruyama loop on the noise of the stream named ``stream``;
-    yields a state copy at each requested time.
+    yields the live state at each requested time.
 
     Each segment from r to the next capture takes
     ``floor((target - r)/dt + 1e-9)`` full steps of config.dt, then one
     partial step when more than ``1e-9 dt`` is left, so a segment's schedule
     (and the noise it draws) depends on its start, its target and dt alone,
     not on the other captures.  Yields (t, positions, jacobians) in time
-    order.  The state is updated in place; arrays returned by the field
-    callables are only read.
+    order; the arrays are the march's one copy of its state, updated in
+    place, so a caller reads (or copies) them before it resumes the march.
+    The march drops its references to the starting arrays once it has
+    copied them, and reuses its drift, noise and Jacobian scratch arrays
+    across steps; arrays returned by the field callables are only read.
     """
     captures = sorted(set(float(t) for t in capture_times))
     if captures and captures[0] < s:
         raise ValueError("capture times must be >= start time")
-    normals = _block_normals(config.seed, stream, len(positions), field.dim, config.block_size,
-                             config.antithetic)
     x = np.array(positions, dtype=float)
     jac = None if jacobians is None else np.array(jacobians, dtype=float)
+    del positions, jacobians
+    normals = _block_normals(config.seed, stream, len(x), field.dim, config.block_size,
+                             config.antithetic)
+    drift = np.empty_like(x)
+    work = np.empty(len(x))
+    jac_step = None if jac is None else np.empty_like(jac)
     r = s
     step_count = 0
     _check_spd(field, s, x)
@@ -267,18 +304,22 @@ def _march(field, positions, jacobians, s, capture_times, config, stream):
             z = next(normals)
             if jac is not None:
                 gb = field.grad_b_at(r, x)
-                jac += dt * (gb * jac if field.dim == 1 else np.einsum("nij,njk->nik", gb, jac))
-            # the noise is read at the old positions before x moves; no drift
-            # array outlives the step
-            noise = _noise_increment(field, r, x, z, math.sqrt(dt))
-            x += dt * np.asarray(field.b(r, x))
+                if field.dim == 1:
+                    np.multiply(gb, jac, out=jac_step)
+                else:
+                    np.einsum("nij,njk->nik", gb, jac, out=jac_step)
+                jac_step *= dt
+                jac += jac_step
+            # the noise is read at the old positions before x moves
+            noise = _noise_increment(field, r, x, z, math.sqrt(dt), work)
+            x += np.multiply(field.b(r, x), dt, out=drift)
             x += noise
             r = r + dt
             peak = max(x.max(), -x.min())
             if not np.isfinite(peak) or peak > OVERFLOW_GUARD:
                 raise Blowup(r, float(peak))
         r = target
-        yield target, x.copy(), None if jac is None else jac.copy()
+        yield target, x, jac
 
 
 def evolve(
@@ -330,29 +371,43 @@ def sample_periodic_measure(
     return ParticleEnsemble(t_out, pos)
 
 
+@functools.lru_cache(maxsize=32)
+def _unit_indices(n: int, block_size: int):
+    """Gather indices of the antithetic units of n particles in blocks.
+
+    Returns each unit's two particles in unit order (an odd block's unpaired
+    middle is both of its own), then the unit positions of those middles.
+    """
+    lo = np.arange(0, n, block_size)
+    size = np.minimum(block_size, n - lo)
+    half = (size + 1) // 2
+    blk = np.repeat(np.arange(len(lo)), half)                # block of each unit
+    offset = np.arange(half.sum()) - np.repeat(np.cumsum(half) - half, half)
+    first = lo[blk] + offset
+    middles = np.flatnonzero(offset >= (size - half)[blk])
+    second = first + half[blk]
+    second[middles] = first[middles]
+    for arr in (first, second, middles):
+        arr.flags.writeable = False
+    return first, second, middles
+
+
 def antithetic_units(vals: np.ndarray, block_size: int) -> np.ndarray:
     """Collapse antithetically paired samples into independent units.
 
     Pairs live at (lo + i, lo + half + i) within each RNG block; averaging a
     pair before computing spread gives the honest standard error under the
     mirrored-noise coupling.  ``vals`` is indexed by particle along the last
-    axis.
+    axis.  Units come block by block, pairs first and then an odd block's
+    unpaired middle, each pair as 0.5 * (a + b), gathered in one pass.
     """
-    n = vals.shape[-1]
-    units = []
-    lo = 0
-    while lo < n:
-        hi = min(lo + block_size, n)
-        m = hi - lo
-        half = (m + 1) // 2
-        paired = m - half
-        a = vals[..., lo : lo + paired]
-        b = vals[..., lo + half : hi]
-        units.append(0.5 * (a + b))
-        if half > paired:
-            units.append(vals[..., lo + paired : lo + half])
-        lo = hi
-    return np.concatenate(units, axis=-1)
+    first, second, middles = _unit_indices(vals.shape[-1], block_size)
+    # take keeps the units C-ordered, so their sums run as the loop's would
+    units = np.take(vals, first, axis=-1)
+    units += np.take(vals, second, axis=-1)
+    units *= 0.5
+    units[..., middles] = np.take(vals, first[middles], axis=-1)
+    return units
 
 
 def mean_and_stderr(vals: np.ndarray, antithetic: bool, block_size: int):

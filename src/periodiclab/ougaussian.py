@@ -362,11 +362,17 @@ def as_field(model: OUModel) -> PeriodicCoefficientField:
     def q(t, X):
         X = np.atleast_2d(X)
         bb = np.asarray(model.B(t))
-        return np.broadcast_to(0.5 * bb @ bb.T, (X.shape[0], d, d)).copy()
+        out = np.empty((X.shape[0], d, d))
+        out[:] = 0.5 * bb @ bb.T
+        return out
 
     def b(t, X):
+        # in d = 1 the matmul's one product per point is a scalar multiply
         X = np.atleast_2d(X)
-        return X @ np.asarray(model.A(t)).T + model.forcing(t)
+        a = np.asarray(model.A(t))
+        out = X * a[0, 0] if d == 1 else X @ a.T
+        out += model.forcing(t)
+        return out
 
     def grad_b(t, X):
         X = np.atleast_2d(X)

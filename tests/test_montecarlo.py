@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,13 +281,21 @@ class TestEvolve:
         ens = mc.evolve(ou_field, ref.point_mass(0.0, 200), 0.0, 0.105, config)
         assert ens.t == 0.105
 
+    @pytest.mark.parametrize("block_size", [0, -5])
+    def test_block_size_must_be_positive(self, block_size):
+        # 0 would divide by zero in the draw, a negative size would draw nothing
+        with pytest.raises(ValueError, match="block_size"):
+            mc.SimConfig(n_particles=100, dt=0.01, seed=0, block_size=block_size)
+
 
 class TestMarchMatchesReference:
     """``_march`` keeps the Philox streams, draw order and arithmetic of the plain loop."""
 
     @staticmethod
     def assert_same(field, x0, jac0, s, captures, config, stream=("march",)):
-        got = list(mc._march(field, x0, jac0, s, captures, config, stream))
+        # the march yields its live state: copy each capture before resuming
+        got = [(t, x.copy(), None if jac is None else jac.copy())
+               for t, x, jac in mc._march(field, x0, jac0, s, captures, config, stream)]
         want = reference_march(field, x0, jac0, s, captures, config, stream)
         assert len(got) == len(want)
         for (t_a, x_a, j_a), (t_b, x_b, j_b) in zip(got, want):
@@ -317,6 +326,29 @@ class TestMarchMatchesReference:
         config = mc.SimConfig(n_particles=800, dt=0.01, seed=24, block_size=512)
         x0 = np.random.default_rng(4).standard_normal((800, dim))
         self.assert_same(fl.gen_field(dim=dim), x0, None, 0.0, [0.5, 1.0], config)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(dim=st.integers(1, 2), q_const=st.floats(0.2, 1.5), q_sin=st.floats(-0.15, 0.15),
+           powers=st.lists(st.sampled_from([1, 3, 5]), min_size=1, max_size=3),
+           rate=st.floats(0.1, 1.5), antithetic=st.booleans(), block_size=st.integers(16, 96),
+           n_blocks=st.integers(1, 3), ragged=st.booleans(), extra=st.integers(1, 95),
+           offsets=st.lists(st.floats(0.0, 0.4), min_size=1, max_size=3))
+    def test_tangent_march_property(self, dim, q_const, q_sin, powers, rate, antithetic,
+                                    block_size, n_blocks, ragged, extra, offsets):
+        # polynomial fields carry Jacobians through whole and ragged blocks,
+        # with captures anywhere, the start time included; the drift stays
+        # dissipative and the start near the origin, so no march blows up
+        terms = tuple(fl.DriftTerm(p, -rate / k, cos=0.2 * rate / k)
+                      for k, p in enumerate(powers, 1))
+        field = fl.polynomial_field(dim, 1.0, q_const=q_const, q_sin=q_sin, drift_terms=terms)
+        n = n_blocks * block_size + (1 + extra % (block_size - 1) if ragged else 0)
+        # the march reads n from x0; n_particles only has to pass its floor
+        config = mc.SimConfig(n_particles=max(n, 100), dt=0.01, seed=32, antithetic=antithetic,
+                              block_size=block_size)
+        rng = np.random.default_rng(10)
+        x0 = 0.5 * rng.standard_normal((n, dim))
+        jac0 = np.eye(dim) + 0.3 * rng.standard_normal((n, dim, dim))
+        self.assert_same(field, x0, jac0, 0.3, [0.3 + off for off in offsets], config)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(dim=st.integers(1, 3), floor=st.floats(0.05, 1.0), q_sin=st.floats(-1.0, 1.0),
@@ -403,11 +435,24 @@ class TestMarchMatchesReference:
             assert np.abs(x - finals[0]).max() <= 1e-12
 
     def test_draw_buffer_bounded(self):
-        # a large ensemble buffers at most _DRAW_FLOATS normals, or one step
+        # a large ensemble buffers at most _DRAW_FLOATS normals, or none at
+        # one step per call, beside its (n, 1) step array; antithetic pairs
+        # buffer only what they draw, half of each block rounded up
+        next(mc._block_normals(0, ("warm-up",), 100, 1, 16, True))
         for n in (1000, 200_000, 2 * mc._DRAW_FLOATS):
-            z = next(mc._block_normals(0, ("march",), n, 1, 16384, False))
-            assert z.shape == (n, 1)
-            assert z.base.size <= max(mc._DRAW_FLOATS, n)
+            steps = min(mc._DRAW_STEPS, max(1, mc._DRAW_FLOATS // n))
+            blocks = -(-n // 16384)
+            for antithetic in (False, True):
+                tracemalloc.start()
+                try:
+                    z = next(mc._block_normals(0, ("march",), n, 1, 16384, antithetic))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert z.shape == (n, 1)
+                drawn = 0 if steps == 1 else steps * (n + blocks) // 2 if antithetic else steps * n
+                # the generators themselves take about 1 KiB each
+                assert peak <= 8 * (drawn + n) + 2048 * (blocks + 1), (n, antithetic, peak)
 
 
 class TestNoiseFactor2d:
@@ -622,6 +667,18 @@ class TestEnsembleIO:
 
 
 class TestAntitheticStats:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 700), block_size=st.integers(1, 300),
+           lead=st.sampled_from([(), (3,), (2, 4)]))
+    def test_units_match_the_block_loop(self, n, block_size, lead):
+        # one gather gives the loop's units bit for bit, ragged blocks included,
+        # in the loop's memory order, which sets the order of their sums
+        vals = np.random.default_rng(n).standard_normal((*lead, n))
+        got = mc.antithetic_units(vals, block_size)
+        want = ref.antithetic_units(vals, block_size)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
     def test_pairing_preserves_mean(self):
         rng = np.random.default_rng(2)
         vals = rng.standard_normal(1000)
@@ -706,3 +763,24 @@ class TestTransportChecks:
         profile = ou_engine.transfer_profile(battery1[:1], 0.0, [1.0])
         with pytest.raises(ValueError):
             dg.contraction_invariance_report(ou_engine, battery1[:1], 0.0, [2.0], [2.0], profile)
+
+
+class TestMarchWorkingSet:
+    def test_gen2d_profile_march_traced_peak(self, gen_field, gen_report):
+        # a gen2d-size decay profile: 128 x 256 particles in d = 2, antithetic
+        # blocks of 256, horizons 1-3 at dt 0.01 and the five decay functions
+        # reduced per capture; tracing starts just before the profile and
+        # numpy's data allocations are traced, so the peak repeats
+        config = mc.SimConfig(n_particles=256, dt=0.01, seed=1, horizon_periods=1,
+                              antithetic=True)
+        engine = eng.MonteCarloEngine(gen_field, config, n_outer=128, n_inner=256,
+                                      certificate=gen_report.lyapunov)
+        engine.phase_ensemble(0.0)
+        phis = [phi for phi in eng.battery() if phi.fid != "const"]
+        tracemalloc.start()
+        try:
+            engine.transfer_profile(phis, 0.0, [1, 1.5, 2, 2.5, 3])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * 2**20, peak / 2**20

@@ -27,7 +27,6 @@ return are only read.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import struct
@@ -151,8 +150,7 @@ def _block_normals(seed: int, name: tuple, n: int, dim: int, block_size: int, an
     a pure function of its key and counter, so the numbers equal those of
     one call per step.  Each step copies the drawn halves into one reused
     (n, dim) array and writes their mirrors with one negation per block
-    size; at one step per call the generators draw straight into that
-    array.  The yielded array is the reused one: it may be overwritten in
+    size.  The yielded array is the reused one: it may be overwritten in
     place and is valid until the next step.
     """
     gens = [generator(seed, *name, blk) for blk in range((n + block_size - 1) // block_size)]
@@ -165,35 +163,30 @@ def _block_normals(seed: int, name: tuple, n: int, dim: int, block_size: int, an
     for count, m, _ in groups:
         rows.append(z[lo : lo + count * m].reshape(count, m, dim))
         lo += count * m
-    if steps == 1:
-        slabs = [row[:, None, :half] for row, (_, _, half) in zip(rows, groups)]
-    else:
-        buf = np.empty(steps * dim * sum(count * half for count, _, half in groups))
-        slabs, off = [], 0
-        for count, _, half in groups:
-            size = count * steps * half * dim
-            slabs.append(buf[off : off + size].reshape(count, steps, half, dim))
-            off += size
+    buf = np.empty(steps * dim * sum(count * half for count, _, half in groups))
+    slabs, off = [], 0
+    for count, _, half in groups:
+        size = count * steps * half * dim
+        slabs.append(buf[off : off + size].reshape(count, steps, half, dim))
+        off += size
     while True:
         for gen, block in zip(gens, (block for slab in slabs for block in slab)):
             gen.standard_normal(out=block)
         for k in range(steps):
             for (_, m, half), slab, row in zip(groups, slabs, rows):
-                if steps > 1:
-                    row[:, :half] = slab[:, k]
+                row[:, :half] = slab[:, k]
                 np.negative(slab[:, k, : m - half], out=row[:, half:])
             yield z
 
 
-def _lower_factor_2x2(q: np.ndarray, normals: np.ndarray, work: np.ndarray | None = None
-                      ) -> np.ndarray:
+def _lower_factor_2x2(q: np.ndarray, normals: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Overwrite (n, 2) ``normals`` z by L z, with L the lower Cholesky factor of 2 q.
 
     ``q`` is an (m, 2, 2) stack with m = n or 1; L is applied row by row on
     (n,) columns: l00 = sqrt(2 q00), l10 = 2 q10 / l00 and
     l11 = sqrt(2 q11 - l10^2).  A Q that is not positive semidefinite makes a
     negative q00 or 2 q11 - l10^2, so the noise turns NaN.  ``work`` is an
-    optional (n,) scratch array for l10 z0.
+    (n,) scratch array for l10 z0.
     """
     l00 = q[:, 0, 0] * 2.0
     np.sqrt(l00, out=l00)
@@ -217,7 +210,7 @@ def _sqrt_spd_batch(mats: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)[:, None, :]) @ np.swapaxes(v, -1, -2)
 
 
-def _noise_increment(field, r, positions, normals, sqrt_dt, work=None):
+def _noise_increment(field, r, positions, normals, sqrt_dt, work):
     """sqrt(dt) sigma(r, x) xi with sigma sigma^T = 2 Q; ``normals`` may be overwritten.
 
     Only sigma sigma^T enters the law of the walk, so sigma is whichever
@@ -226,7 +219,7 @@ def _noise_increment(field, r, positions, normals, sqrt_dt, work=None):
     d = 1, the lower Cholesky factor of 2 Q in d = 2 (applied in place) and
     the symmetric root in d >= 3.  The isotropic path keeps the Cholesky
     path's operation order (its l10 is 0 and l11 = l00), so it gives the
-    same numbers bit for bit.  ``work`` is an optional (n,) scratch array.
+    same numbers bit for bit.  ``work`` is an (n,) scratch array.
     """
     d = field.dim
     if field.q_independent_of_x:
@@ -276,6 +269,8 @@ def _march(field, positions, jacobians, s, capture_times, config, stream):
     not on the other captures.  Yields (t, positions, jacobians) in time
     order; the arrays are the march's one copy of its state, updated in
     place, so a caller reads (or copies) them before it resumes the march.
+    Do not collect the captures unread (``list(_march(...))``): every one
+    of them would hold the final state.
     The march drops its references to the starting arrays once it has
     copied them, and reuses its drift, noise and Jacobian scratch arrays
     across steps; arrays returned by the field callables are only read.
@@ -371,43 +366,29 @@ def sample_periodic_measure(
     return ParticleEnsemble(t_out, pos)
 
 
-@functools.lru_cache(maxsize=32)
-def _unit_indices(n: int, block_size: int):
-    """Gather indices of the antithetic units of n particles in blocks.
-
-    Returns each unit's two particles in unit order (an odd block's unpaired
-    middle is both of its own), then the unit positions of those middles.
-    """
-    lo = np.arange(0, n, block_size)
-    size = np.minimum(block_size, n - lo)
-    half = (size + 1) // 2
-    blk = np.repeat(np.arange(len(lo)), half)                # block of each unit
-    offset = np.arange(half.sum()) - np.repeat(np.cumsum(half) - half, half)
-    first = lo[blk] + offset
-    middles = np.flatnonzero(offset >= (size - half)[blk])
-    second = first + half[blk]
-    second[middles] = first[middles]
-    for arr in (first, second, middles):
-        arr.flags.writeable = False
-    return first, second, middles
-
-
 def antithetic_units(vals: np.ndarray, block_size: int) -> np.ndarray:
     """Collapse antithetically paired samples into independent units.
 
     Pairs live at (lo + i, lo + half + i) within each RNG block; averaging a
     pair before computing spread gives the honest standard error under the
     mirrored-noise coupling.  ``vals`` is indexed by particle along the last
-    axis.  Units come block by block, pairs first and then an odd block's
-    unpaired middle, each pair as 0.5 * (a + b), gathered in one pass.
+    axis.
     """
-    first, second, middles = _unit_indices(vals.shape[-1], block_size)
-    # take keeps the units C-ordered, so their sums run as the loop's would
-    units = np.take(vals, first, axis=-1)
-    units += np.take(vals, second, axis=-1)
-    units *= 0.5
-    units[..., middles] = np.take(vals, first[middles], axis=-1)
-    return units
+    n = vals.shape[-1]
+    units = []
+    lo = 0
+    while lo < n:
+        hi = min(lo + block_size, n)
+        m = hi - lo
+        half = (m + 1) // 2
+        paired = m - half
+        a = vals[..., lo : lo + paired]
+        b = vals[..., lo + half : hi]
+        units.append(0.5 * (a + b))
+        if half > paired:
+            units.append(vals[..., lo + paired : lo + half])
+        lo = hi
+    return np.concatenate(units, axis=-1)
 
 
 def mean_and_stderr(vals: np.ndarray, antithetic: bool, block_size: int):

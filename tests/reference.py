@@ -4,10 +4,8 @@ These are independent oracles the tests compare the lab against: a point-mass
 Monte Carlo transition estimate, the Gaussian transition law (U, S, m) by an
 adaptive DOP853 solve, and from it the linear flow U(t, s), the transition
 covariance S(t, s), the Floquet growth bound and the closed-form action on
-exponentials, Gauss-Hermite expectations against a Gaussian measure,
-scipy's discrete Lyapunov solve (the oracle of the lab's numpy one), and the
-block-by-block loop over antithetic pair units (the oracle of
-``montecarlo.antithetic_units``, which gathers them in one pass).  No
+exponentials, Gauss-Hermite expectations against a Gaussian measure, and
+scipy's discrete Lyapunov solve (the oracle of the lab's numpy one).  No
 lab code calls them; the engines reach the same numbers through
 ``engines.OUExactEngine``, ``engines.MonteCarloEngine`` and
 ``ougaussian.PeriodicGaussianSystem``, whose laws come from Chebyshev
@@ -137,28 +135,3 @@ def gaussian_expectation(measure: GaussianMeasure, phi, order: int = 40) -> floa
     pts, w = gaussian_nodes(measure, order)
     vals = np.asarray(phi(pts))
     return complex(w @ vals) if np.iscomplexobj(vals) else float(w @ vals)
-
-
-def antithetic_units(vals: np.ndarray, block_size: int) -> np.ndarray:
-    """Collapse antithetically paired samples into independent units.
-
-    Pairs live at (lo + i, lo + half + i) within each RNG block; averaging a
-    pair before computing spread gives the honest standard error under the
-    mirrored-noise coupling.  ``vals`` is indexed by particle along the last
-    axis.
-    """
-    n = vals.shape[-1]
-    units = []
-    lo = 0
-    while lo < n:
-        hi = min(lo + block_size, n)
-        m = hi - lo
-        half = (m + 1) // 2
-        paired = m - half
-        a = vals[..., lo : lo + paired]
-        b = vals[..., lo + half : hi]
-        units.append(0.5 * (a + b))
-        if half > paired:
-            units.append(vals[..., lo + paired : lo + half])
-        lo = hi
-    return np.concatenate(units, axis=-1)

@@ -343,7 +343,7 @@ class PhaseMeasures:
         if not self.stochastic:
             return np.array([np.dot(w, v) for w, v in zip(self.weights, per_phase)]), 0.0
         contrib = np.array([len(w) * w * v for w, v in zip(self.weights, per_phase)])
-        _, se = mc.mean_and_stderr(contrib.mean(axis=0), self.antithetic, contrib.shape[1])
+        _, se = mc.mean_and_stderr(contrib.mean(axis=0), self.antithetic)
         return contrib.mean(axis=1), float(se)
 
 
@@ -463,10 +463,9 @@ def pointwise_gradient_check(
     ens = mc.TangentEnsemble.identity(s, np.tile(np.atleast_1d(x), (config.n_particles, 1)))
     out = mc.evolve_tangent(field, ens, s, t, config, stream=stream)
     pulled = np.einsum("nij,ni->nj", out.jacobians, phi.grad_at(out.positions))
-    lhs_vec, lhs_ses = mc.mean_and_stderr(pulled.T, config.antithetic, config.block_size)
+    lhs_vec, lhs_ses = mc.mean_and_stderr(pulled.T, config.antithetic)
     lhs = float(np.linalg.norm(lhs_vec))
-    rhs_mean, rhs_se = mc.mean_and_stderr(phi.grad_norm(out.positions), config.antithetic,
-                                          config.block_size)
+    rhs_mean, rhs_se = mc.mean_and_stderr(phi.grad_norm(out.positions), config.antithetic)
     rhs = math.exp(r0 * (t - s)) * float(rhs_mean)
     stderr = math.hypot(float(np.linalg.norm(lhs_ses)), math.exp(r0 * (t - s)) * float(rhs_se))
     return {

@@ -40,14 +40,13 @@ the inequality checks) live here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from . import montecarlo as mc
 from . import ougaussian as ou
-from .errors import QNotXIndependent
 from .fields import PeriodicCoefficientField
 from .hypotheses import LyapunovResult
 from .once import Once
@@ -257,17 +256,16 @@ class MonteCarloEngine:
         canonical phase s in (0, T) is the phase-0 ensemble carried forward
         from 0 to s on the stream ("phase", s), since the measures form an
         evolution system (mu_s = mu_0 P_{0,s}).  So particle i of every phase
-        descends from particle i at phase 0, and antithetic pairs stay pairs.
+        descends from particle i at phase 0, and since each march is one RNG
+        block, antithetic pairs stay pairs.
         """
         key = self.field.phase(phase)
 
         def build():
-            # one RNG block per ensemble keeps antithetic pairs globally aligned
-            config = replace(self.config, block_size=self.config.n_particles)
             if key == 0.0:
-                return mc.sample_periodic_measure(self.field, 0.0, config, self.certificate,
+                return mc.sample_periodic_measure(self.field, 0.0, self.config, self.certificate,
                                                   stream=("burn-in",))
-            return mc.evolve(self.field, self.phase_ensemble(0.0), 0.0, key, config,
+            return mc.evolve(self.field, self.phase_ensemble(0.0), 0.0, key, self.config,
                              stream=("phase", key))
 
         return self._ensembles.get(key, build)
@@ -285,10 +283,9 @@ class MonteCarloEngine:
         like the measure at the starting time.  The march's stream is named by
         its kind (value or tangent), s and the horizons, so two profiles
         share noise only when they are the same estimate.  Each snapshot is
-        reduced to per-point means and standard errors as the march yields it.
+        reduced to per-point means and standard errors as the march yields it;
+        each outer point's inner replicas are one RNG block.
         """
-        if gradients and not self.field.q_independent_of_x:
-            raise QNotXIndependent("pathwise gradients need x-independent diffusion")
         horizons = np.asarray(sorted(horizons), dtype=float)
         values = {phi.fid: [] for phi in phis}
         grads = {phi.fid: [] for phi in phis} if gradients else {}
@@ -301,20 +298,19 @@ class MonteCarloEngine:
             np.repeat(ens.positions[np.arange(self.n_outer) * (ens.n // self.n_outer)],
                       self.n_inner, axis=0),
             np.broadcast_to(np.eye(d), (n, d, d)) if gradients else None,
-            s, s + horizons, replace(self.config, block_size=self.n_inner),
-            stream=("profile", "tangent" if gradients else "value", float(s), *horizons))
+            s, s + horizons, self.config,
+            stream=("profile", "tangent" if gradients else "value", float(s), *horizons),
+            blocks=self.n_outer)
         for _, pos, jac in march:
             for phi in phis:
                 vals = np.asarray(phi(pos)).reshape(self.n_outer, self.n_inner)
-                values[phi.fid].append(mc.mean_and_stderr(
-                    vals, self.config.antithetic, self.n_inner))
+                values[phi.fid].append(mc.mean_and_stderr(vals, self.config.antithetic))
                 if gradients:
                     pulled = np.einsum("nij,ni->nj", jac, phi.grad_at(pos))
                     # contiguous inner rows sum each component as a 1-d reduction would
                     pulled = np.ascontiguousarray(
                         pulled.reshape(self.n_outer, self.n_inner, d).transpose(0, 2, 1))
-                    comp_mean, comp_se = mc.mean_and_stderr(pulled, self.config.antithetic,
-                                                            self.n_inner)
+                    comp_mean, comp_se = mc.mean_and_stderr(pulled, self.config.antithetic)
                     grads[phi.fid].append((comp_mean, np.linalg.norm(comp_se, axis=1)))
         weights = np.full(self.n_outer, 1.0 / self.n_outer)
         return TransferProfile(horizons, weights, values, grads)

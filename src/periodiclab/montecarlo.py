@@ -12,11 +12,12 @@ module is the one place that keys them: a caller names what a stream
 estimates, a tuple such as ("phase", 0.375), and ``generator`` turns the
 seed and the name plus its block index into a Philox key (after Salmon et
 al., SC'11), so two estimates share a stream only if they share a name.
-Ensembles are bit-reproducible for a fixed schedule regardless of how
-particle blocks are traversed; reductions are plain fixed-order sums.  Each
-block's generator draws the normals of several steps in one call; a Philox
-stream is a pure function of its key and counter, so this yields exactly
-the numbers of one call per step, however the draws are buffered.
+A march is one block unless its caller splits it into equal blocks, and a
+reduction reads one block.  Ensembles are bit-reproducible for a fixed
+schedule; reductions are plain fixed-order sums.  Each block's generator
+draws the normals of several steps in one call; a Philox stream is a pure
+function of its key and counter, so this yields exactly the numbers of one
+call per step, however the draws are buffered.
 A march holds one copy of its state, updated in place one step at a time
 and yielded live at each capture; a draw buffer with only the drawn half
 of each antithetic block; one (n, d) step array that the mirrored halves
@@ -45,22 +46,20 @@ _DRAW_FLOATS = 1 << 19  # ... unless that many unpaired normals pass 4 MiB
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo knobs shared by every stochastic operation."""
+    """Monte Carlo knobs shared by every stochastic operation; the RNG block
+    layout is an argument of each march instead (``_march``)."""
 
     n_particles: int = 10000
     dt: float = 0.005
     seed: int = 0
     horizon_periods: int = 20
     antithetic: bool = False
-    block_size: int = 16384
 
     def __post_init__(self):
         if self.n_particles < 100:
             raise ValueError("n_particles must be >= 100")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
 
     def validated_for(self, field: PeriodicCoefficientField) -> "SimConfig":
         if self.dt > field.period / 50.0:
@@ -136,46 +135,35 @@ def generator(seed: int, *name) -> np.random.Generator:
         np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF, spawn_key=words)))
 
 
-def _block_normals(seed: int, name: tuple, n: int, dim: int, block_size: int, antithetic: bool):
-    """Endless iterator of per-step (n, dim) normals; block b of the particles
-    draws from the stream ``name + (b,)``.
+def _block_normals(seed: int, name: tuple, n: int, dim: int, blocks: int, antithetic: bool):
+    """Endless iterator of per-step (n, dim) normals; the particles form
+    ``blocks`` equal blocks, and block b draws from the stream ``name + (b,)``.
 
     Each block's generator draws up to ``_DRAW_STEPS`` steps in one call,
     fewer for large ensembles (where the per-call overhead is negligible),
     so that unpaired normals would fill at most ``_DRAW_FLOATS`` numbers or
     one step.  The draw buffer holds only what is drawn: under antithetic
     pairing the first half (rounded up) of each block, else the whole block.
-    Blocks of one size lie side by side, each a contiguous (steps, half, dim)
-    slab that its generator fills in place in one call; a Philox stream is
-    a pure function of its key and counter, so the numbers equal those of
-    one call per step.  Each step copies the drawn halves into one reused
-    (n, dim) array and writes their mirrors with one negation per block
-    size.  The yielded array is the reused one: it may be overwritten in
-    place and is valid until the next step.
+    Each block is a contiguous (steps, half, dim) slab that its generator
+    fills in place in one call; a Philox stream is a pure function of its
+    key and counter, so the numbers equal those of one call per step.  Each
+    step copies the drawn halves into one reused (n, dim) array and writes
+    their mirrors with one negation.  The yielded array is the reused one:
+    it may be overwritten in place and is valid until the next step.
     """
-    gens = [generator(seed, *name, blk) for blk in range((n + block_size - 1) // block_size)]
+    m = n // blocks
+    half = (m + 1) // 2 if antithetic else m
+    gens = [generator(seed, *name, blk) for blk in range(blocks)]
     steps = min(_DRAW_STEPS, max(1, _DRAW_FLOATS // (n * dim)))
-    # (count, size, drawn) of the whole blocks and of a ragged last block
-    groups = [(count, m, (m + 1) // 2 if antithetic else m)
-              for count, m in ((n // block_size, block_size), (1, n % block_size)) if count and m]
     z = np.empty((n, dim))
-    rows, lo = [], 0
-    for count, m, _ in groups:
-        rows.append(z[lo : lo + count * m].reshape(count, m, dim))
-        lo += count * m
-    buf = np.empty(steps * dim * sum(count * half for count, _, half in groups))
-    slabs, off = [], 0
-    for count, _, half in groups:
-        size = count * steps * half * dim
-        slabs.append(buf[off : off + size].reshape(count, steps, half, dim))
-        off += size
+    rows = z.reshape(blocks, m, dim)
+    slabs = np.empty((blocks, steps, half, dim))
     while True:
-        for gen, block in zip(gens, (block for slab in slabs for block in slab)):
-            gen.standard_normal(out=block)
+        for gen, slab in zip(gens, slabs):
+            gen.standard_normal(out=slab)
         for k in range(steps):
-            for (_, m, half), slab, row in zip(groups, slabs, rows):
-                row[:, :half] = slab[:, k]
-                np.negative(slab[:, k, : m - half], out=row[:, half:])
+            rows[:, :half] = slabs[:, k]
+            np.negative(slabs[:, k, : m - half], out=rows[:, half:])
             yield z
 
 
@@ -258,10 +246,14 @@ def _check_spd(field, r, positions):
         raise NonPositiveDefinite(r, sample[bad], float(low[bad]))
 
 
-def _march(field, positions, jacobians, s, capture_times, config, stream):
+def _march(field, positions, jacobians, s, capture_times, config, stream, blocks=1):
     """Shared Euler-Maruyama loop on the noise of the stream named ``stream``;
     yields the live state at each requested time.
 
+    The particles form ``blocks`` equal RNG blocks (``_block_normals``).  The
+    march checks its preconditions when its first capture is asked for: dt
+    at most T/50, no capture before s, blocks that split the particles
+    evenly, and x-independent diffusion when it carries Jacobians.
     Each segment from r to the next capture takes
     ``floor((target - r)/dt + 1e-9)`` full steps of config.dt, then one
     partial step when more than ``1e-9 dt`` is left, so a segment's schedule
@@ -275,14 +267,19 @@ def _march(field, positions, jacobians, s, capture_times, config, stream):
     copied them, and reuses its drift, noise and Jacobian scratch arrays
     across steps; arrays returned by the field callables are only read.
     """
+    config.validated_for(field)
+    if jacobians is not None and not field.q_independent_of_x:
+        raise QNotXIndependent("tangent flow requires diffusion independent of x; "
+                               "use finite differences instead")
     captures = sorted(set(float(t) for t in capture_times))
     if captures and captures[0] < s:
         raise ValueError("capture times must be >= start time")
+    if len(positions) % blocks:
+        raise ValueError(f"{len(positions)} particles do not split into {blocks} equal blocks")
     x = np.array(positions, dtype=float)
     jac = None if jacobians is None else np.array(jacobians, dtype=float)
     del positions, jacobians
-    normals = _block_normals(config.seed, stream, len(x), field.dim, config.block_size,
-                             config.antithetic)
+    normals = _block_normals(config.seed, stream, len(x), field.dim, blocks, config.antithetic)
     drift = np.empty_like(x)
     work = np.empty(len(x))
     jac_step = None if jac is None else np.empty_like(jac)
@@ -325,12 +322,9 @@ def evolve(
     config: SimConfig,
     stream: tuple = ("evolve",),
 ) -> ParticleEnsemble:
-    """Push an ensemble from its time stamp s to t >= s on the stream ``stream``."""
+    """Push an ensemble from its time stamp s to t >= s, one RNG block on the stream ``stream``."""
     if not math.isclose(ensemble.t, s, rel_tol=0.0, abs_tol=1e-12):
         raise ValueError(f"ensemble time stamp {ensemble.t} does not match s={s}")
-    if t < s:
-        raise ValueError("evolve requires t >= s")
-    config.validated_for(field)
     (t_out, pos, _), = _march(field, ensemble.positions, None, s, [t], config, stream)
     return ParticleEnsemble(t_out, pos)
 
@@ -347,53 +341,35 @@ def sample_periodic_measure(
     A point mass at the origin is evolved over ``horizon_periods`` full
     periods ending at the canonical phase of s, on the stream ``stream``;
     dissipativity erases the initialization.  The Lyapunov ``certificate``
-    (``check_hypotheses(field, plan).lyapunov``) must be accepted.
+    (``check_hypotheses(field, plan).lyapunov``) must be accepted.  The
+    particles march as one RNG block.
     """
-    config.validated_for(field)
     if not certificate.accepted:
         raise NotDissipative(f"no Lyapunov certificate for field {field.name!r}")
     phase = field.phase(s)
     start = phase - config.horizon_periods * field.period
-    (t_out, pos, _), = _march(
-        field,
-        np.zeros((config.n_particles, field.dim)),
-        None,
-        start,
-        [phase],
-        config,
-        stream,
-    )
+    origin = np.zeros((config.n_particles, field.dim))
+    (t_out, pos, _), = _march(field, origin, None, start, [phase], config, stream)
     return ParticleEnsemble(t_out, pos)
 
 
-def antithetic_units(vals: np.ndarray, block_size: int) -> np.ndarray:
+def antithetic_units(vals: np.ndarray) -> np.ndarray:
     """Collapse antithetically paired samples into independent units.
 
-    Pairs live at (lo + i, lo + half + i) within each RNG block; averaging a
-    pair before computing spread gives the honest standard error under the
-    mirrored-noise coupling.  ``vals`` is indexed by particle along the last
-    axis.
+    ``vals`` is indexed by particle along its last axis, which is one RNG
+    block of m samples: sample i pairs with sample i + ceil(m/2), and an odd
+    block's middle sample stands alone.  Averaging a pair before computing
+    spread gives the honest standard error under the mirrored-noise coupling.
     """
-    n = vals.shape[-1]
-    units = []
-    lo = 0
-    while lo < n:
-        hi = min(lo + block_size, n)
-        m = hi - lo
-        half = (m + 1) // 2
-        paired = m - half
-        a = vals[..., lo : lo + paired]
-        b = vals[..., lo + half : hi]
-        units.append(0.5 * (a + b))
-        if half > paired:
-            units.append(vals[..., lo + paired : lo + half])
-        lo = hi
-    return np.concatenate(units, axis=-1)
+    m = vals.shape[-1]
+    half = (m + 1) // 2
+    pairs = 0.5 * (vals[..., : m - half] + vals[..., half:])
+    return np.concatenate([pairs, vals[..., m - half : half]], axis=-1)
 
 
-def mean_and_stderr(vals: np.ndarray, antithetic: bool, block_size: int):
-    """Mean and standard error along the particle axis, pairing-aware."""
-    units = antithetic_units(vals, block_size) if antithetic else vals
+def mean_and_stderr(vals: np.ndarray, antithetic: bool):
+    """Mean and standard error along the particle axis, one RNG block, pairing-aware."""
+    units = antithetic_units(vals) if antithetic else vals
     mean = units.mean(axis=-1)
     se = units.std(axis=-1, ddof=1) / math.sqrt(units.shape[-1])
     return mean, se
@@ -407,12 +383,7 @@ def evolve_tangent(
     config: SimConfig,
     stream: tuple = ("evolve-tangent",),
 ) -> TangentEnsemble:
-    """Joint particle/Jacobian flow on the stream ``stream``; needs x-independent diffusion."""
-    if not field.q_independent_of_x:
-        raise QNotXIndependent(
-            "tangent flow requires diffusion independent of x; use finite differences instead"
-        )
-    config.validated_for(field)
+    """Joint particle/Jacobian flow, one RNG block on ``stream``; needs x-independent diffusion."""
     (t_out, pos, jac), = _march(field, ensemble.positions, ensemble.jacobians, s, [t], config, stream)
     return TangentEnsemble(t_out, pos, jac)
 

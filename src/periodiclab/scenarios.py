@@ -809,16 +809,14 @@ def run_scenario(doc: dict, out_dir: str | Path, jobs: int = 1,
     if overrides:
         doc = json.loads(json.dumps(doc))  # deep copy before mutating
         sim = doc.setdefault("sim", {})
-        for key, target in (("particles", "particles"), ("dt", "dt"),
-                            ("horizon", "horizon_periods")):
+        for key, section, target in (("seed", doc, "seed"), ("particles", sim, "particles"),
+                                     ("dt", sim, "dt"), ("horizon", sim, "horizon_periods")):
             if overrides.get(key) is not None:
-                sim[target] = overrides[key]
+                section[target] = overrides[key]
     # the runners read the resolved specs, and ctx.doc holds those very objects
     specs = _resolved_experiments(doc)
-    seed = overrides.get("seed")
-    if seed is None:
-        seed = doc.get("seed", 0)
-    ctx = RunContext(doc={**doc, "experiments": specs}, seed=int(seed))
+    seed = doc.get("seed", 0)
+    ctx = RunContext(doc={**doc, "experiments": specs}, seed=seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -831,7 +829,7 @@ def run_scenario(doc: dict, out_dir: str | Path, jobs: int = 1,
     else:
         results = [run(spec) for spec in specs]
 
-    summary = {"scenario": doc["id"], "seed": int(seed), "schema": SCHEMA_VERSION,
+    summary = {"scenario": doc["id"], "seed": seed, "schema": SCHEMA_VERSION,
                "config_hash": ctx.config_hash(), "experiments": {}, "checks": [],
                "pass": True}
     for name, result in zip(_unique_names(specs), results):
@@ -862,13 +860,14 @@ def builtin_ids() -> list[str]:
 
 
 def load_scenario(ref: str | Path) -> dict:
-    """Load a scenario by builtin id or by file path."""
+    """Load a scenario from a file path, else by builtin id (so a directory
+    named like a builtin, such as its default output, does not shadow it)."""
     path = Path(ref)
-    if not path.exists():
+    if not path.is_file():
         candidate = data_dir() / f"{ref}.json"
-        if candidate.exists():
+        if candidate.is_file():
             path = candidate
-        else:
+        elif not path.exists():
             raise ConfigError(f"no scenario file or builtin id {ref!r}", "$")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))

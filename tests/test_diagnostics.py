@@ -236,7 +236,7 @@ def test_engine_protocol(kind, ou_model, ou_field, ou_generator, ou_report, batt
         mean, se = dg.phase_mean(engine, phi, 0.3)
         if engine.stochastic:
             assert mean == vals.mean()
-            assert se == mc.mean_and_stderr(vals, True, len(vals))[1]
+            assert se == mc.mean_and_stderr(vals, True)[1]
             if phi.fid == "const":
                 assert (mean, se) == (1.0, 0.0) == dg.phase_lp(engine, phi, 0.3, 2.0)
         else:
@@ -317,8 +317,8 @@ class TestPhaseAverageStderr:
         eight = dg.poincare_ratio(u, dg.PhaseMeasures.from_engine(engine, 8), 2.0, -1.0)
         x = engine.positions[:, 0]
         m = x.mean()
-        want = math.hypot(mc.mean_and_stderr((x - m) ** 2, True, len(x))[1],
-                          mc.mean_and_stderr(2 * abs(m) * x, True, len(x))[1])
+        want = math.hypot(mc.mean_and_stderr((x - m) ** 2, True)[1],
+                          mc.mean_and_stderr(2 * abs(m) * x, True)[1])
         assert one.stderr == pytest.approx(want, rel=1e-12)
         assert eight.stderr == pytest.approx(want, rel=1e-12)   # not want / sqrt(8)
 

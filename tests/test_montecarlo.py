@@ -1,12 +1,13 @@
 """Stochastic engine against exact transition laws and pathwise bounds."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from periodiclab import diagnostics as dg
 from periodiclab import engines as eng
@@ -14,6 +15,7 @@ from periodiclab import fields as fl
 from periodiclab import hypotheses as hyp
 from periodiclab import montecarlo as mc
 from periodiclab import ougaussian as ou
+from periodiclab import scenarios as sc
 from periodiclab.errors import Blowup, NonPositiveDefinite, NotDissipative, QNotXIndependent
 
 import reference as ref
@@ -40,10 +42,11 @@ def stream_key(seed, name):
     return np.random.SeedSequence(seed % 2**64, spawn_key=words).generate_state(2, np.uint64)
 
 
-def reference_march(field, positions, jacobians, s, capture_times, config, stream):
+def reference_march(field, positions, jacobians, s, capture_times, config, stream, blocks=1):
     """Plain Euler-Maruyama loop with the arithmetic ``mc._march`` must reproduce.
 
-    Block b draws from the stream ``stream + (b,)``.  One Philox call per
+    The particles form ``blocks`` equal blocks, and block b draws from the
+    stream ``stream + (b,)``.  One Philox call per
     block and step, out-of-place ``x + dt*b + noise``, the 2x2 noise factor
     as a lower Cholesky (n, 2, 2) stack, einsum noise and an einsum Jacobian
     update.  Each segment takes
@@ -52,15 +55,15 @@ def reference_march(field, positions, jacobians, s, capture_times, config, strea
     it changes no number.
     """
     n, d = positions.shape
-    bs = config.block_size
+    m = n // blocks
+    assert m * blocks == n
     gens = [np.random.Generator(np.random.Philox(key=stream_key(config.seed, (*stream, blk))))
-            for blk in range((n + bs - 1) // bs)]
+            for blk in range(blocks)]
 
     def draw():
         out = np.empty((n, d))
         for blk, gen in enumerate(gens):
-            lo, hi = blk * bs, min(blk * bs + bs, n)
-            m = hi - lo
+            lo, hi = blk * m, blk * m + m
             if config.antithetic:
                 half = (m + 1) // 2
                 z = gen.standard_normal((half, d))
@@ -157,7 +160,7 @@ class TestEvolve:
     def test_ou_mean_against_propagator(self, ou_model, ou_field):
         config = mc.SimConfig(n_particles=40000, dt=0.0025, seed=8, antithetic=True)
         ens = mc.evolve(ou_field, ref.point_mass(2.0, 40000), 0.0, 1.0, config)
-        mean, se = mc.mean_and_stderr(ens.positions[:, 0], True, config.block_size)
+        mean, se = mc.mean_and_stderr(ens.positions[:, 0], True)
         expected = 2.0 * ref.propagator(ou_model, 1.0, 0.0)[0, 0]
         assert abs(mean - expected) <= 4 * se + 2e-3
 
@@ -281,22 +284,16 @@ class TestEvolve:
         ens = mc.evolve(ou_field, ref.point_mass(0.0, 200), 0.0, 0.105, config)
         assert ens.t == 0.105
 
-    @pytest.mark.parametrize("block_size", [0, -5])
-    def test_block_size_must_be_positive(self, block_size):
-        # 0 would divide by zero in the draw, a negative size would draw nothing
-        with pytest.raises(ValueError, match="block_size"):
-            mc.SimConfig(n_particles=100, dt=0.01, seed=0, block_size=block_size)
-
 
 class TestMarchMatchesReference:
     """``_march`` keeps the Philox streams, draw order and arithmetic of the plain loop."""
 
     @staticmethod
-    def assert_same(field, x0, jac0, s, captures, config, stream=("march",)):
+    def assert_same(field, x0, jac0, s, captures, config, stream=("march",), blocks=1):
         # the march yields its live state: copy each capture before resuming
         got = [(t, x.copy(), None if jac is None else jac.copy())
-               for t, x, jac in mc._march(field, x0, jac0, s, captures, config, stream)]
-        want = reference_march(field, x0, jac0, s, captures, config, stream)
+               for t, x, jac in mc._march(field, x0, jac0, s, captures, config, stream, blocks)]
+        want = reference_march(field, x0, jac0, s, captures, config, stream, blocks)
         assert len(got) == len(want)
         for (t_a, x_a, j_a), (t_b, x_b, j_b) in zip(got, want):
             assert t_a == t_b
@@ -304,69 +301,70 @@ class TestMarchMatchesReference:
             assert (j_a is None and j_b is None) or np.array_equal(j_a, j_b)
 
     def test_polynomial_1d_value(self, grad_field):
-        config = mc.SimConfig(n_particles=600, dt=0.01, seed=21, block_size=256)
+        config = mc.SimConfig(n_particles=600, dt=0.01, seed=21)
         x0 = np.linspace(-2.0, 2.0, 600)[:, None]
-        self.assert_same(grad_field, x0, None, 0.1, [0.55, 1.3], config)
+        self.assert_same(grad_field, x0, None, 0.1, [0.55, 1.3], config, blocks=3)
 
     def test_polynomial_1d_tangent(self, grad_field):
-        config = mc.SimConfig(n_particles=600, dt=0.01, seed=22, block_size=256)
+        config = mc.SimConfig(n_particles=600, dt=0.01, seed=22)
         x0 = np.linspace(-2.0, 2.0, 600)[:, None]
-        self.assert_same(grad_field, x0, np.ones((600, 1, 1)), 0.0, [0.4, 1.0], config)
+        self.assert_same(grad_field, x0, np.ones((600, 1, 1)), 0.0, [0.4, 1.0], config, blocks=3)
 
     def test_polynomial_2d_tangent(self):
         field = fl.polynomial_field(2, 1.0, q_const=0.7, q_sin=0.2,
                                     drift_terms=(fl.DriftTerm(3, -1.0), fl.DriftTerm(1, -0.5)))
-        config = mc.SimConfig(n_particles=300, dt=0.01, seed=23, block_size=128)
+        config = mc.SimConfig(n_particles=300, dt=0.01, seed=23)
         x0 = np.random.default_rng(3).standard_normal((300, 2))
         jac0 = np.broadcast_to(np.eye(2), (300, 2, 2)).copy()
-        self.assert_same(field, x0, jac0, 0.0, [0.6], config)
+        self.assert_same(field, x0, jac0, 0.0, [0.6], config, blocks=2)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_gen_field_x_dependent_q(self, dim):
-        config = mc.SimConfig(n_particles=800, dt=0.01, seed=24, block_size=512)
+        config = mc.SimConfig(n_particles=800, dt=0.01, seed=24)
         x0 = np.random.default_rng(4).standard_normal((800, dim))
-        self.assert_same(fl.gen_field(dim=dim), x0, None, 0.0, [0.5, 1.0], config)
+        self.assert_same(fl.gen_field(dim=dim), x0, None, 0.0, [0.5, 1.0], config, blocks=2)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(dim=st.integers(1, 2), q_const=st.floats(0.2, 1.5), q_sin=st.floats(-0.15, 0.15),
            powers=st.lists(st.sampled_from([1, 3, 5]), min_size=1, max_size=3),
            rate=st.floats(0.1, 1.5), antithetic=st.booleans(), block_size=st.integers(16, 96),
-           n_blocks=st.integers(1, 3), ragged=st.booleans(), extra=st.integers(1, 95),
+           n_blocks=st.integers(1, 3),
            offsets=st.lists(st.floats(0.0, 0.4), min_size=1, max_size=3))
     def test_tangent_march_property(self, dim, q_const, q_sin, powers, rate, antithetic,
-                                    block_size, n_blocks, ragged, extra, offsets):
-        # polynomial fields carry Jacobians through whole and ragged blocks,
-        # with captures anywhere, the start time included; the drift stays
-        # dissipative and the start near the origin, so no march blows up
+                                    block_size, n_blocks, offsets):
+        # polynomial fields carry Jacobians through equal blocks of odd and
+        # even size, with captures anywhere, the start time included; the
+        # drift stays dissipative and the start near the origin, so no march
+        # blows up
         terms = tuple(fl.DriftTerm(p, -rate / k, cos=0.2 * rate / k)
                       for k, p in enumerate(powers, 1))
         field = fl.polynomial_field(dim, 1.0, q_const=q_const, q_sin=q_sin, drift_terms=terms)
-        n = n_blocks * block_size + (1 + extra % (block_size - 1) if ragged else 0)
+        n = n_blocks * block_size
         # the march reads n from x0; n_particles only has to pass its floor
-        config = mc.SimConfig(n_particles=max(n, 100), dt=0.01, seed=32, antithetic=antithetic,
-                              block_size=block_size)
+        config = mc.SimConfig(n_particles=max(n, 100), dt=0.01, seed=32, antithetic=antithetic)
         rng = np.random.default_rng(10)
         x0 = 0.5 * rng.standard_normal((n, dim))
         jac0 = np.eye(dim) + 0.3 * rng.standard_normal((n, dim, dim))
-        self.assert_same(field, x0, jac0, 0.3, [0.3 + off for off in offsets], config)
+        self.assert_same(field, x0, jac0, 0.3, [0.3 + off for off in offsets], config,
+                         blocks=n_blocks)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(dim=st.integers(1, 3), floor=st.floats(0.05, 1.0), q_sin=st.floats(-1.0, 1.0),
-           q_bump=st.floats(-0.5, 1.0), antithetic=st.booleans(), n=st.integers(100, 400),
-           block_size=st.integers(16, 128),
+           q_bump=st.floats(-0.5, 1.0), antithetic=st.booleans(), block_size=st.integers(16, 128),
+           n_blocks=st.integers(1, 3),
            offsets=st.lists(st.floats(0.0, 0.4), min_size=1, max_size=3))
-    def test_isotropic_march_property(self, dim, floor, q_sin, q_bump, antithetic, n,
-                                      block_size, offsets):
+    def test_isotropic_march_property(self, dim, floor, q_sin, q_bump, antithetic, block_size,
+                                      n_blocks, offsets):
         # the one-root-per-particle noise of an isotropic Q reproduces the
         # reference's Cholesky (d = 2) and eigh (d = 3) arithmetic bit for bit;
-        # q_const keeps Q elliptic, blocks are ragged, captures land anywhere
-        assume(n % block_size)
+        # q_const keeps Q elliptic, blocks are equal, captures land anywhere
+        n = n_blocks * block_size
         field = fl.gen_field(dim=dim, q_const=floor + abs(q_sin) - min(q_bump, 0.0),
                              q_sin=q_sin, q_bump=q_bump)
-        config = mc.SimConfig(n_particles=n, dt=0.01, seed=31, antithetic=antithetic,
-                              block_size=block_size)
+        config = mc.SimConfig(n_particles=max(n, 100), dt=0.01, seed=31, antithetic=antithetic)
         x0 = np.random.default_rng(9).standard_normal((n, dim))
-        self.assert_same(field, x0, None, 0.2, [0.2 + off for off in offsets], config)
+        self.assert_same(field, x0, None, 0.2, [0.2 + off for off in offsets], config,
+                         blocks=n_blocks)
 
     def test_isotropic_march_builds_no_matrix(self, gen_field):
         # one period at dt 0.01: the matrix path calls q once per step and
@@ -388,29 +386,39 @@ class TestMarchMatchesReference:
         assert counts == [0, 100 + 2]
 
     def test_x_dependent_off_diagonal_q(self):
-        config = mc.SimConfig(n_particles=1001, dt=0.01, seed=28, antithetic=True, block_size=256)
+        config = mc.SimConfig(n_particles=1001, dt=0.01, seed=28, antithetic=True)
         x0 = np.random.default_rng(7).standard_normal((1001, 2))
-        self.assert_same(tilted_field(), x0, None, 0.1, [0.45, 1.0], config)
+        self.assert_same(tilted_field(), x0, None, 0.1, [0.45, 1.0], config, blocks=7)
 
     @pytest.mark.parametrize("case", ["grad-value", "grad-tangent", "gen2d"])
-    def test_antithetic_ragged_blocks_off_grid_captures(self, case, grad_field, gen_field):
-        # 1001 particles in blocks of 256 (odd last block), 33 steps to the
-        # first capture, captures off the dt grid and one at the start time
+    def test_antithetic_odd_blocks_off_grid_captures(self, case, grad_field, gen_field):
+        # 1001 particles in 7 blocks of 143 (an unpaired middle in each),
+        # 33 steps to the first capture, captures off the dt grid and one at
+        # the start time
         field = gen_field if case == "gen2d" else grad_field
         n, d = 1001, field.dim
-        config = mc.SimConfig(n_particles=n, dt=0.01, seed=25, antithetic=True, block_size=256)
+        config = mc.SimConfig(n_particles=n, dt=0.01, seed=25, antithetic=True)
         x0 = np.random.default_rng(5).standard_normal((n, d))
         jac0 = np.ones((n, 1, 1)) if case == "grad-tangent" else None
         name = ("profile", "tangent", 0.2, 0.5)
-        self.assert_same(field, x0, jac0, 0.2, [0.2, 0.5237, 0.6111, 1.0049], config, stream=name)
+        self.assert_same(field, x0, jac0, 0.2, [0.2, 0.5237, 0.6111, 1.0049], config, stream=name,
+                         blocks=7)
+
+    def test_blocks_must_split_the_particles_evenly(self, grad_field):
+        config = mc.SimConfig(n_particles=1001, dt=0.01, seed=0)
+        march = mc._march(grad_field, np.zeros((1001, 1)), None, 0.0, [0.5], config,
+                          ("march",), blocks=4)
+        with pytest.raises(ValueError, match="1001 particles do not split into 4 equal blocks"):
+            next(march)
 
     @pytest.mark.parametrize("cap", [1, 3 * 1001])
     def test_capped_draw_buffer(self, cap, grad_field, monkeypatch):
         # large ensembles draw fewer steps per call (here 1 and 3): same numbers
         monkeypatch.setattr(mc, "_DRAW_FLOATS", cap)
-        config = mc.SimConfig(n_particles=1001, dt=0.01, seed=26, antithetic=True, block_size=256)
+        config = mc.SimConfig(n_particles=1001, dt=0.01, seed=26, antithetic=True)
         x0 = np.random.default_rng(6).standard_normal((1001, 1))
-        self.assert_same(grad_field, x0, np.ones((1001, 1, 1)), 0.0, [0.1049, 0.3], config)
+        self.assert_same(grad_field, x0, np.ones((1001, 1, 1)), 0.0, [0.1049, 0.3], config,
+                         blocks=7)
 
     def test_schedule_ignores_other_captures(self, grad_field):
         # 1 + 1 + 1 + 1, 1 + 1 + 2 and 4 periods at dt 0.01 are 400 steps each
@@ -438,14 +446,13 @@ class TestMarchMatchesReference:
         # a large ensemble buffers at most _DRAW_FLOATS normals, or one step,
         # beside its (n, 1) step array; antithetic pairs buffer only what
         # they draw, half of each block rounded up
-        next(mc._block_normals(0, ("warm-up",), 100, 1, 16, True))
-        for n in (1000, 200_000, 2 * mc._DRAW_FLOATS):
+        next(mc._block_normals(0, ("warm-up",), 100, 1, 4, True))
+        for n, blocks in ((1001, 1), (200_000, 16), (2 * mc._DRAW_FLOATS, 64)):
             steps = min(mc._DRAW_STEPS, max(1, mc._DRAW_FLOATS // n))
-            blocks = -(-n // 16384)
             for antithetic in (False, True):
                 tracemalloc.start()
                 try:
-                    z = next(mc._block_normals(0, ("march",), n, 1, 16384, antithetic))
+                    z = next(mc._block_normals(0, ("march",), n, 1, blocks, antithetic))
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
@@ -610,8 +617,8 @@ class TestTangentFlow:
         assert np.array_equal(ens.positions[1000:], -ens.positions[:1000])
         lhs_vals = ens.jacobians[:, 0, 0] * tanh.grad_at(ens.positions)[:, 0]
         rhs_vals = math.exp(-1.0) * tanh.grad_norm(ens.positions)
-        paired = math.hypot(mc.mean_and_stderr(lhs_vals, True, 2000)[1],
-                            mc.mean_and_stderr(rhs_vals, True, 2000)[1])
+        paired = math.hypot(mc.mean_and_stderr(lhs_vals, True)[1],
+                            mc.mean_and_stderr(rhs_vals, True)[1])
         naive = math.hypot(lhs_vals.std(ddof=1), rhs_vals.std(ddof=1)) / math.sqrt(2000)
         assert paired > 1.4 * naive
         assert out["stderr"] == pytest.approx(paired, rel=1e-12)
@@ -627,8 +634,7 @@ class TestPhaseEnsembles:
 
     def test_phase_zero_is_the_burn_in(self, grad_field, grad_report):
         engine = self.engine(grad_field, grad_report)
-        config = dataclasses.replace(engine.config, block_size=engine.config.n_particles)
-        want = mc.sample_periodic_measure(grad_field, 0.0, config, grad_report.lyapunov,
+        want = mc.sample_periodic_measure(grad_field, 0.0, engine.config, grad_report.lyapunov,
                                           stream=("burn-in",))
         assert np.array_equal(engine.phase_ensemble(0.0).positions, want.positions)
 
@@ -648,8 +654,7 @@ class TestPhaseEnsembles:
         want = round(burn_in / dt) + sum(math.ceil(k * field.period / (8 * dt))
                                          for k in range(1, 8))
         assert len(calls) == want == 278
-        config = dataclasses.replace(engine.config, block_size=engine.config.n_particles)
-        moved = mc.evolve(grad_field, engine.phase_ensemble(0.0), 0.0, 0.375, config,
+        moved = mc.evolve(grad_field, engine.phase_ensemble(0.0), 0.0, 0.375, engine.config,
                           stream=("phase", 0.375))
         assert np.array_equal(engine.phase_ensemble(0.375).positions, moved.positions)
 
@@ -671,7 +676,7 @@ class TestAntitheticStats:
     def test_pairing_preserves_mean(self):
         rng = np.random.default_rng(2)
         vals = rng.standard_normal(1000)
-        mean, se = mc.mean_and_stderr(vals, True, 256)
+        mean, se = mc.mean_and_stderr(vals, True)
         assert abs(mean - vals.mean()) < 1e-12
 
     def test_component_rows_reduce_as_the_per_component_loop(self):
@@ -679,9 +684,9 @@ class TestAntitheticStats:
         pulled = np.random.default_rng(5).standard_normal((16, 1024, 3))
         rows = np.ascontiguousarray(pulled.transpose(0, 2, 1))
         for antithetic in (True, False):
-            mean, se = mc.mean_and_stderr(rows, antithetic, 1024)
+            mean, se = mc.mean_and_stderr(rows, antithetic)
             for c in range(3):
-                m_c, se_c = mc.mean_and_stderr(pulled[..., c], antithetic, 1024)
+                m_c, se_c = mc.mean_and_stderr(pulled[..., c], antithetic)
                 assert np.array_equal(mean[:, c], m_c) and np.array_equal(se[:, c], se_c)
 
     def test_odd_function_collapses(self, grad_mc, battery1):
@@ -773,3 +778,33 @@ class TestMarchWorkingSet:
         finally:
             tracemalloc.stop()
         assert peak <= 5.5 * 2**20, peak / 2**20
+
+
+class TestBlockLayout:
+    def test_grad1d_marches_whole_blocks(self, tmp_path, monkeypatch):
+        # grad1d at benchmark sizes, seed 1: each transfer profile marches
+        # n_outer blocks of n_inner, one block per outer point; the burn-in,
+        # each carried phase and each pointwise sample march one block
+        from test_golden import SEED, SIZES
+
+        seen, block_normals = [], mc._block_normals
+
+        def spy(seed, name, n, dim, blocks, antithetic):
+            seen.append((name[0], n, blocks))
+            return block_normals(seed, name, n, dim, blocks, antithetic)
+
+        monkeypatch.setattr(mc, "_block_normals", spy)
+        doc = json.loads(json.dumps(sc.load_scenario("grad1d")))
+        for section, values in SIZES["grad1d"].items():
+            doc.setdefault(section, {}).update(values)
+        sc.run_scenario(doc, tmp_path, overrides={"seed": SEED})
+        sim = doc["sim"]
+        n_outer, n_inner, particles = sim["n_outer"], sim["n_inner"], sim["particles"]
+        layouts = {}
+        for kind, n, blocks in seen:
+            layouts.setdefault(kind, set()).add((n, blocks))
+        assert layouts == {"burn-in": {(particles, 1)}, "phase": {(particles, 1)},
+                           "profile": {(n_outer * n_inner, n_outer)},
+                           "pointwise": {(4000, 1)}}
+        counts = {kind: sum(k == kind for k, *_ in seen) for kind in layouts}
+        assert counts["burn-in"] == 1 and counts["pointwise"] == 50, counts

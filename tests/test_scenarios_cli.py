@@ -463,6 +463,13 @@ class TestCli:
         assert cli.main(["describe", "nope"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_output_directory_does_not_shadow_its_builtin(self, tmp_path, monkeypatch, capsys):
+        # ``lab run gen2d`` writes into ./gen2d/; the id still names the builtin
+        (tmp_path / "gen2d").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["describe", "gen2d"]) == 0
+        assert "id: gen2d" in capsys.readouterr().out
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_a_config_error(self, tmp_path, capsys, jobs):
         assert cli.main(["run", "ou1d", "--out", str(tmp_path), "--jobs", jobs]) == 2
@@ -473,6 +480,14 @@ class TestCli:
         argv = ["run", "ou1d", "--out", str(tmp_path), "--particles", "50"]
         assert cli.main(argv) == 2
         assert "$.sim.particles" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [True, "abc"])
+    def test_bad_seed_override_is_a_config_error(self, tmp_path, seed):
+        # the seed override is validated at $.seed like the document's seed
+        with pytest.raises(ConfigError) as err:
+            sc.run_scenario(json.loads(json.dumps(TINY)), tmp_path, overrides={"seed": seed})
+        assert err.value.path == "$.seed"
+        assert not any(tmp_path.iterdir())
 
     def test_montecarlo_rate_equivalence_on_x_dependent_q_exits_2(self, tmp_path, capsys):
         doc = json.loads(json.dumps(sc.load_scenario("gen2d")))
@@ -676,7 +691,7 @@ class TestRun:
         monkeypatch.setattr(mc, "sample_periodic_measure", lambda *args, **kwargs: ens)
         v = 1.0 + ens.positions[:, 0] ** 2
         naive = v.std(ddof=1) / np.sqrt(len(v))
-        paired = mc.mean_and_stderr(v, True, len(v))[1]
+        paired = mc.mean_and_stderr(v, True)[1]
         assert 5.0 * naive < 4.0 * paired < 6.0 * naive
         report = hyp.check_hypotheses(ctx.field, ctx.plan)
         bound = v.mean() - naive_multiple * naive
@@ -821,6 +836,15 @@ def test_failed_monodromy_eigensolve_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(gr.np.linalg, "eigvals", failing)
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     assert "one-period map: Eigenvalues did not converge" in capsys.readouterr().err
+
+
+def test_diverging_crank_nicolson_step_exits_3(tmp_path, capsys, monkeypatch):
+    """A Crank-Nicolson step that produces non-finite values is a numerical
+    failure (exit 3), not a traceback."""
+    path = grid_only_ou1d(tmp_path, {"name": "spectral-mapping"})
+    monkeypatch.setattr(gr.spla, "spsolve", lambda mat, rhs: np.full(np.shape(rhs), np.nan))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "Crank-Nicolson produced non-finite values" in capsys.readouterr().err
 
 
 def test_singular_solvability_lu_exits_3(tmp_path, capsys, monkeypatch):

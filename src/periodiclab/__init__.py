@@ -46,7 +46,6 @@ from .montecarlo import (
     ParticleEnsemble,
     SimConfig,
     TangentEnsemble,
-    evolve,
     sample_periodic_measure,
 )
 from .ougaussian import (

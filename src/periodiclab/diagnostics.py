@@ -20,8 +20,10 @@ Conventions shared by every diagnostic:
   are not expected to be tight;
 * rate fits run on log values, exclude the transient ``tau < 1`` and points
   within ten standard errors of the noise floor, and refuse to fit when
-  fewer than five points survive; ``fit_battery``, the one fit path, returns
-  that refusal so it fails the checks that need the fit, never a whole run.
+  fewer than five points survive; a battery's curve is the pointwise max
+  over the members above their own floor, so a noise-only member never caps
+  the window; ``fit_battery``, the one fit path, returns that refusal so it
+  fails the checks that need the fit, never a whole run.
 """
 
 from __future__ import annotations
@@ -190,12 +192,25 @@ def decay_curve(
     )
 
 
+def _resolved(values, stderrs):
+    """Where a curve stands above its noise floor: positive and more than
+    ``NOISE_MULTIPLE`` standard errors."""
+    return (values > NOISE_MULTIPLE * stderrs) & (values > 0)
+
+
 def max_over_curves(curves: Sequence[DecayCurve]) -> DecayCurve:
-    """Pointwise max over a battery of curves (used by the rate fits)."""
+    """Pointwise max over a battery of curves (used by the rate fits).
+
+    At each horizon the max runs over the members resolved there (above
+    their own noise floor), so a member that is pure noise at some horizon
+    never becomes the max and hides a resolved one.  Where no member is
+    resolved, the plain max stands, unresolved."""
     taus = curves[0].taus
     stacked = np.stack([c.values for c in curves])
     errs = np.stack([c.stderrs for c in curves])
-    idx = np.argmax(stacked, axis=0)
+    resolved = _resolved(stacked, errs)
+    idx = np.where(resolved.any(axis=0), np.argmax(np.where(resolved, stacked, -np.inf), axis=0),
+                   np.argmax(stacked, axis=0))
     return DecayCurve(
         taus=taus.copy(),
         values=stacked[idx, np.arange(len(taus))],
@@ -219,7 +234,7 @@ def fit_rate(
         raise DegenerateWindow(
             f"window [{lo}, {hi}] selects {int(in_window.sum())} < {MIN_FIT_POINTS} points"
         )
-    visible = in_window & (curve.values > NOISE_MULTIPLE * curve.stderrs) & (curve.values > 0)
+    visible = in_window & _resolved(curve.values, curve.stderrs)
     if visible.sum() < MIN_FIT_POINTS:
         raise NoiseFloor(
             f"only {int(visible.sum())} points above {NOISE_MULTIPLE} stderr in the window"

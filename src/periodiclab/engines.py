@@ -18,13 +18,12 @@ one ``PeriodicGaussianSystem``, which solves each law once per (phase,
 length), so a profile over horizons 1..8 from phase 0 reads the period map
 that mu_0 solved.
 
-The Monte Carlo engine runs one burn-in per run: its phase-0 ensemble is
-sampled from the far past, and every other phase ensemble is that ensemble
-carried forward, so particle i of every phase shares one ancestor and
-diagnostics that average over phases take standard errors per particle.
-Each of its marches names its noise stream by what it estimates (the
-burn-in, a phase, a profile), and ``montecarlo.generator`` keys Philox by
-that name.
+The Monte Carlo engine runs one burn-in per run: one march from the far
+past through phase 0 and on through every phase the run integrates over,
+so particle i of every phase shares one ancestor and diagnostics that
+average over phases take standard errors per particle.  Each of its marches
+names its noise stream by what it estimates (the burn-in, a profile), and
+``montecarlo.generator`` keys Philox by that name.
 
 Engines only transport.  A profile evaluates the transported test function,
 for every horizon, at one set of points distributed like the measure at the
@@ -239,6 +238,7 @@ class MonteCarloEngine:
         certificate: LyapunovResult,
         n_outer: int,
         n_inner: int,
+        phases: Sequence[float] = (0.0,),
     ):
         self.field = field
         self.period = field.period
@@ -246,29 +246,32 @@ class MonteCarloEngine:
         self.n_outer = n_outer
         self.n_inner = n_inner
         self.certificate = certificate
+        # the canonical phases the burn-in captures, phase 0 always among them
+        self.phases = tuple(sorted({0.0, *(field.phase(s) for s in phases)}))
         self._ensembles = Once()
 
     def phase_ensemble(self, phase: float) -> mc.ParticleEnsemble:
-        """The cached particle ensemble of the periodic invariant measure at a phase.
+        """The particle ensemble of the periodic invariant measure at one of the engine's phases.
 
-        Phase 0 is the one burn-in: ``sample_periodic_measure`` over
-        ``horizon_periods`` periods on the stream ("burn-in",).  Every other
-        canonical phase s in (0, T) is the phase-0 ensemble carried forward
-        from 0 to s on the stream ("phase", s), since the measures form an
+        Every phase comes from one march, built on first request: the burn-in
+        ``sample_periodic_measure(field, phases, ...)`` on the stream
+        ("burn-in",), which runs ``horizon_periods`` periods up to phase 0
+        and on through the engine's other phases, since the measures form an
         evolution system (mu_s = mu_0 P_{0,s}).  So particle i of every phase
-        descends from particle i at phase 0, and since each march is one RNG
-        block, antithetic pairs stay pairs.
+        descends from particle i at phase 0, and since the march is one RNG
+        block, antithetic pairs stay pairs.  A phase the engine was not given
+        raises ``ValueError``.
         """
         key = self.field.phase(phase)
+        if key not in self.phases:
+            raise ValueError(f"phase {phase} is not among the Monte Carlo phases {self.phases}")
 
         def build():
-            if key == 0.0:
-                return mc.sample_periodic_measure(self.field, 0.0, self.config, self.certificate,
-                                                  stream=("burn-in",))
-            return mc.evolve(self.field, self.phase_ensemble(0.0), 0.0, key, self.config,
-                             stream=("phase", key))
+            ensembles = mc.sample_periodic_measure(self.field, self.phases, self.config,
+                                                   self.certificate, stream=("burn-in",))
+            return dict(zip(self.phases, ensembles))
 
-        return self._ensembles.get(key, build)
+        return self._ensembles.get("burn-in", build)[key]
 
     def phase_nodes(self, phase: float):
         ens = self.phase_ensemble(phase)

@@ -51,6 +51,10 @@ from .once import Once
 
 pin_openblas_threads()     # scipy's OpenBLAS is mapped by now
 
+# relative accuracy of the shift-invert Arnoldi Ritz values; the gaps they
+# give are compared at 0.05 (spectrum-stability), so machine precision buys nothing
+ARNOLDI_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SpaceTimeGrid:
@@ -225,8 +229,13 @@ def transition_matrix(
     ``u`` is one ``(n_space,)`` slice at time t or an ``(n_space, k)`` block
     of them; pass ``np.eye(n_space)`` for the dense map.  The map solves the
     terminal-value problem for each column, which is a forward Crank-Nicolson
-    sweep with the coefficient clock running from t down to s.
+    sweep with the coefficient clock running from t down to s.  ``t == s``
+    returns ``u`` itself; ``t < s`` raises ``ValueError``.
     """
+    if t < s:
+        raise ValueError(f"the slice map runs from t = {t} down to s = {s}: needs t >= s")
+    if t == s:
+        return u
     n_steps = max(1, math.ceil((t - s) / (grid.dt / substeps)))
     dt = (t - s) / n_steps
     a_now = spatial_operator(field, t, grid)
@@ -305,6 +314,7 @@ class DiscreteGenerator:
     rho: np.ndarray                 # (n_t * n_space,), nonnegative, sums to 1
     time_scheme: str
     rho_residual: float             # ||rho^T G||_2 / ||G||_fro
+    perron_iterations: int          # inverse-iteration steps that found rho
     adjoint_lu: spla.SuperLU = dataclass_field(repr=False, compare=False)
     _memo: Once = dataclass_field(default_factory=Once, init=False, repr=False, compare=False)
 
@@ -376,7 +386,7 @@ def build_generator(
     except RuntimeError as exc:  # "Factor is exactly singular"
         raise SingularSystem(f"LU of the generator: {exc}") from exc
     v = np.full(g_mat.shape[0], 1.0 / g_mat.shape[0])
-    for _ in range(200):
+    for iterations in range(1, 201):
         w = lu.solve(v)
         w = w / np.abs(w).sum()
         converged = np.abs(w - v).max() <= 1e-14 or np.abs(w + v).max() <= 1e-14
@@ -403,6 +413,7 @@ def build_generator(
         rho=v,
         time_scheme=time_scheme,
         rho_residual=residual,
+        perron_iterations=iterations,
         adjoint_lu=lu,
     )
 
@@ -431,11 +442,20 @@ class SpectrumReport:
 
 
 def _eig_residuals(g_mat: sp.csr_matrix, eigs: np.ndarray, n: int) -> np.ndarray:
-    """Residual norms via one shifted inverse iteration per reported eigenvalue."""
+    """Residual norms via one shifted inverse iteration per reported eigenvalue.
+
+    G and the start vector are real, so the iteration at the conjugate of an
+    eigenvalue is the conjugate of its own, and an exact conjugate of an
+    eigenvalue already done reads that residual instead of a new factorization.
+    """
     out = np.empty(len(eigs))
     eye = sp.identity(n, format="csc", dtype=complex)
     scale = spla.norm(g_mat)
+    done = {}
     for i, lam in enumerate(eigs):
+        if np.conj(lam) in done:
+            out[i] = done[np.conj(lam)]
+            continue
         shift = lam + 1e-8 * (1.0 + abs(lam))
         try:
             lu = spla.splu(sp.csc_matrix(g_mat.astype(complex) - shift * eye))
@@ -446,6 +466,7 @@ def _eig_residuals(g_mat: sp.csr_matrix, eigs: np.ndarray, n: int) -> np.ndarray
             out[i] = np.linalg.norm(g_mat @ v - lam * v) / scale
         except RuntimeError:
             out[i] = np.nan
+        done[lam] = out[i]
     return out
 
 
@@ -460,8 +481,9 @@ def spectrum(
 
     Dense below ``dense_cutoff`` unknowns, reading ``gen.dense_eigenvalues``,
     which solves the generator once however often it is asked; otherwise
-    shift-inverted Arnoldi around 0.25 and 0.25 + 2 pi i / T, with the
-    conjugates of the second solve standing for the one at 0.25 - 2 pi i / T.
+    shift-inverted Arnoldi around 0.25 and 0.25 + 2 pi i / T to the relative
+    tolerance ``ARNOLDI_TOL``, with the conjugates of the second solve
+    standing for the one at 0.25 - 2 pi i / T.
     Sorting, cluster matching, the gap and the residuals run on every call.  The cluster is
     matched against the expected axis points ``2 pi i k / T`` for every
     resolvable k; the spectral-gap estimate is the largest real part outside
@@ -483,7 +505,7 @@ def spectrum(
         for sigma in (0.25, 0.25 + 1j * w):
             try:
                 vals = spla.eigs(
-                    g_complex, k=min(k, n - 2), sigma=sigma, v0=start,
+                    g_complex, k=min(k, n - 2), sigma=sigma, v0=start, tol=ARNOLDI_TOL,
                     return_eigenvectors=False,
                 )
             except Exception as exc:

@@ -9,7 +9,7 @@ isotropic (``q_scalar``, Q = q I) gets sigma = sqrt(2 q) I: one root per
 particle scales its normals, with no matrix built or factored.
 Noise is drawn from counter-based Philox streams, one per RNG block.  This
 module is the one place that keys them: a caller names what a stream
-estimates, a tuple such as ("phase", 0.375), and ``generator`` turns the
+estimates, a tuple such as ("burn-in",), and ``generator`` turns the
 seed and the name plus its block index into a Philox key (after Salmon et
 al., SC'11), so two estimates share a stream only if they share a name.
 A march is one block unless its caller splits it into equal blocks, and a
@@ -314,43 +314,35 @@ def _march(field, positions, jacobians, s, capture_times, config, stream, blocks
         yield target, x, jac
 
 
-def evolve(
-    field: PeriodicCoefficientField,
-    ensemble: ParticleEnsemble,
-    s: float,
-    t: float,
-    config: SimConfig,
-    stream: tuple = ("evolve",),
-) -> ParticleEnsemble:
-    """Push an ensemble from its time stamp s to t >= s, one RNG block on the stream ``stream``."""
-    if not math.isclose(ensemble.t, s, rel_tol=0.0, abs_tol=1e-12):
-        raise ValueError(f"ensemble time stamp {ensemble.t} does not match s={s}")
-    (t_out, pos, _), = _march(field, ensemble.positions, None, s, [t], config, stream)
-    return ParticleEnsemble(t_out, pos)
-
-
 def sample_periodic_measure(
     field: PeriodicCoefficientField,
-    s: float,
+    phases,
     config: SimConfig,
     certificate: LyapunovResult,
     stream: tuple = ("periodic-measure",),
-) -> ParticleEnsemble:
-    """Far-past approximation of the periodic invariant measure at phase s.
+) -> list[ParticleEnsemble]:
+    """Far-past approximations of the periodic invariant measures at ``phases``.
 
-    A point mass at the origin is evolved over ``horizon_periods`` full
-    periods ending at the canonical phase of s, on the stream ``stream``;
-    dissipativity erases the initialization.  The Lyapunov ``certificate``
-    (``check_hypotheses(field, plan).lyapunov``) must be accepted.  The
-    particles march as one RNG block.
+    One march starts a point mass at the origin ``horizon_periods`` full
+    periods before phase 0 and runs on through the period, on the stream
+    ``stream``; dissipativity erases the initialization, and since the
+    measures form an evolution system (mu_t = mu_s P_{s,t}) its state at
+    each phase is a sample of that phase's measure.  Returns one ensemble
+    per distinct canonical phase (``field.phase``), in increasing order;
+    each is stamped with its phase.  Particle i of every ensemble is one
+    path, and the particles march as one RNG block.  The step schedule, and
+    so the ensemble at a phase, depends on the other phases asked for, but
+    not on the order they are given in.  The Lyapunov ``certificate``
+    (``check_hypotheses(field, plan).lyapunov``) must be accepted.
     """
     if not certificate.accepted:
         raise NotDissipative(f"no Lyapunov certificate for field {field.name!r}")
-    phase = field.phase(s)
-    start = phase - config.horizon_periods * field.period
+    captures = sorted({field.phase(s) for s in phases})
     origin = np.zeros((config.n_particles, field.dim))
-    (t_out, pos, _), = _march(field, origin, None, start, [phase], config, stream)
-    return ParticleEnsemble(t_out, pos)
+    start = -config.horizon_periods * field.period
+    # the march yields its live state: copy each capture before resuming it
+    return [ParticleEnsemble(t, pos.copy())
+            for t, pos, _ in _march(field, origin, None, start, captures, config, stream)]
 
 
 def antithetic_units(vals: np.ndarray) -> np.ndarray:

@@ -22,3 +22,7 @@ class Once:
             if key not in self._values:
                 self._values[key] = build()
             return self._values[key]
+
+    def peek(self, key, default=None):
+        """The value of ``key`` if a caller built it, else ``default``; builds nothing."""
+        return self._values.get(key, default)

@@ -400,11 +400,29 @@ class RunContext:
     def engine(self, name: str):
         return getattr(self, _ENGINE_MEMBERS[name])
 
+    def _montecarlo_phases(self) -> list[float]:
+        """Every time whose Monte Carlo measure an experiment integrates
+        against, up to whole periods: 0, k T / n for each ``moment_phases``
+        and ``n_phases`` n, and each horizon of a Monte Carlo value-decay
+        curve, which starts at 0 and centres at its horizon."""
+        period = self.field.period
+        phases = [0.0]
+        for spec in self.doc["experiments"]:
+            params = {**_defaults(_EXPERIMENTS[spec["name"]]), **spec}
+            n = params.get("moment_phases") or params.get("n_phases")
+            if n:
+                phases += [period * k / n for k in range(n)]
+            if params["name"] in ("decay", "rate-equivalence") \
+                    and params["engine"] == "montecarlo":
+                phases += params["horizons"]
+        return phases
+
     @_built_once
     def _mc_engine(self):
         s = _section(self.doc, "sim")
         return eng.MonteCarloEngine(self.field, self.sim_config(), self.hypothesis_report.lyapunov,
-                                    n_outer=s["n_outer"], n_inner=s["n_inner"])
+                                    n_outer=s["n_outer"], n_inner=s["n_inner"],
+                                    phases=self._montecarlo_phases())
 
     @_built_once
     def _ou_engine(self):
@@ -667,7 +685,8 @@ def _run_spectrum(ctx: RunContext, params: dict) -> ExperimentResult:
     if gap_cap is not None:
         checks.append(_check("spectrum-gap", report.gap_estimate <= gap_cap,
                              f"gap {report.gap_estimate:.4f} <= {gap_cap}"))
-    payload = {"spectrum": report.to_jsonable(), "rho_residual": gen.rho_residual}
+    payload = {"spectrum": report.to_jsonable(), "rho_residual": gen.rho_residual,
+               "perron_iterations": gen.perron_iterations}
     refine, carre = params["refine"], params["carre"]
     fine = (gridmod.build_generator(ctx.field, gen.grid.refined(), gen.time_scheme)
             if refine or carre else None)
@@ -841,6 +860,10 @@ def run_scenario(doc: dict, out_dir: str | Path, jobs: int = 1,
         summary["experiments"][name] = {"checks": result.checks, "pass": passed}
         summary["checks"].extend({**c, "experiment": name} for c in result.checks)
         summary["pass"] = summary["pass"] and passed
+    # every runner that builds the Monte Carlo engine asks it for a phase, so
+    # a built engine has marched its burn-in through all of its phases
+    mc_engine = ctx._memo.peek("_mc_engine")
+    summary["montecarlo_phases"] = [] if mc_engine is None else list(mc_engine.phases)
     (out / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True, cls=_ComplexEncoder))
     return summary

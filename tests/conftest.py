@@ -16,6 +16,9 @@ from periodiclab import montecarlo as mc
 from periodiclab import ougaussian as ou
 from periodiclab import scenarios as sc
 
+# the phases a shipped builtin's Monte Carlo experiments integrate over
+EIGHT_PHASES = [k / 8 for k in range(8)]
+
 
 @pytest.fixture(scope="session")
 def ou_model():
@@ -77,7 +80,7 @@ def ou_mc(ou_field, ou_report):
     config = mc.SimConfig(n_particles=20000, dt=0.004, seed=20260811,
                           horizon_periods=18, antithetic=True)
     return eng.MonteCarloEngine(ou_field, config, n_outer=128, n_inner=1024,
-                                certificate=ou_report.lyapunov)
+                                certificate=ou_report.lyapunov, phases=EIGHT_PHASES)
 
 
 @pytest.fixture(scope="session")
@@ -85,7 +88,7 @@ def grad_mc(grad_field, grad_report):
     config = mc.SimConfig(n_particles=30000, dt=0.008, seed=20260812,
                           horizon_periods=16, antithetic=True)
     return eng.MonteCarloEngine(grad_field, config, n_outer=128, n_inner=8192,
-                                certificate=grad_report.lyapunov)
+                                certificate=grad_report.lyapunov, phases=EIGHT_PHASES)
 
 
 @pytest.fixture(scope="session")
@@ -93,7 +96,7 @@ def gen_mc(gen_field, gen_report):
     config = mc.SimConfig(n_particles=20000, dt=0.004, seed=20260813,
                           horizon_periods=10, antithetic=True)
     return eng.MonteCarloEngine(gen_field, config, n_outer=128, n_inner=1024,
-                                certificate=gen_report.lyapunov)
+                                certificate=gen_report.lyapunov, phases=EIGHT_PHASES)
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,8 @@ lab code calls them; the engines reach the same numbers through
 ``ougaussian.PeriodicGaussianSystem``, whose laws come from Chebyshev
 collocation.  Their bodies are kept as they were when they lived in
 ``periodiclab``, so that the gate's instruments stay bit-identical.
+``evolve``, which pushes an ensemble from s to t on the lab's own march, is
+the harness of the march tests and of the transition estimate.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from scipy.linalg import solve_discrete_lyapunov  # noqa: F401  (an oracle)
 
 from periodiclab.errors import IntegratorFailure
 from periodiclab.fields import PeriodicCoefficientField
-from periodiclab.montecarlo import ParticleEnsemble, SimConfig, evolve
+from periodiclab.montecarlo import ParticleEnsemble, SimConfig, _march
 from periodiclab.ougaussian import (
     DEFAULT_TOL,
     GaussianMeasure,
@@ -31,6 +33,21 @@ from periodiclab.ougaussian import (
     _floquet_exponent,
     hermite_nodes,
 )
+
+
+def evolve(
+    field: PeriodicCoefficientField,
+    ensemble: ParticleEnsemble,
+    s: float,
+    t: float,
+    config: SimConfig,
+    stream: tuple = ("evolve",),
+) -> ParticleEnsemble:
+    """Push an ensemble from its time stamp s to t >= s, one RNG block on the stream ``stream``."""
+    if not math.isclose(ensemble.t, s, rel_tol=0.0, abs_tol=1e-12):
+        raise ValueError(f"ensemble time stamp {ensemble.t} does not match s={s}")
+    (t_out, pos, _), = _march(field, ensemble.positions, None, s, [t], config, stream)
+    return ParticleEnsemble(t_out, pos)
 
 
 def point_mass(x, n: int, t: float = 0.0) -> ParticleEnsemble:

@@ -153,6 +153,21 @@ class TestFitBattery:
         assert fitted.to_jsonable() == {"refused": fitted.refused}
         assert np.array_equal(fitted.curve.values, curves[0].values)
 
+    def test_noise_only_member_never_caps_the_window(self):
+        # c1 is pure noise (value 0.02 within 2 stderr of 0) and beats the
+        # resolved c0 = exp(-tau) from tau = 4 on: the fit reads c0 over the
+        # whole window, and falls back to c1 only where nothing is resolved
+        taus = np.arange(1.0, 9.0)
+        resolved = np.exp(-taus)
+        curves = self._curves([resolved, np.full(8, 0.02)], [1e-4 * resolved, np.full(8, 0.01)])
+        fitted = dg.fit_battery(curves, (1.0, 8.0))
+        assert fitted.refused is None
+        assert fitted.fit.n_points == 8 and fitted.fit.window == (1.0, 8.0)
+        assert abs(fitted.fit.rate + 1.0) < 1e-12
+        assert np.array_equal(fitted.curve.values, resolved)
+        unresolved = self._curves([np.full(8, 1e-4), np.full(8, 2e-4)], [np.full(8, 5e-5)] * 2)
+        assert np.array_equal(dg.max_over_curves(unresolved).values, np.full(8, 2e-4))
+
     def test_short_window_refused(self):
         curves = self._curves([np.exp(-np.arange(1.0, 9.0))], [np.zeros(8)])
         fitted = dg.fit_battery(curves, (1.0, 3.0))
@@ -224,7 +239,7 @@ def test_engine_protocol(kind, ou_model, ou_field, ou_generator, ou_report, batt
         config = mc.SimConfig(n_particles=2000, dt=0.02, seed=3, horizon_periods=2,
                               antithetic=True)
         engine = eng.MonteCarloEngine(ou_field, config, n_outer=8, n_inner=16,
-                                      certificate=ou_report.lyapunov)
+                                      certificate=ou_report.lyapunov, phases=[0.3, 0.25, 0.5, 0.75])
     assert engine.name == kind
     assert engine.period == 1.0
     assert engine.stochastic is (kind == "montecarlo")

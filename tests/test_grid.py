@@ -65,6 +65,22 @@ class TestStepForward:
         assert out.shape == block.shape
         assert np.abs(out - dense @ block).max() <= 1e-12 * np.abs(dense @ block).max()
 
+    def test_backward_map_is_refused(self, ou_field):
+        # one Crank-Nicolson step of negative length would map 1 above 1
+        g = gr.SpaceTimeGrid(half_width=4.5, points_per_axis=31, time_slices=17, period=1.0)
+        with pytest.raises(ValueError, match="needs t >= s"):
+            gr.transition_matrix(ou_field, g, 0.5, 0.2, np.ones(g.n_space))
+
+    def test_zero_length_map_is_the_identity(self, ou_field, monkeypatch):
+        g = gr.SpaceTimeGrid(half_width=4.5, points_per_axis=31, time_slices=17, period=1.0)
+        u = np.random.default_rng(2).standard_normal((g.n_space, 2))
+
+        def refused(*args):
+            raise AssertionError("no operator is assembled for a zero-length map")
+
+        monkeypatch.setattr(gr, "spatial_operator", refused)
+        assert gr.transition_matrix(ou_field, g, 0.3, 0.3, u) is u
+
     def test_max_principle(self):
         g = gr.SpaceTimeGrid(half_width=6.0, points_per_axis=127, time_slices=64, period=1.0)
         x = g.nodes()[:, 0]
@@ -264,6 +280,39 @@ class TestSpectrum:
         for z in rep.eigenvalues:
             assert np.abs(rep.eigenvalues - z.conjugate()).min() <= 1e-8 * (1 + abs(z))
 
+    def test_conjugate_residuals_share_one_factorization(self, ou_generator, grad_generator,
+                                                        monkeypatch):
+        # the 5 leading eigenvalues are 0, +-i w and +-2i w: 3 LUs, and each
+        # residual is bit for bit the one its own solve gives
+        for gen in (ou_generator, grad_generator):
+            leading = gr.spectrum(gen, k=40).eigenvalues[:5]
+            assert sorted(np.round(leading.imag / (2 * np.pi))) == [-2, -1, 0, 1, 2]
+            want = [gr._eig_residuals(gen.matrix, leading[i:i + 1], gen.size)[0]
+                    for i in range(5)]
+            splu, calls = gr.spla.splu, []
+
+            def counted(*args, **kwargs):
+                calls.append(args)
+                return splu(*args, **kwargs)
+
+            monkeypatch.setattr(gr.spla, "splu", counted)
+            got = gr._eig_residuals(gen.matrix, leading, gen.size)
+            monkeypatch.undo()
+            assert len(calls) == 3
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("which", ["ou", "grad"])
+    def test_refined_gap_at_the_arnoldi_tolerance(self, which, ou_field, grad_field,
+                                                  ou_generator, grad_generator, monkeypatch):
+        # the refined solve stops at ARNOLDI_TOL, and its gap lies within 1e-9
+        # of the one a solve to machine precision (tol=0) gives
+        field, gen = (ou_field, ou_generator) if which == "ou" else (grad_field, grad_generator)
+        fine = gr.build_generator(field, gen.grid.refined(), gen.time_scheme)
+        stopped = gr.spectrum(fine, k=12, dense_cutoff=0).gap_estimate
+        monkeypatch.setattr(gr, "ARNOLDI_TOL", 0.0)
+        exact = gr.spectrum(fine, k=12, dense_cutoff=0).gap_estimate
+        assert abs(stopped - exact) <= 1e-9, (stopped, exact)
+
     def test_residuals_reported(self, ou_generator):
         rep = gr.spectrum(ou_generator, k=6, with_residuals=True)
         assert len(rep.residuals) > 0
@@ -405,7 +454,7 @@ class TestParitySplit:
         # generator is assembled here with a placeholder mass and no LU
         mat = (a_part + d_time).tocsr()
         gen = gr.DiscreteGenerator(g, mat, np.full(mat.shape[0], 1.0 / mat.shape[0]),
-                                   "spectral", 0.0, None)
+                                   "spectral", 0.0, 0, None)
         blocks = recorded_eigvals(monkeypatch, solve=False)
         assert len(gen.dense_eigenvalues) == gen.size
         assert sorted(b.shape[0] for b in blocks) == [17 * (m // 2), 17 * ((m + 1) // 2)]

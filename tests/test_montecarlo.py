@@ -152,14 +152,14 @@ def random_spd_2x2(n, seed):
 class TestEvolve:
     def test_brownian_variance(self):
         config = mc.SimConfig(n_particles=40000, dt=0.005, seed=7)
-        ens = mc.evolve(brownian_field(), ref.point_mass(0.0, 40000), 0.0, 1.0, config)
+        ens = ref.evolve(brownian_field(), ref.point_mass(0.0, 40000), 0.0, 1.0, config)
         var = ens.positions[:, 0].var(ddof=1)
         se = math.sqrt(2.0 / ens.n)  # stderr of the variance of a unit normal
         assert abs(var - 1.0) <= 4 * se
 
     def test_ou_mean_against_propagator(self, ou_model, ou_field):
         config = mc.SimConfig(n_particles=40000, dt=0.0025, seed=8, antithetic=True)
-        ens = mc.evolve(ou_field, ref.point_mass(2.0, 40000), 0.0, 1.0, config)
+        ens = ref.evolve(ou_field, ref.point_mass(2.0, 40000), 0.0, 1.0, config)
         mean, se = mc.mean_and_stderr(ens.positions[:, 0], True)
         expected = 2.0 * ref.propagator(ou_model, 1.0, 0.0)[0, 0]
         assert abs(mean - expected) <= 4 * se + 2e-3
@@ -171,7 +171,7 @@ class TestEvolve:
         config = mc.SimConfig(n_particles=200, dt=0.02, seed=0)
         for field, x0 in ((explode, 3.0), (explode, -3.0), (nan_drift_field(), 0.0)):
             with pytest.raises(Blowup) as got:
-                mc.evolve(field, ref.point_mass(x0, 200), 0.0, 5.0, config)
+                ref.evolve(field, ref.point_mass(x0, 200), 0.0, 5.0, config)
             with pytest.raises(Blowup) as want:
                 reference_march(field, ref.point_mass(x0, 200).positions, None, 0.0, [5.0],
                                 config, ("evolve",))
@@ -188,7 +188,7 @@ class TestEvolve:
         field = fl.polynomial_field(1, 1.0, q_const=0.9, q_sin=1.0, name="q-dips")
         config = mc.SimConfig(n_particles=100, dt=0.01, seed=0)
         with np.errstate(invalid="ignore"), pytest.raises(Blowup) as got:
-            mc.evolve(field, ref.point_mass(0.0, 100), 0.0, 1.0, config)
+            ref.evolve(field, ref.point_mass(0.0, 100), 0.0, 1.0, config)
         assert 0.68 < got.value.t < 0.83 and math.isnan(got.value.max_abs)
 
     def test_q_indefinite_2d_between_spd_checks(self):
@@ -199,7 +199,7 @@ class TestEvolve:
         field = tilted_field(lambda t, r2: 0.9 + math.sin(2.0 * math.pi * t) + 0.05 / (1.0 + r2))
         config = mc.SimConfig(n_particles=100, dt=0.01, seed=0)
         with np.errstate(invalid="ignore"), pytest.raises(Blowup) as got:
-            mc.evolve(field, ref.point_mass([0.3, -0.2], 100), 0.0, 1.0, config)
+            ref.evolve(field, ref.point_mass([0.3, -0.2], 100), 0.0, 1.0, config)
         assert 0.68 < got.value.t < 0.83 and math.isnan(got.value.max_abs)
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -222,7 +222,7 @@ class TestEvolve:
                                             q_independent_of_x=dim == 3, name="q-last-dips")
         config = mc.SimConfig(n_particles=100, dt=0.01, seed=0)
         with np.errstate(invalid="ignore"), pytest.raises(Blowup) as got:
-            mc.evolve(field, ref.point_mass(np.full(dim, 0.3), 100), 0.0, 1.0, config)
+            ref.evolve(field, ref.point_mass(np.full(dim, 0.3), 100), 0.0, 1.0, config)
         assert 0.68 < got.value.t < 0.83 and math.isnan(got.value.max_abs)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -236,7 +236,7 @@ class TestEvolve:
         ends = []
         for f in (field, dataclasses.replace(field, q_scalar=None)):
             with np.errstate(invalid="ignore"), pytest.raises(Blowup) as got:
-                mc.evolve(f, x0, 0.0, 1.0, config)
+                ref.evolve(f, x0, 0.0, 1.0, config)
             ends.append(got.value)
         scalar, matrix = ends
         assert 0.68 < scalar.t < 0.83 and math.isnan(scalar.max_abs)
@@ -253,7 +253,7 @@ class TestEvolve:
         errors = []
         for f in (field, dataclasses.replace(field, q_scalar=None)):
             with pytest.raises(NonPositiveDefinite) as got:
-                mc.evolve(f, x0, 0.0, 1.0, config)
+                ref.evolve(f, x0, 0.0, 1.0, config)
             errors.append(got.value)
         scalar, matrix = errors
         assert 0.625 < scalar.t < 0.635
@@ -266,22 +266,22 @@ class TestEvolve:
     def test_time_stamp_mismatch(self, ou_field):
         config = mc.SimConfig(n_particles=100, dt=0.01, seed=0)
         with pytest.raises(ValueError):
-            mc.evolve(ou_field, ref.point_mass(0.0, 100, t=0.5), 0.0, 1.0, config)
+            ref.evolve(ou_field, ref.point_mass(0.0, 100, t=0.5), 0.0, 1.0, config)
 
     def test_dt_guard(self, ou_field):
         config = mc.SimConfig(n_particles=100, dt=0.05, seed=0)
         with pytest.raises(ValueError):
-            mc.evolve(ou_field, ref.point_mass(0.0, 100), 0.0, 1.0, config)
+            ref.evolve(ou_field, ref.point_mass(0.0, 100), 0.0, 1.0, config)
 
     def test_seeded_determinism(self, ou_field):
         config = mc.SimConfig(n_particles=500, dt=0.01, seed=42)
-        a = mc.evolve(ou_field, ref.point_mass(1.0, 500), 0.0, 0.7, config)
-        b = mc.evolve(ou_field, ref.point_mass(1.0, 500), 0.0, 0.7, config)
+        a = ref.evolve(ou_field, ref.point_mass(1.0, 500), 0.0, 0.7, config)
+        b = ref.evolve(ou_field, ref.point_mass(1.0, 500), 0.0, 0.7, config)
         assert np.array_equal(a.positions, b.positions)
 
     def test_partial_final_step(self, ou_field):
         config = mc.SimConfig(n_particles=200, dt=0.01, seed=1)
-        ens = mc.evolve(ou_field, ref.point_mass(0.0, 200), 0.0, 0.105, config)
+        ens = ref.evolve(ou_field, ref.point_mass(0.0, 200), 0.0, 0.105, config)
         assert ens.t == 0.105
 
 
@@ -494,7 +494,7 @@ class TestNoiseFactor2d:
         n, dt, x0 = 40000, 0.01, np.array([0.8, -0.6])
         field = tilted_field()
         config = mc.SimConfig(n_particles=n, dt=dt, seed=29)
-        ens = mc.evolve(field, ref.point_mass(x0, n, 0.1), 0.1, 0.1 + dt, config)
+        ens = ref.evolve(field, ref.point_mass(x0, n, 0.1), 0.1, 0.1 + dt, config)
         want = 2.0 * dt * field.q(0.1, x0[None])[0]
         assert abs(want[0, 1]) > 0.1 * dt
         got = np.cov(ens.positions, rowvar=False)
@@ -534,21 +534,32 @@ class TestPeriodicMeasure:
         model = ou.fourier_matrix_model(1, 1.0, a0=[[-1.0]])
         field = ou.as_field(model)
         config = mc.SimConfig(n_particles=40000, dt=0.005, seed=5, horizon_periods=15)
-        ens = mc.sample_periodic_measure(field, 0.0, config, _certificate(field))
+        ens, = mc.sample_periodic_measure(field, [0.0], config, _certificate(field))
         var = ens.positions[:, 0].var(ddof=1)
         se = math.sqrt(2.0) * 0.5 / math.sqrt(ens.n)
         assert abs(var - 0.5) <= 5 * se
 
     def test_period_shift_bit_identity(self, grad_field, grad_report):
         config = mc.SimConfig(n_particles=1000, dt=0.005, seed=6, horizon_periods=6)
-        a = mc.sample_periodic_measure(grad_field, 0.25, config, grad_report.lyapunov)
-        b = mc.sample_periodic_measure(grad_field, 1.25, config, grad_report.lyapunov)
+        a, = mc.sample_periodic_measure(grad_field, [0.25], config, grad_report.lyapunov)
+        b, = mc.sample_periodic_measure(grad_field, [1.25], config, grad_report.lyapunov)
         assert np.array_equal(a.positions, b.positions)
+
+    def test_one_ensemble_per_canonical_phase_in_order(self, grad_field, grad_report):
+        # repeats, periodic copies and the order of the phases change nothing
+        config = mc.SimConfig(n_particles=200, dt=0.01, seed=6, horizon_periods=2)
+        got = mc.sample_periodic_measure(grad_field, [1.5, 0.25, 0.5, 2.25], config,
+                                         grad_report.lyapunov)
+        want = mc.sample_periodic_measure(grad_field, [0.25, 0.5], config, grad_report.lyapunov)
+        assert [ens.t for ens in got] == [ens.t for ens in want] == [0.25, 0.5]
+        for a, b in zip(got, want):
+            assert np.array_equal(a.positions, b.positions)
+        assert not np.array_equal(got[0].positions, got[1].positions)
 
     def test_moment_bound_certificate(self, grad_field, grad_report):
         lyap = grad_report.lyapunov
         config = mc.SimConfig(n_particles=30000, dt=0.008, seed=7, horizon_periods=12)
-        ens = mc.sample_periodic_measure(grad_field, 0.5, config, lyap)
+        ens, = mc.sample_periodic_measure(grad_field, [0.5], config, lyap)
         v = 1.0 + ens.positions[:, 0] ** 2
         se = v.std(ddof=1) / math.sqrt(ens.n)
         assert v.mean() <= lyap.moment_bound() + 4 * se
@@ -560,7 +571,7 @@ class TestPeriodicMeasure:
         certificate = _certificate(field)
         assert not certificate.accepted
         with pytest.raises(NotDissipative):
-            mc.sample_periodic_measure(field, 0.0, config, certificate)
+            mc.sample_periodic_measure(field, [0.0], config, certificate)
 
 
 def _pathwise_gradient(field, phi_grad, t, s, x, config):
@@ -625,17 +636,20 @@ class TestTangentFlow:
 
 
 class TestPhaseEnsembles:
-    @staticmethod
-    def engine(field, report):
+    PHASES = [k / 8 for k in range(8)]
+
+    @classmethod
+    def engine(cls, field, report):
         config = mc.SimConfig(n_particles=200, dt=0.02, seed=3, horizon_periods=2,
                               antithetic=True)
         return eng.MonteCarloEngine(field, config, n_outer=8, n_inner=16,
-                                    certificate=report.lyapunov)
+                                    certificate=report.lyapunov, phases=cls.PHASES)
 
     def test_phase_zero_is_the_burn_in(self, grad_field, grad_report):
+        # the march on through the other phases leaves phase 0 as the burn-in alone
         engine = self.engine(grad_field, grad_report)
-        want = mc.sample_periodic_measure(grad_field, 0.0, engine.config, grad_report.lyapunov,
-                                          stream=("burn-in",))
+        want, = mc.sample_periodic_measure(grad_field, [0.0], engine.config, grad_report.lyapunov,
+                                           stream=("burn-in",))
         assert np.array_equal(engine.phase_ensemble(0.0).positions, want.positions)
 
     def test_other_phases_carry_phase_zero_forward(self, grad_field, grad_report):
@@ -650,20 +664,24 @@ class TestPhaseEnsembles:
         for k in range(8):
             engine.phase_ensemble(k / 8)
         dt, burn_in = engine.config.dt, engine.config.horizon_periods * field.period
-        # one burn-in, then at most one period per phase (8 burn-ins, 800 calls, before)
-        want = round(burn_in / dt) + sum(math.ceil(k * field.period / (8 * dt))
-                                         for k in range(1, 8))
-        assert len(calls) == want == 278
-        moved = mc.evolve(grad_field, engine.phase_ensemble(0.0), 0.0, 0.375, engine.config,
-                          stream=("phase", 0.375))
-        assert np.array_equal(engine.phase_ensemble(0.375).positions, moved.positions)
+        # one march: the burn-in, then 7/8 of a period in steps of T/8
+        want = round(burn_in / dt) + 7 * math.ceil(field.period / (8 * dt))
+        assert len(calls) == want == 149
 
-    def test_nearby_phases_walk_apart(self, grad_field, grad_report):
-        # two phases T/20000 apart are two estimates, so they march two streams
+    def test_phases_are_captures_of_one_burn_in_march(self, grad_field, grad_report):
+        # each declared phase is the burn-in stream's state there, and a
+        # phase the engine was not given is refused
         engine = self.engine(grad_field, grad_report)
-        near, far = engine.phase_ensemble(0.1), engine.phase_ensemble(0.10005)
-        steps = np.abs(far.positions - near.positions)
-        assert np.median(steps) > 0.1, np.median(steps)
+        config = engine.config
+        start = -config.horizon_periods * grad_field.period
+        want = reference_march(grad_field, np.zeros((config.n_particles, 1)), None, start,
+                               self.PHASES, config, ("burn-in",))
+        for t, x, _ in want:
+            ens = engine.phase_ensemble(t + 2.0)       # any period's copy of the phase
+            assert ens.t == t and np.array_equal(ens.positions, x)
+        for phase in (0.1, 0.12500001):
+            with pytest.raises(ValueError, match="not among the Monte Carlo phases"):
+                engine.phase_ensemble(phase)
 
 
 class TestEnsembleIO:
@@ -784,7 +802,8 @@ class TestBlockLayout:
     def test_grad1d_marches_whole_blocks(self, tmp_path, monkeypatch):
         # grad1d at benchmark sizes, seed 1: each transfer profile marches
         # n_outer blocks of n_inner, one block per outer point; the burn-in,
-        # each carried phase and each pointwise sample march one block
+        # which runs on through every phase, and each pointwise sample march
+        # one block
         from test_golden import SEED, SIZES
 
         seen, block_normals = [], mc._block_normals
@@ -803,7 +822,7 @@ class TestBlockLayout:
         layouts = {}
         for kind, n, blocks in seen:
             layouts.setdefault(kind, set()).add((n, blocks))
-        assert layouts == {"burn-in": {(particles, 1)}, "phase": {(particles, 1)},
+        assert layouts == {"burn-in": {(particles, 1)},
                            "profile": {(n_outer * n_inner, n_outer)},
                            "pointwise": {(4000, 1)}}
         counts = {kind: sum(k == kind for k, *_ in seen) for kind in layouts}

@@ -610,6 +610,27 @@ class TestRun:
         rules = {c["rule"] for c in summary["checks"]}
         assert {"hyp-ellipticity", "moment-bound", "contraction", "invariance"} <= rules
 
+    def test_health_numbers(self, tiny_run, tmp_path):
+        # summary.json lists the phases the one burn-in march captured:
+        # k/4 for the moment and Poincare checks, 0 for the decay horizons
+        out, summary = tiny_run
+        assert summary["montecarlo_phases"] == [0.0, 0.25, 0.5, 0.75]
+        assert json.loads((out / "summary.json").read_text())["montecarlo_phases"] == \
+            [0.0, 0.25, 0.5, 0.75]
+        # spectrum.json gives the Perron inverse-iteration count beside its residual,
+        # and a run without a Monte Carlo experiment lists no phases
+        doc = json.loads(json.dumps(TINY))
+        doc["grid"] = {"half_width": 4.5, "points_per_axis": 31, "time_slices": 17}
+        doc["experiments"] = [{"name": "spectrum", "k": 10}]
+        summary = sc.run_scenario(doc, tmp_path)
+        assert summary["montecarlo_phases"] == []
+        report = json.loads((tmp_path / "spectrum.json").read_text())
+        ctx = sc.RunContext(doc=doc, seed=7)
+        assert report["perron_iterations"] == ctx.generator.perron_iterations
+        assert isinstance(report["perron_iterations"], int)
+        assert 1 <= report["perron_iterations"] < 200
+        assert report["rho_residual"] == ctx.generator.rho_residual
+
     def test_csv_headers_present(self, tiny_run):
         out, _ = tiny_run
         body = (out / "decay.csv").read_text()
@@ -654,26 +675,20 @@ class TestRun:
         assert "$.sim.n_outer" in capsys.readouterr().err
 
     def test_jobs_build_each_phase_ensemble_once(self, tmp_path, monkeypatch):
-        # phase 0 is built by the burn-in, every other phase by carrying it forward
+        # one burn-in march builds every phase the document integrates over
         builds = Counter()
-        sample, evolve = mc.sample_periodic_measure, mc.evolve
+        sample = mc.sample_periodic_measure
 
-        def slow_sample(field, s, *args, **kwargs):
-            builds[s] += 1
+        def slow_sample(field, phases, *args, **kwargs):
+            builds[tuple(phases)] += 1
             time.sleep(0.2)    # holds the build open while the other worker asks
-            return sample(field, s, *args, **kwargs)
-
-        def slow_evolve(field, ensemble, s, t, *args, **kwargs):
-            builds[t] += 1
-            time.sleep(0.2)
-            return evolve(field, ensemble, s, t, *args, **kwargs)
+            return sample(field, phases, *args, **kwargs)
 
         monkeypatch.setattr(mc, "sample_periodic_measure", slow_sample)
-        monkeypatch.setattr(mc, "evolve", slow_evolve)
         doc = json.loads(json.dumps(TINY))
         doc["experiments"] = [TINY["experiments"][0], TINY["experiments"][2]]
         sc.run_scenario(doc, tmp_path / "par", jobs=2)
-        assert builds == Counter({0.0: 1, 0.25: 1, 0.5: 1, 0.75: 1})
+        assert builds == Counter({(0.0, 0.25, 0.5, 0.75): 1})
         sc.run_scenario(doc, tmp_path / "serial", jobs=1)
         names = sorted(p.name for p in (tmp_path / "serial").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "par").iterdir())
@@ -688,7 +703,8 @@ class TestRun:
         ctx = sc.RunContext(doc=sc.validate_scenario(json.loads(json.dumps(TINY))), seed=7)
         half = np.random.default_rng(4).standard_normal((750, 1))
         ens = mc.ParticleEnsemble(0.0, np.concatenate([half, -half]))
-        monkeypatch.setattr(mc, "sample_periodic_measure", lambda *args, **kwargs: ens)
+        monkeypatch.setattr(mc, "sample_periodic_measure",
+                            lambda field, phases, *args, **kwargs: [ens for _ in phases])
         v = 1.0 + ens.positions[:, 0] ** 2
         naive = v.std(ddof=1) / np.sqrt(len(v))
         paired = mc.mean_and_stderr(v, True)[1]

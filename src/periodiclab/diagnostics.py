@@ -322,7 +322,7 @@ class PhaseMeasures:
     ensemble carried forward (node i of every phase descends from the same
     particle), so a phase average takes its standard error per node: each
     node's contribution is averaged over the phases first, then the spread is
-    taken over antithetic pair units when the ensemble is paired.
+    taken over antithetic pair units (``mc.mean_and_stderr``).
     Deterministic quadrature has stderr 0.
     """
 
@@ -330,7 +330,6 @@ class PhaseMeasures:
     nodes: list          # per phase (m, d)
     weights: list        # per phase (m,), each summing to 1
     stochastic: bool     # True when weights are empirical (stderr meaningful)
-    antithetic: bool     # node i pairs with node i + ceil(m/2)
 
     @staticmethod
     def at(engine, phases) -> "PhaseMeasures":
@@ -341,7 +340,6 @@ class PhaseMeasures:
             nodes=list(nodes),
             weights=list(weights),
             stochastic=engine.stochastic,
-            antithetic=engine.stochastic and engine.config.antithetic,
         )
 
     @staticmethod
@@ -358,7 +356,7 @@ class PhaseMeasures:
         if not self.stochastic:
             return np.array([np.dot(w, v) for w, v in zip(self.weights, per_phase)]), 0.0
         contrib = np.array([len(w) * w * v for w, v in zip(self.weights, per_phase)])
-        _, se = mc.mean_and_stderr(contrib.mean(axis=0), self.antithetic)
+        _, se = mc.mean_and_stderr(contrib.mean(axis=0))
         return contrib.mean(axis=1), float(se)
 
 
@@ -478,9 +476,9 @@ def pointwise_gradient_check(
     ens = mc.TangentEnsemble.identity(s, np.tile(np.atleast_1d(x), (config.n_particles, 1)))
     out = mc.evolve_tangent(field, ens, s, t, config, stream=stream)
     pulled = np.einsum("nij,ni->nj", out.jacobians, phi.grad_at(out.positions))
-    lhs_vec, lhs_ses = mc.mean_and_stderr(pulled.T, config.antithetic)
+    lhs_vec, lhs_ses = mc.mean_and_stderr(pulled.T)
     lhs = float(np.linalg.norm(lhs_vec))
-    rhs_mean, rhs_se = mc.mean_and_stderr(phi.grad_norm(out.positions), config.antithetic)
+    rhs_mean, rhs_se = mc.mean_and_stderr(phi.grad_norm(out.positions))
     rhs = math.exp(r0 * (t - s)) * float(rhs_mean)
     stderr = math.hypot(float(np.linalg.norm(lhs_ses)), math.exp(r0 * (t - s)) * float(rhs_se))
     return {

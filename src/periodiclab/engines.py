@@ -307,13 +307,13 @@ class MonteCarloEngine:
         for _, pos, jac in march:
             for phi in phis:
                 vals = np.asarray(phi(pos)).reshape(self.n_outer, self.n_inner)
-                values[phi.fid].append(mc.mean_and_stderr(vals, self.config.antithetic))
+                values[phi.fid].append(mc.mean_and_stderr(vals))
                 if gradients:
                     pulled = np.einsum("nij,ni->nj", jac, phi.grad_at(pos))
                     # contiguous inner rows sum each component as a 1-d reduction would
                     pulled = np.ascontiguousarray(
                         pulled.reshape(self.n_outer, self.n_inner, d).transpose(0, 2, 1))
-                    comp_mean, comp_se = mc.mean_and_stderr(pulled, self.config.antithetic)
+                    comp_mean, comp_se = mc.mean_and_stderr(pulled)
                     grads[phi.fid].append((comp_mean, np.linalg.norm(comp_se, axis=1)))
         weights = np.full(self.n_outer, 1.0 / self.n_outer)
         return TransferProfile(horizons, weights, values, grads)

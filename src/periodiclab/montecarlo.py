@@ -17,7 +17,8 @@ reduction reads one block.  Ensembles are bit-reproducible for a fixed
 schedule; reductions are plain fixed-order sums.  Each block's generator
 draws the normals of several steps in one call; a Philox stream is a pure
 function of its key and counter, so this yields exactly the numbers of one
-call per step, however the draws are buffered.
+call per step, however the draws are buffered.  Every march pairs its
+noise antithetically, and ``mean_and_stderr`` reduces over the pair units.
 A march holds one copy of its state, updated in place one step at a time
 and yielded live at each capture; a draw buffer with only the drawn half
 of each antithetic block; one (n, d) step array that the mirrored halves
@@ -41,7 +42,7 @@ from .hypotheses import LyapunovResult
 
 OVERFLOW_GUARD = 1e8
 _DRAW_STEPS = 8  # steps of normals each block generator draws per call ...
-_DRAW_FLOATS = 1 << 19  # ... unless that many unpaired normals pass 4 MiB
+_DRAW_FLOATS = 1 << 19  # ... unless that many steps of (n, dim) normals pass 4 MiB
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,6 @@ class SimConfig:
     dt: float = 0.005
     seed: int = 0
     horizon_periods: int = 20
-    antithetic: bool = False
 
     def __post_init__(self):
         if self.n_particles < 100:
@@ -135,24 +135,24 @@ def generator(seed: int, *name) -> np.random.Generator:
         np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF, spawn_key=words)))
 
 
-def _block_normals(seed: int, name: tuple, n: int, dim: int, blocks: int, antithetic: bool):
+def _block_normals(seed: int, name: tuple, n: int, dim: int, blocks: int):
     """Endless iterator of per-step (n, dim) normals; the particles form
     ``blocks`` equal blocks, and block b draws from the stream ``name + (b,)``.
 
     Each block's generator draws up to ``_DRAW_STEPS`` steps in one call,
     fewer for large ensembles (where the per-call overhead is negligible),
-    so that unpaired normals would fill at most ``_DRAW_FLOATS`` numbers or
-    one step.  The draw buffer holds only what is drawn: under antithetic
-    pairing the first half (rounded up) of each block, else the whole block.
-    Each block is a contiguous (steps, half, dim) slab that its generator
-    fills in place in one call; a Philox stream is a pure function of its
-    key and counter, so the numbers equal those of one call per step.  Each
-    step copies the drawn halves into one reused (n, dim) array and writes
-    their mirrors with one negation.  The yielded array is the reused one:
-    it may be overwritten in place and is valid until the next step.
+    so that those steps of (n, dim) normals would fill at most
+    ``_DRAW_FLOATS`` numbers or one step.  The draw buffer holds only what
+    is drawn, the first half (rounded up) of each block: each block is a
+    contiguous (steps, half, dim) slab that its generator fills in place in
+    one call; a Philox stream is a pure function of its key and counter, so
+    the numbers equal those of one call per step.  Each step copies the
+    drawn halves into one reused (n, dim) array and writes their mirrors
+    with one negation.  The yielded array is the reused one: it may be
+    overwritten in place and is valid until the next step.
     """
     m = n // blocks
-    half = (m + 1) // 2 if antithetic else m
+    half = (m + 1) // 2
     gens = [generator(seed, *name, blk) for blk in range(blocks)]
     steps = min(_DRAW_STEPS, max(1, _DRAW_FLOATS // (n * dim)))
     z = np.empty((n, dim))
@@ -279,7 +279,7 @@ def _march(field, positions, jacobians, s, capture_times, config, stream, blocks
     x = np.array(positions, dtype=float)
     jac = None if jacobians is None else np.array(jacobians, dtype=float)
     del positions, jacobians
-    normals = _block_normals(config.seed, stream, len(x), field.dim, blocks, config.antithetic)
+    normals = _block_normals(config.seed, stream, len(x), field.dim, blocks)
     drift = np.empty_like(x)
     work = np.empty(len(x))
     jac_step = None if jac is None else np.empty_like(jac)
@@ -345,8 +345,8 @@ def sample_periodic_measure(
             for t, pos, _ in _march(field, origin, None, start, captures, config, stream)]
 
 
-def antithetic_units(vals: np.ndarray) -> np.ndarray:
-    """Collapse antithetically paired samples into independent units.
+def mean_and_stderr(vals: np.ndarray):
+    """Mean and standard error along the particle axis, over antithetic pair units.
 
     ``vals`` is indexed by particle along its last axis, which is one RNG
     block of m samples: sample i pairs with sample i + ceil(m/2), and an odd
@@ -356,12 +356,7 @@ def antithetic_units(vals: np.ndarray) -> np.ndarray:
     m = vals.shape[-1]
     half = (m + 1) // 2
     pairs = 0.5 * (vals[..., : m - half] + vals[..., half:])
-    return np.concatenate([pairs, vals[..., m - half : half]], axis=-1)
-
-
-def mean_and_stderr(vals: np.ndarray, antithetic: bool):
-    """Mean and standard error along the particle axis, one RNG block, pairing-aware."""
-    units = antithetic_units(vals) if antithetic else vals
+    units = np.concatenate([pairs, vals[..., m - half : half]], axis=-1)
     mean = units.mean(axis=-1)
     se = units.std(axis=-1, ddof=1) / math.sqrt(units.shape[-1])
     return mean, se

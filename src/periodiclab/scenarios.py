@@ -114,6 +114,12 @@ def _flag(value, path: str):
     _require(isinstance(value, bool), "expected true or false", path)
 
 
+def _paired(value, path: str):
+    """The legacy ``sim.antithetic``: every march pairs its noise, so its one
+    value is true (tested with ``is``, since 1 == True)."""
+    _require(value is True, f"noise is always paired; expected true, got {value!r}", path)
+
+
 def _window(window, path: str):
     _require(isinstance(window, list) and len(window) == 2,
              f"expected [lo, hi], got {window!r}", path)
@@ -130,6 +136,9 @@ def _rate_bounds(bounds, path: str):
         for j, end in enumerate(pair):
             if end is not None:
                 _number(end, f"{key_path}[{j}]", -math.inf)
+        if None not in pair:
+            _require(pair[0] <= pair[1], f"lower bound {pair[0]:g} exceeds upper bound "
+                     f"{pair[1]:g}, so the check cannot pass", key_path)
 
 
 # the experiments that run on the grid whatever their keys say
@@ -146,7 +155,7 @@ _SECTIONS = {
              # the radial growth test compares the two outermost shells
              "n_shells": (6, _int(2)), "n_shell_dirs": (16, _int(1))},
     "sim": {"particles": (20000, _int(100)), "dt": (0.004, _POSITIVE),
-            "horizon_periods": (16, _int(1)), "antithetic": (False, _flag),
+            "horizon_periods": (16, _int(1)), "antithetic": (True, _paired),
             "n_outer": (128, _int(1)),
             # at least two antithetic units per outer point, for a standard error
             "n_inner": (2048, _int(4))},
@@ -394,7 +403,6 @@ class RunContext:
             dt=s["dt"],
             seed=self.seed,
             horizon_periods=s["horizon_periods"],
-            antithetic=s["antithetic"],
         )
 
     def engine(self, name: str):

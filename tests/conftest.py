@@ -78,7 +78,7 @@ def ou_engine(ou_model):
 @pytest.fixture(scope="session")
 def ou_mc(ou_field, ou_report):
     config = mc.SimConfig(n_particles=20000, dt=0.004, seed=20260811,
-                          horizon_periods=18, antithetic=True)
+                          horizon_periods=18)
     return eng.MonteCarloEngine(ou_field, config, n_outer=128, n_inner=1024,
                                 certificate=ou_report.lyapunov, phases=EIGHT_PHASES)
 
@@ -86,7 +86,7 @@ def ou_mc(ou_field, ou_report):
 @pytest.fixture(scope="session")
 def grad_mc(grad_field, grad_report):
     config = mc.SimConfig(n_particles=30000, dt=0.008, seed=20260812,
-                          horizon_periods=16, antithetic=True)
+                          horizon_periods=16)
     return eng.MonteCarloEngine(grad_field, config, n_outer=128, n_inner=8192,
                                 certificate=grad_report.lyapunov, phases=EIGHT_PHASES)
 
@@ -94,7 +94,7 @@ def grad_mc(grad_field, grad_report):
 @pytest.fixture(scope="session")
 def gen_mc(gen_field, gen_report):
     config = mc.SimConfig(n_particles=20000, dt=0.004, seed=20260813,
-                          horizon_periods=10, antithetic=True)
+                          horizon_periods=10)
     return eng.MonteCarloEngine(gen_field, config, n_outer=128, n_inner=1024,
                                 certificate=gen_report.lyapunov, phases=EIGHT_PHASES)
 

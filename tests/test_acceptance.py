@@ -133,7 +133,7 @@ class TestAC4RateEquivalence:
 
 class TestAC5PointwiseGradient:
     def test_fifty_random_samples(self, grad_field, grad_report, battery1):
-        config = mc.SimConfig(n_particles=4000, dt=0.008, seed=55, antithetic=True)
+        config = mc.SimConfig(n_particles=4000, dt=0.008, seed=55)
         tanh = next(p for p in battery1 if p.fid == "tanh")
         sin_phi = next(p for p in battery1 if p.fid == "sin")
         rng = np.random.default_rng(31)

@@ -236,8 +236,7 @@ def test_engine_protocol(kind, ou_model, ou_field, ou_generator, ou_report, batt
         engine = eng.GridEngine(ou_field, ou_generator)
     else:
         # at 2000 particles np.dot(w, 1) is 1 + 7e-16: the plain mean keeps constants exact
-        config = mc.SimConfig(n_particles=2000, dt=0.02, seed=3, horizon_periods=2,
-                              antithetic=True)
+        config = mc.SimConfig(n_particles=2000, dt=0.02, seed=3, horizon_periods=2)
         engine = eng.MonteCarloEngine(ou_field, config, n_outer=8, n_inner=16,
                                       certificate=ou_report.lyapunov, phases=[0.3, 0.25, 0.5, 0.75])
     assert engine.name == kind
@@ -251,7 +250,7 @@ def test_engine_protocol(kind, ou_model, ou_field, ou_generator, ou_report, batt
         mean, se = dg.phase_mean(engine, phi, 0.3)
         if engine.stochastic:
             assert mean == vals.mean()
-            assert se == mc.mean_and_stderr(vals, True)[1]
+            assert se == mc.mean_and_stderr(vals)[1]
             if phi.fid == "const":
                 assert (mean, se) == (1.0, 0.0) == dg.phase_lp(engine, phi, 0.3, 2.0)
         else:
@@ -313,7 +312,6 @@ class OneEnsembleEngine:
 
     def __init__(self, positions):
         self.positions = positions
-        self.config = mc.SimConfig(n_particles=len(positions), antithetic=True)
 
     def phase_nodes(self, phase):
         return self.positions, np.full(len(self.positions), 1.0 / len(self.positions))
@@ -332,8 +330,8 @@ class TestPhaseAverageStderr:
         eight = dg.poincare_ratio(u, dg.PhaseMeasures.from_engine(engine, 8), 2.0, -1.0)
         x = engine.positions[:, 0]
         m = x.mean()
-        want = math.hypot(mc.mean_and_stderr((x - m) ** 2, True)[1],
-                          mc.mean_and_stderr(2 * abs(m) * x, True)[1])
+        want = math.hypot(mc.mean_and_stderr((x - m) ** 2)[1],
+                          mc.mean_and_stderr(2 * abs(m) * x)[1])
         assert one.stderr == pytest.approx(want, rel=1e-12)
         assert eight.stderr == pytest.approx(want, rel=1e-12)   # not want / sqrt(8)
 

@@ -45,12 +45,12 @@ def stream_key(seed, name):
 def reference_march(field, positions, jacobians, s, capture_times, config, stream, blocks=1):
     """Plain Euler-Maruyama loop with the arithmetic ``mc._march`` must reproduce.
 
-    The particles form ``blocks`` equal blocks, and block b draws from the
-    stream ``stream + (b,)``.  One Philox call per
-    block and step, out-of-place ``x + dt*b + noise``, the 2x2 noise factor
-    as a lower Cholesky (n, 2, 2) stack, einsum noise and an einsum Jacobian
-    update.  Each segment takes
-    ``floor((target - r)/dt + 1e-9)`` full steps and then one partial step
+    The particles form ``blocks`` equal blocks; block b draws the normals of
+    its first half, rounded up, from the stream ``stream + (b,)`` and gives
+    the rest their mirrors.  One Philox call per block and step,
+    out-of-place ``x + dt*b + noise``, the 2x2 noise factor as a lower
+    Cholesky (n, 2, 2) stack, einsum noise and an einsum Jacobian update.
+    Each segment takes ``floor((target - r)/dt + 1e-9)`` full steps and then one partial step
     when more than ``1e-9 dt`` is left.  The SPD sampling check is left out:
     it changes no number.
     """
@@ -64,13 +64,10 @@ def reference_march(field, positions, jacobians, s, capture_times, config, strea
         out = np.empty((n, d))
         for blk, gen in enumerate(gens):
             lo, hi = blk * m, blk * m + m
-            if config.antithetic:
-                half = (m + 1) // 2
-                z = gen.standard_normal((half, d))
-                out[lo : lo + half] = z
-                out[lo + half : hi] = -z[: m - half]
-            else:
-                out[lo:hi] = gen.standard_normal((m, d))
+            half = (m + 1) // 2
+            z = gen.standard_normal((half, d))
+            out[lo : lo + half] = z
+            out[lo + half : hi] = -z[: m - half]
         return out
 
     def sqrt_spd(mats):
@@ -158,9 +155,9 @@ class TestEvolve:
         assert abs(var - 1.0) <= 4 * se
 
     def test_ou_mean_against_propagator(self, ou_model, ou_field):
-        config = mc.SimConfig(n_particles=40000, dt=0.0025, seed=8, antithetic=True)
+        config = mc.SimConfig(n_particles=40000, dt=0.0025, seed=8)
         ens = ref.evolve(ou_field, ref.point_mass(2.0, 40000), 0.0, 1.0, config)
-        mean, se = mc.mean_and_stderr(ens.positions[:, 0], True)
+        mean, se = mc.mean_and_stderr(ens.positions[:, 0])
         expected = 2.0 * ref.propagator(ou_model, 1.0, 0.0)[0, 0]
         assert abs(mean - expected) <= 4 * se + 2e-3
 
@@ -327,11 +324,11 @@ class TestMarchMatchesReference:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(dim=st.integers(1, 2), q_const=st.floats(0.2, 1.5), q_sin=st.floats(-0.15, 0.15),
            powers=st.lists(st.sampled_from([1, 3, 5]), min_size=1, max_size=3),
-           rate=st.floats(0.1, 1.5), antithetic=st.booleans(), block_size=st.integers(16, 96),
+           rate=st.floats(0.1, 1.5), block_size=st.integers(16, 96),
            n_blocks=st.integers(1, 3),
            offsets=st.lists(st.floats(0.0, 0.4), min_size=1, max_size=3))
-    def test_tangent_march_property(self, dim, q_const, q_sin, powers, rate, antithetic,
-                                    block_size, n_blocks, offsets):
+    def test_tangent_march_property(self, dim, q_const, q_sin, powers, rate, block_size,
+                                    n_blocks, offsets):
         # polynomial fields carry Jacobians through equal blocks of odd and
         # even size, with captures anywhere, the start time included; the
         # drift stays dissipative and the start near the origin, so no march
@@ -341,7 +338,7 @@ class TestMarchMatchesReference:
         field = fl.polynomial_field(dim, 1.0, q_const=q_const, q_sin=q_sin, drift_terms=terms)
         n = n_blocks * block_size
         # the march reads n from x0; n_particles only has to pass its floor
-        config = mc.SimConfig(n_particles=max(n, 100), dt=0.01, seed=32, antithetic=antithetic)
+        config = mc.SimConfig(n_particles=max(n, 100), dt=0.01, seed=32)
         rng = np.random.default_rng(10)
         x0 = 0.5 * rng.standard_normal((n, dim))
         jac0 = np.eye(dim) + 0.3 * rng.standard_normal((n, dim, dim))
@@ -350,18 +347,18 @@ class TestMarchMatchesReference:
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(dim=st.integers(1, 3), floor=st.floats(0.05, 1.0), q_sin=st.floats(-1.0, 1.0),
-           q_bump=st.floats(-0.5, 1.0), antithetic=st.booleans(), block_size=st.integers(16, 128),
+           q_bump=st.floats(-0.5, 1.0), block_size=st.integers(16, 128),
            n_blocks=st.integers(1, 3),
            offsets=st.lists(st.floats(0.0, 0.4), min_size=1, max_size=3))
-    def test_isotropic_march_property(self, dim, floor, q_sin, q_bump, antithetic, block_size,
-                                      n_blocks, offsets):
+    def test_isotropic_march_property(self, dim, floor, q_sin, q_bump, block_size, n_blocks,
+                                      offsets):
         # the one-root-per-particle noise of an isotropic Q reproduces the
         # reference's Cholesky (d = 2) and eigh (d = 3) arithmetic bit for bit;
         # q_const keeps Q elliptic, blocks are equal, captures land anywhere
         n = n_blocks * block_size
         field = fl.gen_field(dim=dim, q_const=floor + abs(q_sin) - min(q_bump, 0.0),
                              q_sin=q_sin, q_bump=q_bump)
-        config = mc.SimConfig(n_particles=max(n, 100), dt=0.01, seed=31, antithetic=antithetic)
+        config = mc.SimConfig(n_particles=max(n, 100), dt=0.01, seed=31)
         x0 = np.random.default_rng(9).standard_normal((n, dim))
         self.assert_same(field, x0, None, 0.2, [0.2 + off for off in offsets], config,
                          blocks=n_blocks)
@@ -386,7 +383,7 @@ class TestMarchMatchesReference:
         assert counts == [0, 100 + 2]
 
     def test_x_dependent_off_diagonal_q(self):
-        config = mc.SimConfig(n_particles=1001, dt=0.01, seed=28, antithetic=True)
+        config = mc.SimConfig(n_particles=1001, dt=0.01, seed=28)
         x0 = np.random.default_rng(7).standard_normal((1001, 2))
         self.assert_same(tilted_field(), x0, None, 0.1, [0.45, 1.0], config, blocks=7)
 
@@ -397,7 +394,7 @@ class TestMarchMatchesReference:
         # the start time
         field = gen_field if case == "gen2d" else grad_field
         n, d = 1001, field.dim
-        config = mc.SimConfig(n_particles=n, dt=0.01, seed=25, antithetic=True)
+        config = mc.SimConfig(n_particles=n, dt=0.01, seed=25)
         x0 = np.random.default_rng(5).standard_normal((n, d))
         jac0 = np.ones((n, 1, 1)) if case == "grad-tangent" else None
         name = ("profile", "tangent", 0.2, 0.5)
@@ -415,7 +412,7 @@ class TestMarchMatchesReference:
     def test_capped_draw_buffer(self, cap, grad_field, monkeypatch):
         # large ensembles draw fewer steps per call (here 1 and 3): same numbers
         monkeypatch.setattr(mc, "_DRAW_FLOATS", cap)
-        config = mc.SimConfig(n_particles=1001, dt=0.01, seed=26, antithetic=True)
+        config = mc.SimConfig(n_particles=1001, dt=0.01, seed=26)
         x0 = np.random.default_rng(6).standard_normal((1001, 1))
         self.assert_same(grad_field, x0, np.ones((1001, 1, 1)), 0.0, [0.1049, 0.3], config,
                          blocks=7)
@@ -443,23 +440,22 @@ class TestMarchMatchesReference:
             assert np.abs(x - finals[0]).max() <= 1e-12
 
     def test_draw_buffer_bounded(self):
-        # a large ensemble buffers at most _DRAW_FLOATS normals, or one step,
-        # beside its (n, 1) step array; antithetic pairs buffer only what
-        # they draw, half of each block rounded up
-        next(mc._block_normals(0, ("warm-up",), 100, 1, 4, True))
+        # a large ensemble's steps per draw call hold at most _DRAW_FLOATS
+        # normals, or one step, and it buffers only what it draws, half of
+        # each block rounded up, beside its (n, 1) step array
+        next(mc._block_normals(0, ("warm-up",), 100, 1, 4))
         for n, blocks in ((1001, 1), (200_000, 16), (2 * mc._DRAW_FLOATS, 64)):
             steps = min(mc._DRAW_STEPS, max(1, mc._DRAW_FLOATS // n))
-            for antithetic in (False, True):
-                tracemalloc.start()
-                try:
-                    z = next(mc._block_normals(0, ("march",), n, 1, blocks, antithetic))
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                assert z.shape == (n, 1)
-                drawn = steps * (n + blocks) // 2 if antithetic else steps * n
-                # the generators themselves take about 1 KiB each
-                assert peak <= 8 * (drawn + n) + 2048 * (blocks + 1), (n, antithetic, peak)
+            tracemalloc.start()
+            try:
+                z = next(mc._block_normals(0, ("march",), n, 1, blocks))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert z.shape == (n, 1)
+            drawn = steps * (n + blocks) // 2
+            # the generators themselves take about 1 KiB each
+            assert peak <= 8 * (drawn + n) + 2048 * (blocks + 1), (n, peak)
 
 
 class TestNoiseFactor2d:
@@ -510,7 +506,7 @@ class TestEstimateP:
         assert value == 3.5 and se == 0.0
 
     def test_ou_coordinate(self, ou_model, ou_field):
-        config = mc.SimConfig(n_particles=30000, dt=0.0025, seed=3, antithetic=True)
+        config = mc.SimConfig(n_particles=30000, dt=0.0025, seed=3)
         value, se = ref.estimate_P(ou_field, lambda X: X[:, 0], 1.0, 0.0, [1.0], config)
         expected = ref.propagator(ou_model, 1.0, 0.0)[0, 0]
         assert abs(value - expected) <= 4 * se + 2e-3
@@ -604,7 +600,7 @@ class TestTangentFlow:
             mc.evolve_tangent(gen_field, ens, 0.0, 0.5, config)
 
     def test_pointwise_gradient_bound_grad1d(self, grad_field, grad_report):
-        config = mc.SimConfig(n_particles=4000, dt=0.008, seed=14, antithetic=True)
+        config = mc.SimConfig(n_particles=4000, dt=0.008, seed=14)
         sin_phi = next(p for p in eng.battery() if p.fid == "sin")
         rng = np.random.default_rng(15)
         for i in range(5):
@@ -619,7 +615,7 @@ class TestTangentFlow:
         # odd drift from x = 0 with mirrored noise: every pair is (x, -x), and
         # both sides average even functions of x, so pairs are the units
         field = fl.polynomial_field(1, 1.0, q_const=0.5, drift_terms=(fl.DriftTerm(1, -1.0),))
-        config = mc.SimConfig(n_particles=2000, dt=0.01, seed=8, antithetic=True)
+        config = mc.SimConfig(n_particles=2000, dt=0.01, seed=8)
         tanh = next(p for p in eng.battery() if p.fid == "tanh")
         out = dg.pointwise_gradient_check(field, tanh, 1.0, 0.0, [0.0], config, -1.0,
                                           stream=("pointwise", 0))
@@ -628,8 +624,8 @@ class TestTangentFlow:
         assert np.array_equal(ens.positions[1000:], -ens.positions[:1000])
         lhs_vals = ens.jacobians[:, 0, 0] * tanh.grad_at(ens.positions)[:, 0]
         rhs_vals = math.exp(-1.0) * tanh.grad_norm(ens.positions)
-        paired = math.hypot(mc.mean_and_stderr(lhs_vals, True)[1],
-                            mc.mean_and_stderr(rhs_vals, True)[1])
+        paired = math.hypot(mc.mean_and_stderr(lhs_vals)[1],
+                            mc.mean_and_stderr(rhs_vals)[1])
         naive = math.hypot(lhs_vals.std(ddof=1), rhs_vals.std(ddof=1)) / math.sqrt(2000)
         assert paired > 1.4 * naive
         assert out["stderr"] == pytest.approx(paired, rel=1e-12)
@@ -640,8 +636,7 @@ class TestPhaseEnsembles:
 
     @classmethod
     def engine(cls, field, report):
-        config = mc.SimConfig(n_particles=200, dt=0.02, seed=3, horizon_periods=2,
-                              antithetic=True)
+        config = mc.SimConfig(n_particles=200, dt=0.02, seed=3, horizon_periods=2)
         return eng.MonteCarloEngine(field, config, n_outer=8, n_inner=16,
                                     certificate=report.lyapunov, phases=cls.PHASES)
 
@@ -694,18 +689,36 @@ class TestAntitheticStats:
     def test_pairing_preserves_mean(self):
         rng = np.random.default_rng(2)
         vals = rng.standard_normal(1000)
-        mean, se = mc.mean_and_stderr(vals, True)
+        mean, se = mc.mean_and_stderr(vals)
         assert abs(mean - vals.mean()) < 1e-12
+
+    @pytest.mark.parametrize("vals, units", [
+        # m = 5: sample i pairs with i + 3, and the middle sample stands alone
+        ([1.0, 2.0, 4.0, 7.0, 11.0], [(1.0 + 7.0) / 2, (2.0 + 11.0) / 2, 4.0]),
+        # m = 6: sample i pairs with i + 3
+        ([1.0, 2.0, 4.0, 7.0, 11.0, 16.0], [(1.0 + 7.0) / 2, (2.0 + 11.0) / 2, (4.0 + 16.0) / 2]),
+    ])
+    def test_stderr_over_pair_units_by_hand(self, vals, units):
+        mean, se = mc.mean_and_stderr(np.array(vals))
+        k = len(units)
+        want_mean = sum(units) / k
+        want_se = math.sqrt(sum((u - want_mean) ** 2 for u in units) / (k - 1) / k)
+        assert mean == pytest.approx(want_mean, rel=1e-15)
+        assert se == pytest.approx(want_se, rel=1e-14)
+        # a block of rows reduces each row alone
+        rows = np.array([vals, [2.0 * v for v in vals]])
+        row_mean, row_se = mc.mean_and_stderr(rows)
+        assert row_mean == pytest.approx([want_mean, 2.0 * want_mean], rel=1e-15)
+        assert row_se == pytest.approx([want_se, 2.0 * want_se], rel=1e-14)
 
     def test_component_rows_reduce_as_the_per_component_loop(self):
         # the tangent profile reduces all d gradient components in one call
         pulled = np.random.default_rng(5).standard_normal((16, 1024, 3))
         rows = np.ascontiguousarray(pulled.transpose(0, 2, 1))
-        for antithetic in (True, False):
-            mean, se = mc.mean_and_stderr(rows, antithetic)
-            for c in range(3):
-                m_c, se_c = mc.mean_and_stderr(pulled[..., c], antithetic)
-                assert np.array_equal(mean[:, c], m_c) and np.array_equal(se[:, c], se_c)
+        mean, se = mc.mean_and_stderr(rows)
+        for c in range(3):
+            m_c, se_c = mc.mean_and_stderr(pulled[..., c])
+            assert np.array_equal(mean[:, c], m_c) and np.array_equal(se[:, c], se_c)
 
     def test_odd_function_collapses(self, grad_mc, battery1):
         tanh = next(p for p in battery1 if p.fid == "tanh")
@@ -783,8 +796,7 @@ class TestMarchWorkingSet:
         # blocks of 256, horizons 1-3 at dt 0.01 and the five decay functions
         # reduced per capture; tracing starts just before the profile and
         # numpy's data allocations are traced, so the peak repeats
-        config = mc.SimConfig(n_particles=256, dt=0.01, seed=1, horizon_periods=1,
-                              antithetic=True)
+        config = mc.SimConfig(n_particles=256, dt=0.01, seed=1, horizon_periods=1)
         engine = eng.MonteCarloEngine(gen_field, config, n_outer=128, n_inner=256,
                                       certificate=gen_report.lyapunov)
         engine.phase_ensemble(0.0)
@@ -808,9 +820,9 @@ class TestBlockLayout:
 
         seen, block_normals = [], mc._block_normals
 
-        def spy(seed, name, n, dim, blocks, antithetic):
+        def spy(seed, name, n, dim, blocks):
             seen.append((name[0], n, blocks))
-            return block_normals(seed, name, n, dim, blocks, antithetic)
+            return block_normals(seed, name, n, dim, blocks)
 
         monkeypatch.setattr(mc, "_block_normals", spy)
         doc = json.loads(json.dumps(sc.load_scenario("grad1d")))

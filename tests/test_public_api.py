@@ -4,7 +4,8 @@ Every public module-level function in ``src/periodiclab`` is called from
 ``src/`` outside its own body; the oracles only the tests use live in
 ``tests/reference.py``.  Only ``grid`` imports scipy, and a document that
 needs no grid object never loads it.  Only ``montecarlo`` keys random
-streams.  The README's library sketch runs as written.
+streams, and nothing selects unpaired noise.  The README's library sketch
+runs as written.
 """
 
 import ast
@@ -157,6 +158,25 @@ def test_only_montecarlo_keys_random_streams():
     assert builders == {"montecarlo"}
     assert literal_streams == []
     assert sorted(default_rngs) == [("grid", "_eig_residuals"), ("grid", "spectrum")]
+
+
+def test_no_code_selects_unpaired_noise():
+    """Every march pairs its noise, so nothing in ``src/`` is named
+    ``antithetic``: no parameter, keyword, variable, class field or
+    attribute.  The one mention is the legacy scenario key ``sim.antithetic``,
+    whose only value is true."""
+    names, keys = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node, owner in _top_level_owners(ast.parse(path.read_text())):
+            name = (node.arg if isinstance(node, (ast.arg, ast.keyword))
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            if name == "antithetic":
+                names.append((path.stem, owner, ast.unparse(node)))
+            elif isinstance(node, ast.Constant) and node.value == "antithetic":
+                keys.append((path.stem, owner))
+    assert names == []
+    assert keys == [("scenarios", None)]            # its entry in the module-level _SECTIONS
 
 
 def scipy_after(code: str, cwd: Path) -> list:

@@ -193,6 +193,11 @@ class TestValidation:
          "$.field.q_sin"),
         ("grad1d", ("field",), {"kind": "custom-polynomial", "q_cos": False},
          "$.field.q_cos"),
+        ("ou1d", ("experiments", 1, "rate_bounds"), {"2": [-0.9, -1.1]},
+         "$.experiments[1].rate_bounds.2"),
+        ("grad1d", ("sim", "antithetic"), False, "$.sim.antithetic"),
+        ("grad1d", ("sim", "antithetic"), 1, "$.sim.antithetic"),
+        ("grad1d", ("sim", "antithetic"), None, "$.sim.antithetic"),
     ])
     def test_bad_values_name_their_path(self, sid, where, value, path):
         doc = json.loads(json.dumps(sc.load_scenario(sid)))
@@ -489,6 +494,34 @@ class TestCli:
         assert err.value.path == "$.seed"
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("where, value, path", [
+        # plain sampling is not silently paired
+        (("sim", "antithetic"), False, "$.sim.antithetic"),
+        # bounds that no fitted rate can meet
+        (("experiments", 1, "rate_bounds"), {"2": [-0.9, -1.1]}, "$.experiments[1].rate_bounds.2"),
+    ])
+    def test_unmeetable_values_exit_2(self, tmp_path, capsys, where, value, path):
+        doc = json.loads(json.dumps(sc.load_scenario("ou1d")))
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        scenario = tmp_path / "ou1d.json"
+        scenario.write_text(json.dumps(doc))
+        assert cli.main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        assert path in capsys.readouterr().err
+
+    def test_a_document_without_the_antithetic_key_runs_paired(self):
+        # a linear drift from the origin: mirrored noise mirrors every path
+        doc = json.loads(json.dumps(sc.load_scenario("ou1d")))
+        del doc["sim"]["antithetic"]
+        doc["sim"].update(particles=200, horizon_periods=2, n_outer=8, n_inner=16)
+        doc["plan"] = {"r_max": 5.0, "n_times": 8, "n_axis": 9, "n_shells": 2, "n_shell_dirs": 2}
+        ctx = sc.RunContext(sc.validate_scenario(doc), seed=1)
+        positions = ctx.engine("montecarlo").phase_ensemble(0.0).positions
+        assert np.array_equal(positions[100:], -positions[:100])
+        assert np.abs(positions).max() > 0.1
+
     def test_montecarlo_rate_equivalence_on_x_dependent_q_exits_2(self, tmp_path, capsys):
         doc = json.loads(json.dumps(sc.load_scenario("gen2d")))
         doc["experiments"] = [{"name": "rate-equivalence", "engine": "montecarlo"}]
@@ -707,7 +740,7 @@ class TestRun:
                             lambda field, phases, *args, **kwargs: [ens for _ in phases])
         v = 1.0 + ens.positions[:, 0] ** 2
         naive = v.std(ddof=1) / np.sqrt(len(v))
-        paired = mc.mean_and_stderr(v, True)[1]
+        paired = mc.mean_and_stderr(v)[1]
         assert 5.0 * naive < 4.0 * paired < 6.0 * naive
         report = hyp.check_hypotheses(ctx.field, ctx.plan)
         bound = v.mean() - naive_multiple * naive

@@ -13,8 +13,9 @@ Conventions shared by every diagnostic:
   from the weighted spread of its debiased p-th powers
   (``debiased_power_mean``), and the contraction rows' transported mean from
   that spread plus the inner standard errors;
-* contraction and invariance rows are read from the decay experiment's own
-  transfer profile at any of its horizons, so they cost no extra transport;
+* no diagnostic calls ``transfer_profile``: the rate and transport checks
+  read the profile they are given (a run's one profile of their engine), so
+  the contraction and invariance rows cost no extra transport;
 * inequality checks are one-sided with a ``5 x stderr`` statistical slack:
   the inequalities must never be violated beyond sampling noise, but they
   are not expected to be tight;
@@ -284,11 +285,13 @@ def rate_equivalence_check(
     phis: Sequence[TestFunction],
     s: float,
     p: float,
-    horizons: Sequence[float],
+    profile: TransferProfile,
     window: tuple = (1.0, np.inf),
     tolerance: float = 0.1,
 ) -> dict:
-    """Fit omega (value decay) and gamma (gradient decay) on the same window.
+    """Fit omega (value decay) and gamma (gradient decay) on the same window,
+    both from ``profile``, which starts at s and carries gradients at every
+    horizon.
 
     Requires bounded diffusion and p >= 2 (the regime where the two decay
     exponents provably coincide); the report flags agreement at the given
@@ -296,7 +299,6 @@ def rate_equivalence_check(
     """
     if p < 2:
         raise NotApplicable("rate equivalence is checked for p >= 2")
-    profile = engine.transfer_profile(list(phis), s, horizons, gradients=True)
     omega, gamma = (
         fit_battery([decay_curve(engine, phi, s, p, profile, gradient=g) for phi in phis], window)
         for g in (False, True))
@@ -492,14 +494,13 @@ def contraction_invariance_report(
     engine,
     phis: Sequence[TestFunction],
     s: float,
-    gaps: Sequence[float],
     ps: Sequence[float],
     profile: TransferProfile,
 ) -> list[dict]:
-    """Transport vs measure checks at the given separations.
+    """Transport vs measure checks at the separations of ``profile``'s horizons.
 
-    Per (phi, p, gap), read from ``profile`` (one started at time s with every
-    gap among its horizons): the L^p norm of the transported function against
+    Per (phi, p, gap), with each horizon of ``profile`` (one started at time
+    s) as a gap: the L^p norm of the transported function against
     the starting measure must not exceed the L^p norm of phi against the target
     measure (contraction), and the two measure means must agree (invariance
     under push-forward), each within ``SLACK`` combined standard errors.  The
@@ -513,8 +514,7 @@ def contraction_invariance_report(
         return SLACK * math.hypot(se_a, se_b) if engine.stochastic else _roundoff(a, b)
 
     rows = []
-    for gap in sorted(gaps):
-        k = list(profile.horizons).index(gap)     # ValueError when the profile lacks it
+    for k, gap in enumerate(profile.horizons):
         for phi in phis:
             g, se = profile.values[phi.fid][k]
             mean_p = float(np.dot(w, g))

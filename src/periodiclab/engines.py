@@ -8,10 +8,10 @@ Every engine exposes the same five members:
   are meaningful), False for deterministic quadrature;
 * ``phase_nodes(phase)``: quadrature nodes and weights for the periodic
   invariant measure at a phase;
-* ``transfer_profile``: the transition expectation (and optionally its
-  pathwise gradient) evaluated at measure-distributed points for a list of
-  horizons, with per-point standard errors (zero for the deterministic
-  engines).
+* ``transfer_profile``: the transition expectation (and, up to the horizon
+  ``gradients``, its pathwise gradient) evaluated at measure-distributed
+  points for a list of horizons, with per-point standard errors (zero for
+  the deterministic engines).
 
 The exact Gaussian engine reads its phase measures and transition laws from
 one ``PeriodicGaussianSystem``, which solves each law once per (phase,
@@ -30,8 +30,8 @@ for every horizon, at one set of points distributed like the measure at the
 *starting* time s, which is what the decay norms ``L^p(mu_s)`` integrate
 against, and carries no centering: diagnostics takes every integral against
 the measure from ``phase_nodes``, and centres with its ``phase_mean`` at the
-target time.  One profile serves a whole decay experiment, including
-its contraction and invariance rows.  The test functions the
+target time.  A run's rate fits on one engine, contraction rows included,
+read one profile (``TransferProfile.at``).  The test functions the
 diagnostics apply (the space-only battery and the space-time batteries of
 the inequality checks) live here too.
 """
@@ -178,6 +178,13 @@ class TransferProfile:
     values: dict                             # fid -> list of (g, se) arrays (M,)
     grads: dict                              # fid -> list of (gvec (M,d), se (M,)) or {}
 
+    def at(self, horizons) -> "TransferProfile":
+        """The rows of ``horizons``, gradients up to the span; a missing one is a ValueError."""
+        ks = [list(self.horizons).index(tau) for tau in sorted(horizons)]
+        return TransferProfile(self.horizons[ks], self.weights, *(
+            {fid: [rows[k] for k in ks if k < len(rows)] for fid, rows in table.items()}
+            for table in (self.values, self.grads)))
+
 
 class OUExactEngine:
     """Quadrature-grade engine backed by the Gaussian transition law, with one
@@ -196,11 +203,11 @@ class OUExactEngine:
         measure = self.system.measure(phase)
         return measure.mean + self._z @ measure.sqrt_cov().T, self._weights
 
-    def transfer_profile(self, phis: Sequence[TestFunction], s: float, horizons, gradients=False):
+    def transfer_profile(self, phis: Sequence[TestFunction], s: float, horizons, gradients=None):
         """Transport by the exact Gaussian law from s, one system law per horizon increment.
 
         Each horizon's law (U, S, m) is the previous one composed with the
-        law over the increment.
+        law over the increment, and gradients run to the horizon ``gradients``.
         """
         horizons = np.asarray(sorted(horizons), dtype=float)
         pts, w = self.phase_nodes(s)
@@ -218,7 +225,7 @@ class OUExactEngine:
             for phi in phis:
                 vals = np.asarray(phi(flat)).reshape(len(zw), len(pts))
                 values[phi.fid].append((zw @ vals, np.zeros(len(pts))))
-                if gradients:
+                if gradients and tau <= gradients:
                     gv = np.asarray(phi.grad_at(flat)).reshape(len(zw), len(pts), -1)
                     inner = np.einsum("q,qmd->md", zw, gv)
                     grads[phi.fid].append((inner @ law[0], np.zeros(len(pts))))
@@ -277,15 +284,15 @@ class MonteCarloEngine:
         ens = self.phase_ensemble(phase)
         return ens.positions, np.full(ens.n, 1.0 / ens.n)
 
-    def transfer_profile(self, phis: Sequence[TestFunction], s: float, horizons, gradients=False):
+    def transfer_profile(self, phis: Sequence[TestFunction], s: float, horizons, gradients=None):
         """Evaluate inner-replica transition means at mu_s-distributed points.
 
         One joint ensemble starts at time s from outer points spread evenly
         through the phase-s ensemble and is marched once through every
         horizon, so every decay norm integrates against points distributed
-        like the measure at the starting time.  The march's stream is named by
-        its kind (value or tangent), s and the horizons, so two profiles
-        share noise only when they are the same estimate.  Each snapshot is
+        like the measure at the starting time.  Jacobians ride the march only
+        up to the horizon ``gradients`` and leave the positions as they are,
+        so the stream is ("profile", "value", s, *horizons).  Each snapshot is
         reduced to per-point means and standard errors as the march yields it;
         each outer point's inner replicas are one RNG block.
         """
@@ -301,14 +308,13 @@ class MonteCarloEngine:
             np.repeat(ens.positions[np.arange(self.n_outer) * (ens.n // self.n_outer)],
                       self.n_inner, axis=0),
             np.broadcast_to(np.eye(d), (n, d, d)) if gradients else None,
-            s, s + horizons, self.config,
-            stream=("profile", "tangent" if gradients else "value", float(s), *horizons),
-            blocks=self.n_outer)
+            s, s + horizons, self.config, stream=("profile", "value", float(s), *horizons),
+            blocks=self.n_outer, jacobians_until=s + gradients if gradients else None)
         for _, pos, jac in march:
             for phi in phis:
                 vals = np.asarray(phi(pos)).reshape(self.n_outer, self.n_inner)
                 values[phi.fid].append(mc.mean_and_stderr(vals))
-                if gradients:
+                if jac is not None:
                     pulled = np.einsum("nij,ni->nj", jac, phi.grad_at(pos))
                     # contiguous inner rows sum each component as a 1-d reduction would
                     pulled = np.ascontiguousarray(
@@ -351,7 +357,7 @@ class GridEngine:
     def phase_nodes(self, phase: float):
         return self.grid.nodes(), self._rho_at(phase)
 
-    def transfer_profile(self, phis: Sequence[TestFunction], s: float, horizons, gradients=False):
+    def transfer_profile(self, phis: Sequence[TestFunction], s: float, horizons, gradients=None):
         from . import grid as gridmod
 
         horizons = np.asarray(sorted(horizons), dtype=float)
@@ -370,7 +376,7 @@ class GridEngine:
             for phi in phis:
                 g = mat @ phi_vecs[phi.fid]
                 values[phi.fid].append((g, np.zeros_like(g)))
-                if gradients:
+                if gradients and tau <= gradients:
                     gv = gridmod.spatial_gradient(self.grid, g)
                     grads[phi.fid].append((gv, np.zeros(len(g))))
         return TransferProfile(horizons, self._rho_at(s), values, grads)

@@ -246,7 +246,8 @@ def _check_spd(field, r, positions):
         raise NonPositiveDefinite(r, sample[bad], float(low[bad]))
 
 
-def _march(field, positions, jacobians, s, capture_times, config, stream, blocks=1):
+def _march(field, positions, jacobians, s, capture_times, config, stream, blocks=1,
+           jacobians_until=None):
     """Shared Euler-Maruyama loop on the noise of the stream named ``stream``;
     yields the live state at each requested time.
 
@@ -259,10 +260,10 @@ def _march(field, positions, jacobians, s, capture_times, config, stream, blocks
     partial step when more than ``1e-9 dt`` is left, so a segment's schedule
     (and the noise it draws) depends on its start, its target and dt alone,
     not on the other captures.  Yields (t, positions, jacobians) in time
-    order; the arrays are the march's one copy of its state, updated in
-    place, so a caller reads (or copies) them before it resumes the march.
-    Do not collect the captures unread (``list(_march(...))``): every one
-    of them would hold the final state.
+    order, jacobians None after the capture at ``jacobians_until``; the arrays
+    are the march's one copy of its state, updated in place, so a caller
+    reads (or copies) them before it resumes the march.  Do not collect the
+    captures unread (``list(_march(...))``): each would hold the final state.
     The march drops its references to the starting arrays once it has
     copied them, and reuses its drift, noise and Jacobian scratch arrays
     across steps; arrays returned by the field callables are only read.
@@ -312,6 +313,8 @@ def _march(field, positions, jacobians, s, capture_times, config, stream, blocks
                 raise Blowup(r, float(peak))
         r = target
         yield target, x, jac
+        if jacobians_until is not None and target >= jacobians_until:
+            jac = jac_step = None
 
 
 def sample_periodic_measure(

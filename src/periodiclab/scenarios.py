@@ -408,6 +408,17 @@ class RunContext:
     def engine(self, name: str):
         return getattr(self, _ENGINE_MEMBERS[name])
 
+    def profile(self, name: str) -> eng.TransferProfile:
+        """The one profile from s = 0 that every rate fit on engine ``name`` reads, built
+        once: their horizons and members, with gradients to the last gradient-fit horizon."""
+        fits = [spec for spec in self.doc["experiments"]
+                if spec["name"] in _FIT_IDS and spec["engine"] == name]
+        horizons = sorted({tau for spec in fits for tau in spec["horizons"]})
+        gradients = max((tau for spec in fits if spec["name"] != "decay"
+                         for tau in spec["horizons"]), default=None)
+        return self._memo.get(("profile", name), lambda: self.engine(name).transfer_profile(
+            _members({spec["name"] for spec in fits}), 0.0, horizons, gradients=gradients))
+
     def _montecarlo_phases(self) -> list[float]:
         """Every time whose Monte Carlo measure an experiment integrates
         against, up to whole periods: 0, k T / n for each ``moment_phases``
@@ -546,7 +557,7 @@ def _run_hypothesis_check(ctx: RunContext, params: dict) -> ExperimentResult:
     return ExperimentResult(payload, rows, checks)
 
 
-# the battery ids each rate-fit experiment fits
+# the battery ids each rate-fit experiment fits; all but decay fit gradients
 _FIT_IDS = {
     "decay": ("coord0", "tanh", "sin", "bump", "ratio"),
     "gradient-decay": ("coord0", "tanh", "sin", "ratio"),
@@ -554,31 +565,30 @@ _FIT_IDS = {
 }
 
 
-def _fit_setup(ctx: RunContext, params: dict):
-    """Engine and battery of a rate-fit experiment."""
-    phis = [phi for phi in eng.battery() if phi.fid in _FIT_IDS[params["name"]]]
-    return ctx.engine(params["engine"]), phis
+def _members(names) -> list[eng.TestFunction]:
+    """The battery functions that the rate fits ``names`` fit, in battery order."""
+    return [phi for phi in eng.battery() if any(phi.fid in _FIT_IDS[name] for name in names)]
 
 
 def _battery_fits(ctx: RunContext, params: dict, gradient: bool, references: dict | None = None):
-    """What decay and gradient-decay share: one transfer profile from s = 0, per
+    """What decay and gradient-decay share: their rows of the engine's profile, per
     exponent of ``ps`` (p, curves, fit), a payload of fit records, and CSV rows."""
-    engine, phis = _fit_setup(ctx, params)
-    profile = engine.transfer_profile(phis, 0.0, params["horizons"], gradients=gradient)
+    engine, phis = ctx.engine(params["engine"]), _members([params["name"]])
+    profile = ctx.profile(params["engine"]).at(params["horizons"])
     fits = []
     for p in [float(p) for p in params["ps"]]:
         curves = [dg.decay_curve(engine, phi, 0.0, p, profile, gradient=gradient) for phi in phis]
         fits.append((p, curves, dg.fit_battery(curves, tuple(params["window"]), references)))
     payload = {"engine": engine.name, "fits": {f"p={p:g}": f.to_jsonable() for p, _, f in fits}}
     rows = [row for _, curves, _ in fits for curve in curves for row in curve.rows()]
-    return engine, phis, profile, fits, payload, rows
+    return engine, phis, fits, payload, rows
 
 
 def _run_decay(ctx: RunContext, params: dict) -> ExperimentResult:
     refs = {"ell_2": ctx.hypothesis_report.ell_p_hat.get(2.0)}
     if ctx.model is not None:
         refs["omega0"] = ctx.engine("ou-exact").system.growth_bound
-    engine, phis, profile, fits, payload, rows = _battery_fits(ctx, params, False, refs)
+    engine, phis, fits, payload, rows = _battery_fits(ctx, params, False, refs)
     checks = []
     for p, _, fitted in fits:
         checks += _rate_check(params, "decay-rate", p, fitted,
@@ -586,7 +596,8 @@ def _run_decay(ctx: RunContext, params: dict) -> ExperimentResult:
     gaps = params["contraction_gaps"]
     if gaps:
         report = dg.contraction_invariance_report(
-            engine, phis, 0.0, gaps, [float(p) for p in params["contraction_ps"]], profile)
+            engine, phis, 0.0, [float(p) for p in params["contraction_ps"]],
+            ctx.profile(params["engine"]).at(gaps))
         payload["contraction"] = report
         for rule in ("contraction", "invariance"):
             passed = [r[f"{rule}_ok"] for r in report]
@@ -595,7 +606,7 @@ def _run_decay(ctx: RunContext, params: dict) -> ExperimentResult:
 
 
 def _run_gradient_decay(ctx: RunContext, params: dict) -> ExperimentResult:
-    _, _, _, fits, payload, rows = _battery_fits(ctx, params, True)
+    _, _, fits, payload, rows = _battery_fits(ctx, params, True)
     checks = [check for p, _, fitted in fits for check in _rate_check(
         params, "gradient-rate", p, fitted, "gamma_hat={fit.rate:.4f} in [{lo}, {hi}]")]
     n_point = params["pointwise_samples"]
@@ -619,10 +630,10 @@ def _run_gradient_decay(ctx: RunContext, params: dict) -> ExperimentResult:
 
 
 def _run_rate_equivalence(ctx: RunContext, params: dict) -> ExperimentResult:
-    engine, phis = _fit_setup(ctx, params)
+    engine, phis = ctx.engine(params["engine"]), _members([params["name"]])
     p, tol = float(params["p"]), params["tolerance"]
-    report = dg.rate_equivalence_check(engine, phis, 0.0, p, params["horizons"],
-                                       tuple(params["window"]), tol)
+    profile = ctx.profile(params["engine"]).at(params["horizons"])
+    report = dg.rate_equivalence_check(engine, phis, 0.0, p, profile, tuple(params["window"]), tol)
     fits = [report["omega_fit"], report["gamma_fit"]]
     checks = [_fit_check("rate-equivalence", fits, lambda: (
         report["agree"], f"|omega-gamma|={report['difference']:.4f} <= {tol}"))]

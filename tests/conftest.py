@@ -154,4 +154,4 @@ def grad_heavy_profile(grad_mc, decay_battery1):
 def grad_gradient_profile(grad_mc, decay_battery1):
     phis = [phi for phi in decay_battery1 if phi.fid in ("coord0", "tanh", "sin", "ratio")]
     horizons = [1, 1.25, 1.5, 1.75, 2, 2.5, 3]
-    return phis, grad_mc.transfer_profile(phis, 0.0, horizons, gradients=True)
+    return phis, grad_mc.transfer_profile(phis, 0.0, horizons, gradients=3)

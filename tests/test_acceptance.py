@@ -116,8 +116,8 @@ class TestAC3ExponentialEnvelope:
 class TestAC4RateEquivalence:
     def test_ou1d(self, ou_engine, battery1):
         phis = [p for p in battery1 if p.fid in ("tanh", "sin", "ratio")]
-        out = dg.rate_equivalence_check(ou_engine, phis, 0.0, 2.0,
-                                        list(range(1, 9)), (1.0, 8.0))
+        profile = ou_engine.transfer_profile(phis, 0.0, list(range(1, 9)), gradients=8)
+        out = dg.rate_equivalence_check(ou_engine, phis, 0.0, 2.0, profile, (1.0, 8.0))
         assert out["difference"] <= 0.1
         _report("AC4", f"ou1d |omega-gamma| = {out['difference']:.4f} <= 0.1")
 
@@ -125,7 +125,8 @@ class TestAC4RateEquivalence:
         engine = eng.GridEngine(grad_field, grad_generator, substeps=2)
         phis = [p for p in battery1 if p.fid in ("tanh", "sin", "ratio")]
         horizons = [1 + 0.25 * k for k in range(13)]
-        out = dg.rate_equivalence_check(engine, phis, 0.0, 2.0, horizons, (1.0, 4.0))
+        profile = engine.transfer_profile(phis, 0.0, horizons, gradients=horizons[-1])
+        out = dg.rate_equivalence_check(engine, phis, 0.0, 2.0, profile, (1.0, 4.0))
         assert out["difference"] <= 0.1
         _report("AC4", f"grad1d |omega-gamma| = {out['difference']:.4f} <= 0.1 "
                        f"(omega={out['omega_hat']:.3f})")
@@ -159,8 +160,8 @@ class TestAC6ContractionInvariance:
                              (gen_mc, [1.0, 2.0])):
             phis = eng.battery()
             profile = engine.transfer_profile(phis, 0.0, gaps)
-            rows = dg.contraction_invariance_report(engine, phis, 0.0, gaps,
-                                                    [1.0, 2.0, 4.0], profile)
+            rows = dg.contraction_invariance_report(engine, phis, 0.0, [1.0, 2.0, 4.0],
+                                                    profile)
             assert all(r["contraction_ok"] for r in rows), engine.field.name
             assert all(r["invariance_ok"] for r in rows), engine.field.name
             total += len(rows)

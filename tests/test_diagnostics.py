@@ -68,19 +68,19 @@ class TestDecayCurve:
 
     def test_gradient_curve_is_propagator(self, ou_model, ou_engine, battery1):
         coord = next(p for p in battery1 if p.fid == "coord0")
-        profile = ou_engine.transfer_profile([coord], 0.0, [1, 2, 3], gradients=True)
+        profile = ou_engine.transfer_profile([coord], 0.0, [1, 2, 3], gradients=3)
         curve = dg.decay_curve(ou_engine, coord, 0.0, 2.0, profile, gradient=True)
         for tau, value in zip(curve.taus, curve.values):
             assert abs(value - abs(ref.propagator(ou_model, tau, 0.0)[0, 0])) < 1e-9
 
     def test_gradient_curve_constant_zero(self, ou_engine, battery1):
         const = next(p for p in battery1 if p.fid == "const")
-        profile = ou_engine.transfer_profile([const], 0.0, [1, 2], gradients=True)
+        profile = ou_engine.transfer_profile([const], 0.0, [1, 2], gradients=2)
         curve = dg.decay_curve(ou_engine, const, 0.0, 2.0, profile, gradient=True)
         assert np.all(curve.values <= 1e-13)
 
     def test_gradient_needs_unit_separation(self, ou_engine, battery1):
-        profile = ou_engine.transfer_profile(battery1[:1], 0.0, [0.25, 0.5], gradients=True)
+        profile = ou_engine.transfer_profile(battery1[:1], 0.0, [0.25, 0.5], gradients=0.5)
         with pytest.raises(DegenerateWindow):
             dg.decay_curve(ou_engine, battery1[0], 0.0, 2.0, profile, gradient=True)
 
@@ -178,8 +178,9 @@ class TestFitBattery:
 class TestRateEquivalence:
     def test_refused_fit_disagrees_without_raising(self, battery1):
         phis = [p for p in battery1 if p.fid in ("tanh", "sin")]
-        out = dg.rate_equivalence_check(FakeExpEngine(rate=-1.0), phis, 0.0, 2.0,
-                                        [1, 2, 3], (1.0, 3.0))
+        engine = FakeExpEngine(rate=-1.0)
+        profile = engine.transfer_profile(phis, 0.0, [1, 2, 3], gradients=3)
+        out = dg.rate_equivalence_check(engine, phis, 0.0, 2.0, profile, (1.0, 3.0))
         assert out["agree"] is False
         assert out["omega_hat"] is None and out["gamma_hat"] is None
         assert out["difference"] is None
@@ -189,15 +190,15 @@ class TestRateEquivalence:
     def test_synthetic_shared_source(self, battery1):
         engine = FakeExpEngine(rate=-1.0)
         phis = [p for p in battery1 if p.fid in ("tanh", "sin")]
-        out = dg.rate_equivalence_check(engine, phis, 0.0, 2.0,
-                                        [1, 2, 3, 4, 5], (1.0, 5.0))
+        profile = engine.transfer_profile(phis, 0.0, [1, 2, 3, 4, 5], gradients=5)
+        out = dg.rate_equivalence_check(engine, phis, 0.0, 2.0, profile, (1.0, 5.0))
         assert out["difference"] < 1e-12
         assert out["agree"]
 
     def test_ou_exact(self, ou_engine, battery1):
         phis = [p for p in battery1 if p.fid in ("tanh", "sin", "ratio")]
-        out = dg.rate_equivalence_check(ou_engine, phis, 0.0, 2.0,
-                                        list(range(1, 9)), (1.0, 8.0))
+        profile = ou_engine.transfer_profile(phis, 0.0, list(range(1, 9)), gradients=8)
+        out = dg.rate_equivalence_check(ou_engine, phis, 0.0, 2.0, profile, (1.0, 8.0))
         assert abs(out["omega_hat"] + 1.0) < 0.05
         assert abs(out["gamma_hat"] + 1.0) < 0.05
         assert out["difference"] <= 0.1
@@ -221,10 +222,10 @@ def test_exact_engine_integrates_each_period_once(ou_model, battery1, monkeypatc
     monkeypatch.setattr(ou, "_transition_ode", counted)
     engine = eng.OUExactEngine(ou_model)
     assert spans == [(0.0, 1.0)]
-    engine.transfer_profile(battery1[:2], 0.0, range(1, 9), gradients=True)
+    engine.transfer_profile(battery1[:2], 0.0, range(1, 9), gradients=8)
     assert spans == [(0.0, 1.0)]
     # mu_0.25, then increments from phases 0.25, 0.75, 0.25 (read) and 0.75
-    engine.transfer_profile(battery1[:2], 0.25, [0.5, 1.0, 1.5, 2.5], gradients=True)
+    engine.transfer_profile(battery1[:2], 0.25, [0.5, 1.0, 1.5, 2.5], gradients=2.5)
     assert spans == [(0.0, 1.0), (0.25, 1.0), (0.25, 0.5), (0.75, 0.5), (0.75, 1.0)]
 
 
@@ -419,8 +420,8 @@ class TestProjectionProperties:
 def test_deterministic_contraction_rows_allow_roundoff(ou_engine, decay_battery1):
     """Exact quadrature meets both sides up to roundoff; the slack is that roundoff."""
     profile = ou_engine.transfer_profile(decay_battery1, 0.0, [1, 2])
-    rows = dg.contraction_invariance_report(ou_engine, decay_battery1, 0.0, [1, 2],
-                                            [1.0, 2.0, 4.0], profile)
+    rows = dg.contraction_invariance_report(ou_engine, decay_battery1, 0.0, [1.0, 2.0, 4.0],
+                                            profile)
     assert len(rows) == 30
     for row in rows:
         assert row["contraction_ok"] and row["invariance_ok"], row

@@ -731,7 +731,7 @@ class TestTransportChecks:
         phis = [p for p in battery1 if p.fid in ("tanh", "sin", "bump", "coord0")]
         gaps = [0.5, 1.0, 2.0]
         profile = ou_mc.transfer_profile(phis, 0.0, gaps)
-        rows = dg.contraction_invariance_report(ou_mc, phis, 0.0, gaps, [1.0, 2.0, 4.0], profile)
+        rows = dg.contraction_invariance_report(ou_mc, phis, 0.0, [1.0, 2.0, 4.0], profile)
         assert all(r["contraction_ok"] for r in rows)
         assert all(r["invariance_ok"] for r in rows)
 
@@ -765,29 +765,35 @@ class TestTransportChecks:
         assert len(marches) == 1 and list(marches[0]) == horizons
         assert [len(profile.values[fid]) for fid in profile.values] == [11, 11]
 
-    def test_value_and_tangent_profiles_march_apart(self, grad_field, grad_report, monkeypatch):
-        # the same horizons from the same start are two estimates when one carries gradients
-        captured, march = [], mc._march
-
-        def kept(*args, **kwargs):
-            for t, pos, jac in march(*args, **kwargs):
-                captured.append(pos)
-                yield t, pos, jac
-
+    def test_jacobians_stop_at_the_gradient_span(self, grad_field, grad_report, monkeypatch):
+        # with gradients 2 the values are a value-only profile's bit for bit, the
+        # gradient rows stop at tau = 2, each one a profile's that carries Jacobians
+        # to the end, and grad b is evaluated on the steps before tau = 2 only
         config = mc.SimConfig(n_particles=200, dt=0.02, seed=3, horizon_periods=2)
         engine = eng.MonteCarloEngine(grad_field, config, n_outer=8, n_inner=16,
                                       certificate=grad_report.lyapunov)
-        engine.phase_ensemble(0.0)
-        monkeypatch.setattr(mc, "_march", kept)
-        for gradients in (False, True):
-            engine.transfer_profile(eng.battery()[1:2], 0.0, [1.0], gradients=gradients)
-        value, tangent = captured
-        assert not np.array_equal(value, tangent)
+        phis, horizons = eng.battery()[1:3], [1.0, 1.5, 2.0, 3.0, 4.0]
+        plain = engine.transfer_profile(phis, 0.0, horizons)
+        to_end = engine.transfer_profile(phis, 0.0, horizons, gradients=4.0)
+        times, grad_b_at = [], fl.PeriodicCoefficientField.grad_b_at
+
+        def counted(field, t, points):
+            times.append(t)
+            return grad_b_at(field, t, points)
+
+        monkeypatch.setattr(fl.PeriodicCoefficientField, "grad_b_at", counted)
+        stopped = engine.transfer_profile(phis, 0.0, horizons, gradients=2.0)
+        for phi in phis:
+            assert [len(stopped.values[phi.fid]), len(stopped.grads[phi.fid])] == [5, 3]
+            for got, want in [*zip(stopped.values[phi.fid], plain.values[phi.fid]),
+                              *zip(stopped.grads[phi.fid], to_end.grads[phi.fid])]:
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert len(times) == round(2.0 / config.dt) and max(times) < 2.0
 
     def test_gap_missing_from_profile_rejected(self, ou_engine, battery1):
         profile = ou_engine.transfer_profile(battery1[:1], 0.0, [1.0])
         with pytest.raises(ValueError):
-            dg.contraction_invariance_report(ou_engine, battery1[:1], 0.0, [2.0], [2.0], profile)
+            profile.at([2.0])
 
 
 class TestMarchWorkingSet:

@@ -4,8 +4,8 @@ Every public module-level function in ``src/periodiclab`` is called from
 ``src/`` outside its own body; the oracles only the tests use live in
 ``tests/reference.py``.  Only ``grid`` imports scipy, and a document that
 needs no grid object never loads it.  Only ``montecarlo`` keys random
-streams, and nothing selects unpaired noise.  The README's library sketch
-runs as written.
+streams, nothing selects unpaired noise, and only the run context calls
+``transfer_profile``.  The README's library sketch runs as written.
 """
 
 import ast
@@ -158,6 +158,19 @@ def test_only_montecarlo_keys_random_streams():
     assert builders == {"montecarlo"}
     assert literal_streams == []
     assert sorted(default_rngs) == [("grid", "_eig_residuals"), ("grid", "spectrum")]
+
+
+def test_only_the_run_context_transports():
+    """Each run builds one transfer profile per engine, in
+    ``scenarios.RunContext.profile``, and every rate fit and diagnostic reads
+    it: no other code in ``src/`` calls ``transfer_profile``."""
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node, owner in _top_level_owners(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "transfer_profile"):
+                callers.append((path.stem, owner))
+    assert callers == [("scenarios", "RunContext")]
 
 
 def test_no_code_selects_unpaired_noise():

@@ -369,29 +369,51 @@ def test_phase_and_sample_counts_have_no_cap(name, key, count):
     sc.validate_scenario(doc)
 
 
-def test_decay_and_gradient_profiles_march_apart(tmp_path, monkeypatch):
-    """At benchmark sizes on grad1d, seed 1, the Monte Carlo decay (value) and
-    gradient-decay (tangent) profiles march different positions at every
-    horizon they share, so their rate fits are separate estimates."""
-    captures, march = {}, mc._march
+def test_rate_fits_share_one_profile_per_engine(tmp_path, monkeypatch):
+    """At benchmark sizes on grad1d, seed 1, decay and gradient-decay read one
+    Monte Carlo profile on decay's horizons with Jacobians to tau = 3, whose
+    positions hash equal to a value-only march on the same stream; ou1d's exact
+    decay, gradient-decay and rate-equivalence read one exact profile."""
+    calls, hashes, march = [], {}, mc._march
 
-    def hashed(field, positions, jacobians, *args, **kwargs):
-        kind = "value" if jacobians is None else "tangent"
-        for t, pos, jac in march(field, positions, jacobians, *args, **kwargs):
-            captures.setdefault(kind, {})[t] = hashlib.sha256(pos.tobytes()).hexdigest()
-            yield t, pos, jac
+    def counted(kind):
+        profile = getattr(eng, kind).transfer_profile
+
+        def wrapper(self, phis, s, horizons, gradients=None):
+            calls.append((kind, list(horizons), gradients))
+            return profile(self, phis, s, horizons, gradients=gradients)
+        return wrapper
+
+    def hashed(field, positions, jacobians, s, times, config, stream, blocks=1, **kwargs):
+        if stream[0] != "profile":
+            yield from march(field, positions, jacobians, s, times, config, stream, blocks)
+            return
+        start = np.array(positions)
+        for kind, jac in (("tangent", jacobians), ("value", None)):
+            for t, pos, got in march(field, start, jac, s, times, config, stream, blocks,
+                                     **kwargs):
+                hashes.setdefault(kind, []).append(hashlib.sha256(pos.tobytes()).hexdigest())
+                if kind == "tangent":
+                    yield t, pos, got
 
     monkeypatch.setattr(mc, "_march", hashed)
+    for kind in ("MonteCarloEngine", "OUExactEngine"):
+        monkeypatch.setattr(getattr(eng, kind), "transfer_profile", counted(kind))
     doc = json.loads(json.dumps(sc.load_scenario("grad1d")))
     doc["sim"].update(particles=2000, dt=0.01, n_inner=256)
     doc["experiments"] = [{**spec, "pointwise_samples": 0} if spec["name"] == "gradient-decay"
                           else spec for spec in doc["experiments"]
                           if spec["name"] in ("decay", "gradient-decay")]
-    sc.run_scenario(doc, tmp_path, overrides={"seed": 1})
-    value, tangent = captures["value"], captures["tangent"]
-    shared = sorted(value.keys() & tangent.keys())
-    assert shared == [1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0]
-    assert all(value[t] != tangent[t] for t in shared)
+    sc.run_scenario(doc, tmp_path / "grad1d", overrides={"seed": 1})
+    assert calls == [("MonteCarloEngine", doc["experiments"][0]["horizons"], 3)]
+    assert len(hashes["tangent"]) == 11 and hashes["tangent"] == hashes["value"]
+    calls.clear()
+    doc = json.loads(json.dumps(sc.load_scenario("ou1d")))
+    doc["experiments"] = [spec for spec in doc["experiments"] if spec.get("engine") == "ou-exact"]
+    assert [spec["name"] for spec in doc["experiments"]] == [
+        "decay", "gradient-decay", "rate-equivalence"]
+    sc.run_scenario(doc, tmp_path / "ou1d")
+    assert calls == [("OUExactEngine", list(range(1, 9)), 8)]
 
 
 def test_exact_law_over_a_million_periods_ends(tmp_path):
@@ -722,6 +744,29 @@ class TestRun:
         doc["experiments"] = [TINY["experiments"][0], TINY["experiments"][2]]
         sc.run_scenario(doc, tmp_path / "par", jobs=2)
         assert builds == Counter({(0.0, 0.25, 0.5, 0.75): 1})
+        sc.run_scenario(doc, tmp_path / "serial", jobs=1)
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "par").iterdir())
+        for name in names:
+            assert (tmp_path / "par" / name).read_bytes() == \
+                (tmp_path / "serial" / name).read_bytes(), name
+
+    def test_jobs_build_each_profile_once(self, tmp_path, monkeypatch):
+        # Monte Carlo decay, gradient-decay and rate-equivalence read one profile
+        profiles = []
+        profile = eng.MonteCarloEngine.transfer_profile
+
+        def slow_profile(self, *args, **kwargs):
+            profiles.append(args[2])
+            time.sleep(0.2)    # holds the build open while the other workers ask
+            return profile(self, *args, **kwargs)
+
+        monkeypatch.setattr(eng.MonteCarloEngine, "transfer_profile", slow_profile)
+        doc = json.loads(json.dumps(TINY))
+        doc["experiments"] = [TINY["experiments"][1], {"name": "gradient-decay"},
+                              {"name": "rate-equivalence", "engine": "montecarlo"}]
+        sc.run_scenario(doc, tmp_path / "par", jobs=3)
+        assert profiles == [[1, 2, 3, 4, 5, 6]]
         sc.run_scenario(doc, tmp_path / "serial", jobs=1)
         names = sorted(p.name for p in (tmp_path / "serial").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "par").iterdir())

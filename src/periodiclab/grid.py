@@ -20,6 +20,13 @@ space-time mass, which is what the stochastic engine samples.  The sparse LU
 that finds that vector is kept with the generator and serves every later
 solve, so a generator is factored once.
 
+The sparse work is real and rebuilds no structure per step.  Each grid holds
+one CSR pattern of its slice operator, which every spatial operator on it
+fills with values; a Crank-Nicolson step forms ``I +- dt/2 A`` on that
+pattern and factors the left side with one real ``splu``.  The shift-invert
+spectrum is one real ARPACK solve at a real shift.  Only the residuals of
+reported eigenvalues factor complex matrices, one per eigenvalue.
+
 Lattice nodes come from centred indices, so the box is point symmetric bit
 for bit.  A field with odd drift and even diffusion then assembles to a
 generator that commutes exactly with x -> -x, and its dense spectrum is the
@@ -65,6 +72,8 @@ class SpaceTimeGrid:
     time_slices: int
     period: float
     dim: int = 1
+    _patterns: Once = dataclass_field(default_factory=Once, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         if self.points_per_axis < 16 or self.time_slices < 16:
@@ -96,6 +105,10 @@ class SpaceTimeGrid:
 
     def slice_times(self) -> np.ndarray:
         return self.period * np.arange(self.time_slices) / self.time_slices
+
+    def _slice_pattern(self, pairs: tuple) -> "_SlicePattern":
+        """The CSR pattern of the slice operator whose active cross pairs are ``pairs``."""
+        return self._patterns.get(pairs, lambda: _SlicePattern.build(self, pairs))
 
     def refined(self) -> "SpaceTimeGrid":
         """The same box and time slices with half the spatial step."""
@@ -134,6 +147,54 @@ class GridFunction:
         return self.values.ravel()
 
 
+@dataclass(frozen=True)
+class _SlicePattern:
+    """The CSR pattern of a grid's slice operator, built once per grid.
+
+    ``neighbours`` holds, per axis, the masks of the nodes with a lower and
+    with an upper neighbour; ``corners`` holds, per cross pair with nonzero
+    q_ab, the sign, node mask and flat shift of each of its four corners.
+    Stacked in that order and closed by the diagonal, the couplings are
+    distinct entries, and ``order`` takes them to the canonical (row-major,
+    column-sorted) CSR data over ``indices`` and ``indptr``.  These are
+    read-only, since every operator on the grid shares them.
+    """
+
+    neighbours: tuple
+    corners: tuple
+    order: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @staticmethod
+    def build(grid: SpaceTimeGrid, pairs: tuple) -> "_SlicePattern":
+        n, d, m = grid.points_per_axis, grid.dim, grid.n_space
+        strides = [n ** (d - 1 - axis) for axis in range(d)]
+        idx = np.indices((n,) * d).reshape(d, -1)
+        neighbours = tuple((idx[axis] > 0, idx[axis] < n - 1) for axis in range(d))
+        corners = tuple(
+            tuple((1.0 if sa == sb else -1.0,
+                   neighbours[a_ax][sa > 0] & neighbours[b_ax][sb > 0],
+                   sa * strides[a_ax] + sb * strides[b_ax])
+                  for sa in (-1, 1) for sb in (-1, 1))
+            for a_ax, b_ax in pairs
+        )
+        entries = [(mask, sign * strides[axis]) for axis, masks in enumerate(neighbours)
+                   for sign, mask in zip((-1, 1), masks)]
+        entries += [(mask, shift) for corner in corners for _, mask, shift in corner]
+        entries.append((np.ones(m, dtype=bool), 0))
+        flat = np.arange(m)
+        rows = np.concatenate([flat[mask] for mask, _ in entries])
+        cols = np.concatenate([flat[mask] + shift for mask, shift in entries])
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(m + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+        indices = cols[order].astype(np.int32)
+        for arr in (order, indices, indptr):
+            arr.setflags(write=False)
+        return _SlicePattern(neighbours, corners, order, indices, indptr)
+
+
 def spatial_operator(field: PeriodicCoefficientField, t: float, grid: SpaceTimeGrid) -> sp.csr_matrix:
     """Second-order FD discretization of L(t) with hybrid upwinding.
 
@@ -142,28 +203,23 @@ def spatial_operator(field: PeriodicCoefficientField, t: float, grid: SpaceTimeG
     upwinded beyond, where one of them would turn negative.  Interior row
     sums vanish exactly (diagonals are assembled as the negative sum of the
     off-diagonal couplings), so constants are annihilated away from the
-    Dirichlet boundary.
+    Dirichlet boundary.  The values fill the grid's fixed pattern: every axis
+    coupling and diagonal, zero or not, and the cross corners of each pair
+    whose q_ab is nonzero at t.
     """
-    n = grid.points_per_axis
     d = grid.dim
     h = grid.h
     nodes = grid.nodes()
     q = np.asarray(field.q(t, nodes))        # (m, d, d)
     b = np.asarray(field.b(t, nodes))        # (m, d)
     m = grid.n_space
+    pairs = tuple((a_ax, b_ax) for a_ax in range(d) for b_ax in range(a_ax + 1, d)
+                  if np.any(q[:, a_ax, b_ax]))
+    pattern = grid._slice_pattern(pairs)
 
-    strides = [n ** (d - 1 - axis) for axis in range(d)]
-    idx = np.indices((n,) * d).reshape(d, -1)
-
-    rows, cols, vals = [], [], []
+    vals = []
     diag = np.zeros(m)
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    for axis in range(d):
+    for axis, (has_lower, has_upper) in enumerate(pattern.neighbours):
         qa = q[:, axis, axis]
         ba = b[:, axis]
         pe = np.abs(ba) * h / (2.0 * qa)
@@ -172,45 +228,41 @@ def spatial_operator(field: PeriodicCoefficientField, t: float, grid: SpaceTimeG
         conv_up = np.where(central, ba / (2.0 * h), np.where(ba > 0.0, ba / h, 0.0))
         lower = qa / h**2 + conv_low
         upper = qa / h**2 + conv_up
-        has_lower = idx[axis] > 0
-        has_upper = idx[axis] < n - 1
-        r_all = np.arange(m)
-        add(r_all[has_lower], r_all[has_lower] - strides[axis], lower[has_lower])
-        add(r_all[has_upper], r_all[has_upper] + strides[axis], upper[has_upper])
+        vals += [lower[has_lower], upper[has_upper]]
         diag -= lower + upper
 
-    # mixed second derivatives 2 q_ab D_ab via the centered 4-point stencil
-    for a_ax in range(d):
-        for b_ax in range(a_ax + 1, d):
-            qab = q[:, a_ax, b_ax]
-            if not np.any(qab):
-                continue
-            coeff = qab / (2.0 * h * h)
-            for sa in (-1, 1):
-                for sb in (-1, 1):
-                    mask = (
-                        ((idx[a_ax] > 0) if sa < 0 else (idx[a_ax] < n - 1))
-                        & ((idx[b_ax] > 0) if sb < 0 else (idx[b_ax] < n - 1))
-                    )
-                    shift = sa * strides[a_ax] + sb * strides[b_ax]
-                    sign = 1.0 if sa == sb else -1.0
-                    r_all = np.arange(m)[mask]
-                    add(r_all, r_all + shift, sign * coeff[mask])
-            # corner couplings sum to zero, so no diagonal contribution
+    # mixed second derivatives 2 q_ab D_ab via the centered 4-point stencil;
+    # corner couplings sum to zero, so no diagonal contribution
+    for (a_ax, b_ax), corner in zip(pairs, pattern.corners):
+        coeff = q[:, a_ax, b_ax] / (2.0 * h * h)
+        vals += [sign * coeff[mask] for sign, mask, _ in corner]
 
-    add(np.arange(m), np.arange(m), diag)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+    vals.append(diag)
+    return sp.csr_matrix((np.concatenate(vals)[pattern.order], pattern.indices, pattern.indptr),
+                         shape=(m, m))
+
+
+def _shifted(a: sp.csr_matrix, c: float) -> sp.csr_matrix:
+    """I + c A on the pattern of A, whose every row holds its diagonal."""
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    data = c * a.data
+    data[a.indices == rows] += 1.0
+    return sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
 
 
 def _cn_step(a_now, a_next, dt: float, u):
-    """One Crank-Nicolson step u -> u_next (supports multiple columns)."""
-    m = a_now.shape[0]
-    eye = sp.identity(m, format="csr")
-    rhs = (eye + 0.5 * dt * a_now) @ u
-    out = spla.spsolve(sp.csc_matrix(eye - 0.5 * dt * a_next), rhs)
+    """One Crank-Nicolson step u -> u_next (supports multiple columns).
+
+    Solves ``(I - dt/2 A_next) u_next = (I + dt/2 A_now) u``.  Both shifted
+    matrices are formed on the slice operators' own pattern, so a step builds
+    no identity and adds no sparse matrices; the left side is factored by
+    ``splu``.  Where the assembled sums ``I +- dt/2 A`` keep every entry of
+    that pattern (none cancels to zero), the step is the one they give, bit
+    for bit.
+    """
+    half = 0.5 * dt
+    rhs = _shifted(a_now, half) @ u
+    out = spla.splu(_shifted(a_next, -half).tocsc()).solve(rhs)
     if not np.all(np.isfinite(out)):
         raise SolverDivergence("Crank-Nicolson produced non-finite values")
     return out
@@ -480,10 +532,10 @@ def spectrum(
     """Right-most eigenvalues of the generator and the axis-cluster split.
 
     Dense below ``dense_cutoff`` unknowns, reading ``gen.dense_eigenvalues``,
-    which solves the generator once however often it is asked; otherwise
-    shift-inverted Arnoldi around 0.25 and 0.25 + 2 pi i / T to the relative
-    tolerance ``ARNOLDI_TOL``, with the conjugates of the second solve
-    standing for the one at 0.25 - 2 pi i / T.
+    which solves the generator once however often it is asked; otherwise one
+    real shift-inverted Arnoldi solve (ARPACK's real mode, one real sparse LU)
+    for the ``2 k`` eigenvalues nearest 0.25, to the relative tolerance
+    ``ARNOLDI_TOL``, completed to a conjugation-closed set.
     Sorting, cluster matching, the gap and the residuals run on every call.  The cluster is
     matched against the expected axis points ``2 pi i k / T`` for every
     resolvable k; the spectral-gap estimate is the largest real part outside
@@ -495,31 +547,18 @@ def spectrum(
         eigs = gen.dense_eigenvalues
         method = "dense"
     else:
-        w = 2.0 * np.pi / gen.grid.period
-        g_complex = g_mat.astype(complex)
         # a fixed pseudo-random Arnoldi start vector: without one ARPACK seeds
         # it from OS entropy, and a structured one (such as constants, which the
         # generator annihilates) can miss eigenvectors it is orthogonal to
-        start = np.random.default_rng(7).standard_normal(n) + 0j
-        found = []
-        for sigma in (0.25, 0.25 + 1j * w):
-            try:
-                vals = spla.eigs(
-                    g_complex, k=min(k, n - 2), sigma=sigma, v0=start, tol=ARNOLDI_TOL,
-                    return_eigenvectors=False,
-                )
-            except Exception as exc:
-                raise EigSolverFailure(f"shift-invert at {sigma}: {exc}") from exc
-            found.append(vals)
-        # G and the start vector are real, so the solve at 0.25 - i w would
-        # return the conjugates of the one at 0.25 + i w, bit for bit
-        found.append(np.conj(found[1]))
-        eigs = np.concatenate(found)
-        keep = []
-        for z in eigs:
-            if not any(abs(z - y) < 1e-9 * (1 + abs(z)) for y in keep):
-                keep.append(z)
-        eigs = np.array(keep)
+        start = np.random.default_rng(7).standard_normal(n)
+        try:
+            eigs = spla.eigs(g_mat, k=min(2 * k, n - 2), sigma=0.25, v0=start, tol=ARNOLDI_TOL,
+                             return_eigenvectors=False)
+        except Exception as exc:
+            raise EigSolverFailure(f"shift-invert at 0.25: {exc}") from exc
+        # real ARPACK returns each complex pair as exact conjugates, but may
+        # keep only one half of the pair at its last Ritz value: complete it
+        eigs = np.concatenate([eigs, np.conj(eigs[~np.isin(np.conj(eigs), eigs)])])
         method = "shift-invert"
 
     # rounded-Re descending, then |Im| ascending: ladder bases come first
@@ -577,7 +616,6 @@ def spectral_mapping_check(
         mults = np.linalg.eigvals(mono)
     except np.linalg.LinAlgError as exc:
         raise EigSolverFailure(f"one-period map: {exc}") from exc
-    cluster_set = [z for _, z in report.axis_cluster]
 
     def mismatch(lam: complex) -> float:
         target = np.exp(grid.period * lam)
@@ -589,11 +627,10 @@ def spectral_mapping_check(
     # only low-frequency ladder members test the mapping: near-Nyquist
     # collocation modes carry the time-discretization phase error instead
     w0 = 2.0 * np.pi / grid.period
-    nonaxis = [
-        z for z in report.eigenvalues
-        if not any(abs(z - c) < 1e-12 for c in cluster_set)
-        and abs(z.imag) <= 2 * w0
-    ]
+    eigs = report.eigenvalues
+    cluster = np.array([z for _, z in report.axis_cluster])
+    off_axis = ~np.any(np.abs(eigs[:, None] - cluster) < 1e-12, axis=1)
+    nonaxis = eigs[off_axis & (np.abs(eigs.imag) <= 2 * w0)]
     for lam in nonaxis[:3]:
         rows.append({"lambda": complex(lam), "kind": "non-axis", "mismatch": mismatch(lam)})
     worst = max(r["mismatch"] for r in rows) if rows else np.nan

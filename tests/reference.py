@@ -4,9 +4,12 @@ These are independent oracles the tests compare the lab against: a point-mass
 Monte Carlo transition estimate, the Gaussian transition law (U, S, m) by an
 adaptive DOP853 solve, and from it the linear flow U(t, s), the transition
 covariance S(t, s), the Floquet growth bound and the closed-form action on
-exponentials, Gauss-Hermite expectations against a Gaussian measure, and
-scipy's discrete Lyapunov solve (the oracle of the lab's numpy one).  No
-lab code calls them; the engines reach the same numbers through
+exponentials, Gauss-Hermite expectations against a Gaussian measure,
+scipy's discrete Lyapunov solve (the oracle of the lab's numpy one), and
+the grid's former loops and sparse assembly: the slice operator by
+COO-to-CSR conversion, the Crank-Nicolson step by sparse sums and
+``spsolve``, the shift-invert gap by two complex solves, and the non-axis
+filter of the spectral-mapping check as a loop.  No lab code calls them; the engines reach the same numbers through
 ``engines.OUExactEngine``, ``engines.MonteCarloEngine`` and
 ``ougaussian.PeriodicGaussianSystem``, whose laws come from Chebyshev
 collocation.  Their bodies are kept as they were when they lived in
@@ -20,11 +23,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 from scipy.linalg import solve_discrete_lyapunov  # noqa: F401  (an oracle)
 
 from periodiclab.errors import IntegratorFailure
 from periodiclab.fields import PeriodicCoefficientField
+from periodiclab.grid import ARNOLDI_TOL, DiscreteGenerator, SpaceTimeGrid
 from periodiclab.montecarlo import ParticleEnsemble, SimConfig, _march
 from periodiclab.ougaussian import (
     DEFAULT_TOL,
@@ -152,3 +158,120 @@ def gaussian_expectation(measure: GaussianMeasure, phi, order: int = 40) -> floa
     pts, w = gaussian_nodes(measure, order)
     vals = np.asarray(phi(pts))
     return complex(w @ vals) if np.iscomplexobj(vals) else float(w @ vals)
+
+
+def coo_spatial_operator(field: PeriodicCoefficientField, t: float, grid: SpaceTimeGrid) -> sp.csr_matrix:
+    """The slice operator assembled as COO triplets and converted to CSR."""
+    n = grid.points_per_axis
+    d = grid.dim
+    h = grid.h
+    nodes = grid.nodes()
+    q = np.asarray(field.q(t, nodes))        # (m, d, d)
+    b = np.asarray(field.b(t, nodes))        # (m, d)
+    m = grid.n_space
+
+    strides = [n ** (d - 1 - axis) for axis in range(d)]
+    idx = np.indices((n,) * d).reshape(d, -1)
+
+    rows, cols, vals = [], [], []
+    diag = np.zeros(m)
+
+    def add(r, c, v):
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
+
+    for axis in range(d):
+        qa = q[:, axis, axis]
+        ba = b[:, axis]
+        pe = np.abs(ba) * h / (2.0 * qa)
+        central = pe <= 1.0
+        conv_low = np.where(central, -ba / (2.0 * h), np.where(ba < 0.0, -ba / h, 0.0))
+        conv_up = np.where(central, ba / (2.0 * h), np.where(ba > 0.0, ba / h, 0.0))
+        lower = qa / h**2 + conv_low
+        upper = qa / h**2 + conv_up
+        has_lower = idx[axis] > 0
+        has_upper = idx[axis] < n - 1
+        r_all = np.arange(m)
+        add(r_all[has_lower], r_all[has_lower] - strides[axis], lower[has_lower])
+        add(r_all[has_upper], r_all[has_upper] + strides[axis], upper[has_upper])
+        diag -= lower + upper
+
+    # mixed second derivatives 2 q_ab D_ab via the centered 4-point stencil
+    for a_ax in range(d):
+        for b_ax in range(a_ax + 1, d):
+            qab = q[:, a_ax, b_ax]
+            if not np.any(qab):
+                continue
+            coeff = qab / (2.0 * h * h)
+            for sa in (-1, 1):
+                for sb in (-1, 1):
+                    mask = (
+                        ((idx[a_ax] > 0) if sa < 0 else (idx[a_ax] < n - 1))
+                        & ((idx[b_ax] > 0) if sb < 0 else (idx[b_ax] < n - 1))
+                    )
+                    shift = sa * strides[a_ax] + sb * strides[b_ax]
+                    sign = 1.0 if sa == sb else -1.0
+                    r_all = np.arange(m)[mask]
+                    add(r_all, r_all + shift, sign * coeff[mask])
+            # corner couplings sum to zero, so no diagonal contribution
+
+    add(np.arange(m), np.arange(m), diag)
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+
+
+def spsolve_cn_step(a_now, a_next, dt: float, u):
+    """One Crank-Nicolson step from the assembled sums I +- dt/2 A and ``spsolve``."""
+    m = a_now.shape[0]
+    eye = sp.identity(m, format="csr")
+    rhs = (eye + 0.5 * dt * a_now) @ u
+    return spla.spsolve(sp.csc_matrix(eye - 0.5 * dt * a_next), rhs)
+
+
+def two_shift_gap(gen: DiscreteGenerator, k: int = 12, cluster_tol: float = 1e-3) -> float:
+    """The shift-invert gap from complex solves at 0.25 and 0.25 + 2 pi i / T.
+
+    The conjugates of the second solve stand for the one at 0.25 - 2 pi i / T,
+    near-duplicates are merged, the axis cluster is matched as ``grid.spectrum``
+    matches it, and the gap is the largest real part outside it.
+    """
+    g_mat = gen.matrix
+    n = gen.size
+    w = 2.0 * np.pi / gen.grid.period
+    g_complex = g_mat.astype(complex)
+    start = np.random.default_rng(7).standard_normal(n) + 0j
+    found = [spla.eigs(g_complex, k=min(k, n - 2), sigma=sigma, v0=start, tol=ARNOLDI_TOL,
+                       return_eigenvectors=False)
+             for sigma in (0.25, 0.25 + 1j * w)]
+    found.append(np.conj(found[1]))
+    keep = []
+    for z in np.concatenate(found):
+        if not any(abs(z - y) < 1e-9 * (1 + abs(z)) for y in keep):
+            keep.append(z)
+    eigs = np.array(keep)
+    eigs = eigs[np.lexsort((eigs.imag, np.abs(eigs.imag), -np.round(eigs.real, 3)))]
+    n_t = gen.grid.time_slices
+    max_k = (n_t - 1) // 2 if n_t % 2 == 1 else n_t // 2 - 1
+    used = np.zeros(len(eigs), dtype=bool)
+    for kk in range(-max_k, max_k + 1):
+        dist = np.abs(eigs - 1j * w * kk)
+        dist[used] = np.inf
+        j = int(np.argmin(dist))
+        if dist[j] <= cluster_tol:
+            used[j] = True
+    return float(eigs[~used].real.max())
+
+
+def loop_nonaxis(report, period: float) -> list:
+    """The eigenvalues of a spectrum report outside its axis cluster with
+    |Im| <= 2 * 2 pi / T, in report order, filtered one at a time."""
+    cluster_set = [z for _, z in report.axis_cluster]
+    w0 = 2.0 * np.pi / period
+    return [
+        z for z in report.eigenvalues
+        if not any(abs(z - c) < 1e-12 for c in cluster_set)
+        and abs(z.imag) <= 2 * w0
+    ]

@@ -1,6 +1,8 @@
 """Finite-difference engine: stepping oracles, generator, spectrum, projections."""
 
+import dataclasses
 import math
+import sys
 import threading
 
 import numpy as np
@@ -14,6 +16,8 @@ from periodiclab import grid as gr
 from periodiclab import ougaussian as ou
 from periodiclab import scenarios as sc
 from periodiclab.errors import EigSolverFailure, PerronFailure
+
+from reference import coo_spatial_operator, loop_nonaxis, spsolve_cn_step, two_shift_gap
 
 HEAT = fl.polynomial_field(1, 1.0, q_const=0.5, name="heat")
 
@@ -240,6 +244,15 @@ class TestGenerator:
         assert np.abs(variances - exact).max() <= 5e-3
 
 
+@pytest.fixture(scope="module")
+def fine_generators(ou_field, grad_field, ou_generator, grad_generator):
+    """The shipped 1-d generators at half the spatial step, as the refined
+    spectrum solves them."""
+    return {which: gr.build_generator(field, gen.grid.refined(), gen.time_scheme)
+            for which, field, gen in (("ou", ou_field, ou_generator),
+                                      ("grad", grad_field, grad_generator))}
+
+
 class TestSpectrum:
     def test_ou_axis_cluster_and_gap(self, ou_spectrum):
         cluster = dict(ou_spectrum.axis_cluster)
@@ -265,20 +278,36 @@ class TestSpectrum:
         assert abs(cluster_s[0] - cluster_d[0]) < 1e-8
         assert abs(sparse_rep.gap_estimate - ou_spectrum.gap_estimate) < 1e-5
 
-    def test_shift_invert_solves_two_targets(self, ou_generator, monkeypatch):
-        """The solve at 0.25 - 2 pi i / T is the conjugate of the one at
-        0.25 + 2 pi i / T, so it is not made; the set stays conjugation-closed."""
-        eigs, sigmas = gr.spla.eigs, []
+    def test_shift_invert_is_one_real_solve(self, ou_generator, monkeypatch):
+        """One ARPACK solve on the real generator at the real shift 0.25 asks for
+        2 k Ritz values; the set it gives is conjugation-closed."""
+        eigs, calls = gr.spla.eigs, []
 
-        def counted(*args, **kwargs):
-            sigmas.append(kwargs["sigma"])
-            return eigs(*args, **kwargs)
+        def counted(mat, **kwargs):
+            calls.append((mat, kwargs))
+            return eigs(mat, **kwargs)
 
         monkeypatch.setattr(gr.spla, "eigs", counted)
         rep = gr.spectrum(ou_generator, k=8, dense_cutoff=0)
-        assert sigmas == [0.25, 0.25 + 2j * np.pi]
+        assert len(calls) == 1
+        mat, kwargs = calls[0]
+        assert mat is ou_generator.matrix and mat.dtype == np.float64
+        assert kwargs["sigma"] == 0.25 and type(kwargs["sigma"]) is float
+        assert kwargs["v0"].dtype == np.float64
+        assert kwargs["k"] == 16
         for z in rep.eigenvalues:
             assert np.abs(rep.eigenvalues - z.conjugate()).min() <= 1e-8 * (1 + abs(z))
+
+    def test_half_pair_at_the_edge_is_completed(self, ou_generator, monkeypatch):
+        """A conjugate pair cut in half at ARPACK's last Ritz value gets its
+        other half back, and nothing else is added."""
+        pair = complex(-1.5, 2.0)
+        monkeypatch.setattr(gr.spla, "eigs", lambda mat, **kwargs: np.array(
+            [0.0, 2j * np.pi, -2j * np.pi, -1.0, pair], dtype=complex))
+        rep = gr.spectrum(ou_generator, k=8, dense_cutoff=0)
+        assert sorted(rep.eigenvalues, key=lambda z: (z.real, z.imag)) == sorted(
+            [0.0, 2j * np.pi, -2j * np.pi, -1.0, pair, pair.conjugate()],
+            key=lambda z: (z.real, z.imag))
 
     def test_conjugate_residuals_share_one_factorization(self, ou_generator, grad_generator,
                                                         monkeypatch):
@@ -302,16 +331,23 @@ class TestSpectrum:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("which", ["ou", "grad"])
-    def test_refined_gap_at_the_arnoldi_tolerance(self, which, ou_field, grad_field,
-                                                  ou_generator, grad_generator, monkeypatch):
+    def test_refined_gap_at_the_arnoldi_tolerance(self, which, fine_generators, monkeypatch):
         # the refined solve stops at ARNOLDI_TOL, and its gap lies within 1e-9
         # of the one a solve to machine precision (tol=0) gives
-        field, gen = (ou_field, ou_generator) if which == "ou" else (grad_field, grad_generator)
-        fine = gr.build_generator(field, gen.grid.refined(), gen.time_scheme)
+        fine = fine_generators[which]
         stopped = gr.spectrum(fine, k=12, dense_cutoff=0).gap_estimate
         monkeypatch.setattr(gr, "ARNOLDI_TOL", 0.0)
         exact = gr.spectrum(fine, k=12, dense_cutoff=0).gap_estimate
         assert abs(stopped - exact) <= 1e-9, (stopped, exact)
+
+    @pytest.mark.parametrize("which", ["ou", "grad"])
+    def test_refined_gap_matches_two_shift_solve(self, which, fine_generators):
+        """The one real solve gives the refined gap of the two complex solves
+        at 0.25 and 0.25 + 2 pi i / T, within 1e-10 relative."""
+        fine = fine_generators[which]
+        real = gr.spectrum(fine, k=12, dense_cutoff=0).gap_estimate
+        two_shift = two_shift_gap(fine, k=12)
+        assert abs(real - two_shift) <= 1e-10 * abs(two_shift), (real, two_shift)
 
     def test_residuals_reported(self, ou_generator):
         rep = gr.spectrum(ou_generator, k=6, with_residuals=True)
@@ -398,6 +434,128 @@ def recorded_eigvals(monkeypatch, solve=True):
 ROTATING_OU = ou.as_field(ou.fourier_matrix_model(
     dim=2, a0=[[-1.0, 1.5], [-1.5, -1.0]], a_sin=[[0.5, 0.0], [0.0, 0.0]],
     b0=[[1.0, 0.0], [0.3, 0.8]], name="ou2d"))
+
+
+# grad1d on the benchmark lattice (41 points, L = 3) at this time has a node
+# at Peclet number 1 exactly, so its central coupling q/h^2 - |b|/(2h) is 0.0
+ZERO_COUPLING_TIME = 0.5403955467641981
+
+
+def pattern_case(which, ou_field, grad_field):
+    """(field, grid, times) of one fixed-pattern comparison."""
+    if which == "ou1d":
+        return ou_field, gr.SpaceTimeGrid(4.5, 41, 33, 1.0), [0.0, 0.3, 0.61]
+    if which == "grad1d":
+        return grad_field, gr.SpaceTimeGrid(3.0, 41, 33, 1.0), [ZERO_COUPLING_TIME, 0.2]
+    return ROTATING_OU, gr.SpaceTimeGrid(4.5, 16, 17, 1.0, dim=2), [0.0, 0.3, 0.61]
+
+
+class TestFixedPattern:
+    """Each grid fills one CSR pattern of its slice operator: the operator and
+    the Crank-Nicolson step equal the COO assembly and the ``spsolve`` step of
+    ``tests/reference.py``."""
+
+    @pytest.mark.parametrize("which", ["ou1d", "grad1d", "rotating-2d"])
+    def test_operator_matches_coo_assembly(self, which, ou_field, grad_field):
+        field, g, times = pattern_case(which, ou_field, grad_field)
+        for t in times:
+            got, want = gr.spatial_operator(field, t, g), coo_spatial_operator(field, t, g)
+            assert type(got) is sp.csr_matrix
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr)), (t, attr)
+                assert getattr(got, attr).dtype == getattr(want, attr).dtype
+
+    def test_zero_coupling_stays_in_the_pattern(self, grad_field):
+        _, g, (t, _) = pattern_case("grad1d", None, grad_field)
+        a = gr.spatial_operator(grad_field, t, g)
+        assert np.count_nonzero(a.data == 0.0) == 2       # a node and its mirror
+        assert a.nnz == 3 * g.n_space - 2
+
+    @pytest.mark.parametrize("columns", [None, 3, 41])
+    @pytest.mark.parametrize("which", ["ou1d", "grad1d", "rotating-2d"])
+    def test_cn_step_matches_spsolve_step(self, which, columns, ou_field, grad_field):
+        """Bit for bit where the assembled sums I +- dt/2 A keep the pattern;
+        within 1e-14 relative where a zero coupling drops out of them."""
+        field, g, times = pattern_case(which, ou_field, grad_field)
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal(g.n_space if columns is None else (g.n_space, columns))
+        dt = g.dt / 4
+        eye = sp.identity(g.n_space, format="csr")
+        for t in times:
+            a_t, a_before = gr.spatial_operator(field, t, g), gr.spatial_operator(field, t - dt, g)
+            for a_now, a_next in ((a_t, a_before), (a_before, a_t)):
+                got = gr._cn_step(a_now, a_next, dt, u)
+                want = spsolve_cn_step(a_now, a_next, dt, u)
+                assert got.shape == want.shape
+                same = all((eye + c * a).nnz == a.nnz
+                           for c, a in ((0.5 * dt, a_now), (-0.5 * dt, a_next)))
+                if same:
+                    assert np.array_equal(got, want), t
+                else:
+                    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), t
+
+    def test_step_builds_no_sum_and_calls_no_spsolve(self, ou_field, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a Crank-Nicolson step fills the slice pattern")
+
+        g = gr.SpaceTimeGrid(4.5, 31, 17, 1.0)
+        want = gr.transition_matrix(ou_field, g, 0.1, 0.3, np.eye(g.n_space))
+        monkeypatch.setattr(gr.sp, "identity", refused)
+        monkeypatch.setattr(gr.spla, "spsolve", refused)
+        monkeypatch.setattr(gr.sp.csr_matrix, "__add__", refused)
+        monkeypatch.setattr(gr.sp.csr_matrix, "__sub__", refused)
+        assert np.array_equal(gr.transition_matrix(ou_field, g, 0.1, 0.3, np.eye(g.n_space)), want)
+
+    def test_sweep_evaluates_the_field_once_per_time(self, ou_field, monkeypatch):
+        """A sweep of n steps, each through the module's ``_cn_step``, reads the
+        coefficients at exactly n + 1 distinct times."""
+        times, steps, cn_step = [], [], gr._cn_step
+
+        def b(t, X):
+            times.append(t)
+            return ou_field.b(t, X)
+
+        def counted(a_now, a_next, dt, u):
+            steps.append(dt)
+            return cn_step(a_now, a_next, dt, u)
+
+        monkeypatch.setattr(gr, "_cn_step", counted)
+        g = gr.SpaceTimeGrid(4.5, 31, 17, 1.0)
+        gr.transition_matrix(dataclasses.replace(ou_field, b=b), g, 0.1, 0.6, np.ones(g.n_space))
+        assert len(steps) >= 17
+        assert len(times) == len(set(times)) == len(steps) + 1
+        assert times[0] == 0.6 and abs(times[-1] - 0.1) <= 1e-15
+
+    def test_concurrent_callers_share_one_pattern(self, ou_field):
+        """Threads that assemble on a fresh grid at once build its pattern once,
+        and each gets the COO assembly's operator; the shared pattern is
+        read-only."""
+        g = gr.SpaceTimeGrid(4.5, 31, 17, 1.0)
+        times = np.linspace(0.0, 1.0, 16)
+        start, results = threading.Barrier(len(times), timeout=10.0), {}
+
+        def assemble(t):
+            start.wait()
+            results[t] = gr.spatial_operator(ou_field, t, g)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=assemble, args=(t,)) for t in times]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == len(times)
+        first = results[times[0]]
+        for t, a in results.items():
+            assert np.shares_memory(a.indices, first.indices)
+            assert np.array_equal(a.data, coo_spatial_operator(ou_field, t, g).data)
+        with pytest.raises(ValueError, match="read-only"):
+            first.indices[0] = 1
 
 
 class TestParitySplit:
@@ -493,6 +651,18 @@ class TestSpectralMapping:
         for row in leading[:3]:
             target = np.exp(row["lambda"])
             assert abs(target - 1.0) < 1e-4
+
+    @pytest.mark.parametrize("which", ["ou", "grad"])
+    def test_nonaxis_rows_match_the_loop_filter(self, which, ou_field, grad_field,
+                                                ou_generator, grad_generator,
+                                                ou_spectrum, grad_spectrum):
+        field, gen, report = ((ou_field, ou_generator, ou_spectrum) if which == "ou"
+                              else (grad_field, grad_generator, grad_spectrum))
+        out = gr.spectral_mapping_check(gen, field, report, substeps=1)
+        rows = [r["lambda"] for r in out["rows"] if r["kind"] == "non-axis"]
+        want = loop_nonaxis(report, field.period)[:3]
+        assert len(want) == 3
+        assert rows == [complex(z) for z in want]
 
     def test_multiplier_one_aliases_axis(self, ou_field, ou_grid):
         mono = gr.transition_matrix(ou_field, ou_grid, 0.0, 1.0, np.eye(ou_grid.n_space),

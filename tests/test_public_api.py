@@ -4,8 +4,9 @@ Every public module-level function in ``src/periodiclab`` is called from
 ``src/`` outside its own body; the oracles only the tests use live in
 ``tests/reference.py``.  Only ``grid`` imports scipy, and a document that
 needs no grid object never loads it.  Only ``montecarlo`` keys random
-streams, nothing selects unpaired noise, and only the run context calls
-``transfer_profile``.  The README's library sketch runs as written.
+streams, nothing selects unpaired noise, only the run context calls
+``transfer_profile``, and the grid's sparse solves are real except its
+eigenvalue residuals.  The README's library sketch runs as written.
 """
 
 import ast
@@ -158,6 +159,32 @@ def test_only_montecarlo_keys_random_streams():
     assert builders == {"montecarlo"}
     assert literal_streams == []
     assert sorted(default_rngs) == [("grid", "_eig_residuals"), ("grid", "spectrum")]
+
+
+def test_grid_sparse_work_is_real():
+    """No code in ``grid`` calls ``spsolve``: a Crank-Nicolson step factors its
+    left side on the slice pattern.  ``spectrum`` casts nothing to complex, so
+    its shift-invert solve runs on one real LU, and the only complex
+    factorizations are the residual solves of ``_eig_residuals``.  A cast is
+    an ``astype`` to complex, a ``dtype=complex`` keyword or an added ``0j``;
+    the dense eigenvalue blocks of ``DiscreteGenerator`` join as complex."""
+    spsolve, casts = [], []
+    for node, owner in _top_level_owners(ast.parse((PACKAGE / "grid.py").read_text())):
+        if isinstance(node, ast.Attribute) and node.attr == "spsolve":
+            spsolve.append(owner)
+        is_complex = [isinstance(part, ast.Name) and part.id == "complex"
+                      for part in ast.walk(node)]
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "astype":
+            if any(is_complex):
+                casts.append(owner)
+        elif isinstance(node, ast.keyword) and node.arg == "dtype" and any(is_complex):
+            casts.append(owner)
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+              and any(isinstance(side, ast.Constant) and type(side.value) is complex
+                      for side in (node.left, node.right))):
+            casts.append(owner)
+    assert spsolve == []
+    assert sorted(set(casts)) == ["DiscreteGenerator", "_eig_residuals"]
 
 
 def test_only_the_run_context_transports():

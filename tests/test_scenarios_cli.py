@@ -935,8 +935,18 @@ def test_failed_monodromy_eigensolve_exits_3(tmp_path, capsys, monkeypatch):
 def test_diverging_crank_nicolson_step_exits_3(tmp_path, capsys, monkeypatch):
     """A Crank-Nicolson step that produces non-finite values is a numerical
     failure (exit 3), not a traceback."""
+
+    class Diverging:
+        """The factor of a step's left side, solving to NaN."""
+
+        def solve(self, rhs):
+            return np.full(np.shape(rhs), np.nan)
+
+    splu = gr.spla.splu
     path = grid_only_ou1d(tmp_path, {"name": "spectral-mapping"})
-    monkeypatch.setattr(gr.spla, "spsolve", lambda mat, rhs: np.full(np.shape(rhs), np.nan))
+    # the generator's LU (31 * 17 unknowns) factors as ever; each 31-node step diverges
+    monkeypatch.setattr(gr.spla, "splu", lambda mat: Diverging() if mat.shape[0] == 31
+                        else splu(mat))
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     assert "Crank-Nicolson produced non-finite values" in capsys.readouterr().err
 

@@ -45,7 +45,6 @@ from .hypotheses import (
 from .montecarlo import (
     ParticleEnsemble,
     SimConfig,
-    TangentEnsemble,
     sample_periodic_measure,
 )
 from .ougaussian import (

@@ -114,6 +114,14 @@ def _ratio_grad(X):
     return g
 
 
+# |grad tanh(x_0)| in any d: the right side's member of the pointwise gradient check
+TANH_SLOPE = TestFunction(
+    "tanh-slope",
+    lambda X: 1.0 / np.cosh(X[:, 0]) ** 2,
+    lambda X: _axis0_grad(X, -2.0 * np.tanh(X[:, 0]) / np.cosh(X[:, 0]) ** 2),
+)
+
+
 @dataclass(frozen=True)
 class SpaceTimeFunction:
     """Periodic-in-time test function u(s, x) with spatial gradient."""

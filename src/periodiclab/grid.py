@@ -72,8 +72,7 @@ class SpaceTimeGrid:
     time_slices: int
     period: float
     dim: int = 1
-    _patterns: Once = dataclass_field(default_factory=Once, init=False, repr=False,
-                                      compare=False)
+    _memo: Once = dataclass_field(default_factory=Once, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.points_per_axis < 16 or self.time_slices < 16:
@@ -99,16 +98,21 @@ class SpaceTimeGrid:
         return self.h * (np.arange(1, n + 1) - (n + 1) / 2)
 
     def nodes(self) -> np.ndarray:
-        ax = self.axis()
-        grids = np.meshgrid(*([ax] * self.dim), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        """The (n_space, dim) interior nodes in row-major order, built once per grid; read-only."""
+        def build():
+            grids = np.meshgrid(*([self.axis()] * self.dim), indexing="ij")
+            nodes = np.stack([g.ravel() for g in grids], axis=-1)
+            nodes.setflags(write=False)
+            return nodes
+
+        return self._memo.get("nodes", build)
 
     def slice_times(self) -> np.ndarray:
         return self.period * np.arange(self.time_slices) / self.time_slices
 
     def _slice_pattern(self, pairs: tuple) -> "_SlicePattern":
         """The CSR pattern of the slice operator whose active cross pairs are ``pairs``."""
-        return self._patterns.get(pairs, lambda: _SlicePattern.build(self, pairs))
+        return self._memo.get(pairs, lambda: _SlicePattern.build(self, pairs))
 
     def refined(self) -> "SpaceTimeGrid":
         """The same box and time slices with half the spatial step."""
@@ -496,26 +500,35 @@ class SpectrumReport:
 def _eig_residuals(g_mat: sp.csr_matrix, eigs: np.ndarray, n: int) -> np.ndarray:
     """Residual norms via one shifted inverse iteration per reported eigenvalue.
 
-    G and the start vector are real, so the iteration at the conjugate of an
+    G and the start vector are real, so a real eigenvalue (0 included) is
+    factored in real arithmetic, the iteration at the conjugate of an
     eigenvalue is the conjugate of its own, and an exact conjugate of an
     eigenvalue already done reads that residual instead of a new factorization.
+    The complex copy of G is made once, for the first non-real eigenvalue.
     """
     out = np.empty(len(eigs))
-    eye = sp.identity(n, format="csc", dtype=complex)
     scale = spla.norm(g_mat)
+    real_g, complex_g = sp.csc_matrix(g_mat), None
     done = {}
     for i, lam in enumerate(eigs):
         if np.conj(lam) in done:
             out[i] = done[np.conj(lam)]
             continue
-        shift = lam + 1e-8 * (1.0 + abs(lam))
+        start = np.random.default_rng(7).standard_normal(n)
+        if lam.imag == 0.0:
+            a, mu = real_g, lam.real
+        else:
+            if complex_g is None:
+                complex_g = real_g.astype(complex)
+            a, mu, start = complex_g, lam, start + 0j
+        shift = mu + 1e-8 * (1.0 + abs(mu))
         try:
-            lu = spla.splu(sp.csc_matrix(g_mat.astype(complex) - shift * eye))
-            v = lu.solve(np.random.default_rng(7).standard_normal(n) + 0j)
+            lu = spla.splu(sp.csc_matrix(a - shift * sp.identity(n, format="csc", dtype=a.dtype)))
+            v = lu.solve(start)
             for _ in range(2):
                 v = lu.solve(v / np.linalg.norm(v))
             v = v / np.linalg.norm(v)
-            out[i] = np.linalg.norm(g_mat @ v - lam * v) / scale
+            out[i] = np.linalg.norm(g_mat @ v - mu * v) / scale
         except RuntimeError:
             out[i] = np.nan
         done[lam] = out[i]

@@ -91,26 +91,6 @@ class ParticleEnsemble:
         return self.positions.shape[1]
 
 
-@dataclass(frozen=True)
-class TangentEnsemble(ParticleEnsemble):
-    """Particles carrying the Jacobian of the stochastic flow."""
-
-    jacobians: np.ndarray = None  # (n, d, d)
-
-    def __post_init__(self):
-        super().__post_init__()
-        jac = np.asarray(self.jacobians, dtype=float)
-        if jac.shape != (self.n, self.dim, self.dim) or not np.all(np.isfinite(jac)):
-            raise ValueError("jacobians must be finite with shape (n, d, d)")
-        object.__setattr__(self, "jacobians", jac)
-
-    @staticmethod
-    def identity(t: float, positions: np.ndarray) -> "TangentEnsemble":
-        pos = np.atleast_2d(np.asarray(positions, dtype=float))
-        n, d = pos.shape
-        return TangentEnsemble(t, pos, np.broadcast_to(np.eye(d), (n, d, d)).copy())
-
-
 def _word(part) -> int:
     """One part of a stream name as a nonnegative integer: a string's UTF-8
     bytes read little-endian, a float's IEEE-754 bits, an integer itself."""
@@ -365,15 +345,17 @@ def mean_and_stderr(vals: np.ndarray):
     return mean, se
 
 
-def evolve_tangent(
-    field: PeriodicCoefficientField,
-    ensemble: TangentEnsemble,
-    s: float,
-    t: float,
-    config: SimConfig,
-    stream: tuple = ("evolve-tangent",),
-) -> TangentEnsemble:
-    """Joint particle/Jacobian flow, one RNG block on ``stream``; needs x-independent diffusion."""
-    (t_out, pos, jac), = _march(field, ensemble.positions, ensemble.jacobians, s, [t], config, stream)
-    return TangentEnsemble(t_out, pos, jac)
+def evolve_tangent(field: PeriodicCoefficientField, positions, s: float, t: float,
+                   config: SimConfig, stream: tuple = ("evolve-tangent",)):
+    """Positions and Jacobians at t of particles started at ``positions`` at s with
+    identity Jacobians, one RNG block on ``stream``; needs x-independent diffusion.
 
+    No lab code calls it: the pointwise gradient check reads the transfer profile.
+    It stays while the benchmark harness traces it, since the harness's self-test
+    requires every traced name to exist.
+    """
+    pos = np.atleast_2d(np.asarray(positions, dtype=float))
+    n, d = pos.shape
+    (_, pos, jac), = _march(field, pos, np.broadcast_to(np.eye(d), (n, d, d)), s, [t], config,
+                            stream)
+    return pos, jac

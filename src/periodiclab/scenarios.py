@@ -25,7 +25,7 @@ import inspect
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -178,7 +178,7 @@ _EXPERIMENTS = {
               "contraction_ps": ([1, 2, 4], _list(1))},
     "gradient-decay": {"engine": ("montecarlo", _ENGINE), "ps": ([2.0], _list(1)),
                        "horizons": ([1, 2, 3, 4], _list(1)), "window": (None, _window),
-                       "rate_bounds": ({}, _rate_bounds), "pointwise_samples": (0, _int(0))},
+                       "rate_bounds": ({}, _rate_bounds)},
     "rate-equivalence": {"engine": (None, _ENGINE), "p": (2.0, _real(2)),
                          "horizons": ([1, 2, 3, 4, 5, 6], _list(1)),
                          "window": (None, _window), "tolerance": (0.1, _POSITIVE)},
@@ -312,9 +312,6 @@ def _resolved_experiments(doc: dict) -> list[dict]:
         if q_varies:
             _require(name != "logsob",
                      "the entropy inequality needs diffusion independent of x", path)
-            _require(not params.get("pointwise_samples"),
-                     "pathwise gradients need diffusion independent of x",
-                     f"{path}.pointwise_samples")
             _require(name == "decay" or params.get("engine") != "montecarlo",
                      "pathwise gradients need diffusion independent of x", path)
         if params.get("engine") == "ou-exact":
@@ -410,14 +407,18 @@ class RunContext:
 
     def profile(self, name: str) -> eng.TransferProfile:
         """The one profile from s = 0 that every rate fit on engine ``name`` reads, built
-        once: their horizons and members, with gradients to the last gradient-fit horizon."""
+        once: their horizons and members, with gradients to the last gradient-fit horizon.
+        A Monte Carlo gradient-decay adds ``tanh-slope``, which its pointwise check reads."""
         fits = [spec for spec in self.doc["experiments"]
                 if spec["name"] in _FIT_IDS and spec["engine"] == name]
         horizons = sorted({tau for spec in fits for tau in spec["horizons"]})
         gradients = max((tau for spec in fits if spec["name"] != "decay"
                          for tau in spec["horizons"]), default=None)
+        phis = _members({spec["name"] for spec in fits})
+        if name == "montecarlo" and any(spec["name"] == "gradient-decay" for spec in fits):
+            phis.append(eng.TANH_SLOPE)
         return self._memo.get(("profile", name), lambda: self.engine(name).transfer_profile(
-            _members({spec["name"] for spec in fits}), 0.0, horizons, gradients=gradients))
+            phis, 0.0, horizons, gradients=gradients))
 
     def _montecarlo_phases(self) -> list[float]:
         """Every time whose Monte Carlo measure an experiment integrates
@@ -609,23 +610,12 @@ def _run_gradient_decay(ctx: RunContext, params: dict) -> ExperimentResult:
     _, _, fits, payload, rows = _battery_fits(ctx, params, True)
     checks = [check for p, _, fitted in fits for check in _rate_check(
         params, "gradient-rate", p, fitted, "gamma_hat={fit.rate:.4f} in [{lo}, {hi}]")]
-    n_point = params["pointwise_samples"]
-    if n_point:
-        rng = mc.generator(ctx.seed, "pointwise-locations")
-        r0 = ctx.hypothesis_report.r0_hat
-        config = replace(ctx.sim_config(), n_particles=4000)
-        tanh = next(phi for phi in eng.battery() if phi.fid == "tanh")
-        results = []
-        for i in range(n_point):
-            s = float(rng.uniform(0.0, ctx.field.period))
-            t = s + float(rng.uniform(0.1, 3.0))
-            x = rng.uniform(-2.0, 2.0, size=ctx.field.dim)
-            results.append(dg.pointwise_gradient_check(
-                ctx.field, tanh, t, s, x, config, r0, stream=("pointwise", i)))
-        payload["pointwise"] = results
-        checks.append(_check(
-            "gradient-pointwise", all(r["holds"] for r in results),
-            f"{sum(r['holds'] for r in results)}/{len(results)} samples"))
+    if params["engine"] == "montecarlo":
+        summaries = dg.pointwise_gradient_check(ctx.profile("montecarlo").at(params["horizons"]),
+                                                ctx.hypothesis_report.r0_hat)
+        payload["pointwise"] = summaries
+        held, total = (sum(row[key] for row in summaries) for key in ("held", "points"))
+        checks.append(_check("gradient-pointwise", held == total, f"{held}/{total} points"))
     return ExperimentResult(payload, rows, checks)
 
 

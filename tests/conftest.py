@@ -6,8 +6,13 @@ values are bit-stable across runs and safe to share between test modules.
 
 from __future__ import annotations
 
+import inspect
+import json
+from types import SimpleNamespace
+
 import pytest
 
+from periodiclab import diagnostics as dg
 from periodiclab import engines as eng
 from periodiclab import fields as fl
 from periodiclab import grid as gridmod
@@ -155,3 +160,40 @@ def grad_gradient_profile(grad_mc, decay_battery1):
     phis = [phi for phi in decay_battery1 if phi.fid in ("coord0", "tanh", "sin", "ratio")]
     horizons = [1, 1.25, 1.5, 1.75, 2, 2.5, 3]
     return phis, grad_mc.transfer_profile(phis, 0.0, horizons, gradients=3)
+
+
+@pytest.fixture(scope="session")
+def grad1d_benchmark_run(tmp_path_factory):
+    """The grad1d builtin at benchmark sizes, seed 1, run once while recording
+    its noise: ``doc`` (the sized document), ``out`` (its report directory),
+    ``marches`` (the stream name of each ``_march`` call, in call order),
+    ``layouts`` (stream kind, particles, RNG blocks) of each noise source, and
+    ``checks`` ((profile, r0) of each pointwise gradient check)."""
+    from test_golden import SEED, SIZES
+
+    doc = json.loads(json.dumps(sc.load_scenario("grad1d")))
+    for section, values in SIZES["grad1d"].items():
+        doc.setdefault(section, {}).update(values)
+    run = SimpleNamespace(doc=doc, out=tmp_path_factory.mktemp("grad1d-benchmark"),
+                          marches=[], layouts=[], checks=[])
+    march, block_normals, check = mc._march, mc._block_normals, dg.pointwise_gradient_check
+    march_args = inspect.signature(march)
+
+    def march_spy(*args, **kwargs):
+        run.marches.append(march_args.bind(*args, **kwargs).arguments["stream"])
+        return march(*args, **kwargs)
+
+    def block_spy(seed, name, n, dim, blocks):
+        run.layouts.append((name[0], n, blocks))
+        return block_normals(seed, name, n, dim, blocks)
+
+    def check_spy(profile, r0):
+        run.checks.append((profile, r0))
+        return check(profile, r0)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mc, "_march", march_spy)
+        patch.setattr(mc, "_block_normals", block_spy)
+        patch.setattr(dg, "pointwise_gradient_check", check_spy)
+        sc.run_scenario(doc, run.out, overrides={"seed": SEED})
+    return run

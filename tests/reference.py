@@ -15,7 +15,10 @@ filter of the spectral-mapping check as a loop.  No lab code calls them; the eng
 collocation.  Their bodies are kept as they were when they lived in
 ``periodiclab``, so that the gate's instruments stay bit-identical.
 ``evolve``, which pushes an ensemble from s to t on the lab's own march, is
-the harness of the march tests and of the transition estimate.
+the harness of the march tests and of the transition estimate;
+``tangent_march`` carries identity Jacobians along the same march, and
+``pointwise_sample_check`` is the per-sample pointwise gradient check the lab
+ran before it read that check off its transfer profile.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from scipy.linalg import solve_discrete_lyapunov  # noqa: F401  (an oracle)
 from periodiclab.errors import IntegratorFailure
 from periodiclab.fields import PeriodicCoefficientField
 from periodiclab.grid import ARNOLDI_TOL, DiscreteGenerator, SpaceTimeGrid
-from periodiclab.montecarlo import ParticleEnsemble, SimConfig, _march
+from periodiclab.montecarlo import ParticleEnsemble, SimConfig, _march, mean_and_stderr
 from periodiclab.ougaussian import (
     DEFAULT_TOL,
     GaussianMeasure,
@@ -54,6 +57,55 @@ def evolve(
         raise ValueError(f"ensemble time stamp {ensemble.t} does not match s={s}")
     (t_out, pos, _), = _march(field, ensemble.positions, None, s, [t], config, stream)
     return ParticleEnsemble(t_out, pos)
+
+
+def tangent_march(
+    field: PeriodicCoefficientField,
+    positions,
+    s: float,
+    t: float,
+    config: SimConfig,
+    stream: tuple = ("evolve-tangent",),
+):
+    """Positions and Jacobians at t of particles started at ``positions`` at s with
+    identity Jacobians: one RNG block on the stream ``stream``; needs x-independent
+    diffusion."""
+    pos = np.atleast_2d(np.asarray(positions, dtype=float))
+    n, d = pos.shape
+    (_, pos, jac), = _march(field, pos, np.broadcast_to(np.eye(d), (n, d, d)), s, [t], config,
+                            stream)
+    return pos, jac
+
+
+def pointwise_sample_check(
+    field: PeriodicCoefficientField,
+    phi,
+    t: float,
+    s: float,
+    x,
+    config: SimConfig,
+    r0: float,
+    stream: tuple,
+) -> dict:
+    """One sample of |grad_x P phi| <= exp(r0 (t-s)) P |grad phi| + 4 stderr.
+
+    Both sides are estimated on the same tangent march from the point mass at
+    x, on the stream named ``stream``, so the pathwise inequality transfers to
+    the estimators up to time-discretization error.
+    """
+    pos, jac = tangent_march(field, np.tile(np.atleast_1d(x), (config.n_particles, 1)), s, t,
+                             config, stream=stream)
+    pulled = np.einsum("nij,ni->nj", jac, phi.grad_at(pos))
+    lhs_vec, lhs_ses = mean_and_stderr(pulled.T)
+    lhs = float(np.linalg.norm(lhs_vec))
+    rhs_mean, rhs_se = mean_and_stderr(phi.grad_norm(pos))
+    rhs = math.exp(r0 * (t - s)) * float(rhs_mean)
+    stderr = math.hypot(float(np.linalg.norm(lhs_ses)), math.exp(r0 * (t - s)) * float(rhs_se))
+    return {
+        "t": t, "s": s, "x": np.atleast_1d(x).tolist(), "phi": phi.fid,
+        "lhs": lhs, "rhs": rhs, "stderr": stderr,
+        "holds": lhs <= rhs + 4.0 * stderr,
+    }
 
 
 def point_mass(x, n: int, t: float = 0.0) -> ParticleEnsemble:

@@ -1,6 +1,8 @@
 """Decay curves, rate fits, inequality residuals, and core elements."""
 
+import dataclasses
 import functools
+import json
 import math
 
 import numpy as np
@@ -510,3 +512,30 @@ class TestCrossEngineConsistency:
                                        t, s, probe, config, stream=("transition",))
             on_grid = float(np.interp(probe[0], x_nodes, g_grid))
             assert abs(value - on_grid) <= 4 * se + 2e-3, (probe, value, on_grid, se)
+
+
+class TestPointwiseGradientCheck:
+    def test_holds_at_every_point_of_benchmark_grad1d(self, grad1d_benchmark_run):
+        run = grad1d_benchmark_run
+        (profile, r0), = run.checks
+        rows = dg.pointwise_gradient_check(profile, r0)
+        horizons = next(spec["horizons"] for spec in run.doc["experiments"]
+                        if spec["name"] == "gradient-decay")
+        assert [row["tau"] for row in rows] == horizons
+        assert all(row["held"] == row["points"] == run.doc["sim"]["n_outer"] for row in rows)
+        assert all(row["min_ratio"] > 1.0 and row["min_margin_se"] > 4.0 for row in rows)
+        report = json.loads((run.out / "gradient-decay.json").read_text())
+        assert report["pointwise"] == rows
+        check = next(c for c in report["checks"] if c["rule"] == "gradient-pointwise")
+        assert check == {"rule": "gradient-pointwise", "passed": True,
+                         "detail": f"{128 * len(horizons)}/{128 * len(horizons)} points"}
+
+    def test_fails_when_the_gradient_rows_drop_the_jacobian(self, grad1d_benchmark_run):
+        # in d = 1, grad tanh = sech^2 = tanh-slope: a profile whose gradient rows
+        # drop J, so that lhs = mean grad tanh(X), has tanh-slope's value rows there
+        (profile, r0), = grad1d_benchmark_run.checks
+        slope = profile.values["tanh-slope"][: len(profile.grads["tanh"])]
+        dropped = dataclasses.replace(
+            profile, grads={**profile.grads, "tanh": [(g[:, None], se) for g, se in slope]})
+        rows = dg.pointwise_gradient_check(dropped, r0)
+        assert all(row["held"] < row["points"] and row["min_ratio"] < 1.0 for row in rows)

@@ -1,7 +1,6 @@
 """Stochastic engine against exact transition laws and pathwise bounds."""
 
 import dataclasses
-import json
 import math
 import tracemalloc
 
@@ -15,7 +14,6 @@ from periodiclab import fields as fl
 from periodiclab import hypotheses as hyp
 from periodiclab import montecarlo as mc
 from periodiclab import ougaussian as ou
-from periodiclab import scenarios as sc
 from periodiclab.errors import Blowup, NonPositiveDefinite, NotDissipative, QNotXIndependent
 
 import reference as ref
@@ -572,10 +570,10 @@ class TestPeriodicMeasure:
 
 def _pathwise_gradient(field, phi_grad, t, s, x, config):
     """Mean and scalar stderr of J^T grad phi(X_t) over a tangent flow started at x."""
-    ens = mc.TangentEnsemble.identity(s, np.tile(x, (config.n_particles, 1)))
-    out = mc.evolve_tangent(field, ens, s, t, config, stream=("pathwise-gradient",))
-    pulled = np.einsum("nij,ni->nj", out.jacobians, phi_grad(out.positions))
-    se = float(np.linalg.norm(pulled.std(axis=0, ddof=1)) / math.sqrt(out.n))
+    pos, jac = ref.tangent_march(field, np.tile(x, (config.n_particles, 1)), s, t, config,
+                                 stream=("pathwise-gradient",))
+    pulled = np.einsum("nij,ni->nj", jac, phi_grad(pos))
+    se = float(np.linalg.norm(pulled.std(axis=0, ddof=1)) / math.sqrt(len(pos)))
     return pulled.mean(axis=0), se
 
 
@@ -595,9 +593,8 @@ class TestTangentFlow:
 
     def test_refuses_x_dependent_diffusion(self, gen_field):
         config = mc.SimConfig(n_particles=200, dt=0.01, seed=0)
-        ens = mc.TangentEnsemble.identity(0.0, np.zeros((200, 2)))
         with pytest.raises(QNotXIndependent):
-            mc.evolve_tangent(gen_field, ens, 0.0, 0.5, config)
+            ref.tangent_march(gen_field, np.zeros((200, 2)), 0.0, 0.5, config)
 
     def test_pointwise_gradient_bound_grad1d(self, grad_field, grad_report):
         config = mc.SimConfig(n_particles=4000, dt=0.008, seed=14)
@@ -607,8 +604,8 @@ class TestTangentFlow:
             s = float(rng.uniform(0, 1))
             t = s + float(rng.uniform(0.2, 2.0))
             x = rng.uniform(-1.5, 1.5, size=1)
-            out = dg.pointwise_gradient_check(grad_field, sin_phi, t, s, x, config,
-                                              grad_report.r0_hat, stream=("pointwise", i))
+            out = ref.pointwise_sample_check(grad_field, sin_phi, t, s, x, config,
+                                             grad_report.r0_hat, stream=("pointwise", i))
             assert out["holds"], out
 
     def test_pointwise_stderr_uses_pair_units(self):
@@ -617,13 +614,13 @@ class TestTangentFlow:
         field = fl.polynomial_field(1, 1.0, q_const=0.5, drift_terms=(fl.DriftTerm(1, -1.0),))
         config = mc.SimConfig(n_particles=2000, dt=0.01, seed=8)
         tanh = next(p for p in eng.battery() if p.fid == "tanh")
-        out = dg.pointwise_gradient_check(field, tanh, 1.0, 0.0, [0.0], config, -1.0,
-                                          stream=("pointwise", 0))
-        ens = mc.evolve_tangent(field, mc.TangentEnsemble.identity(0.0, np.zeros((2000, 1))),
-                                0.0, 1.0, config, stream=("pointwise", 0))
-        assert np.array_equal(ens.positions[1000:], -ens.positions[:1000])
-        lhs_vals = ens.jacobians[:, 0, 0] * tanh.grad_at(ens.positions)[:, 0]
-        rhs_vals = math.exp(-1.0) * tanh.grad_norm(ens.positions)
+        out = ref.pointwise_sample_check(field, tanh, 1.0, 0.0, [0.0], config, -1.0,
+                                         stream=("pointwise", 0))
+        pos, jac = ref.tangent_march(field, np.zeros((2000, 1)), 0.0, 1.0, config,
+                                     stream=("pointwise", 0))
+        assert np.array_equal(pos[1000:], -pos[:1000])
+        lhs_vals = jac[:, 0, 0] * tanh.grad_at(pos)[:, 0]
+        rhs_vals = math.exp(-1.0) * tanh.grad_norm(pos)
         paired = math.hypot(mc.mean_and_stderr(lhs_vals)[1],
                             mc.mean_and_stderr(rhs_vals)[1])
         naive = math.hypot(lhs_vals.std(ddof=1), rhs_vals.std(ddof=1)) / math.sqrt(2000)
@@ -790,6 +787,23 @@ class TestTransportChecks:
                 assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert len(times) == round(2.0 / config.dt) and max(times) < 2.0
 
+    def test_tanh_slope_leaves_the_other_members_bit_identical(self, grad_field, grad_report):
+        # the stream names horizons, not members, so one more member reads the same paths
+        config = mc.SimConfig(n_particles=256, dt=0.01, seed=4, horizon_periods=2)
+        engine = eng.MonteCarloEngine(grad_field, config, n_outer=8, n_inner=64,
+                                      certificate=grad_report.lyapunov)
+        phis, horizons = eng.battery()[1:], [1.0, 1.5, 2.0, 3.0]
+        without = engine.transfer_profile(phis, 0.0, horizons, gradients=2.0)
+        with_slope = engine.transfer_profile([*phis, eng.TANH_SLOPE], 0.0, horizons,
+                                             gradients=2.0)
+        for table in ("values", "grads"):
+            got, want = getattr(with_slope, table), getattr(without, table)
+            assert list(got) == [*want, "tanh-slope"]
+            for fid, rows in want.items():
+                assert len(got[fid]) == len(rows)
+                for got_row, want_row in zip(got[fid], rows):
+                    assert all(np.array_equal(a, b) for a, b in zip(got_row, want_row))
+
     def test_gap_missing_from_profile_rejected(self, ou_engine, battery1):
         profile = ou_engine.transfer_profile(battery1[:1], 0.0, [1.0])
         with pytest.raises(ValueError):
@@ -817,31 +831,19 @@ class TestMarchWorkingSet:
 
 
 class TestBlockLayout:
-    def test_grad1d_marches_whole_blocks(self, tmp_path, monkeypatch):
-        # grad1d at benchmark sizes, seed 1: each transfer profile marches
-        # n_outer blocks of n_inner, one block per outer point; the burn-in,
-        # which runs on through every phase, and each pointwise sample march
-        # one block
-        from test_golden import SEED, SIZES
-
-        seen, block_normals = [], mc._block_normals
-
-        def spy(seed, name, n, dim, blocks):
-            seen.append((name[0], n, blocks))
-            return block_normals(seed, name, n, dim, blocks)
-
-        monkeypatch.setattr(mc, "_block_normals", spy)
-        doc = json.loads(json.dumps(sc.load_scenario("grad1d")))
-        for section, values in SIZES["grad1d"].items():
-            doc.setdefault(section, {}).update(values)
-        sc.run_scenario(doc, tmp_path, overrides={"seed": SEED})
-        sim = doc["sim"]
+    def test_grad1d_marches_whole_blocks(self, grad1d_benchmark_run):
+        # grad1d at benchmark sizes, seed 1: the transfer profile marches n_outer
+        # blocks of n_inner, one block per outer point; the burn-in, which runs on
+        # through every phase, is one block
+        sim = grad1d_benchmark_run.doc["sim"]
         n_outer, n_inner, particles = sim["n_outer"], sim["n_inner"], sim["particles"]
         layouts = {}
-        for kind, n, blocks in seen:
+        for kind, n, blocks in grad1d_benchmark_run.layouts:
             layouts.setdefault(kind, set()).add((n, blocks))
         assert layouts == {"burn-in": {(particles, 1)},
-                           "profile": {(n_outer * n_inner, n_outer)},
-                           "pointwise": {(4000, 1)}}
-        counts = {kind: sum(k == kind for k, *_ in seen) for kind in layouts}
-        assert counts["burn-in"] == 1 and counts["pointwise"] == 50, counts
+                           "profile": {(n_outer * n_inner, n_outer)}}
+
+    def test_grad1d_run_marches_twice(self, grad1d_benchmark_run):
+        # the burn-in and the one profile: gradient-decay and its pointwise check
+        # read the profile that decay's fits read, with no march of their own
+        assert [stream[0] for stream in grad1d_benchmark_run.marches] == ["burn-in", "profile"]

@@ -5,8 +5,8 @@ Every public module-level function in ``src/periodiclab`` is called from
 ``tests/reference.py``.  Only ``grid`` imports scipy, and a document that
 needs no grid object never loads it.  Only ``montecarlo`` keys random
 streams, nothing selects unpaired noise, only the run context calls
-``transfer_profile``, and the grid's sparse solves are real except its
-eigenvalue residuals.  The README's library sketch runs as written.
+``transfer_profile``, only the burn-in and the profile march, and the grid's
+sparse solves are real except its complex eigenvalue residuals.  The README's library sketch runs as written.
 """
 
 import ast
@@ -23,8 +23,9 @@ PACKAGE = ROOT / "src" / "periodiclab"
 
 # public functions the lab itself does not call, and why they stay in src/
 UNCALLED_BY_DESIGN = {
-    # traced by the benchmark harness (perfbench/tracing.py wraps it), whose
+    # traced by the benchmark harness (perfbench/tracing.py wraps them), whose
     # self-test requires every traced name to exist
+    "montecarlo.evolve_tangent",
     "ougaussian.apply",
 }
 
@@ -165,7 +166,8 @@ def test_grid_sparse_work_is_real():
     """No code in ``grid`` calls ``spsolve``: a Crank-Nicolson step factors its
     left side on the slice pattern.  ``spectrum`` casts nothing to complex, so
     its shift-invert solve runs on one real LU, and the only complex
-    factorizations are the residual solves of ``_eig_residuals``.  A cast is
+    factorizations are the residual solves of ``_eig_residuals`` at non-real
+    eigenvalues.  A cast is
     an ``astype`` to complex, a ``dtype=complex`` keyword or an added ``0j``;
     the dense eigenvalue blocks of ``DiscreteGenerator`` join as complex."""
     spsolve, casts = [], []
@@ -198,6 +200,30 @@ def test_only_the_run_context_transports():
                     and node.func.attr == "transfer_profile"):
                 callers.append((path.stem, owner))
     assert callers == [("scenarios", "RunContext")]
+
+
+def test_only_the_burn_in_and_the_profile_march():
+    """A run marches twice on the Monte Carlo engine: the burn-in of every
+    phase and the one transfer profile, which every Monte Carlo diagnostic
+    reads.  So ``montecarlo._march`` is called only from
+    ``sample_periodic_measure`` and ``MonteCarloEngine.transfer_profile``, and
+    no side march can come back.  The one other caller, ``evolve_tangent``, is
+    uncalled by design (``UNCALLED_BY_DESIGN``), so it marches in no run."""
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            methods = top.body if isinstance(top, ast.ClassDef) else [top]
+            for method in methods:
+                name = getattr(method, "name", None)
+                owner = f"{top.name}.{name}" if isinstance(top, ast.ClassDef) else name
+                for node in ast.walk(method):
+                    func = node.func if isinstance(node, ast.Call) else None
+                    if (isinstance(func, ast.Name) and func.id == "_march"
+                            or isinstance(func, ast.Attribute) and func.attr == "_march"):
+                        callers.append((path.stem, owner))
+    assert sorted(callers) == [("engines", "MonteCarloEngine.transfer_profile"),
+                               ("montecarlo", "evolve_tangent"),
+                               ("montecarlo", "sample_periodic_measure")]
 
 
 def test_no_code_selects_unpaired_noise():

@@ -154,6 +154,7 @@ class TestValidation:
         ("ou1d", ("experiments", 5, "refine"), "no", "$.experiments[5].refine"),
         ("ou1d", ("experiments", 5, "carre"), 1, "$.experiments[5].carre"),
         ("grad1d", ("experiments", 6, "solvability"), "yes", "$.experiments[6].solvability"),
+        # the retired pointwise_samples: any value is an unknown key at its path
         ("grad1d", ("experiments", 2, "pointwise_samples"), -1,
          "$.experiments[2].pointwise_samples"),
         ("grad1d", ("experiments", 2, "pointwise_samples"), 2.5,
@@ -360,10 +361,10 @@ def test_every_table_key_rejects_a_wrong_type_at_its_path(section, name, key):
 
 @pytest.mark.parametrize("name, key, count", [
     ("hypothesis-check", "moment_phases", 5000), ("poincare", "n_phases", 5000),
-    ("logsob", "n_phases", 5000), ("gradient-decay", "pointwise_samples", 801)])
+    ("logsob", "n_phases", 5000)])
 def test_phase_and_sample_counts_have_no_cap(name, key, count):
-    """Every phase and every pointwise sample has a stream of its own name, so
-    no count is capped to keep hand-numbered streams apart."""
+    """Every phase is a capture of the one burn-in march, so no count is capped
+    to keep hand-numbered streams apart."""
     doc = json.loads(json.dumps(sc.load_scenario("grad1d")))
     doc["experiments"] = [{"name": name, key: count}]
     sc.validate_scenario(doc)
@@ -401,8 +402,7 @@ def test_rate_fits_share_one_profile_per_engine(tmp_path, monkeypatch):
         monkeypatch.setattr(getattr(eng, kind), "transfer_profile", counted(kind))
     doc = json.loads(json.dumps(sc.load_scenario("grad1d")))
     doc["sim"].update(particles=2000, dt=0.01, n_inner=256)
-    doc["experiments"] = [{**spec, "pointwise_samples": 0} if spec["name"] == "gradient-decay"
-                          else spec for spec in doc["experiments"]
+    doc["experiments"] = [spec for spec in doc["experiments"]
                           if spec["name"] in ("decay", "gradient-decay")]
     sc.run_scenario(doc, tmp_path / "grad1d", overrides={"seed": 1})
     assert calls == [("MonteCarloEngine", doc["experiments"][0]["horizons"], 3)]
@@ -532,6 +532,16 @@ class TestCli:
         scenario.write_text(json.dumps(doc))
         assert cli.main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
         assert path in capsys.readouterr().err
+
+    def test_retired_pointwise_samples_key_exits_2(self, tmp_path, capsys):
+        # the pointwise gradient check reads the profile, so it has no sample count
+        doc = json.loads(json.dumps(sc.load_scenario("grad1d")))
+        i = next(k for k, e in enumerate(doc["experiments"]) if e["name"] == "gradient-decay")
+        doc["experiments"][i]["pointwise_samples"] = 50
+        scenario = tmp_path / "grad1d.json"
+        scenario.write_text(json.dumps(doc))
+        assert cli.main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+        assert f"$.experiments[{i}].pointwise_samples" in capsys.readouterr().err
 
     def test_a_document_without_the_antithetic_key_runs_paired(self):
         # a linear drift from the origin: mirrored noise mirrors every path

@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import montecarlo as mc
-from .engines import TANH_SLOPE, SpaceTimeFunction, TestFunction, TransferProfile
+from .engines import TANH_SLOPE, BumpWindow, TestFunction, TransferProfile
 from .errors import DegenerateWindow, NoiseFloor, NotApplicable, NotDissipative
 from .fields import PeriodicCoefficientField
 
@@ -363,20 +363,20 @@ class PhaseMeasures:
 
 
 def phase_mean(engine, fn, s: float):
-    """``int fn d mu_s`` on the engine's phase nodes, with its stderr."""
+    """``int fn(s, .) d mu_s`` on the engine's phase nodes, with its stderr."""
     measures = PhaseMeasures.at(engine, [s])
-    means, se = measures.phase_means([np.asarray(fn(measures.nodes[0]))])
+    means, se = measures.phase_means([np.asarray(fn(s, measures.nodes[0]))])
     return float(means[0]), se
 
 
 def phase_lp(engine, fn, s: float, p: float):
-    """``||fn||_{L^p(mu_s)}`` with a delta-method stderr from that of ``int |fn|^p``."""
-    mean, se = phase_mean(engine, lambda X: np.abs(np.asarray(fn(X))) ** p, s)
+    """``||fn(s, .)||_{L^p(mu_s)}`` with a delta-method stderr from that of ``int |fn|^p``."""
+    mean, se = phase_mean(engine, lambda t, X: np.abs(np.asarray(fn(t, X))) ** p, s)
     return max(mean, 0.0) ** (1.0 / p), se / (p * max(mean, 1e-300) ** (1.0 - 1.0 / p))
 
 
 def poincare_ratio(
-    u: SpaceTimeFunction,
+    u: TestFunction,
     measures: PhaseMeasures,
     lam: float,
     ell2: float,
@@ -412,7 +412,7 @@ def poincare_ratio(
 
 def logsob_ratio(
     field: PeriodicCoefficientField,
-    u: SpaceTimeFunction,
+    u: TestFunction,
     p: float,
     measures: PhaseMeasures,
     lam: float,
@@ -534,34 +534,6 @@ def contraction_invariance_report(
     return rows
 
 
-@dataclass(frozen=True)
-class BumpWindow:
-    """Smooth compactly supported envelope on (lo, hi) with closed-form slope."""
-
-    lo: float
-    hi: float
-
-    def _z(self, s):
-        mid = 0.5 * (self.lo + self.hi)
-        return (np.asarray(s, dtype=float) - mid) / (0.5 * (self.hi - self.lo))
-
-    def __call__(self, s):
-        z = self._z(s)
-        out = np.zeros_like(z)
-        inside = np.abs(z) < 1.0
-        out[inside] = np.exp(-1.0 / (1.0 - z[inside] ** 2))
-        return out if out.shape else float(out)
-
-    def deriv(self, s):
-        z = self._z(s)
-        out = np.zeros_like(z)
-        inside = np.abs(z) < 1.0
-        zi = z[inside]
-        out[inside] = np.exp(-1.0 / (1.0 - zi**2)) * (-2.0 * zi / (1.0 - zi**2) ** 2)
-        out = out / (0.5 * (self.hi - self.lo))
-        return out if out.shape else float(out)
-
-
 def core_on_grid(
     field: PeriodicCoefficientField,
     grid,
@@ -572,8 +544,8 @@ def core_on_grid(
 ):
     """Grid realization of the core element and its generator image.
 
-    One downward sweep from the anchor captures the transported factor at
-    every canonical slice phase; returns ``(u, image)`` as grid functions
+    One downward sweep from the anchor captures the transported factor
+    ``chi(tau, .)`` at every canonical slice phase; returns ``(u, image)`` as grid functions
     with ``image`` the expected generator action (envelope slope times the
     transported factor).
     """
@@ -585,7 +557,7 @@ def core_on_grid(
     order = np.argsort(canon)[::-1]          # sweep from the anchor downward
     u_vals = np.zeros((grid.time_slices, grid.n_space))
     img_vals = np.zeros_like(u_vals)
-    vec = np.asarray(chi(grid.nodes()))
+    vec = chi(tau, grid.nodes())
     t_hi = tau
     for j in order:
         sc = canon[j]

@@ -31,9 +31,14 @@ for every horizon, at one set of points distributed like the measure at the
 against, and carries no centering: diagnostics takes every integral against
 the measure from ``phase_nodes``, and centres with its ``phase_mean`` at the
 target time.  A run's rate fits on one engine, contraction rows included,
-read one profile (``TransferProfile.at``).  The test functions the
-diagnostics apply (the space-only battery and the space-time batteries of
-the inequality checks) live here too.
+read one profile (``TransferProfile.at``).
+
+This is the one module that defines test functions, all of one type:
+``TestFunction``, u(s, x) with ``fn(s, X) -> (n,)`` and ``grad(s, X) -> (n, d)``,
+which every caller evaluates at an explicit time (a profile at the capture
+time, diagnostics at the phase it integrates at).  Members that do not
+depend on time, the decay battery and ``TANH_SLOPE``, ignore s.
+``BumpWindow`` is the envelope of the core element and the carre du champ check.
 """
 
 from __future__ import annotations
@@ -56,49 +61,46 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Vectorized scalar test function with its spatial gradient."""
+    """Vectorized scalar test function u(s, x) with its spatial gradient; a
+    member that does not depend on time ignores s."""
 
     fid: str
-    fn: object                   # (n, d) -> (n,)
-    grad: object                 # (n, d) -> (n, d)
+    fn: Callable                 # (s, (n, d)) -> (n,)
+    grad: Callable               # (s, (n, d)) -> (n, d)
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.atleast_2d(points)))
+    def __call__(self, s: float, points) -> np.ndarray:
+        return np.asarray(self.fn(s, np.atleast_2d(points)))
 
-    def grad_at(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(self.grad(np.atleast_2d(points)))
-
-    def grad_norm(self, points: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(self.grad_at(points), axis=1)
+    def grad_at(self, s: float, points) -> np.ndarray:
+        return np.asarray(self.grad(s, np.atleast_2d(points)))
 
 
 def battery() -> list[TestFunction]:
-    """The documented test-function battery (ids are stable report keys)."""
-    fns = [
-        TestFunction("const", lambda X: np.ones(len(X)), lambda X: np.zeros_like(X)),
-        TestFunction("coord0", lambda X: X[:, 0], lambda X: _axis0_grad(X, 1.0)),
+    """The documented time-free test-function battery (ids are stable report keys)."""
+    return [
+        TestFunction("const", lambda s, X: np.ones(len(X)), lambda s, X: np.zeros_like(X)),
+        TestFunction("coord0", lambda s, X: X[:, 0], lambda s, X: _axis0_grad(X, 1.0)),
         TestFunction(
             "tanh",
-            lambda X: np.tanh(X[:, 0]),
-            lambda X: _axis0_grad(X, 1.0 / np.cosh(X[:, 0]) ** 2),
+            lambda s, X: np.tanh(X[:, 0]),
+            lambda s, X: _axis0_grad(X, 1.0 / np.cosh(X[:, 0]) ** 2),
         ),
         TestFunction(
             "sin",
-            lambda X: np.sin(X[:, 0]),
-            lambda X: _axis0_grad(X, np.cos(X[:, 0])),
+            lambda s, X: np.sin(X[:, 0]),
+            lambda s, X: _axis0_grad(X, np.cos(X[:, 0])),
         ),
         TestFunction(
             "bump",
-            lambda X: np.exp(-0.5 * np.sum(X * X, axis=1)),
-            lambda X: -X * np.exp(-0.5 * np.sum(X * X, axis=1))[:, None],
+            lambda s, X: np.exp(-0.5 * np.sum(X * X, axis=1)),
+            lambda s, X: -X * np.exp(-0.5 * np.sum(X * X, axis=1))[:, None],
         ),
         TestFunction(
             "ratio",
-            lambda X: X[:, 0] / (1.0 + np.sum(X * X, axis=1)),
+            lambda s, X: X[:, 0] / (1.0 + np.sum(X * X, axis=1)),
             _ratio_grad,
         ),
     ]
-    return fns
 
 
 def _axis0_grad(X, vals):
@@ -107,7 +109,7 @@ def _axis0_grad(X, vals):
     return g
 
 
-def _ratio_grad(X):
+def _ratio_grad(s, X):
     r2 = np.sum(X * X, axis=1)
     g = -2.0 * X * (X[:, 0] / (1.0 + r2) ** 2)[:, None]
     g[:, 0] += 1.0 / (1.0 + r2)
@@ -117,41 +119,26 @@ def _ratio_grad(X):
 # |grad tanh(x_0)| in any d: the right side's member of the pointwise gradient check
 TANH_SLOPE = TestFunction(
     "tanh-slope",
-    lambda X: 1.0 / np.cosh(X[:, 0]) ** 2,
-    lambda X: _axis0_grad(X, -2.0 * np.tanh(X[:, 0]) / np.cosh(X[:, 0]) ** 2),
+    lambda s, X: 1.0 / np.cosh(X[:, 0]) ** 2,
+    lambda s, X: _axis0_grad(X, -2.0 * np.tanh(X[:, 0]) / np.cosh(X[:, 0]) ** 2),
 )
 
 
-@dataclass(frozen=True)
-class SpaceTimeFunction:
-    """Periodic-in-time test function u(s, x) with spatial gradient."""
-
-    fid: str
-    u: Callable            # (s, (n,d)) -> (n,)
-    grad: Callable         # (s, (n,d)) -> (n,d)
-
-    def __call__(self, s, points):
-        return np.asarray(self.u(s, np.atleast_2d(points)))
-
-    def grad_at(self, s, points):
-        return np.asarray(self.grad(s, np.atleast_2d(points)))
-
-
-def st_battery(period: float) -> list[SpaceTimeFunction]:
-    """Space-time battery for the inequality checks."""
+def st_battery(period: float) -> list[TestFunction]:
+    """Periodic-in-time battery for the inequality checks."""
     w = 2.0 * np.pi / period
 
     def mod(s):
         return 1.0 + 0.5 * math.cos(w * s)
 
     return [
-        SpaceTimeFunction("st-coord", lambda s, X: X[:, 0], lambda s, X: _axis0_grad(X, 1.0)),
-        SpaceTimeFunction(
+        TestFunction("st-coord", lambda s, X: X[:, 0], lambda s, X: _axis0_grad(X, 1.0)),
+        TestFunction(
             "st-sin-mod",
             lambda s, X: np.sin(X[:, 0]) * mod(s),
             lambda s, X: _axis0_grad(X, np.cos(X[:, 0]) * mod(s)),
         ),
-        SpaceTimeFunction(
+        TestFunction(
             "st-bump-mod",
             lambda s, X: np.exp(-0.5 * np.sum(X * X, axis=1)) * (1.0 + 0.5 * math.sin(w * s)),
             lambda s, X: -X
@@ -160,21 +147,49 @@ def st_battery(period: float) -> list[SpaceTimeFunction]:
     ]
 
 
-def positive_battery() -> list[SpaceTimeFunction]:
+def positive_battery() -> list[TestFunction]:
     """Strictly positive bounded functions for the entropy inequality."""
     return [
-        SpaceTimeFunction("pos-const", lambda s, X: np.full(len(X), 1.5), lambda s, X: np.zeros_like(X)),
-        SpaceTimeFunction(
+        TestFunction("pos-const", lambda s, X: np.full(len(X), 1.5), lambda s, X: np.zeros_like(X)),
+        TestFunction(
             "pos-bump",
             lambda s, X: 1.0 + 0.5 * np.exp(-np.sum(X * X, axis=1)),
             lambda s, X: -X * np.exp(-np.sum(X * X, axis=1))[:, None],
         ),
-        SpaceTimeFunction(
+        TestFunction(
             "pos-sin",
             lambda s, X: 2.0 + np.sin(X[:, 0]),
             lambda s, X: _axis0_grad(X, np.cos(X[:, 0])),
         ),
     ]
+
+
+@dataclass(frozen=True)
+class BumpWindow:
+    """Smooth compactly supported envelope on (lo, hi) with closed-form slope."""
+
+    lo: float
+    hi: float
+
+    def _z(self, s):
+        mid = 0.5 * (self.lo + self.hi)
+        return (np.asarray(s, dtype=float) - mid) / (0.5 * (self.hi - self.lo))
+
+    def __call__(self, s):
+        z = self._z(s)
+        out = np.zeros_like(z)
+        inside = np.abs(z) < 1.0
+        out[inside] = np.exp(-1.0 / (1.0 - z[inside] ** 2))
+        return out if out.shape else float(out)
+
+    def deriv(self, s):
+        z = self._z(s)
+        out = np.zeros_like(z)
+        inside = np.abs(z) < 1.0
+        zi = z[inside]
+        out[inside] = np.exp(-1.0 / (1.0 - zi**2)) * (-2.0 * zi / (1.0 - zi**2) ** 2)
+        out = out / (0.5 * (self.hi - self.lo))
+        return out if out.shape else float(out)
 
 
 @dataclass
@@ -231,10 +246,10 @@ class OUExactEngine:
             t_prev = t
             flat = ou.transition_cloud(pts, *law, z).reshape(-1, d)
             for phi in phis:
-                vals = np.asarray(phi(flat)).reshape(len(zw), len(pts))
+                vals = phi(t, flat).reshape(len(zw), len(pts))
                 values[phi.fid].append((zw @ vals, np.zeros(len(pts))))
                 if gradients and tau <= gradients:
-                    gv = np.asarray(phi.grad_at(flat)).reshape(len(zw), len(pts), -1)
+                    gv = phi.grad_at(t, flat).reshape(len(zw), len(pts), -1)
                     inner = np.einsum("q,qmd->md", zw, gv)
                     grads[phi.fid].append((inner @ law[0], np.zeros(len(pts))))
         return TransferProfile(horizons, w, values, grads)
@@ -318,12 +333,12 @@ class MonteCarloEngine:
             np.broadcast_to(np.eye(d), (n, d, d)) if gradients else None,
             s, s + horizons, self.config, stream=("profile", "value", float(s), *horizons),
             blocks=self.n_outer, jacobians_until=s + gradients if gradients else None)
-        for _, pos, jac in march:
+        for t, pos, jac in march:
             for phi in phis:
-                vals = np.asarray(phi(pos)).reshape(self.n_outer, self.n_inner)
+                vals = phi(t, pos).reshape(self.n_outer, self.n_inner)
                 values[phi.fid].append(mc.mean_and_stderr(vals))
                 if jac is not None:
-                    pulled = np.einsum("nij,ni->nj", jac, phi.grad_at(pos))
+                    pulled = np.einsum("nij,ni->nj", jac, phi.grad_at(t, pos))
                     # contiguous inner rows sum each component as a 1-d reduction would
                     pulled = np.ascontiguousarray(
                         pulled.reshape(self.n_outer, self.n_inner, d).transpose(0, 2, 1))
@@ -374,7 +389,6 @@ class GridEngine:
         mat = np.eye(self.grid.n_space)
         t_prev = s
         nodes = self.grid.nodes()
-        phi_vecs = {phi.fid: np.asarray(phi(nodes)) for phi in phis}
         for tau in horizons:
             t = s + tau
             step = gridmod.transition_matrix(self.field, self.grid, t_prev, t,
@@ -382,7 +396,7 @@ class GridEngine:
             mat = mat @ step
             t_prev = t
             for phi in phis:
-                g = mat @ phi_vecs[phi.fid]
+                g = mat @ phi(t, nodes)
                 values[phi.fid].append((g, np.zeros_like(g)))
                 if gradients and tau <= gradients:
                     gv = gridmod.spatial_gradient(self.grid, g)

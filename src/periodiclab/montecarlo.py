@@ -86,10 +86,6 @@ class ParticleEnsemble:
     def n(self) -> int:
         return self.positions.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.positions.shape[1]
-
 
 def _word(part) -> int:
     """One part of a stream name as a nonnegative integer: a string's UTF-8

@@ -8,8 +8,9 @@ needs x-independent diffusion, the exact engine needs a linear-drift model,
 and so on) are rejected up front with their JSON path.  Each plan, sim, grid
 and experiment key is one entry of ``_SECTIONS`` or ``_EXPERIMENTS``, holding
 its default and the rule of a written value; a field kind accepts its
-builder's parameters.  A run fills the unset keys of every experiment once,
-after validation, and the runners read only those filled-in specs.  The
+builder's parameters.  A run's ``RunContext`` fills the unset keys of every
+experiment once, when it validates the document, and the runners read only
+those filled-in specs.  The
 members they share (field, plan, hypothesis report, engines, generator) are
 built once per run through ``once.Once``, also under ``--jobs``.
 
@@ -357,11 +358,16 @@ def _built_once(build):
 @dataclass
 class RunContext:
     """Lazily built shared state for one scenario run; each lazy member is
-    built once, also under ``--jobs``."""
+    built once, also under ``--jobs``.  Construction validates ``doc`` and
+    replaces its experiments with specs whose unset keys hold the value
+    their runner reads, so every member and runner reads those specs."""
 
     doc: dict
     seed: int
     _memo: Once = dataclass_field(default_factory=Once, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.doc = {**self.doc, "experiments": _resolved_experiments(self.doc)}
 
     def config_hash(self) -> str:
         """Digest of everything that determines the numbers in a report."""
@@ -427,8 +433,7 @@ class RunContext:
         curve, which starts at 0 and centres at its horizon."""
         period = self.field.period
         phases = [0.0]
-        for spec in self.doc["experiments"]:
-            params = {**_defaults(_EXPERIMENTS[spec["name"]]), **spec}
+        for params in self.doc["experiments"]:
             n = params.get("moment_phases") or params.get("n_phases")
             if n:
                 phases += [period * k / n for k in range(n)]
@@ -487,8 +492,6 @@ class ExperimentResult:
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return "" if value is None else str(value)     # None: a rate whose fit was refused
 
 
@@ -544,7 +547,7 @@ def _run_hypothesis_check(ctx: RunContext, params: dict) -> ExperimentResult:
         worst = -math.inf
         ok = True
 
-        def moment(X):
+        def moment(s, X):
             return 1.0 + np.sum(X**2, axis=1)
 
         for k in range(n_phases):
@@ -633,40 +636,36 @@ def _run_rate_equivalence(ctx: RunContext, params: dict) -> ExperimentResult:
     return ExperimentResult(payload, [{**row, "p": p}], checks)
 
 
+def _inequality_result(rule: str, payload: dict, cases) -> ExperimentResult:
+    """The reports, CSV rows and checks of an inequality experiment, one per
+    case of ``cases``: (test function, exponent or None, its report)."""
+    rows, checks = [], []
+    payload["reports"] = {}
+    for u, p, rep in cases:
+        key = u.fid if p is None else f"{u.fid}:p={p:g}"
+        payload["reports"][key] = rep.to_jsonable()
+        rows.append({"fid": u.fid, **({} if p is None else {"p": p}), "left": rep.left,
+                     "right": rep.right, "residual": rep.residual, "stderr": rep.stderr})
+        checks.append(_check(f"{rule}-{key}", rep.holds(),
+                             f"residual={rep.residual:.4g} stderr={rep.stderr:.3g}"))
+    return ExperimentResult(payload, rows, checks)
+
+
 def _run_poincare(ctx: RunContext, params: dict) -> ExperimentResult:
     report_h = ctx.hypothesis_report
     measures = dg.PhaseMeasures.from_engine(ctx.engine("montecarlo"), params["n_phases"])
-    lam = report_h.lambda_hat
-    ell2 = report_h.ell_p_hat[2.0]
-    rows, checks = [], []
-    payload = {"constant": lam / abs(ell2), "reports": {}}
-    for u in eng.st_battery(ctx.field.period):
-        rep = dg.poincare_ratio(u, measures, lam, ell2)
-        payload["reports"][u.fid] = rep.to_jsonable()
-        rows.append({"fid": u.fid, "left": rep.left, "right": rep.right,
-                     "residual": rep.residual, "stderr": rep.stderr})
-        checks.append(_check(f"poincare-{u.fid}", rep.holds(),
-                             f"residual={rep.residual:.4g} stderr={rep.stderr:.3g}"))
-    return ExperimentResult(payload, rows, checks)
+    lam, ell2 = report_h.lambda_hat, report_h.ell_p_hat[2.0]
+    return _inequality_result("poincare", {"constant": lam / abs(ell2)}, (
+        (u, None, dg.poincare_ratio(u, measures, lam, ell2))
+        for u in eng.st_battery(ctx.field.period)))
 
 
 def _run_logsob(ctx: RunContext, params: dict) -> ExperimentResult:
     report_h = ctx.hypothesis_report
     measures = dg.PhaseMeasures.from_engine(ctx.engine("montecarlo"), params["n_phases"])
-    lam = report_h.lambda_hat
-    r0 = report_h.r0_hat
-    rows, checks = [], []
-    payload = {"reports": {}}
-    for p in [float(q) for q in params["ps"]]:
-        for u in eng.positive_battery():
-            rep = dg.logsob_ratio(ctx.field, u, p, measures, lam, r0)
-            key = f"{u.fid}:p={p:g}"
-            payload["reports"][key] = rep.to_jsonable()
-            rows.append({"fid": u.fid, "p": p, "left": rep.left, "right": rep.right,
-                         "residual": rep.residual, "stderr": rep.stderr})
-            checks.append(_check(f"logsob-{key}", rep.holds(),
-                                 f"residual={rep.residual:.4g} stderr={rep.stderr:.3g}"))
-    return ExperimentResult(payload, rows, checks)
+    return _inequality_result("logsob", {}, (
+        (u, p, dg.logsob_ratio(ctx.field, u, p, measures, report_h.lambda_hat, report_h.r0_hat))
+        for p in [float(q) for q in params["ps"]] for u in eng.positive_battery()))
 
 
 def _run_spectrum(ctx: RunContext, params: dict) -> ExperimentResult:
@@ -707,7 +706,7 @@ def _run_spectrum(ctx: RunContext, params: dict) -> ExperimentResult:
         checks.append(_check("spectrum-stability", drift <= 0.05,
                              f"gap drift {drift:.4f} under refinement"))
     if carre:
-        bump = dg.BumpWindow(-0.5 * gen.grid.half_width, 0.5 * gen.grid.half_width)
+        bump = eng.BumpWindow(-0.5 * gen.grid.half_width, 0.5 * gen.grid.half_width)
         w = 2.0 * math.pi / ctx.field.period
 
         def u_fn(s, X):
@@ -764,7 +763,7 @@ def _run_spectral_mapping(ctx: RunContext, params: dict) -> ExperimentResult:
 
 def _run_core_consistency(ctx: RunContext, params: dict) -> ExperimentResult:
     period = ctx.field.period
-    alpha = dg.BumpWindow(0.1 * period, 0.9 * period)
+    alpha = eng.BumpWindow(0.1 * period, 0.9 * period)
     chi = next(phi for phi in eng.battery() if phi.fid == "bump")
     tol = params["tol"]
     gen = ctx.generator
@@ -816,17 +815,6 @@ def _write_csv(path: Path, rows: list):
     path.write_text("\n".join(lines) + "\n")
 
 
-class _ComplexEncoder(json.JSONEncoder):
-    def default(self, obj):
-        if isinstance(obj, complex):
-            return [obj.real, obj.imag]
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        if isinstance(obj, (np.floating, np.integer)):
-            return obj.item()
-        return super().default(obj)
-
-
 def run_scenario(doc: dict, out_dir: str | Path, jobs: int = 1,
                  overrides: dict | None = None) -> dict:
     """Execute every experiment of a scenario, validated with the overrides
@@ -841,10 +829,8 @@ def run_scenario(doc: dict, out_dir: str | Path, jobs: int = 1,
                                      ("dt", sim, "dt"), ("horizon", sim, "horizon_periods")):
             if overrides.get(key) is not None:
                 section[target] = overrides[key]
-    # the runners read the resolved specs, and ctx.doc holds those very objects
-    specs = _resolved_experiments(doc)
-    seed = doc.get("seed", 0)
-    ctx = RunContext(doc={**doc, "experiments": specs}, seed=seed)
+    ctx = RunContext(doc=doc, seed=doc.get("seed", 0))
+    specs = ctx.doc["experiments"]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -857,13 +843,13 @@ def run_scenario(doc: dict, out_dir: str | Path, jobs: int = 1,
     else:
         results = [run(spec) for spec in specs]
 
-    summary = {"scenario": doc["id"], "seed": seed, "schema": SCHEMA_VERSION,
+    summary = {"scenario": doc["id"], "seed": ctx.seed, "schema": SCHEMA_VERSION,
                "config_hash": ctx.config_hash(), "experiments": {}, "checks": [],
                "pass": True}
     for name, result in zip(_unique_names(specs), results):
         result.payload.update(checks=result.checks, config_hash=ctx.config_hash())
         (out / f"{name}.json").write_text(
-            json.dumps(result.payload, indent=2, sort_keys=True, cls=_ComplexEncoder))
+            json.dumps(result.payload, indent=2, sort_keys=True))
         _write_csv(out / f"{name}.csv", result.csv_rows)
         passed = all(c["passed"] for c in result.checks)
         summary["experiments"][name] = {"checks": result.checks, "pass": passed}
@@ -874,7 +860,7 @@ def run_scenario(doc: dict, out_dir: str | Path, jobs: int = 1,
     mc_engine = ctx._memo.peek("_mc_engine")
     summary["montecarlo_phases"] = [] if mc_engine is None else list(mc_engine.phases)
     (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True, cls=_ComplexEncoder))
+        json.dumps(summary, indent=2, sort_keys=True))
     return summary
 
 

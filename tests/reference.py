@@ -77,6 +77,11 @@ def tangent_march(
     return pos, jac
 
 
+def grad_norm(phi, t: float, points) -> np.ndarray:
+    """|grad_x phi(t, x)| at each of the points."""
+    return np.linalg.norm(phi.grad_at(t, points), axis=1)
+
+
 def pointwise_sample_check(
     field: PeriodicCoefficientField,
     phi,
@@ -95,10 +100,10 @@ def pointwise_sample_check(
     """
     pos, jac = tangent_march(field, np.tile(np.atleast_1d(x), (config.n_particles, 1)), s, t,
                              config, stream=stream)
-    pulled = np.einsum("nij,ni->nj", jac, phi.grad_at(pos))
+    pulled = np.einsum("nij,ni->nj", jac, phi.grad_at(t, pos))
     lhs_vec, lhs_ses = mean_and_stderr(pulled.T)
     lhs = float(np.linalg.norm(lhs_vec))
-    rhs_mean, rhs_se = mean_and_stderr(phi.grad_norm(pos))
+    rhs_mean, rhs_se = mean_and_stderr(grad_norm(phi, t, pos))
     rhs = math.exp(r0 * (t - s)) * float(rhs_mean)
     stderr = math.hypot(float(np.linalg.norm(lhs_ses)), math.exp(r0 * (t - s)) * float(rhs_se))
     return {

@@ -249,7 +249,7 @@ def test_engine_protocol(kind, ou_model, ou_field, ou_generator, ou_report, batt
         assert not hasattr(engine, member)     # phase integrals live in diagnostics
     pts, w = engine.phase_nodes(0.3)
     for phi in battery1:
-        vals = np.asarray(phi(pts))
+        vals = phi(0.3, pts)
         mean, se = dg.phase_mean(engine, phi, 0.3)
         if engine.stochastic:
             assert mean == vals.mean()
@@ -267,12 +267,12 @@ def test_engine_protocol(kind, ou_model, ou_field, ou_generator, ou_report, batt
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_battery_gradients_match_central_differences(dim):
-    """Every test function's gradient, the space-time ones at phases 0, 0.3
-    and 0.7, agrees with central differences of step 1e-6."""
+    """Every test function's gradient at phases 0, 0.3 and 0.7 agrees with
+    central differences of step 1e-6."""
     X = np.random.default_rng(dim).uniform(-2.0, 2.0, size=(32, dim))
-    members = [(phi.fid, phi, phi.grad_at) for phi in eng.battery()]
-    members += [(f"{u.fid}@{s}", functools.partial(u, s), functools.partial(u.grad_at, s))
-                for u in eng.st_battery(1.0) + eng.positive_battery() for s in (0.0, 0.3, 0.7)]
+    members = [(f"{u.fid}@{s}", functools.partial(u, s), functools.partial(u.grad_at, s))
+               for u in eng.battery() + eng.st_battery(1.0) + eng.positive_battery()
+               for s in (0.0, 0.3, 0.7)]
     h = 1e-6
     for fid, fn, grad in members:
         fd = np.stack([(fn(X + h * e) - fn(X - h * e)) / (2.0 * h) for e in np.eye(dim)], axis=1)
@@ -282,8 +282,8 @@ def test_battery_gradients_match_central_differences(dim):
 class TestPoincare:
     def test_x_independent_function_trivial(self, grad_mc):
         measures = dg.PhaseMeasures.from_engine(grad_mc, 4)
-        u = eng.SpaceTimeFunction("flat", lambda s, X: np.full(len(X), 2.0),
-                                 lambda s, X: np.zeros_like(X))
+        u = eng.TestFunction("flat", lambda s, X: np.full(len(X), 2.0),
+                             lambda s, X: np.zeros_like(X))
         rep = dg.poincare_ratio(u, measures, 1.25, -0.5)
         assert rep.left <= 1e-24 and rep.right == 0.0 and abs(rep.residual) <= 1e-24
         assert rep.holds()
@@ -405,8 +405,7 @@ class TestProjectionProperties:
                 u, sig, shift = ou._transition_ode(ou_model, target, s, 1e-10)
                 push = ou.GaussianMeasure(u @ mu_s.mean + shift, u @ mu_s.cov @ u.T + sig)
                 lhs = ref.gaussian_expectation(push, phi, order=60)
-                rhs, _ = dg.phase_mean(ou_engine, eng.TestFunction("t", phi, lambda X: X),
-                                       target)
+                rhs, _ = dg.phase_mean(ou_engine, lambda s, X: phi(X), target)
                 assert abs(lhs - rhs) < 1e-8
 
     def test_commutation_montecarlo(self, ou_mc, battery1):
@@ -464,7 +463,7 @@ class TestShortTimeSingularity:
 class TestCoreElement:
     def test_grid_generator_image_converges(self, ou_field, battery1):
         chi = next(p for p in battery1 if p.fid == "bump")
-        alpha = dg.BumpWindow(0.1, 0.9)
+        alpha = eng.BumpWindow(0.1, 0.9)
         rels = []
         # the envelope is resolved in time, so the refinement doubles both axes
         for n_x, n_t in ((31, 33), (63, 65)):
@@ -480,7 +479,7 @@ class TestCoreElement:
         assert rels[1] < 0.05
 
     def test_bump_window_slope(self):
-        alpha = dg.BumpWindow(0.0, 1.0)
+        alpha = eng.BumpWindow(0.0, 1.0)
         s = np.linspace(0.05, 0.95, 19)
         h = 1e-6
         fd = (alpha(s + h) - alpha(s - h)) / (2 * h)

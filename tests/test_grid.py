@@ -1,6 +1,7 @@
 """Finite-difference engine: stepping oracles, generator, spectrum, projections."""
 
 import dataclasses
+import functools
 import math
 import sys
 import threading
@@ -57,8 +58,8 @@ class TestStepForward:
         g = gr.SpaceTimeGrid(half_width=5.0, points_per_axis=191, time_slices=32, period=1.0)
         x = g.nodes()[:, 0]
         tanh = next(phi for phi in eng.battery() if phi.fid == "tanh")
-        out = gr.transition_matrix(ou_field, g, 0.2, 0.7, tanh(g.nodes()), substeps=4)
-        exact = ou.apply(ou_model, tanh, 0.7, 0.2, g.nodes(), order=80)
+        out = gr.transition_matrix(ou_field, g, 0.2, 0.7, tanh(0.7, g.nodes()), substeps=4)
+        exact = ou.apply(ou_model, functools.partial(tanh, 0.7), 0.7, 0.2, g.nodes(), order=80)
         assert np.abs(out - exact)[np.abs(x) < 2.0].max() < 1e-3
 
     def test_block_matches_dense_map(self, ou_field):

@@ -178,6 +178,30 @@ def test_ell_p_dominates_r0(gen_report):
     assert gen_report.ell_p_hat[2.0] > r0
 
 
+def test_three_dimensional_plan_certifies_a_gen_field():
+    """In d = 3 the shells take Fibonacci-sphere directions: as many as asked,
+    distinct unit vectors.  A 3-d gen field certifies on such a plan with the
+    closed-form window: q = 1 + 0.1 sin(2 pi t) + 0.25 / (1 + |x|^2) and
+    b = -(2 + 0.5 cos(2 pi t)) x, sampled at t = 0.25, 0.5, 0.75 and x = 0."""
+    dirs = fl._sphere_directions(3, 16)
+    assert dirs.shape == (16, 3)
+    assert np.all(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) <= 1e-12)
+    gaps = np.linalg.norm(dirs[:, None, :] - dirs[None, :, :], axis=2)
+    assert np.min(gaps + 2.0 * np.eye(16)) > 0.1
+    field = fl.gen_field(dim=3)
+    plan = fl.build_plan(3, field.period, r_max=5.0, n_times=8, n_axis=5, n_shells=2,
+                         n_shell_dirs=16)
+    assert plan.shell_points.shape == (2, 16, 3)
+    assert np.allclose(np.linalg.norm(plan.shell_points[-1], axis=1), 5.0)
+    report = hyp.check_hypotheses(field, plan)
+    assert report.lyapunov.accepted
+    assert report.r0_hat == pytest.approx(-1.5, abs=1e-12)
+    assert report.lambda_hat == pytest.approx(1.35, abs=1e-12)
+    # the lattice corner |x|^2 = 3 * 25 at the phase of sin(2 pi t) = -1
+    assert report.eta0_hat == pytest.approx(0.9 + 0.25 / 76.0, abs=1e-12)
+    assert report.r0_hat < report.ell_p_hat[2.0] < 0.0
+
+
 def test_refinement_stability(grad_field, grad_plan, gen_field, gen_plan):
     for field, plan in ((grad_field, grad_plan), (gen_field, gen_plan)):
         base = hyp.check_hypotheses(field, plan, p_values=(2.0,))

@@ -619,8 +619,8 @@ class TestTangentFlow:
         pos, jac = ref.tangent_march(field, np.zeros((2000, 1)), 0.0, 1.0, config,
                                      stream=("pointwise", 0))
         assert np.array_equal(pos[1000:], -pos[:1000])
-        lhs_vals = jac[:, 0, 0] * tanh.grad_at(pos)[:, 0]
-        rhs_vals = math.exp(-1.0) * tanh.grad_norm(pos)
+        lhs_vals = jac[:, 0, 0] * tanh.grad_at(1.0, pos)[:, 0]
+        rhs_vals = math.exp(-1.0) * ref.grad_norm(tanh, 1.0, pos)
         paired = math.hypot(mc.mean_and_stderr(lhs_vals)[1],
                             mc.mean_and_stderr(rhs_vals)[1])
         naive = math.hypot(lhs_vals.std(ddof=1), rhs_vals.std(ddof=1)) / math.sqrt(2000)
@@ -737,7 +737,7 @@ class TestTransportChecks:
                                                       ou_generator):
         # int P(s, s + tau) phi dmu_s = int phi dmu_{s + tau} at fractional horizons too
         engine = ou_engine if kind == "ou-exact" else eng.GridEngine(ou_field, ou_generator)
-        square = eng.TestFunction("square", lambda X: X[:, 0] ** 2, lambda X: 2.0 * X)
+        square = eng.TestFunction("square", lambda s, X: X[:, 0] ** 2, lambda s, X: 2.0 * X)
         profile = engine.transfer_profile([square], 0.0, [0.5, 1.25])
         for k, tau in enumerate(profile.horizons):
             g, _ = profile.values["square"][k]

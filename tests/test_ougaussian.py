@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad, quad_vec, solve_ivp
 
 from periodiclab import ougaussian as ou
-from periodiclab.errors import DimensionTooLarge, NotDissipative
+from periodiclab.errors import DimensionTooLarge, IntegratorFailure, NotDissipative
 from periodiclab.hypotheses import check_hypotheses
 from periodiclab.fields import build_plan
 
@@ -196,6 +196,47 @@ class TestCollocation:
         want = ref.dop853_law(model, s + length, s, 1e-12)
         for x, y in zip(got, want):
             assert np.all(np.abs(x - y) <= 1e-10 * np.maximum(1.0, np.abs(y)))
+
+
+class TestCollocationSplit:
+    """An interval whose dense collocation system would outgrow ``_MAX_UNKNOWNS``
+    before two solves agree is halved, at most ``_MAX_SPLITS`` deep."""
+
+    @staticmethod
+    def counted_depths(monkeypatch) -> list:
+        """The depth of every ``_collocated_law`` call from here on."""
+        depths, law = [], ou._collocated_law
+
+        def counted(model, s, t, tol, depth=0):
+            depths.append(depth)
+            return law(model, s, t, tol, depth)
+
+        monkeypatch.setattr(ou, "_collocated_law", counted)
+        return depths
+
+    @staticmethod
+    def room_for_two_solves(monkeypatch, model):
+        """Unknowns for the 16- and 32-node solves of ``model``'s state only."""
+        monkeypatch.setattr(ou, "_MAX_UNKNOWNS", (2 * model.dim**2 + model.dim) * 33)
+
+    @pytest.mark.parametrize("name", sorted(COLLOCATION_MODELS))
+    def test_split_law_matches_the_unsplit_one(self, name, monkeypatch):
+        model = ou.fourier_matrix_model(period=1.0, **COLLOCATION_MODELS[name])
+        depths = self.counted_depths(monkeypatch)
+        unsplit = ou._transition_ode(model, 2.8, 0.3, ou.DEFAULT_TOL)
+        assert depths == [0]
+        self.room_for_two_solves(monkeypatch, model)
+        split = ou._transition_ode(model, 2.8, 0.3, ou.DEFAULT_TOL)
+        assert max(depths) >= 2
+        for x, y in zip(split, unsplit):
+            assert np.all(np.abs(x - y) <= ou.DEFAULT_TOL * np.maximum(1.0, np.abs(y)))
+
+    def test_an_unresolved_law_without_splits_raises(self, monkeypatch):
+        model = ou.fourier_matrix_model(period=1.0, **COLLOCATION_MODELS["stiff"])
+        self.room_for_two_solves(monkeypatch, model)
+        monkeypatch.setattr(ou, "_MAX_SPLITS", 0)
+        with pytest.raises(IntegratorFailure, match="does not resolve the law on"):
+            ou._transition_ode(model, 2.8, 0.3, ou.DEFAULT_TOL)
 
 
 class TestLongLaws:

@@ -1,9 +1,11 @@
 """The public API is the code the lab runs.
 
-Every public module-level function in ``src/periodiclab`` is called from
-``src/`` outside its own body; the oracles only the tests use live in
-``tests/reference.py``.  Only ``grid`` imports scipy, and a document that
-needs no grid object never loads it.  Only ``montecarlo`` keys random
+Every public module-level function in ``src/periodiclab``, and every
+public method and property of its classes, is called from ``src/`` outside
+its own body; the oracles only the tests use live in
+``tests/reference.py``.  Only ``engines`` defines test functions.  Only
+``grid`` imports scipy, and a document that needs no grid object never
+loads it.  Only ``montecarlo`` keys random
 streams, nothing selects unpaired noise, only the run context calls
 ``transfer_profile``, only the burn-in and the profile march, and the grid's
 sparse solves are real except its complex eigenvalue residuals.  The README's library sketch runs as written.
@@ -95,8 +97,50 @@ def uncalled_public_functions() -> list:
         uncalled = defined - called
 
 
+def uncalled_public_members() -> list:
+    """``module.Class.name`` of every public method or property of a package
+    class that no attribute ``.name`` in the package reads outside the
+    member's own body.  A name that is also a field or an attribute of
+    another object counts as read, so such a member can slip through."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    reads = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)]
+    uncalled = []
+    for module, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for member in cls.body:
+                if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not member.name.startswith("_")):
+                    own = {id(node) for node in ast.walk(member)}
+                    if not any(node.attr == member.name and id(node) not in own
+                               for node in reads):
+                        uncalled.append(f"{module}.{cls.name}.{member.name}")
+    return sorted(uncalled)
+
+
 def test_every_public_function_has_a_caller_in_src():
-    assert uncalled_public_functions() == sorted(UNCALLED_BY_DESIGN)
+    assert sorted(uncalled_public_functions() + uncalled_public_members()) \
+        == sorted(UNCALLED_BY_DESIGN)
+
+
+def test_engines_alone_defines_test_functions():
+    """There is one test-function type, u(s, x): only ``engines`` builds a
+    ``TestFunction`` or defines ``BumpWindow``, and no module defines a
+    second type or alias such as ``SpaceTimeFunction``."""
+    names = {"TestFunction", "BumpWindow", "SpaceTimeFunction"}
+    builders, defined = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "TestFunction" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                builders.add(path.stem)
+            name = (node.name if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                    else node.id if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Store) else None)
+            if name in names:
+                defined.add((path.stem, name))
+    assert builders == {"engines"}
+    assert defined == {("engines", "TestFunction"), ("engines", "BumpWindow")}
 
 
 def _importers(top: str) -> set:
